@@ -13,9 +13,9 @@ import json
 import sys
 
 from .evaluators import Params, eval_Hstar, eval_Z, eval_Zstar, eval_hurwitz
-from .nested_sum import EvalConfig, InvalidParamsError, KernelError, NonConvergentError
+from .nested_sum import EvalConfig, InvalidParamsError, NonConvergentError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
-from .words import LinComb, WordError, dual, parse_word, sigma_b1, sigma_b2, sigma_eps
+from .words import WordError, dual, parse_word, sigma_b1, sigma_b2, sigma_eps
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=1e-6)
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
-    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--output", choices=["table", "json", "csv"], default="table")
     ver.add_argument("--no-timestamp", action="store_true")
@@ -105,17 +104,15 @@ def _cmd_compute(args) -> int:
         word = parse_word(args.word)
         p = Params(args.alpha, args.beta)
         cfg = EvalConfig(rel_tol=args.rel_tol, max_n=args.max_n)
-        rv = args.r_vector
+        rv = args.r_vector if args.r_vector is not None else (0,) * word.depth
         if args.family == "Z":
             res = eval_Z(word, p, cfg)
         elif args.family == "zeta":
             res = eval_hurwitz(word, p.alpha, cfg)
         elif args.family == "Zstar":
-            res = eval_Zstar(word, rv if rv is not None else (0,) * word.depth, p, cfg)
+            res = eval_Zstar(word, rv, p, cfg)
         else:
-            res = eval_Hstar(
-                word, rv if rv is not None else (0,) * word.depth, p.alpha, cfg
-            )
+            res = eval_Hstar(word, rv, p.alpha, cfg)
     except (WordError, InvalidParamsError, NonConvergentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -188,7 +185,6 @@ def _cmd_verify(args) -> int:
             params_grid=args.grid,
             tol=args.tol,
             even_r_only=args.even_only,
-            rng_seed=args.seed,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

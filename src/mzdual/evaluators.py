@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .nested_sum import (
     EvalConfig,
@@ -30,7 +30,7 @@ from .nested_sum import (
     Prefactor,
     evaluate,
 )
-from .words import Cut, LinComb, RVector, Word, _check_rvector
+from .words import Cut, LinComb, Word, _check_rvector
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def eval_Zstar(
     """
     p.validate()
     if w.is_empty:
-        if any(x != 0 for x in _check_rvector(r, 0)):
-            raise ValueError("empty word admits only an empty r-vector")
+        _check_rvector(r, 0)  # the empty word admits only the empty r-vector
         return EvalResult(1.0, 0.0, 0, True)
     return eval_spec(zstar_spec(w, r, p), cfg)
 
@@ -218,10 +217,26 @@ def eval_Hstar(
     """Hurwitz-dual family with per-block auxiliary chains."""
     Params(alpha).validate()
     if w.is_empty:
-        if any(x != 0 for x in _check_rvector(r, 0)):
-            raise ValueError("empty word admits only an empty r-vector")
+        _check_rvector(r, 0)  # the empty word admits only the empty r-vector
         return EvalResult(1.0, 0.0, 0, True)
     return eval_spec(hstar_spec(w, r, alpha), cfg)
+
+
+def sum_results(terms: Iterable[tuple[float, EvalResult]]) -> EvalResult:
+    """The sum of coeff * result over (coeff, result) pairs.
+
+    Error estimates add up weighted by |coeff|; the sum is converged only
+    if every term is, and a complex total with zero imaginary part comes
+    back real.
+    """
+    total, err, n_used, converged = 0j, 0.0, 0, True
+    for c, res in terms:
+        total += c * complex(res.value)
+        err += abs(c) * res.err_estimate
+        n_used = max(n_used, res.n_used)
+        converged = converged and res.converged
+    value = total if total.imag != 0 else total.real
+    return EvalResult(value, err, n_used, converged)
 
 
 Family = Literal["Z", "zeta"]
@@ -237,21 +252,7 @@ def eval_lincomb(
     """
     if family not in ("Z", "zeta"):
         raise ValueError(f"unknown family {family!r}")
-    if len(lc) == 0:
-        return EvalResult(0.0, 0.0, 0, True)
-    total = 0j
-    err = 0.0
-    n_used = 0
-    converged = True
-    for w, coeff in lc:
-        if family == "Z":
-            res = eval_Z(w, p, cfg)
-        else:
-            res = eval_hurwitz(w, p.alpha, cfg)
-        c = float(coeff)
-        total += c * complex(res.value)
-        err += abs(c) * res.err_estimate
-        n_used = max(n_used, res.n_used)
-        converged = converged and res.converged
-    value = total if total.imag != 0 else total.real
-    return EvalResult(value, err, n_used, converged)
+    return sum_results(
+        (float(coeff), eval_Z(w, p, cfg) if family == "Z" else eval_hurwitz(w, p.alpha, cfg))
+        for w, coeff in lc
+    )

@@ -21,11 +21,10 @@ factors (weight-1 inner blocks) extrapolate correctly.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, loggamma
@@ -98,16 +97,6 @@ class NestedSumSpec:
     def depth(self) -> int:
         return len(self.indices)
 
-    def to_debug_json(self) -> dict:
-        return {
-            "a": [iw.a for iw in self.indices],
-            "b": [iw.b for iw in self.indices],
-            "prefactors": [[p.value for p in iw.prefactors] for iw in self.indices],
-            "links": [lk.value for lk in self.links],
-            "alpha": [complex(self.alpha).real, complex(self.alpha).imag],
-            "beta": [complex(self.beta).real, complex(self.beta).imag],
-            "start_strict": self.start_strict,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,6 @@ class EvalConfig:
     growth: int = 4
     rel_tol: float = 1e-10
     max_n: int = 10**8
-    extrapolation_terms: int = 3
 
     def __post_init__(self):
         if self.n_initial < 2:
@@ -134,37 +122,6 @@ class EvalResult(NamedTuple):
     err_estimate: float
     n_used: int
     converged: bool
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer symbol
-# ---------------------------------------------------------------------------
-
-_POCH_CROSSOVER = 32
-
-
-def pochhammer_log(alpha: complex, m: int) -> complex:
-    """log of the rising factorial alpha(alpha+1)...(alpha+m-1), stably.
-
-    Direct log-sum below a small crossover, log-gamma difference above;
-    the two branches agree to ~1e-14 relative after exp.  Real positive
-    input yields a real float.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    a = complex(alpha)
-    if a.imag == 0 and a.real <= 0 and a.real == int(a.real):
-        raise InvalidParamsError(f"pochhammer pole at alpha={alpha}")
-    real_positive = a.imag == 0 and a.real > 0
-    if m == 0:
-        return 0.0 if real_positive else 0j
-    if m < _POCH_CROSSOVER:
-        if real_positive:
-            return math.fsum(math.log(a.real + j) for j in range(m))
-        return sum(cmath.log(a + j) for j in range(m))
-    if real_positive:
-        return float(gammaln(a.real + m) - gammaln(a.real))
-    return complex(loggamma(a + m) - loggamma(a))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +180,6 @@ def tail_powers_log(s: float, t: int, ms: np.ndarray) -> np.ndarray:
             order += 1
         total += factor * _eval_log_poly(e, coeffs, a, la)
     return total
-
-
-def tail_power_log(s: float, t: int, m: int) -> float:
-    """Scalar convenience wrapper around :func:`tail_powers_log`."""
-    return float(tail_powers_log(s, t, np.array([m]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +254,13 @@ def term_behaviour(spec: NestedSumSpec) -> list[tuple[float, int]]:
     return current
 
 
-def decay_exponent(spec: NestedSumSpec) -> float:
-    """Effective algebraic decay s of the outermost terms (tail ~ N^(1-s))."""
-    return -term_behaviour(spec)[0][0]
+# the leading tail exponent and its integer steps that the tail basis covers
+_EXTRAPOLATION_TERMS = 3
 
 
-def _tail_basis(spec: NestedSumSpec, extra_orders: int) -> list[tuple[float, int]]:
-    """Candidate (s, t) pairs for the tail fit, most important first."""
-    behaviour = term_behaviour(spec)
+def _tail_basis(behaviour: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Candidate (s, t) pairs for the tail fit, most important first, from
+    the :func:`term_behaviour` of the outermost terms."""
     lead_e, lead_t = behaviour[0]
     cand: dict[tuple[float, int], None] = {}
 
@@ -321,11 +272,10 @@ def _tail_basis(spec: NestedSumSpec, extra_orders: int) -> list[tuple[float, int
     for e, t in behaviour:
         for tt in range(t, -1, -1):
             add(-e, tt)
-    for j in range(1, max(extra_orders, 1)):
+    for j in range(1, _EXTRAPOLATION_TERMS):
         for tt in range(lead_t, -1, -1):
             add(-lead_e + j, tt)
-    ordered = sorted(cand, key=lambda st: (st[0], -st[1]))
-    return ordered
+    return sorted(cand, key=lambda st: (st[0], -st[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +305,15 @@ def _stirling_tail(z: np.ndarray) -> np.ndarray:
     return acc * z  # sum c_n z^(1-2n)
 
 
+def _log1p(u: np.ndarray) -> np.ndarray:
+    # log(1 + u) to full relative accuracy for small real or complex u;
+    # numpy's complex log of 1 + u loses about eps / |u| relative
+    if not np.iscomplexobj(u):
+        return np.log1p(u)
+    x, y = u.real, u.imag
+    return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
 def lgamma_diff(z: np.ndarray, d: complex) -> np.ndarray:
     """loggamma(z + d) - loggamma(z) for z >= 1, without cancellation.
 
@@ -363,41 +322,26 @@ def lgamma_diff(z: np.ndarray, d: complex) -> np.ndarray:
     exponent of every Pochhammer ratio.  For z above a crossover the
     difference of the Stirling expansions is formed term by term, every
     piece O(d log z); below it the direct difference is already accurate.
+    Real d gives a real array, complex d a complex one.
     """
     z = np.asarray(z, dtype=np.float64)
-    if complex(d).imag == 0:
-        d = float(complex(d).real)
-        small = z < _LGDIFF_CROSSOVER
-        out = np.empty_like(z)
-        if small.any():
-            zs = z[small]
-            out[small] = gammaln(zs + d) - gammaln(zs)
-        big = ~small
-        if big.any():
-            zb = z[big]
-            zd = zb + d
-            out[big] = (
-                (zb - 0.5) * np.log1p(d / zb)
-                + d * np.log(zd)
-                - d
-                + _stirling_tail(zd)
-                - _stirling_tail(zb)
-            )
-        return out
-    dc = complex(d)
+    d = complex(d)
+    lgamma = loggamma
+    if d.imag == 0:
+        d, lgamma = d.real, gammaln
     small = z < _LGDIFF_CROSSOVER
-    out = np.empty(z.shape, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.result_type(z, d))
     if small.any():
         zs = z[small]
-        out[small] = loggamma(zs + dc) - loggamma(zs)
+        out[small] = lgamma(zs + d) - lgamma(zs)
     big = ~small
     if big.any():
         zb = z[big]
-        zd = zb + dc
+        zd = zb + d
         out[big] = (
-            (zb - 0.5) * np.log(zd / zb)
-            + dc * np.log(zd)
-            - dc
+            (zb - 0.5) * _log1p(d / zb)
+            + d * np.log(zd)
+            - d
             + _stirling_tail(zd)
             - _stirling_tail(zb)
         )
@@ -429,10 +373,9 @@ def _prefactor_array(pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex
     raise ValueError(pf)
 
 
-def _weights_block(spec: NestedSumSpec, i: int, x: np.ndarray) -> np.ndarray:
+def _weights_block(spec: NestedSumSpec, i: int, x: np.ndarray, dtype: type) -> np.ndarray:
     iw = spec.indices[i]
-    is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
-    w = np.ones(len(x), dtype=np.complex128 if is_complex else np.float64)
+    w = np.ones(len(x), dtype=dtype)
     if iw.a:
         w *= _int_power(x + spec.alpha, iw.a)
     if iw.b:
@@ -473,6 +416,7 @@ class _Stream:
     def __init__(self, spec: NestedSumSpec):
         self.spec = spec
         is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
+        self.weight_dtype = np.complex128 if is_complex else np.float64
         self.acc_dtype = _ACC_COMPLEX if is_complex else _ACC_REAL
         self.carries = np.zeros(spec.depth, dtype=self.acc_dtype)
         self.next_m = 0
@@ -485,7 +429,7 @@ class _Stream:
         prev_strict = None
         prev_weak = None
         for i in range(spec.depth):
-            w = _weights_block(spec, i, m)
+            w = _weights_block(spec, i, m, self.weight_dtype)
             if i == 0:
                 if spec.start_strict and lo == 0:
                     w = w.copy()
@@ -557,14 +501,6 @@ def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
         q[:, j] = v / norm
         kept.append(j)
     return q, r, kept
-
-
-def _lstsq_extended(a: np.ndarray, y: np.ndarray, drop_tol: float = 1e-14):
-    """Least squares min ||a c - y|| via :func:`_mgs_qr`; dropped columns
-    get coefficient zero.  y may have a trailing right-hand-side axis."""
-    q, r, kept = _mgs_qr(a, drop_tol)
-    coeffs = _qr_solve(a.shape[1], q, r, kept, y)
-    return coeffs, y - a @ coeffs
 
 
 def _qr_solve(k: int, q, r, kept: list[int], y: np.ndarray) -> np.ndarray:
@@ -684,7 +620,7 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         raise NonConvergentError(
             f"outermost decay exponent {s_eff:.6g} <= 1; series diverges"
         )
-    basis = _tail_basis(spec, cfg.extrapolation_terms)
+    basis = _tail_basis(behaviour)
 
     marks = _make_marks(cfg.max_n)
     stream = _Stream(spec)
@@ -746,39 +682,3 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
 def _as_scalar(value: complex, stream: _Stream):
     return complex(value) if stream.acc_dtype is _ACC_COMPLEX else float(value.real)
 
-
-# ---------------------------------------------------------------------------
-# Simple Richardson-style extrapolation on escalating truncations
-# ---------------------------------------------------------------------------
-
-
-def tail_extrapolate(
-    partial: Sequence[tuple[int, complex]], decay_exponent: float
-) -> complex:
-    """Extrapolate the limit of partial sums with tail ~ C * N^(1-s).
-
-    Fits the leading algebraic tail term (and up to two subleading integer
-    orders when enough truncation levels are supplied) by least squares.
-    Degenerate fits (levels too close together) fall back to the last
-    partial value.
-    """
-    if len(partial) < 2:
-        raise ValueError("need at least two truncation levels")
-    if decay_exponent <= 1:
-        raise ValueError("decay_exponent must be > 1")
-    ns = np.array([float(n) for n, _ in partial])
-    vals = np.array([complex(v) for _, v in partial])
-    if np.min(ns[1:] / ns[:-1]) < 1.05:
-        return complex(vals[-1])
-    n_terms = min(len(partial) - 1, 3)
-    cols = np.column_stack(
-        [ns ** (1.0 - decay_exponent - j) for j in range(n_terms)]
-    )
-    a_mat = np.column_stack([np.ones(len(ns)), cols])
-    col_scale = np.max(np.abs(a_mat), axis=0)
-    sol, _, rank, _ = np.linalg.lstsq(
-        (a_mat / col_scale).astype(np.complex128), vals, rcond=1e-10
-    )
-    if rank < 1 or not np.isfinite(sol[0]):
-        return complex(vals[-1])
-    return complex(sol[0] / col_scale[0])

@@ -13,12 +13,10 @@ tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .evaluators import (
     eval_Zstar,
     eval_hurwitz,
     eval_lincomb,
+    sum_results,
 )
 from .nested_sum import EvalConfig, EvalResult
 from .words import (
@@ -145,15 +144,7 @@ def starred_rvectors(dual_word: Word, r: int) -> list[tuple[int, ...]]:
 def _zstar_side(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalResult:
     # sum of starred evaluations over the admissible r-vectors; params
     # arrive already in (pochhammer-base, weight-base) order
-    total, err, n_used, converged = 0j, 0.0, 0, True
-    for rv in starred_rvectors(dw, r):
-        res = eval_Zstar(dw, rv, p, cfg)
-        total += complex(res.value)
-        err += res.err_estimate
-        n_used = max(n_used, res.n_used)
-        converged = converged and res.converged
-    value = total if total.imag != 0 else total.real
-    return EvalResult(value, err, n_used, converged)
+    return sum_results((1.0, eval_Zstar(dw, rv, p, cfg)) for rv in starred_rvectors(dw, r))
 
 
 def check_thm11_i(
@@ -212,15 +203,7 @@ def check_thm31(
     p = Params(alpha)
     lhs = eval_lincomb(sigma_b2(w, r), "zeta", p, cfg)
     dw = dual(w)
-    total, err, n_used, converged = 0j, 0.0, 0, True
-    for rv in compositions(r, dw.depth):
-        res = eval_Hstar(dw, rv, alpha, cfg)
-        total += complex(res.value)
-        err += res.err_estimate
-        n_used = max(n_used, res.n_used)
-        converged = converged and res.converged
-    value = total if total.imag != 0 else total.real
-    rhs = EvalResult(value, err, n_used, converged)
+    rhs = sum_results((1.0, eval_Hstar(dw, rv, alpha, cfg)) for rv in compositions(r, dw.depth))
     name = f"thm31/w={w}/r={r}/a={_fmt_param(alpha)}"
     return _make_check(name, lhs, rhs)
 
@@ -327,8 +310,7 @@ def check_integral_repr(
     quad = EvalResult(fine, quad_err, 0, quad_err <= QUAD_TOL)
     note = "" if quad_err <= QUAD_TOL else f"quadrature non-convergence ({quad_err:.2g})"
     name = f"integral/{family}/w={w}/a={a:g}/b={b:g}"
-    check = _make_check(name, quad, series, tol=QUAD_TOL, note=note)
-    return check
+    return _make_check(name, quad, series, tol=QUAD_TOL, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +366,6 @@ def check_derivative_crosslink(
 # Suites
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = (
-    "duality",
-    "thm11i",
-    "thm11ii",
-    "prop24",
-    "thm31",
-    "sum_formula",
-    "integral",
-    "derivative",
-    "all",
-)
-
 DEFAULT_GRID = tuple(
     (a, b) for a in (0.6, 1.0, 1.5) for b in (0.6, 1.0, 1.5)
 )
@@ -411,7 +381,6 @@ class SuiteConfig:
     params_grid: tuple[tuple[complex, complex], ...] = DEFAULT_GRID
     tol: float = 1e-6
     even_r_only: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.weight_max < 2:
@@ -454,9 +423,6 @@ class VerificationReport:
     def sorted_checks(self) -> list[IdentityCheck]:
         return sorted(self.checks, key=lambda c: c.name)
 
-    def max_rel_dev(self) -> float:
-        return max((c.rel_dev for c in self.checks), default=0.0)
-
     def to_json(self, include_timestamp: bool = True) -> dict:
         out = {
             "schema": 1,
@@ -473,7 +439,6 @@ class VerificationReport:
                 ],
                 "tol": self.config.tol,
                 "even_r_only": self.config.even_r_only,
-                "rng_seed": self.config.rng_seed,
             },
             "checks": [c.to_json() for c in self.sorted_checks()],
         }
@@ -505,85 +470,71 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _suite_tasks(which: str, sc: SuiteConfig) -> list[tuple]:
-    words = words_up_to_weight(sc.weight_max, sc.depth_max)
-    cfg = sc.eval_config()
-    tasks: list[tuple] = []
-    if which in ("duality", "all"):
-        for w in words:
-            for a, b in sc.params_grid:
-                tasks.append(("duality", w, Params(a, b), cfg))
-    if which in ("thm11i", "all"):
-        for w in words:
-            for r in sc.r_values():
-                for a, b in sc.params_grid:
-                    tasks.append(("thm11i", w, r, Params(a, b), cfg))
-    if which in ("thm11ii", "all"):
-        for w in words:
-            for r in sc.r_values():
-                for a in sc.alphas():
-                    tasks.append(("thm11ii", w, r, a, cfg))
-    if which in ("prop24", "all"):
-        for w in words:
-            for r in sc.r_values():
-                for a in sc.alphas():
-                    tasks.append(("prop24", w, r, a, cfg))
-    if which in ("thm31", "all"):
-        for w in words:
-            for r in sc.r_values():
-                for a in sc.alphas():
-                    tasks.append(("thm31", w, r, a, cfg))
-    if which in ("sum_formula", "all"):
-        for k1 in range(2, sc.weight_max + 1):
-            for r in sc.r_values():
-                for a, b in sc.params_grid:
-                    tasks.append(("sum_formula", k1, r, Params(a, b), cfg))
-    if which == "integral":
-        for w in words:
-            if w.weight > 4:
-                continue
-            for a, b in sc.params_grid:
-                aa, bb = complex(a), complex(b)
-                if aa.imag or bb.imag:
-                    continue
-                if 1 <= aa.real <= 2 and 1 <= bb.real <= 2:
-                    tasks.append(("integral", w, Params(a, b), "Z", cfg))
-                    tasks.append(("integral", w, Params(a, b), "zeta", cfg))
-    if which == "derivative":
-        for w in words:
-            if w.weight > 4:
-                continue
-            for r in (1, 2):
-                if r > sc.r_max:
-                    continue
-                for a, b in sc.params_grid:
-                    if complex(a).imag or complex(b).imag:
-                        continue
-                    tasks.append(("derivative", w, r, Params(a, b), None))
-    if not tasks and which not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {which!r}")
-    return tasks
+# A suite's task generator lists its (check, args) pairs.  Each names its
+# check in its own body, so the check is looked up in this module when the
+# suite runs, not bound when the module is imported.
+
+
+def _duality_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    return [(check_duality, (w, Params(a, b), cfg)) for w in words for a, b in sc.params_grid]
+
+
+def _thm11i_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    return [(check_thm11_i, (w, r, Params(a, b), cfg))
+            for w in words for r in sc.r_values() for a, b in sc.params_grid]
+
+
+def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    # the one-parameter identities run on the distinct first-slot values
+    return [(check, (w, r, a, cfg)) for w in words for r in sc.r_values() for a in sc.alphas()]
+
+
+def _sum_formula_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    return [(check_sum_formula, (k1, r, Params(a, b), cfg))
+            for k1 in range(2, sc.weight_max + 1) for r in sc.r_values() for a, b in sc.params_grid]
+
+
+def _real_pairs(sc: SuiteConfig) -> list[tuple[complex, complex]]:
+    return [(a, b) for a, b in sc.params_grid if not (complex(a).imag or complex(b).imag)]
+
+
+def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    # the quadrature takes words of weight <= 4 and real parameters in [1, 2]
+    return [(check_integral_repr, (w, Params(a, b), family, cfg))
+            for w in words if w.weight <= 4
+            for a, b in _real_pairs(sc) if 1 <= complex(a).real <= 2 and 1 <= complex(b).real <= 2
+            for family in ("Z", "zeta")]
+
+
+def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    # the stencils take words of weight <= 4, r in {1, 2} and real parameters
+    return [(check_derivative_crosslink, (w, r, Params(a, b), None))
+            for w in words if w.weight <= 4
+            for r in range(1, min(sc.r_max, 2) + 1) for a, b in _real_pairs(sc)]
+
+
+_SERIES_SUITES = {
+    "duality": _duality_tasks,
+    "thm11i": _thm11i_tasks,
+    "thm11ii": lambda sc, words, cfg: _diagonal_tasks(check_thm11_ii, sc, words, cfg),
+    "prop24": lambda sc, words, cfg: _diagonal_tasks(check_prop24, sc, words, cfg),
+    "thm31": lambda sc, words, cfg: _diagonal_tasks(check_thm31, sc, words, cfg),
+    "sum_formula": _sum_formula_tasks,
+}
+_SUITES = {
+    **_SERIES_SUITES,
+    "integral": _integral_tasks,
+    "derivative": _derivative_tasks,
+    "all": lambda sc, words, cfg: [
+        task for tasks in _SERIES_SUITES.values() for task in tasks(sc, words, cfg)
+    ],
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_task(task: tuple) -> IdentityCheck:
-    kind = task[0]
-    if kind == "duality":
-        return check_duality(*task[1:])
-    if kind == "thm11i":
-        return check_thm11_i(*task[1:])
-    if kind == "thm11ii":
-        return check_thm11_ii(*task[1:])
-    if kind == "prop24":
-        return check_prop24(*task[1:])
-    if kind == "thm31":
-        return check_thm31(*task[1:])
-    if kind == "sum_formula":
-        return check_sum_formula(*task[1:])
-    if kind == "integral":
-        return check_integral_repr(*task[1:])
-    if kind == "derivative":
-        return check_derivative_crosslink(*task[1:])
-    raise ValueError(kind)
+    check, args = task
+    return check(*args)
 
 
 def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationReport:
@@ -595,7 +546,8 @@ def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationRepo
     """
     if which not in SUITE_NAMES:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_NAMES}")
-    tasks = _suite_tasks(which, sc)
+    words = words_up_to_weight(sc.weight_max, sc.depth_max)
+    tasks = _SUITES[which](sc, words, sc.eval_config())
     report = VerificationReport(suite=which, config=sc)
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -496,27 +496,3 @@ def words_up_to_weight(weight_max: int, depth_max: int | None = None) -> list[Wo
         out.extend(words_of_weight(wt, depth_max))
     return out
 
-
-def count_words_recursive(weight: int) -> int:
-    """Independent recursive count of admissible words of a given weight.
-
-    Counts compositions (k_1..k_p) of the weight with k_p >= 2 times
-    2^(p-1) cut choices; used to cross-check the enumerator.
-    """
-
-    def count(remaining: int, first: bool) -> int:
-        # words (possibly continuing) using `remaining` letters, where the
-        # next block's cut is fixed (first) or free (2 choices)
-        total = 0
-        factor = 1 if first else 2
-        for k in range(1, remaining + 1):
-            if k == remaining:
-                if k >= 2:
-                    total += factor
-            else:
-                total += factor * count(remaining - k, False)
-        return total
-
-    if weight < 2:
-        return 0
-    return count(weight, True)

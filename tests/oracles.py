@@ -1,10 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written from the series definitions with
-plain Python loops (no shared code with the package kernel): full tuple
-enumeration for small boxes, prefactor ratios by scalar recurrences, and
-a local least-squares tail fit used to push slowly converging oracle
-sums to their limits.
+plain Python loops (no shared code with the package kernel): a recursive
+count of admissible words, full tuple enumeration for small boxes,
+prefactor ratios by scalar recurrences, and a local least-squares tail
+fit used to push slowly converging oracle sums to their limits.
 """
 
 from __future__ import annotations
@@ -12,6 +12,31 @@ from __future__ import annotations
 import numpy as np
 
 from mzdual.words import Cut, Word
+
+
+def count_words_recursive(weight: int) -> int:
+    """Independent recursive count of admissible words of a given weight.
+
+    Counts compositions (k_1..k_p) of the weight with k_p >= 2 times
+    2^(p-1) cut choices; used to cross-check the enumerator.
+    """
+
+    def count(remaining: int, first: bool) -> int:
+        # words (possibly continuing) using `remaining` letters, where the
+        # next block's cut is fixed (first) or free (2 choices)
+        total = 0
+        factor = 1 if first else 2
+        for k in range(1, remaining + 1):
+            if k == remaining:
+                if k >= 2:
+                    total += factor
+            else:
+                total += factor * count(remaining - k, False)
+        return total
+
+    if weight < 2:
+        return 0
+    return count(weight, True)
 
 
 def poch_ratio_first(base: complex, n: int) -> list:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
+from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -13,12 +14,11 @@ from mzdual.nested_sum import (
     NestedSumSpec,
     NonConvergentError,
     Prefactor,
-    decay_exponent,
+    _prefactor_array,
     evaluate,
     lgamma_diff,
-    pochhammer_log,
-    tail_power_log,
-    tail_extrapolate,
+    tail_powers_log,
+    term_behaviour,
     truncated_sum,
 )
 
@@ -85,18 +85,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             EvalConfig(rel_tol=2.0)
 
-    def test_debug_json(self):
-        spec = NestedSumSpec(
-            (IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)), IndexWeight(b=2)),
-            (Link.WEAK,),
-            1.5,
-            0.5,
-        )
-        js = spec.to_debug_json()
-        assert js["links"] == ["<="]
-        assert js["prefactors"][0] == ["poch_first"]
-        assert js["alpha"] == [1.5, 0.0]
-
 
 class TestBruteForceEquivalence:
     # DP partial sums equal naive full enumeration over index tuples,
@@ -105,8 +93,6 @@ class TestBruteForceEquivalence:
 
     @staticmethod
     def _naive_tensor(spec: NestedSumSpec, n: int) -> float:
-        from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted
-
         m = np.arange(n + 1, dtype=np.float64)
         weights = []
         for iw in spec.indices:
@@ -219,36 +205,56 @@ class TestErrEstimateHonesty:
         assert true_err <= 10 * res.err_estimate
 
 
+def poch(pf: Prefactor, alpha: complex, m) -> np.ndarray:
+    """The kernel's Pochhammer-ratio prefactor at the indices m."""
+    return _prefactor_array(pf, np.asarray(m, dtype=np.float64), alpha, 1.0)
+
+
+# each kernel prefactor and the oracle recurrence that tabulates it
+POCH_ORACLES = (
+    (Prefactor.POCH_FIRST, poch_ratio_first),  # (alpha)_m / m!
+    (Prefactor.POCH_LAST, poch_ratio_last),  # m! / (alpha)_{m+1}
+    (Prefactor.POCH_LAST_HSTAR, poch_ratio_last_shifted),  # (m+1)! / (alpha)_{m+1}
+)
+
+
 class TestPochhammerLog:
+    # the kernel's one Pochhammer path: exp of lgamma_diff in _prefactor_array
     def test_factorial(self):
-        for m in (1, 5, 40):
-            assert math.isclose(pochhammer_log(1.0, m), math.lgamma(m + 1), rel_tol=1e-14)
+        # (1)_m = m!, so the three ratios are 1, 1/(m+1) and 1
+        m = np.array([1.0, 5.0, 40.0, 1000.0])
+        np.testing.assert_allclose(poch(Prefactor.POCH_FIRST, 1.0, m), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(poch(Prefactor.POCH_LAST, 1.0, m), 1.0 / (m + 1), rtol=1e-14)
+        np.testing.assert_allclose(poch(Prefactor.POCH_LAST_HSTAR, 1.0, m), 1.0, rtol=1e-14)
 
     def test_zero_length(self):
-        assert pochhammer_log(1.7, 0) == 0.0
+        # (alpha)_0 = 1 and (alpha)_1 = alpha
+        assert math.isclose(poch(Prefactor.POCH_FIRST, 1.7, [0])[0], 1.0, rel_tol=1e-15)
+        assert math.isclose(poch(Prefactor.POCH_LAST, 1.7, [0])[0], 1 / 1.7, rel_tol=1e-15)
 
     def test_half(self):
-        assert math.isclose(pochhammer_log(0.5, 2), math.log(0.75), rel_tol=1e-14)
+        # (1/2)_2 / 2! = (1/2)(3/2) / 2
+        assert math.isclose(poch(Prefactor.POCH_FIRST, 0.5, [2])[0], 0.375, rel_tol=1e-14)
 
     def test_pole(self):
-        with pytest.raises(InvalidParamsError):
-            pochhammer_log(0.0, 3)
-        with pytest.raises(InvalidParamsError):
-            pochhammer_log(-2.0, 1)
+        # the Pochhammer base must have a positive real part
+        for alpha in (0.0, -2.0):
+            spec = single(b=2, prefactors=(Prefactor.POCH_FIRST,), alpha=alpha)
+            with pytest.raises(InvalidParamsError):
+                evaluate(spec)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.5, 0.3 + 0.4j, -0.5])
-    @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.5, 0.3 + 0.4j])
+    @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 63, 64, 65, 100])
     def test_matches_recursive_product(self, alpha, m):
-        prod = 1.0 + 0j
-        for j in range(m):
-            prod *= alpha + j
-        got = pochhammer_log(alpha, m)
-        assert abs(np.exp(complex(got)) - prod) <= 1e-13 * abs(prod)
+        for pf, oracle in POCH_ORACLES:
+            want = oracle(alpha, m)[m]
+            got = poch(pf, alpha, [m])[0]
+            assert abs(got - want) <= 1e-13 * abs(want), pf
 
     def test_crossover_consistency(self):
-        a = pochhammer_log(1.3, 31)
-        b = pochhammer_log(1.3, 32)
-        assert math.isclose(math.exp(b - a), 1.3 + 31, rel_tol=1e-12)
+        # z = m + 1 = 63 and 64 straddle the lgamma_diff crossover
+        a, b = poch(Prefactor.POCH_FIRST, 1.3, [62, 63])
+        assert math.isclose(b / a, (1.3 + 62) / 63, rel_tol=1e-13)
 
 
 class TestLgammaDiff:
@@ -260,50 +266,38 @@ class TestLgammaDiff:
         got = float(lgamma_diff(np.array([z]), d)[0])
         assert abs(got - truth) < 5e-14 * max(1.0, abs(truth))
 
+    @pytest.mark.parametrize("d", [0.3 + 0.4j, 1 + 2j, -0.3 + 0.7j])
+    @pytest.mark.parametrize("z", [64.0, 1e5, 1e7])
+    def test_complex_against_mpmath(self, z, d):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        truth = complex(mp.loggamma(mp.mpf(z) + mp.mpc(d.real, d.imag)) - mp.loggamma(mp.mpf(z)))
+        got = complex(lgamma_diff(np.array([z]), d)[0])
+        assert abs(got - truth) < 5e-14 * max(1.0, abs(truth))
+
 
 class TestTailPowerLog:
+    @staticmethod
+    def tail(s: float, t: int, m: int) -> float:
+        return float(tail_powers_log(s, t, np.array([m]))[0])
+
     def test_plain_zeta_tail(self):
-        assert math.isclose(tail_power_log(2, 0, 64), hurwitz_zeta(2, 65), rel_tol=1e-14)
+        assert math.isclose(self.tail(2, 0, 64), hurwitz_zeta(2, 65), rel_tol=1e-14)
 
     def test_log_weighted_self_consistency(self):
         for s, t, m in [(1.6, 0, 64), (1.6, 3, 64), (2.0, 2, 100)]:
             k = np.arange(m + 1, m + 200001, dtype=np.float64)
             head = float(np.sum(k ** (-s) * np.log(k) ** t))
             assert math.isclose(
-                tail_power_log(s, t, m),
-                head + tail_power_log(s, t, m + 200000),
+                self.tail(s, t, m),
+                head + self.tail(s, t, m + 200000),
                 rel_tol=1e-12,
             )
 
 
-class TestTailExtrapolate:
-    def test_basel_two_levels(self):
-        partials = []
-        for n in (1000, 4000):
-            m = np.arange(n, dtype=np.float64)
-            partials.append((n, float(np.sum((m + 1.0) ** -2))))
-        lim = tail_extrapolate(partials, 2.0)
-        assert abs(lim - ZETA2) < 1e-6
-
-    def test_constant_sequence(self):
-        lim = tail_extrapolate([(100, 2.5), (400, 2.5), (1600, 2.5)], 3.0)
-        assert lim == pytest.approx(2.5, abs=1e-12)
-
-    def test_cubic_two_levels(self):
-        partials = []
-        for n in (100, 400):
-            m = np.arange(n, dtype=np.float64)
-            partials.append((n, float(np.sum((m + 1.0) ** -3))))
-        lim = tail_extrapolate(partials, 3.0)
-        assert abs(lim - ZETA3) < 1e-6
-
-    def test_degenerate_levels_fall_back(self):
-        lim = tail_extrapolate([(1000, 1.5), (1010, 1.7)], 2.0)
-        assert lim == 1.7
-
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            tail_extrapolate([(100, 1.0)], 2.0)
+def decay_exponent(spec: NestedSumSpec) -> float:
+    """Effective algebraic decay s of the outermost terms (tail ~ N^(1-s))."""
+    return -term_behaviour(spec)[0][0]
 
 
 class TestDecayExponent:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from mzdual.evaluators import Params
+import mzdual.evaluators
+import mzdual.verifier
+from mzdual.evaluators import Params, eval_Z
 from mzdual.nested_sum import EvalConfig
 from mzdual.verifier import (
     SuiteConfig,
@@ -20,12 +22,10 @@ from mzdual.verifier import (
 )
 from mzdual.words import (
     LinComb,
-    count_words_recursive,
     parse_word,
     sigma_b1,
     sigma_b2,
     sigma_eps,
-    words_of_weight,
 )
 
 W = parse_word
@@ -207,9 +207,26 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("bogus", SuiteConfig())
 
-    def test_word_universe_counts(self):
-        for wt in range(2, 9):
-            assert len(words_of_weight(wt)) == count_words_recursive(wt)
+    def test_dispatch_resolved_at_call_time(self, monkeypatch):
+        # a module attribute replaced after import must see every call
+        calls = {"check_duality": 0, "z_spec": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(mzdual.verifier, "check_duality")
+        counting(mzdual.evaluators, "z_spec")
+        rep = run_suite("duality", SuiteConfig(weight_max=2))
+        assert calls == {"check_duality": 9, "z_spec": 18}  # two sides per check
+        assert rep.passed
+        eval_Z(W("1:3"), Params(1.0, 1.0), CFG)
+        assert calls["z_spec"] == 19
 
     def test_deterministic_json(self):
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0),))

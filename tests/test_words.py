@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import count_words_recursive
 from mzdual.words import (
     EMPTY_WORD,
     Cut,
@@ -11,7 +12,6 @@ from mzdual.words import (
     Word,
     WordError,
     compositions,
-    count_words_recursive,
     dual,
     parse_word,
     sigma_b1,
