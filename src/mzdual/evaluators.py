@@ -24,10 +24,10 @@ from .nested_sum import (
     EvalConfig,
     EvalResult,
     IndexWeight,
-    InvalidParamsError,
     Link,
     NestedSumSpec,
     Prefactor,
+    _validate_params,
     evaluate,
 )
 from .words import Cut, LinComb, Word, _check_rvector
@@ -50,10 +50,7 @@ class Params:
                 object.__setattr__(self, name, v.real)
 
     def validate(self):
-        if not (complex(self.alpha).real > 0 and complex(self.beta).real > 0):
-            raise InvalidParamsError(
-                f"need Re > 0 in both slots, got ({self.alpha}, {self.beta})"
-            )
+        _validate_params(self.alpha, self.beta)
 
     def swapped(self) -> "Params":
         return Params(self.beta, self.alpha)

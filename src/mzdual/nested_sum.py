@@ -22,6 +22,7 @@ factors (weight-1 inner blocks) extrapolate correctly.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,7 +130,12 @@ class EvalResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _log_poly_derivative(e: float, coeffs: list[float]) -> tuple[float, list[float]]:
+def _ext(x: complex) -> np.generic:
+    # x as an extended-precision scalar, complex only when x is
+    return np.clongdouble(x) if isinstance(x, complex) else np.longdouble(x)
+
+
+def _log_poly_derivative(e: complex, coeffs: list[complex]) -> tuple[complex, list[complex]]:
     # d/dx [x^-e * sum_j coeffs[j] log^j x] = x^-(e+1) * (new poly)
     out = [0.0] * len(coeffs)
     for j, c in enumerate(coeffs):
@@ -139,11 +145,11 @@ def _log_poly_derivative(e: float, coeffs: list[float]) -> tuple[float, list[flo
     return e + 1.0, out
 
 
-def _eval_log_poly(e: float, coeffs: list[float], a: np.ndarray, la: np.ndarray) -> np.ndarray:
+def _eval_log_poly(e: complex, coeffs: list[complex], a: np.ndarray, la: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(a)
     for c in reversed(coeffs):
         acc = acc * la + c
-    return acc * a ** (-np.longdouble(e))
+    return acc * a ** -_ext(e)
 
 # Euler-Maclaurin odd-derivative corrections: -B_{2k}/(2k)! * f^(2k-1)(a)
 _EM_CORRECTIONS = (
@@ -154,23 +160,24 @@ _EM_CORRECTIONS = (
 )
 
 
-def tail_powers_log(s: float, t: int, ms: np.ndarray) -> np.ndarray:
+def tail_powers_log(s: complex, t: int, ms: np.ndarray) -> np.ndarray:
     """sum_{k>m} k^-s log^t k for each m in ms, in extended precision.
 
     Euler-Maclaurin at a = m+1 with corrections through the 7th derivative
-    (error ~ a^-(s+9), negligible for m >= 32); the integral term has the
-    closed form a^(1-s) * sum_j t!/(t-j)! log^(t-j)(a) / (s-1)^(j+1).
+    (error ~ a^-(Re s+9), negligible for m >= 32); the integral term has the
+    closed form a^(1-s) * sum_j t!/(t-j)! log^(t-j)(a) / (s-1)^(j+1).  The
+    form holds for complex s, which gives a complex (clongdouble) array.
     """
-    if s <= 1:
-        raise ValueError("tail requires s > 1")
+    if s.real <= 1:
+        raise ValueError("tail requires Re s > 1")
     a = np.asarray(ms, dtype=np.longdouble) + 1
     la = np.log(a)
     integral = np.zeros_like(a)
     fall = 1.0  # t! / (t-j)!
     for j in range(t + 1):
-        integral += fall * la ** (t - j) / np.longdouble(s - 1.0) ** (j + 1)
+        integral = integral + fall * la ** (t - j) / _ext(s - 1.0) ** (j + 1)
         fall *= t - j
-    total = integral * a ** np.longdouble(1.0 - s)
+    total = integral * a ** _ext(1.0 - s)
     e, coeffs = s, [0.0] * t + [1.0]
     total += 0.5 * _eval_log_poly(e, coeffs, a, la)
     order = 0
@@ -188,22 +195,35 @@ def tail_powers_log(s: float, t: int, ms: np.ndarray) -> np.ndarray:
 
 _RESONANCE_TOL = 1e-6
 
+# A behaviour entry (e, t) stands for m^e log^t m; e is complex when a
+# Pochhammer base is, and a plain float otherwise.
+Behaviour = list[tuple[complex, int]]
 
-def _prefactor_exponent(pf: Prefactor, alpha: complex, beta: complex) -> float:
-    ra, rb = complex(alpha).real, complex(beta).real
+
+def _exponent(x: complex) -> complex:
+    # keep an exponent a float unless it has an imaginary part
+    x = complex(x)
+    return x if x.imag else x.real
+
+
+def _prefactor_exponent(pf: Prefactor, alpha: complex, beta: complex) -> complex:
+    a, b = complex(alpha), complex(beta)
     return {
-        Prefactor.POCH_FIRST: ra - 1.0,
-        Prefactor.POCH_LAST: -ra,
-        Prefactor.POCH_FIRST_ZSTAR: rb - 1.0,
-        Prefactor.POCH_LAST_ZSTAR: 1.0 - rb,
-        Prefactor.POCH_LAST_HSTAR: 1.0 - ra,
+        Prefactor.POCH_FIRST: a - 1.0,
+        Prefactor.POCH_LAST: -a,
+        Prefactor.POCH_FIRST_ZSTAR: b - 1.0,
+        Prefactor.POCH_LAST_ZSTAR: 1.0 - b,
+        Prefactor.POCH_LAST_HSTAR: 1.0 - a,
     }[pf]
 
 
-def _merge_behaviour(entries: list[tuple[float, int]], keep: int = 12) -> list[tuple[float, int]]:
-    # group near-equal exponents, keep the highest log power per group
-    entries = sorted(entries, key=lambda et: (-et[0], -et[1]))
-    out: list[tuple[float, int]] = []
+def _merge_behaviour(entries: Behaviour, keep: int = 12) -> Behaviour:
+    # group near-equal exponents, keep the highest log power per group;
+    # the order is by real part, which sets the size of m^e
+    entries = sorted(
+        ((_exponent(e), t) for e, t in entries), key=lambda et: (-et[0].real, -et[1])
+    )
+    out: Behaviour = []
     for e, t in entries:
         for i, (e0, t0) in enumerate(out):
             if abs(e - e0) < 1e-9:
@@ -213,36 +233,36 @@ def _merge_behaviour(entries: list[tuple[float, int]], keep: int = 12) -> list[t
         else:
             out.append((e, t))
     if out:
-        lead = out[0][0]
-        out = [(e, t) for e, t in out if e > lead - 3.2]
+        lead = out[0][0].real
+        out = [(e, t) for e, t in out if e.real > lead - 3.2]
     return out[:keep]
 
 
-def _prefix_behaviour(entries: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    # behaviour of P(m) = sum_{k<=m} of a term behaving like m^e log^t m
-    out = [(0.0, 0)]
+def _prefix_behaviour(entries: Behaviour) -> Behaviour:
+    # behaviour of P(m) = sum_{k<=m} of a term behaving like m^e log^t m;
+    # only e = -1 itself resonates with the constant (e = -1 + 2i does not)
+    out: Behaviour = [(0.0, 0)]
     for e, t in entries:
-        if e > -1.0 + _RESONANCE_TOL:
-            out.append((e + 1.0, t))
-            out.append((e, t))
-        elif e < -1.0 - _RESONANCE_TOL:
-            out.append((e + 1.0, t))
-        else:
+        if abs(e + 1.0) < _RESONANCE_TOL:
             out.append((0.0, t + 1))
             out.append((-1.0, t))
+        else:
+            out.append((e + 1.0, t))
+            if e.real > -1.0 - _RESONANCE_TOL:
+                out.append((e, t))
     return _merge_behaviour(out)
 
 
-def term_behaviour(spec: NestedSumSpec) -> list[tuple[float, int]]:
+def term_behaviour(spec: NestedSumSpec) -> Behaviour:
     """Asymptotic behaviour (exponent, log power) of the outermost terms.
 
-    The leading exponent e* determines the decay s = -e* of the outer
+    The leading exponent e* determines the decay s = -Re e* of the outer
     series; convergence requires s > 1.
     """
-    prefix: list[tuple[float, int]] | None = None
-    current: list[tuple[float, int]] = []
+    prefix: Behaviour | None = None
+    current: Behaviour = []
     for iw in spec.indices:
-        own = -float(iw.a + iw.b)
+        own = complex(-(iw.a + iw.b))
         for pf in iw.prefactors:
             own += _prefactor_exponent(pf, spec.alpha, spec.beta)
         if prefix is None:
@@ -254,28 +274,27 @@ def term_behaviour(spec: NestedSumSpec) -> list[tuple[float, int]]:
     return current
 
 
-# the leading tail exponent and its integer steps that the tail basis covers
+# every tail exponent and its integer steps that the tail basis covers
 _EXTRAPOLATION_TERMS = 3
 
 
-def _tail_basis(behaviour: list[tuple[float, int]]) -> list[tuple[float, int]]:
+def _tail_basis(behaviour: Behaviour) -> tuple[tuple[complex, int], ...]:
     """Candidate (s, t) pairs for the tail fit, most important first, from
-    the :func:`term_behaviour` of the outermost terms."""
-    lead_e, lead_t = behaviour[0]
-    cand: dict[tuple[float, int], None] = {}
+    the :func:`term_behaviour` of the outermost terms.
 
-    def add(s: float, t: int):
-        key = (round(s, 9), t)
-        if s > 1.0 + 1e-9:
-            cand.setdefault(key, None)
-
+    Each exponent e contributes s = -e and its steps s + 1, s + 2, every
+    one with log powers t..0: the expansions of the Pochhammer ratios and
+    of (m + beta)^-b step every exponent by integers, not only the lead.
+    """
+    cand: dict[tuple[complex, int], None] = {}
     for e, t in behaviour:
-        for tt in range(t, -1, -1):
-            add(-e, tt)
-    for j in range(1, _EXTRAPOLATION_TERMS):
-        for tt in range(lead_t, -1, -1):
-            add(-lead_e + j, tt)
-    return sorted(cand, key=lambda st: (st[0], -st[1]))
+        for j in range(_EXTRAPOLATION_TERMS):
+            s = complex(-e + j)
+            s = _exponent(complex(round(s.real, 9), round(s.imag, 9)))
+            if s.real > 1.0 + 1e-9:
+                for tt in range(t, -1, -1):
+                    cand.setdefault((s, tt), None)
+    return tuple(sorted(cand, key=lambda st: (st[0].real, -st[1], st[0].imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +481,11 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     return complex(out) if stream.acc_dtype is _ACC_COMPLEX else float(out)
 
 
-def _validate_params(spec: NestedSumSpec):
-    a, b = complex(spec.alpha), complex(spec.beta)
-    if not (a.real > 0 and b.real > 0):
+def _validate_params(alpha: complex, beta: complex):
+    """The parameter domain of every series here: Re(alpha), Re(beta) > 0."""
+    if not (complex(alpha).real > 0 and complex(beta).real > 0):
         raise InvalidParamsError(
-            f"need Re(alpha) > 0 and Re(beta) > 0, got alpha={spec.alpha}, beta={spec.beta}"
+            f"need Re(alpha) > 0 and Re(beta) > 0, got alpha={alpha}, beta={beta}"
         )
 
 
@@ -480,7 +499,8 @@ def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
     """Modified Gram-Schmidt QR in extended precision, with column dropping.
 
     Processes columns left to right, so the factors of every column
-    prefix a[:, :k] are available from one pass.  Returns (q, r, kept).
+    prefix a[:, :k] are available from one pass.  Returns (q, r, kept);
+    the columns of q that were dropped stay zero.
     """
     n, k = a.shape
     q = np.zeros((n, k), dtype=np.longdouble)
@@ -503,34 +523,78 @@ def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
     return q, r, kept
 
 
-def _qr_solve(k: int, q, r, kept: list[int], y: np.ndarray) -> np.ndarray:
-    cols = [j for j in kept if j < k]
-    coeffs = np.zeros((k,) + y.shape[1:], dtype=np.longdouble)
-    for j in reversed(cols):
-        acc = q[:, j] @ y
-        for j2 in cols:
-            if j2 > j:
-                acc = acc - r[j, j2] * coeffs[j2]
-        coeffs[j] = acc / r[j, j]
-    return coeffs
-
-
-def _rt_solve(k: int, r, kept: list[int], g: np.ndarray) -> np.ndarray:
-    # solve R^T w = g over the kept columns below k (forward substitution)
-    cols = [j for j in kept if j < k]
-    w = np.zeros(k, dtype=np.longdouble)
-    for idx, j in enumerate(cols):
+def _rt_solve(r, kept: list[int], g: np.ndarray) -> np.ndarray:
+    # solve R^T w = g over the kept columns (forward substitution); w[j]
+    # depends only on columns <= j, so every prefix solves its own prefix
+    w = np.zeros(len(g), dtype=np.longdouble)
+    for idx, j in enumerate(kept):
         acc = g[j]
-        for j2 in cols[:idx]:
+        for j2 in kept[:idx]:
             acc = acc - r[j2, j] * w[j2]
         w[j] = acc / r[j, j]
     return w
 
 
+# fit designs kept; the weight-4 thm11i suite uses 150
+_FIT_DESIGN_CACHE = 256
+
+
+class _FitDesign(NamedTuple):
+    """The part of a tail fit that does not depend on the partial sums."""
+
+    wrow: np.ndarray  # row weights, 1 / |phi_lead|
+    q: np.ndarray  # orthonormal factor of the weighted, scaled design
+    w: np.ndarray  # extrapolation functional in the basis of q
+    sizes: tuple[int, ...]  # basis sizes (in columns) that the fit tries
+    amp_norms: tuple[float, ...]  # noise amplification of each size
+    lead_last: float  # |phi_lead| at the last mark
+
+
+@functools.lru_cache(maxsize=_FIT_DESIGN_CACHE)
+def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
+    """Tail functions at the marks, weighted and factored for the fit.
+
+    A real (s, t) is one column; a complex one is two, Re phi and Im phi,
+    whose real span holds c * phi for every complex c.  The basis is cut
+    at the last whole (s, t) within 14 columns and len(marks) - 4.
+    """
+    n = len(marks)
+    ms = np.array(marks, dtype=np.int64)
+    cap = min(n - 4, 14)
+    cols: list[np.ndarray] = []
+    ends: list[int] = []
+    for s, t in basis:
+        phi = tail_powers_log(s, t, ms)
+        parts = [phi.real, phi.imag] if np.iscomplexobj(phi) else [phi]
+        if len(cols) + len(parts) > cap:
+            break
+        if not cols:
+            lead = np.abs(phi)
+        cols.extend(parts)
+        ends.append(len(cols))
+    k_lo = max(2, min(3, len(cols)))
+    sizes = tuple(k for k in ends if k >= k_lo)
+    if not sizes:
+        return None
+    phi = np.stack(cols, axis=1)
+    wrow = 1.0 / np.maximum(lead, np.longdouble(1e-300))
+    a_mat = (phi - phi[-1]) * wrow[:, None]
+    col_scale = np.max(np.abs(a_mat), axis=0)
+    col_scale[col_scale == 0] = 1.0
+    q, r, kept = _mgs_qr(a_mat / col_scale)
+    w = _rt_solve(r, kept, phi[-1] / col_scale)
+    # amp[:, k-1] is the sensitivity of the size-k extrapolation to each row
+    amp = np.cumsum(q * w, axis=1)
+    amp_norms = tuple(float(np.sqrt(np.sum((amp[:, k - 1] * wrow) ** 2))) for k in sizes)
+    for arr in (wrow, q, w):
+        arr.setflags(write=False)
+    return _FitDesign(wrow, q, w, sizes, amp_norms, float(lead[-1]))
+
+
 def _tail_fit(
     marks: np.ndarray,
     sums: np.ndarray,
-    basis: list[tuple[float, int]],
+    basis: tuple[tuple[complex, int], ...],
     scale: float,
 ) -> _FitResult | None:
     """Fit recorded partial sums against exact tail functions.
@@ -539,18 +603,16 @@ def _tail_fit(
     basis-size prefixes; the size minimizing (in-sample misfit projected
     to the last mark) + (noise amplification of the extrapolation) wins.
     Rows are weighted by the inverse leading tail so the residuals are
-    relative misfits, and the solve runs in extended precision.
+    relative misfits, and the solve runs in extended precision.  The real
+    and imaginary parts of complex sums are fitted as two right-hand sides.
     """
     n = len(marks)
     if n < 6:
         return None
-    k_max = min(len(basis), n - 4, 14)
-    if k_max == 0:
+    design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
+    if design is None:
         return None
-    basis = basis[:k_max]
-    phi = np.empty((n, k_max), dtype=np.longdouble)
-    for col, (s, t) in enumerate(basis):
-        phi[:, col] = tail_powers_log(s, t, marks)
+    wrow, q, w = design.wrow, design.q, design.w
 
     is_complex = np.iscomplexobj(sums)
     sums_ld = np.asarray(sums)
@@ -561,46 +623,31 @@ def _tail_fit(
         )
     else:
         y = diff.astype(np.longdouble)[:, None]
-
-    wrow = 1.0 / np.maximum(np.abs(phi[:, 0]), np.longdouble(1e-300))
-    a_mat = (phi - phi[-1]) * wrow[:, None]
     yw = y * wrow[:, None]
-    col_scale = np.max(np.abs(a_mat), axis=0)
-    col_scale[col_scale == 0] = 1.0
-    a_scaled = a_mat / col_scale
-    g = (phi[-1] / col_scale).astype(np.longdouble)  # extrapolation functional
+    proj = q.T @ yw  # zero rows for dropped columns
 
-    q, r, kept = _mgs_qr(a_scaled)
     base_value = complex(sums_ld[-1])
-    phi0_last = float(phi[-1, 0])
     half = n // 2
-
-    best: tuple[float, complex, float] | None = None  # (score, value, err)
-    k_lo = max(2, min(3, k_max))
-    for k in range(k_lo, k_max + 1):
-        coeffs_s = _qr_solve(k, q, r, kept, yw)
-        resid = yw - a_scaled[:, :k] @ coeffs_s
-        tail_last = phi[-1, :k] @ (coeffs_s / col_scale[:k, None])
+    best: tuple[float, complex] | None = None  # (err, value)
+    for k, amp_norm in zip(design.sizes, design.amp_norms):
+        resid = yw - q[:, :k] @ proj[:k]
+        tail_last = w[:k] @ proj[:k]
         value = base_value + complex(
             float(tail_last[0]), float(tail_last[1]) if is_complex else 0.0
         )
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             continue
-        resid_abs = np.abs(resid).max(axis=1) if resid.ndim > 1 else np.abs(resid)
-        err_model = float(np.max(resid_abs[half:])) * phi0_last
+        resid_abs = np.abs(resid).max(axis=1)
+        err_model = float(np.max(resid_abs[half:])) * design.lead_last
         # sensitivity of the extrapolated value to per-row noise
-        w_sens = _rt_solve(k, r, kept, g)
-        amp = np.zeros(n, dtype=np.longdouble)
-        for j in [j for j in kept if j < k]:
-            amp += w_sens[j] * q[:, j]
         noise_abs = float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))
-        err_noise = float(np.sqrt(np.sum((amp * wrow) ** 2))) * noise_abs
+        err_noise = amp_norm * noise_abs
         err = 3.0 * err_model + 2.0 * err_noise
         if best is None or err < best[0]:
-            best = (err, value, err)
+            best = (err, value)
     if best is None:
         return None
-    _, value, err = best
+    err, value = best
     floor = 5e-15 * max(abs(value), scale)
     return _FitResult(value, max(err, floor))
 
@@ -613,9 +660,9 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     estimate (fit residual + basis-sensitivity) meets rel_tol or max_n is
     hit; in the latter case the best value is returned flagged.
     """
-    _validate_params(spec)
+    _validate_params(spec.alpha, spec.beta)
     behaviour = term_behaviour(spec)
-    s_eff = -behaviour[0][0]
+    s_eff = -behaviour[0][0].real
     if s_eff <= 1.0 + 1e-9:
         raise NonConvergentError(
             f"outermost decay exponent {s_eff:.6g} <= 1; series diverges"

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import mzdual.evaluators
+import mzdual.nested_sum
 from mzdual.cli import main
 
 
@@ -62,6 +64,13 @@ class TestCompute:
         )
         assert code == 0
         assert json.loads(out)["value"][1] != 0.0
+
+    def test_complex_pochhammer_base_converges(self, capsys):
+        code, _, err = run(
+            capsys, "compute", "--family", "Z", "--word", "1:1,1:2", "--alpha", "1+2i",
+            "--beta", "0.7", "--max-n", "1000000",
+        )
+        assert code == 0, err
 
     def test_tolerance_not_reached_exits_3(self, capsys):
         code, _, err = run(
@@ -139,6 +148,23 @@ class TestVerify:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["schema"] == 1 and "timestamp" not in payload
+
+    def test_fit_design_cache_invisible(self, capsys, monkeypatch):
+        # the suite's JSON is the same when every tail fit builds its design anew
+        args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
+                "--no-timestamp")
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        _, warm, _ = run(capsys, *args)
+        design = mzdual.nested_sum._fit_design
+
+        def cold_design(basis, marks):
+            design.cache_clear()
+            return design(basis, marks)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_fit_design", cold_design)
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        _, cold, _ = run(capsys, *args)
+        assert json.loads(warm)["checks"] and cold == warm
 
     def test_csv_output(self, capsys):
         code, out, _ = run(

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted
+from mzdual.evaluators import Params, z_spec
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -14,13 +15,20 @@ from mzdual.nested_sum import (
     NestedSumSpec,
     NonConvergentError,
     Prefactor,
+    _fit_design,
+    _make_marks,
     _prefactor_array,
+    _prefix_behaviour,
+    _Stream,
+    _tail_basis,
+    _tail_fit,
     evaluate,
     lgamma_diff,
     tail_powers_log,
     term_behaviour,
     truncated_sum,
 )
+from mzdual.words import parse_word
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -204,6 +212,104 @@ class TestErrEstimateHonesty:
         true_err = abs(res.value - hurwitz_zeta(k, alpha))
         assert true_err <= 10 * res.err_estimate
 
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 2.7, 1 + 2j, 0.5 + 0.5j])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hurwitz_against_mpmath(self, k, alpha, rel_tol):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        spec = NestedSumSpec((IndexWeight(a=k),), (), alpha, 1.0)
+        res = evaluate(spec, EvalConfig(rel_tol=rel_tol))
+        truth = complex(mp.zeta(k, mp.mpc(complex(alpha))))
+        assert res.converged
+        assert abs(res.value - truth) <= res.err_estimate
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    def test_zeta_two_one(self, rel_tol):
+        # Z(1:1,1:2) at (1, 1) is zeta(2,1) = zeta(3)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        res = evaluate(z_spec(parse_word("1:1,1:2"), Params(1.0, 1.0)), EvalConfig(rel_tol=rel_tol))
+        assert res.converged
+        assert abs(res.value - float(mp.zeta(3))) <= res.err_estimate
+
+
+# Z(1:1,1:2) at (alpha, 1) has the tail exponents 2, 3, ... and alpha + 1,
+# alpha + 2, ...; they coincide at alpha = 1 and are non-integer around it
+CLIFF_ALPHAS = [0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 1.5, 2.0]
+
+
+def z_two_one(alpha: float):
+    spec = z_spec(parse_word("1:1,1:2"), Params(alpha, 1.0))
+    res = evaluate(spec, EvalConfig(rel_tol=1e-12))
+    assert res.converged
+    return res
+
+
+class TestNoResonanceCliff:
+    @pytest.mark.parametrize("alpha", CLIFF_ALPHAS)
+    def test_terms_bounded(self, alpha):
+        res = z_two_one(alpha)
+        assert res.n_used <= 262_144
+        # by duality it equals Z(1:3)(1, alpha) = sum_m 1 / ((m+1) (m+alpha)^2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        a = mp.mpf(alpha)
+        truth = float(mp.nsum(lambda m: 1 / ((m + 1) * (m + a) ** 2), [0, mp.inf]))
+        assert abs(res.value - truth) <= res.err_estimate
+
+    def test_terms_flat_across_alpha(self):
+        counts = [z_two_one(alpha).n_used for alpha in CLIFF_ALPHAS]
+        assert max(counts) <= 4 * min(counts)
+
+    def test_every_exponent_gets_integer_steps(self):
+        behaviour = term_behaviour(z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)))
+        assert [e for e, _ in behaviour] == pytest.approx([-2.0, -2.001, -3.0, -4.0])
+        exponents = [s for s, _ in _tail_basis(behaviour)]
+        assert exponents == pytest.approx([2.0, 2.001, 3.0, 3.001, 4.0, 4.001, 5.0, 6.0])
+
+    def test_complex_exponents_kept(self):
+        # (alpha)_m / m! ~ m^(alpha - 1) keeps Im alpha in the tail exponents
+        behaviour = term_behaviour(z_spec(parse_word("1:1,1:2"), Params(1 + 2j, 0.7)))
+        assert any(isinstance(e, complex) for e, _ in behaviour)
+        assert -behaviour[0][0].real == pytest.approx(2.0)
+        assert any(isinstance(s, complex) for s, _ in _tail_basis(behaviour))
+
+    def test_off_axis_exponent_not_resonant(self):
+        # sum_{k<=m} k^(-1+2i) ~ C + m^(2i) / (2i): no log, unlike k^-1
+        assert all(t == 0 for _, t in _prefix_behaviour([(-1 + 2j, 0)]))
+        assert (0.0, 1) in _prefix_behaviour([(-1.0, 0)])
+
+
+def recorded_partial_sums(spec: NestedSumSpec, n: int):
+    """Marks up to n and the outer partial sums at them, as evaluate fits them."""
+    prefix = _Stream(spec).run_block(n + 1)
+    marks = np.array([m for m in _make_marks(n) if m >= 32], dtype=np.int64)
+    return marks, prefix[marks], _tail_basis(term_behaviour(spec))
+
+
+class TestFitDesignCache:
+    SPECS = [
+        z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)),
+        z_spec(parse_word("1:1,1:2"), Params(1 + 2j, 0.7)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["real", "complex"])
+    def test_cold_and_warm_fits_identical(self, spec):
+        marks, sums, basis = recorded_partial_sums(spec, 4096)
+        _fit_design.cache_clear()
+        cold = _tail_fit(marks, sums, basis, 1.0)
+        warm = _tail_fit(marks, sums, basis, 1.0)
+        assert _fit_design.cache_info().hits >= 1
+        assert cold is not None and cold == warm
+
+    def test_cached_arrays_read_only(self):
+        marks, _, basis = recorded_partial_sums(self.SPECS[1], 4096)
+        design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
+        for arr in (design.wrow, design.q, design.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 def poch(pf: Prefactor, alpha: complex, m) -> np.ndarray:
     """The kernel's Pochhammer-ratio prefactor at the indices m."""
@@ -293,6 +399,23 @@ class TestTailPowerLog:
                 head + self.tail(s, t, m + 200000),
                 rel_tol=1e-12,
             )
+
+    @pytest.mark.parametrize("s", [2 + 2j, 1.5 + 0.5j])
+    @pytest.mark.parametrize("m", [32, 1000, 10**6])
+    def test_complex_against_mpmath(self, s, m):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        got = complex(tail_powers_log(s, 0, np.array([m]))[0])
+        truth = complex(mp.zeta(mp.mpc(s), m + 1))
+        assert abs(got - truth) <= 1e-14 * abs(truth)
+
+    def test_complex_log_weighted_self_consistency(self):
+        s, m = 1.5 + 0.5j, 64
+        k = np.arange(m + 1, m + 200001, dtype=np.float64)
+        head = complex(np.sum(k ** (-s) * np.log(k)))
+        got = complex(tail_powers_log(s, 1, np.array([m]))[0])
+        rest = complex(tail_powers_log(s, 1, np.array([m + 200000]))[0])
+        assert abs(got - (head + rest)) <= 1e-12 * abs(got)
 
 
 def decay_exponent(spec: NestedSumSpec) -> float:

@@ -47,6 +47,14 @@ class TestDualityCheck:
         c = check_duality(W("1h00"), Params(1.3, 0.7), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
+    def test_complex_pochhammer_base(self):
+        # the dual side has only real tail exponents, so it checks the
+        # complex ones of the left side independently; at rel_tol 1e-11 the
+        # derived tol is the floor, not widened by the evaluations' errors
+        c = check_duality(W("1:1,1/2:2"), Params(1 + 2j, 0.7), EvalConfig(rel_tol=1e-11))
+        assert c.passed and "tolerance-not-reached" not in c.note
+        assert c.tol <= 1e-9 and c.n_used <= 10**6
+
 
 class TestThm11iCheck:
     def test_reduces_to_duality_at_r0(self):
