@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .nested_sum import (
     EvalConfig,
@@ -177,12 +177,23 @@ def eval_spec(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
     return _evaluate_cached(spec, cfg)
 
 
-def eval_Z(w: Word, p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Two-parameter series of an admissible word; the empty word gives 1."""
+def _eval_word(
+    w: Word, p: Params, cfg: EvalConfig, compile_spec: Callable[[], NestedSumSpec],
+    r: Sequence[int] | None = None,
+) -> EvalResult:
+    # the parameters are checked for every word; the empty word gives 1 and
+    # admits only the empty r-vector, any other word is compiled and evaluated
     p.validate()
     if w.is_empty:
+        if r is not None:
+            _check_rvector(r, 0)
         return EvalResult(1.0, 0.0, 0, True)
-    return eval_spec(z_spec(w, p), cfg)
+    return eval_spec(compile_spec(), cfg)
+
+
+def eval_Z(w: Word, p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """Two-parameter series of an admissible word; the empty word gives 1."""
+    return _eval_word(w, p, cfg, lambda: z_spec(w, p))
 
 
 def eval_Zstar(
@@ -193,30 +204,19 @@ def eval_Zstar(
     With an all-zero r-vector this degenerates exactly to
     ``eval_Z(w, p)`` (the auxiliary chains vanish into the plain cuts).
     """
-    p.validate()
-    if w.is_empty:
-        _check_rvector(r, 0)  # the empty word admits only the empty r-vector
-        return EvalResult(1.0, 0.0, 0, True)
-    return eval_spec(zstar_spec(w, r, p), cfg)
+    return _eval_word(w, p, cfg, lambda: zstar_spec(w, r, p), r)
 
 
 def eval_hurwitz(w: Word, alpha: complex, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Multiple Hurwitz value of a word: every index shifted by alpha."""
-    Params(alpha).validate()
-    if w.is_empty:
-        return EvalResult(1.0, 0.0, 0, True)
-    return eval_spec(hurwitz_spec(w, alpha), cfg)
+    return _eval_word(w, Params(alpha), cfg, lambda: hurwitz_spec(w, alpha))
 
 
 def eval_Hstar(
     w: Word, r: Sequence[int], alpha: complex, cfg: EvalConfig = EvalConfig()
 ) -> EvalResult:
     """Hurwitz-dual family with per-block auxiliary chains."""
-    Params(alpha).validate()
-    if w.is_empty:
-        _check_rvector(r, 0)  # the empty word admits only the empty r-vector
-        return EvalResult(1.0, 0.0, 0, True)
-    return eval_spec(hstar_spec(w, r, alpha), cfg)
+    return _eval_word(w, Params(alpha), cfg, lambda: hstar_spec(w, r, alpha), r)
 
 
 def sum_results(terms: Iterable[tuple[float, EvalResult]]) -> EvalResult:

@@ -11,6 +11,12 @@ multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link).  Work is O(N * depth) and fully vectorized; the
 running outer partial sum is recorded at geometrically spaced marks.
 
+Each Pochhammer prefactor is a Gamma ratio, (base)_m / m! or
+m! / (base)_{m+1} or (m+1)! / (base)_{m+1}, in one base alpha or beta.
+The series of one identity share a parameter pair and are streamed over
+the same blocks of m, so the ratio of each block is computed once and
+kept, read-only, in a small least-recently-used cache bounded by bytes.
+
 The infinite tail is removed by fitting the recorded partial sums against
 exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
 Euler-Maclaurin).  The exponent/log-power basis is derived from a small
@@ -24,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -305,8 +312,10 @@ def _tail_basis(behaviour: Behaviour) -> tuple[tuple[complex, int], ...]:
 def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     # base^-k for small positive integer k, via reciprocal and multiplies
     inv = 1.0 / base
-    out = inv.copy()
-    for _ in range(k - 1):
+    if k == 1:
+        return inv
+    out = inv * inv
+    for _ in range(k - 2):
         out *= inv
     return out
 
@@ -373,34 +382,113 @@ def _lgamma_value(shift: complex) -> complex:
     return complex(loggamma(complex(shift)))
 
 
-def _prefactor_array(pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
+def _gamma_ratio(ratio: Prefactor, x: np.ndarray, base: complex) -> np.ndarray:
+    # the Gamma ratio of POCH_FIRST, POCH_LAST or POCH_LAST_HSTAR at m = x
     z = x + 1.0  # z = m + 1 >= 1
-    if pf is Prefactor.POCH_FIRST:
-        # (alpha)_m / m! = Gamma(m+alpha) / (Gamma(alpha) Gamma(m+1))
-        return np.exp(lgamma_diff(z, alpha - 1.0) - _lgamma_value(alpha))
-    if pf is Prefactor.POCH_LAST:
-        # m! / (alpha)_{m+1} = Gamma(alpha) Gamma(m+1) / Gamma(m+1+alpha)
-        return np.exp(_lgamma_value(alpha) - lgamma_diff(z, alpha))
-    if pf is Prefactor.POCH_FIRST_ZSTAR:
-        return np.exp(lgamma_diff(z, beta - 1.0) - _lgamma_value(beta))
-    if pf is Prefactor.POCH_LAST_ZSTAR:
-        # m! (m+alpha) / (beta)_{m+1}
-        return np.exp(_lgamma_value(beta) - lgamma_diff(z, beta)) * (x + alpha)
-    if pf is Prefactor.POCH_LAST_HSTAR:
-        # (m+1)! / (alpha)_{m+1} = Gamma(alpha) Gamma(m+2) / Gamma(m+1+alpha)
-        return np.exp(_lgamma_value(alpha) - lgamma_diff(z + 1.0, alpha - 1.0))
-    raise ValueError(pf)
+    if ratio is Prefactor.POCH_FIRST:
+        # (base)_m / m! = Gamma(m+base) / (Gamma(base) Gamma(m+1))
+        return np.exp(lgamma_diff(z, base - 1.0) - _lgamma_value(base))
+    if ratio is Prefactor.POCH_LAST:
+        # m! / (base)_{m+1} = Gamma(base) Gamma(m+1) / Gamma(m+1+base)
+        return np.exp(_lgamma_value(base) - lgamma_diff(z, base))
+    if ratio is Prefactor.POCH_LAST_HSTAR:
+        # (m+1)! / (base)_{m+1} = Gamma(base) Gamma(m+2) / Gamma(m+1+base)
+        return np.exp(_lgamma_value(base) - lgamma_diff(z + 1.0, base - 1.0))
+    raise ValueError(ratio)
 
 
-def _weights_block(spec: NestedSumSpec, i: int, x: np.ndarray, dtype: type) -> np.ndarray:
+# each prefactor as (Gamma ratio, the parameter that is its base); the
+# starred ones are the plain ratios in beta, and POCH_LAST_ZSTAR carries
+# the extra factor (m + alpha)
+_RATIO = {
+    Prefactor.POCH_FIRST: (Prefactor.POCH_FIRST, "alpha"),
+    Prefactor.POCH_LAST: (Prefactor.POCH_LAST, "alpha"),
+    Prefactor.POCH_FIRST_ZSTAR: (Prefactor.POCH_FIRST, "beta"),
+    Prefactor.POCH_LAST_ZSTAR: (Prefactor.POCH_LAST, "beta"),
+    Prefactor.POCH_LAST_HSTAR: (Prefactor.POCH_LAST_HSTAR, "alpha"),
+}
+
+
+# bytes of Gamma-ratio blocks kept: room for the first 16,385 indices,
+# where most evaluations stop, of seven real ratios; the Z and Z* series
+# of one (alpha, beta) pair use four
+_GAMMA_RATIO_CACHE_BYTES = 1 << 20
+
+
+class _BlockCache:
+    """Least-recently-used read-only arrays, bounded by their total bytes.
+
+    An array larger than the whole budget is returned but not kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.hits = self.misses = 0
+        self._arrays: OrderedDict = OrderedDict()
+
+    def get(self, key, compute) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is not None:
+            self.hits += 1
+            self._arrays.move_to_end(key)
+            return arr
+        self.misses += 1
+        arr = compute()
+        arr.setflags(write=False)
+        if arr.nbytes <= self.max_bytes:
+            self._arrays[key] = arr
+            self.nbytes += arr.nbytes
+            while self.nbytes > self.max_bytes:
+                _, old = self._arrays.popitem(last=False)
+                self.nbytes -= old.nbytes
+        return arr
+
+    def clear(self):
+        self._arrays.clear()
+        self.nbytes = self.hits = self.misses = 0
+
+
+# Gamma-ratio blocks by (ratio, base, lo, hi); the specs of one identity
+# share a parameter pair, so they stream the same few ratios over the same
+# blocks of m
+_GAMMA_RATIOS = _BlockCache(_GAMMA_RATIO_CACHE_BYTES)
+
+
+def _prefactor_array(
+    pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex, lo: int | None = None
+) -> np.ndarray:
+    """The prefactor at the indices x.  Given the block start lo, x is
+    arange(lo, hi) and the Gamma ratio comes from the shared cache, as a
+    read-only array when the prefactor is that ratio alone."""
+    ratio, which = _RATIO[pf]
+    base = alpha if which == "alpha" else beta
+    if lo is None:
+        out = _gamma_ratio(ratio, x, base)
+    else:
+        key = (ratio, base, lo, lo + len(x))
+        out = _GAMMA_RATIOS.get(key, lambda: _gamma_ratio(ratio, x, base))
+    return out * (x + alpha) if pf is Prefactor.POCH_LAST_ZSTAR else out
+
+
+def _weights_block(spec: NestedSumSpec, i: int, x: np.ndarray, lo: int) -> np.ndarray:
+    # the weights of index i at m = x = arange(lo, hi); read-only when
+    # the weight is one shared Gamma ratio
     iw = spec.indices[i]
-    w = np.ones(len(x), dtype=dtype)
+    factors = []
     if iw.a:
-        w *= _int_power(x + spec.alpha, iw.a)
+        factors.append(_int_power(x + spec.alpha, iw.a))
     if iw.b:
-        w *= _int_power(x + spec.beta, iw.b)
-    for pf in iw.prefactors:
-        w = w * _prefactor_array(pf, x, spec.alpha, spec.beta)
+        factors.append(_int_power(x + spec.beta, iw.b))
+    factors.extend(_prefactor_array(pf, x, spec.alpha, spec.beta, lo) for pf in iw.prefactors)
+    if not factors:
+        return np.ones(len(x))
+    w = factors[0]
+    for f in factors[1:]:
+        if w.flags.writeable and np.result_type(w, f) == w.dtype:
+            w *= f
+        else:
+            w = w * f
     return w
 
 
@@ -416,7 +504,8 @@ else:  # pragma: no cover - platform without 80-bit long double
     _ACC_REAL, _ACC_COMPLEX = np.float64, np.complex128
 
 
-def _make_marks(limit: int) -> list[int]:
+@functools.lru_cache(maxsize=16)
+def _make_marks(limit: int) -> tuple[int, ...]:
     marks = []
     j = 15
     while True:
@@ -426,7 +515,7 @@ def _make_marks(limit: int) -> list[int]:
         if not marks or m > marks[-1]:
             marks.append(m)
         j += 1
-    return marks
+    return tuple(marks)
 
 
 class _Stream:
@@ -435,7 +524,6 @@ class _Stream:
     def __init__(self, spec: NestedSumSpec):
         self.spec = spec
         is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
-        self.weight_dtype = np.complex128 if is_complex else np.float64
         self.acc_dtype = _ACC_COMPLEX if is_complex else _ACC_REAL
         self.carries = np.zeros(spec.depth, dtype=self.acc_dtype)
         self.next_m = 0
@@ -445,26 +533,25 @@ class _Stream:
         lo = self.next_m
         m = np.arange(lo, hi, dtype=np.float64)
         spec = self.spec
-        prev_strict = None
-        prev_weak = None
+        # the prefixes at lo - 1, which a strict link shifts in
+        carries = self.carries.copy()
+        prev = None
         for i in range(spec.depth):
-            w = _weights_block(spec, i, m, self.weight_dtype)
+            w = _weights_block(spec, i, m, lo)
+            prefix = np.empty(hi - lo, dtype=self.acc_dtype)
             if i == 0:
+                prefix[:] = w
                 if spec.start_strict and lo == 0:
-                    w = w.copy()
-                    w[0] = 0.0
-                terms = w.astype(self.acc_dtype)
+                    prefix[0] = 0.0
+            elif spec.links[i - 1] is Link.STRICT:
+                np.multiply(w[1:], prev[:-1], out=prefix[1:])
+                np.multiply(w[:1], carries[i - 1 : i], out=prefix[:1])
             else:
-                q = prev_strict if spec.links[i - 1] is Link.STRICT else prev_weak
-                terms = w * q
-            prefix = np.cumsum(terms)
-            prefix += self.carries[i]
-            if i < spec.depth - 1:
-                shifted = np.empty_like(prefix)
-                shifted[0] = self.carries[i]
-                shifted[1:] = prefix[:-1]
-                prev_strict, prev_weak = shifted, prefix
+                np.multiply(w, prev, out=prefix)
+            np.cumsum(prefix, out=prefix)
+            prefix += carries[i]
             self.carries[i] = prefix[-1]
+            prev = prefix
         self.next_m = hi
         return prefix
 

@@ -472,26 +472,28 @@ class VerificationReport:
 
 # A suite's task generator lists its (check, args) pairs.  Each names its
 # check in its own body, so the check is looked up in this module when the
-# suite runs, not bound when the module is imported.
+# suite runs, not bound when the module is imported.  The parameters run
+# outermost: the series of one pair share their Gamma-ratio blocks, which
+# the kernel keeps only for the pairs it saw last.
 
 
 def _duality_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    return [(check_duality, (w, Params(a, b), cfg)) for w in words for a, b in sc.params_grid]
+    return [(check_duality, (w, Params(a, b), cfg)) for a, b in sc.params_grid for w in words]
 
 
 def _thm11i_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     return [(check_thm11_i, (w, r, Params(a, b), cfg))
-            for w in words for r in sc.r_values() for a, b in sc.params_grid]
+            for a, b in sc.params_grid for w in words for r in sc.r_values()]
 
 
 def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the one-parameter identities run on the distinct first-slot values
-    return [(check, (w, r, a, cfg)) for w in words for r in sc.r_values() for a in sc.alphas()]
+    return [(check, (w, r, a, cfg)) for a in sc.alphas() for w in words for r in sc.r_values()]
 
 
 def _sum_formula_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     return [(check_sum_formula, (k1, r, Params(a, b), cfg))
-            for k1 in range(2, sc.weight_max + 1) for r in sc.r_values() for a, b in sc.params_grid]
+            for a, b in sc.params_grid for k1 in range(2, sc.weight_max + 1) for r in sc.r_values()]
 
 
 def _real_pairs(sc: SuiteConfig) -> list[tuple[complex, complex]]:
@@ -501,16 +503,17 @@ def _real_pairs(sc: SuiteConfig) -> list[tuple[complex, complex]]:
 def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the quadrature takes words of weight <= 4 and real parameters in [1, 2]
     return [(check_integral_repr, (w, Params(a, b), family, cfg))
-            for w in words if w.weight <= 4
             for a, b in _real_pairs(sc) if 1 <= complex(a).real <= 2 and 1 <= complex(b).real <= 2
+            for w in words if w.weight <= 4
             for family in ("Z", "zeta")]
 
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the stencils take words of weight <= 4, r in {1, 2} and real parameters
     return [(check_derivative_crosslink, (w, r, Params(a, b), None))
+            for a, b in _real_pairs(sc)
             for w in words if w.weight <= 4
-            for r in range(1, min(sc.r_max, 2) + 1) for a, b in _real_pairs(sc)]
+            for r in range(1, min(sc.r_max, 2) + 1)]
 
 
 _SERIES_SUITES = {

@@ -166,6 +166,26 @@ class TestVerify:
         _, cold, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold == warm
 
+    def test_gamma_ratio_cache_invisible(self, capsys, monkeypatch):
+        # the suite's JSON is the same when every block computes its
+        # Gamma ratios anew
+        args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
+                "--no-timestamp")
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        mzdual.nested_sum._GAMMA_RATIOS.clear()
+        _, warm, _ = run(capsys, *args)
+        assert mzdual.nested_sum._GAMMA_RATIOS.hits > 0
+        run_block = mzdual.nested_sum._Stream.run_block
+
+        def cold_block(stream, hi):
+            mzdual.nested_sum._GAMMA_RATIOS.clear()
+            return run_block(stream, hi)
+
+        monkeypatch.setattr(mzdual.nested_sum._Stream, "run_block", cold_block)
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        _, cold, _ = run(capsys, *args)
+        assert json.loads(warm)["checks"] and cold == warm
+
     def test_csv_output(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "duality", "--weight-max", "2",

@@ -16,6 +16,8 @@ from mzdual.nested_sum import (
     NonConvergentError,
     Prefactor,
     _fit_design,
+    _GAMMA_RATIO_CACHE_BYTES,
+    _GAMMA_RATIOS,
     _make_marks,
     _prefactor_array,
     _prefix_behaviour,
@@ -136,7 +138,8 @@ class TestBruteForceEquivalence:
             shape = [1] * d
             shape[i] = n + 1
             term = term * w.reshape(shape)
-        return float(np.sum(term * mask))
+        total = np.sum(term * mask)
+        return complex(total) if np.iscomplexobj(total) else float(total)
 
     def test_depth_three_all_link_patterns(self):
         idx = (
@@ -149,6 +152,35 @@ class TestBruteForceEquivalence:
             dp = truncated_sum(spec, self.N)
             naive = self._naive_tensor(spec, self.N)
             assert abs(dp - naive) <= 1e-12 * abs(naive), links
+
+    # complex parameters run the complex kernel path; a smaller N keeps the
+    # complex depth-3 tensor small
+    N_COMPLEX = 80
+
+    @pytest.mark.parametrize("links", list(itertools.product((Link.STRICT, Link.WEAK), repeat=2)))
+    @pytest.mark.parametrize("idx", [
+        (
+            IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+            IndexWeight(a=1),
+            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
+        ),
+        (
+            IndexWeight(a=1, prefactors=(Prefactor.POCH_FIRST_ZSTAR,)),
+            IndexWeight(b=1),
+            IndexWeight(a=2, prefactors=(Prefactor.POCH_LAST_ZSTAR,)),
+        ),
+        (
+            IndexWeight(a=1),
+            IndexWeight(a=1),
+            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST_HSTAR,)),
+        ),
+    ], ids=["z", "zstar", "hstar"])
+    def test_complex_parameters(self, idx, links):
+        spec = NestedSumSpec(idx, links, alpha=0.6 + 0.4j, beta=1.3 - 0.2j)
+        dp = truncated_sum(spec, self.N_COMPLEX)
+        naive = self._naive_tensor(spec, self.N_COMPLEX)
+        assert isinstance(dp, complex)
+        assert abs(dp - naive) <= 1e-12 * abs(naive)
 
     def test_depth_two_and_one(self):
         for links, idx in [
@@ -309,6 +341,74 @@ class TestFitDesignCache:
         for arr in (design.wrow, design.q, design.w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+DEPTH3 = (
+    IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+    IndexWeight(a=1, b=1),
+    IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
+)
+# block ends: every index alone; a cut right after m = 0; the first
+# blocks evaluate streams (n_initial + 1, then 4 * n_initial + 1)
+SPLITS = {
+    "ones": list(range(1, 301)),
+    "after_zero": [1, 300],
+    "evaluate_edges": [4097, 16385, 20000],
+}
+
+
+class TestStreamSplitInvariance:
+    # the carries hand each level's prefix across block edges, so a stream
+    # cut into blocks anywhere gives the prefixes of one single block
+    @pytest.mark.parametrize("split", list(SPLITS))
+    @pytest.mark.parametrize("start_strict", [False, True])
+    @pytest.mark.parametrize("params", [(0.8, 1.3), (0.6 + 0.4j, 1.3 - 0.2j)], ids=["real", "complex"])
+    @pytest.mark.parametrize("links", list(itertools.product((Link.STRICT, Link.WEAK), repeat=2)))
+    def test_blocks_match_one_block(self, links, params, start_strict, split):
+        spec = NestedSumSpec(DEPTH3, links, *params, start_strict=start_strict)
+        edges = SPLITS[split]
+        stream = _Stream(spec)
+        blocks = np.concatenate([stream.run_block(hi) for hi in edges])
+        whole = _Stream(spec).run_block(edges[-1])
+        np.testing.assert_allclose(blocks, whole, rtol=1e-15, atol=0)
+        if start_strict:
+            assert whole[0] == 0
+
+
+class TestGammaRatioCache:
+    SPECS = [single(b=3, prefactors=(pf,), alpha=a, beta=b)
+             for pf in Prefactor for a, b in [(0.7, 1.4), (0.6 + 0.4j, 1.3 - 0.2j)]]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.indices[0].prefactors[0].value}-{s.alpha}")
+    def test_cold_and_warm_evaluate_identical(self, spec):
+        cfg = EvalConfig(rel_tol=1e-12)
+        _GAMMA_RATIOS.clear()
+        cold = evaluate(spec, cfg)
+        assert _GAMMA_RATIOS.hits == 0
+        warm = evaluate(spec, cfg)
+        assert _GAMMA_RATIOS.hits >= 1
+        assert cold == warm
+
+    def test_starred_ratio_shared_with_plain(self):
+        # (beta)_m / m! is one array whether it comes from POCH_FIRST in
+        # alpha = 1.4 or from POCH_FIRST_ZSTAR in beta = 1.4
+        _GAMMA_RATIOS.clear()
+        truncated_sum(single(b=3, prefactors=(Prefactor.POCH_FIRST,), alpha=1.4, beta=0.7), 100)
+        truncated_sum(single(b=3, prefactors=(Prefactor.POCH_FIRST_ZSTAR,), alpha=0.7, beta=1.4), 100)
+        assert (_GAMMA_RATIOS.hits, _GAMMA_RATIOS.misses) == (1, 1)
+
+    def test_cached_arrays_read_only(self):
+        spec = self.SPECS[-1]
+        arr = _prefactor_array(spec.indices[0].prefactors[0], np.arange(64.0), spec.alpha, spec.beta, lo=0)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def test_bytes_bounded(self):
+        spec = NestedSumSpec(DEPTH3, (Link.STRICT, Link.WEAK), 0.6 + 0.4j, 1.3 - 0.2j)
+        _GAMMA_RATIOS.clear()
+        truncated_sum(spec, 2**20 - 1)
+        assert 0 < _GAMMA_RATIOS.nbytes <= _GAMMA_RATIO_CACHE_BYTES
+        assert _GAMMA_RATIOS.misses == 2 * 16  # two ratios, sixteen blocks
 
 
 def poch(pf: Prefactor, alpha: complex, m) -> np.ndarray:

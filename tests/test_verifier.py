@@ -242,6 +242,17 @@ class TestRunSuite:
         b = json.dumps(run_suite("duality", sc).to_json(include_timestamp=False), sort_keys=True)
         assert a == b
 
+    def test_grid_order_invisible(self):
+        # the tasks run pair by pair, so the grid order sets which Gamma
+        # ratios the kernel still holds; the checks must not depend on it
+        grid = ((0.6, 1.5), (1.0, 0.6), (1.5, 1.0))
+        reports = []
+        for g in (grid, grid[::-1]):
+            mzdual.evaluators._evaluate_cached.cache_clear()
+            rep = run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=g))
+            reports.append(json.dumps(rep.to_json(include_timestamp=False)["checks"]))
+        assert reports[0] == reports[1]
+
     def test_even_plus_odd_covers_full(self):
         sc_full = SuiteConfig(weight_max=3, r_max=3, params_grid=((1.0, 1.0),))
         sc_even = SuiteConfig(weight_max=3, r_max=3, params_grid=((1.0, 1.0),), even_r_only=True)
