@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--r-vector", type=parse_rvector, default=None,
                       help="comma-separated non-negative integers (starred families)")
     comp.add_argument("--rel-tol", type=float, default=1e-10)
-    comp.add_argument("--max-n", type=int, default=10**8)
+    comp.add_argument("--max-n", type=int, default=10**8,
+                      help="most terms streamed, at least 4096; rounded down to 4096*4^j")
     comp.add_argument("--output", choices=["table", "json"], default="table")
 
     du = sub.add_parser("dual", help="print the dual of a word")

@@ -106,23 +106,25 @@ class NestedSumSpec:
         return len(self.indices)
 
 
+# every evaluation fits its tail at the checkpoints _N_INITIAL * _GROWTH**j
+_N_INITIAL = 4096
+_GROWTH = 4
+
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation and precision policy for :func:`evaluate`."""
+    """Precision and truncation policy for :func:`evaluate`: the relative
+    tolerance asked for, and the most terms streamed, which the checkpoint
+    schedule rounds down to _N_INITIAL * _GROWTH**j."""
 
-    n_initial: int = 4096
-    growth: int = 4
     rel_tol: float = 1e-10
     max_n: int = 10**8
 
     def __post_init__(self):
-        if self.n_initial < 2:
-            raise ValueError("n_initial must be >= 2")
-        if self.growth < 2:
-            raise ValueError("growth must be >= 2")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
+        if self.max_n < _N_INITIAL:
+            raise ValueError(f"max_n must be >= {_N_INITIAL}")
 
 
 class EvalResult(NamedTuple):
@@ -456,18 +458,15 @@ _GAMMA_RATIOS = _BlockCache(_GAMMA_RATIO_CACHE_BYTES)
 
 
 def _prefactor_array(
-    pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex, lo: int | None = None
+    pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex, lo: int
 ) -> np.ndarray:
-    """The prefactor at the indices x.  Given the block start lo, x is
-    arange(lo, hi) and the Gamma ratio comes from the shared cache, as a
-    read-only array when the prefactor is that ratio alone."""
+    """The prefactor at the indices x = arange(lo, hi).  The Gamma ratio
+    comes from the shared cache, as a read-only array when the prefactor
+    is that ratio alone."""
     ratio, which = _RATIO[pf]
     base = alpha if which == "alpha" else beta
-    if lo is None:
-        out = _gamma_ratio(ratio, x, base)
-    else:
-        key = (ratio, base, lo, lo + len(x))
-        out = _GAMMA_RATIOS.get(key, lambda: _gamma_ratio(ratio, x, base))
+    key = (ratio, base, lo, lo + len(x))
+    out = _GAMMA_RATIOS.get(key, lambda: _gamma_ratio(ratio, x, base))
     return out * (x + alpha) if pf is Prefactor.POCH_LAST_ZSTAR else out
 
 
@@ -505,7 +504,9 @@ else:  # pragma: no cover - platform without 80-bit long double
 
 
 @functools.lru_cache(maxsize=16)
-def _make_marks(limit: int) -> tuple[int, ...]:
+def _make_marks(limit: int) -> np.ndarray:
+    # the indices round(2^(j/3)) <= limit, j >= 15, where partial sums are
+    # recorded for the tail fit; read-only
     marks = []
     j = 15
     while True:
@@ -515,7 +516,9 @@ def _make_marks(limit: int) -> tuple[int, ...]:
         if not marks or m > marks[-1]:
             marks.append(m)
         j += 1
-    return tuple(marks)
+    out = np.array(marks, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 class _Stream:
@@ -554,18 +557,6 @@ class _Stream:
             prev = prefix
         self.next_m = hi
         return prefix
-
-
-def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
-    """Exact partial sum with every index <= n (for oracle comparisons)."""
-    stream = _Stream(spec)
-    out = None
-    lo = 0
-    while lo <= n:
-        hi = min(lo + _BLOCK, n + 1)
-        out = stream.run_block(hi)[-1]
-        lo = hi
-    return complex(out) if stream.acc_dtype is _ACC_COMPLEX else float(out)
 
 
 def _validate_params(alpha: complex, beta: complex):
@@ -742,10 +733,12 @@ def _tail_fit(
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
-    Streams the dynamic program forward, recording outer partial sums at
-    geometric marks, and repeatedly extrapolates the tail until the error
-    estimate (fit residual + basis-sensitivity) meets rel_tol or max_n is
-    hit; in the latter case the best value is returned flagged.
+    Streams the dynamic program forward to each checkpoint
+    _N_INITIAL * _GROWTH**j <= max_n, recording outer partial sums at
+    geometric marks, and extrapolates the tail at every checkpoint until
+    the error estimate (fit residual + basis-sensitivity) meets rel_tol.
+    Streaming ends at the last checkpoint, which returns the best value
+    flagged.
     """
     _validate_params(spec.alpha, spec.beta)
     behaviour = term_behaviour(spec)
@@ -756,61 +749,42 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         )
     basis = _tail_basis(behaviour)
 
-    marks = _make_marks(cfg.max_n)
+    checkpoints = [_N_INITIAL]
+    while checkpoints[-1] * _GROWTH <= cfg.max_n:
+        checkpoints.append(checkpoints[-1] * _GROWTH)
+    marks = _make_marks(checkpoints[-1])
     stream = _Stream(spec)
-    recorded_m: list[int] = []
-    recorded_s: list = []
+    sums = np.empty(len(marks), dtype=stream.acc_dtype)
 
     best: _FitResult | None = None
-    prev_fit_value: complex | None = None
-    next_check = cfg.n_initial
-    mark_iter = iter(marks)
-    pending_mark = next(mark_iter, None)
-
-    while stream.next_m <= cfg.max_n:
-        lo = stream.next_m
-        hi = min(lo + _BLOCK, cfg.max_n + 1, next_check + 1)
-        prefix = stream.run_block(hi)
-        while pending_mark is not None and pending_mark < hi:
-            if pending_mark >= lo:
-                recorded_m.append(pending_mark)
-                recorded_s.append(prefix[pending_mark - lo])
-            pending_mark = next(mark_iter, None)
-
-        n_done = hi - 1
-        if n_done >= next_check and len(recorded_m) >= 6:
-            lo_cut = max(32, n_done // 1024)
-            sel = [i for i, m in enumerate(recorded_m) if m >= lo_cut][-30:]
-            fit = _tail_fit(
-                np.array([recorded_m[i] for i in sel], dtype=np.int64),
-                np.array([recorded_s[i] for i in sel]),
-                basis,
-                scale=float(abs(complex(recorded_s[-1]))),
-            )
-            if fit is not None:
-                err = fit.err
-                have_prev = prev_fit_value is not None
-                if have_prev:
-                    err = max(err, 0.5 * abs(fit.value - prev_fit_value))
-                prev_fit_value = fit.value
-                fit = _FitResult(fit.value, err)
-                if best is None or fit.err <= best.err:
-                    best = fit
-                tol_abs = cfg.rel_tol * max(abs(fit.value), 1e-300)
-                # a single fit can be biased yet self-consistent; insist on
-                # agreement across two escalation checkpoints
-                if have_prev and fit.err <= tol_abs:
-                    return EvalResult(_as_scalar(fit.value, stream), fit.err, n_done, True)
-            next_check = max(next_check * cfg.growth, n_done + 1)
-        if hi > cfg.max_n:
-            break
+    prev_value: complex | None = None
+    for n in checkpoints:
+        while stream.next_m <= n:
+            lo = stream.next_m
+            prefix = stream.run_block(min(lo + _BLOCK, n + 1))
+            i, j = np.searchsorted(marks, (lo, stream.next_m))
+            sums[i:j] = prefix[marks[i:j] - lo]
+        # the last 30 marks <= n, none below max(32, n // 1024)
+        k = np.searchsorted(marks, n, side="right")
+        first = max(np.searchsorted(marks, max(32, n // 1024)), k - 30)
+        fit = _tail_fit(marks[first:k], sums[first:k], basis, scale=float(abs(complex(sums[k - 1]))))
+        if fit is None:
+            continue
+        have_prev = prev_value is not None
+        err = max(fit.err, 0.5 * abs(fit.value - prev_value)) if have_prev else fit.err
+        prev_value = fit.value
+        fit = _FitResult(fit.value, err)
+        if best is None or fit.err <= best.err:
+            best = fit
+        # a single fit can be biased yet self-consistent; insist on
+        # agreement across two checkpoints
+        if have_prev and fit.err <= cfg.rel_tol * max(abs(fit.value), 1e-300):
+            return EvalResult(_as_scalar(fit.value, stream), fit.err, n, True)
 
     if best is None:
-        # not enough marks for a fit: fall back to the raw partial sum
-        last = complex(recorded_s[-1]) if recorded_s else 0j
-        err = abs(last - complex(recorded_s[-2])) if len(recorded_s) > 1 else abs(last)
-        return EvalResult(_as_scalar(last, stream), max(err, 1e-15 * abs(last)), stream.next_m - 1, False)
-    return EvalResult(_as_scalar(best.value, stream), best.err, stream.next_m - 1, False)
+        # no fit: the raw partial sum, with nothing known of its tail
+        return EvalResult(_as_scalar(complex(prefix[-1]), stream), math.inf, n, False)
+    return EvalResult(_as_scalar(best.value, stream), best.err, n, False)
 
 
 def _as_scalar(value: complex, stream: _Stream):

@@ -387,6 +387,10 @@ class SuiteConfig:
             raise ValueError("weight_max must be >= 2")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.r_max < 0:
+            raise ValueError("r_max must be >= 0")
+        if self.depth_max is not None and self.depth_max < 1:
+            raise ValueError("depth_max must be >= 1")
 
     def r_values(self) -> list[int]:
         step = 2 if self.even_r_only else 1

@@ -18,7 +18,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class WordError(ValueError):
@@ -227,9 +227,8 @@ CoeffLike = Union[int, Fraction]
 class LinComb:
     """Finite formal sum of words with exact `Fraction` coefficients.
 
-    Zero coefficients are never stored.  Supports +, -, scalar *, and
-    linear extension of word maps.  Iteration yields (word, coeff) in the
-    canonical word order.
+    Zero coefficients are never stored.  Supports + and scalar *.
+    Iteration yields (word, coeff) in the canonical word order.
     """
 
     __slots__ = ("_terms",)
@@ -276,9 +275,6 @@ class LinComb:
         res._terms.update(out)
         return res
 
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
-
     def __rmul__(self, scalar: CoeffLike) -> "LinComb":
         scalar = Fraction(scalar)
         if not scalar:
@@ -293,10 +289,6 @@ class LinComb:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def map_words(self, f: Callable[[Word], Word]) -> "LinComb":
-        """Apply a word map linearly (images may merge)."""
-        return LinComb((f(w), c) for w, c in self._terms.items())
-
     def __repr__(self) -> str:
         if not self._terms:
             return "LinComb(0)"
@@ -309,13 +301,6 @@ class LinComb:
             {"coeff_num": c.numerator, "coeff_den": c.denominator, "word": str(w)}
             for w, c in self.items()
         ]
-
-    @staticmethod
-    def from_json(records: Iterable[dict]) -> "LinComb":
-        return LinComb(
-            (parse_word(rec["word"]), Fraction(rec["coeff_num"], rec["coeff_den"]))
-            for rec in records
-        )
 
 
 RVector = tuple[int, ...]

@@ -1,17 +1,25 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and test helpers for the test suite.
 
-Everything here is deliberately written from the series definitions with
+The oracles are deliberately written from the series definitions with
 plain Python loops (no shared code with the package kernel): a recursive
 count of admissible words, full tuple enumeration for small boxes,
 prefactor ratios by scalar recurrences, and a local least-squares tail
 fit used to push slowly converging oracle sums to their limits.
+
+The helpers at the end drive the package itself: the kernel's exact
+partial sums, and the parts of linear-combination arithmetic that only
+the tests need.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Callable, Iterable
+
 import numpy as np
 
-from mzdual.words import Cut, Word
+from mzdual.nested_sum import _BLOCK, NestedSumSpec, _Stream
+from mzdual.words import Cut, LinComb, Word, parse_word
 
 
 def count_words_recursive(weight: int) -> int:
@@ -235,3 +243,29 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
             level.append(run)
         level_prev = level
     return [level_prev[c] for c in checkpoints]
+
+
+def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
+    """The kernel's exact partial sum with every index <= n, streamed in
+    the blocks evaluate uses."""
+    stream = _Stream(spec)
+    while stream.next_m <= n:
+        last = stream.run_block(min(stream.next_m + _BLOCK, n + 1))[-1]
+    return complex(last) if np.iscomplexobj(last) else float(last)
+
+
+def lincomb_from_json(records: Iterable[dict]) -> LinComb:
+    """Inverse of :meth:`LinComb.to_json`."""
+    return LinComb(
+        (parse_word(rec["word"]), Fraction(rec["coeff_num"], rec["coeff_den"]))
+        for rec in records
+    )
+
+
+def lincomb_map_words(lc: LinComb, f: Callable[[Word], Word]) -> LinComb:
+    """Apply a word map linearly (images may merge)."""
+    return LinComb((f(w), c) for w, c in lc)
+
+
+def lincomb_sub(a: LinComb, b: LinComb) -> LinComb:
+    return a + (-1) * b

@@ -80,6 +80,15 @@ class TestCompute:
         assert code == 3
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("max_n", ["10", "-5", "4095"])
+    def test_max_n_below_first_checkpoint_exits_2(self, capsys, max_n):
+        code, out, err = run(
+            capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",
+            "--beta", "1", "--max-n", max_n,
+        )
+        assert code == 2 and out == ""
+        assert "max_n" in err
+
 
 class TestDual:
     def test_weight_three(self, capsys):
@@ -134,6 +143,18 @@ class TestVerify:
             "--r-max", "2", "--even-only", "--grid", "1.0",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flag,value", [("--r-max", "-1"), ("--depth-max", "0")])
+    def test_empty_suite_exits_2(self, capsys, flag, value):
+        # a suite with no checks to run is an argument error, not a pass
+        code, out, err = run(capsys, "verify", "--suite", "duality", "--weight-max", "2", flag, value)
+        assert code == 2 and out == ""
+        assert flag[2:].replace("-", "_") in err
+
+    def test_all_suites_weight_three(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--weight-max", "3")
+        assert code == 0
+        assert "306/306 passed" in out
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from oracles import (
     naive_Z,
     naive_Zstar,
     naive_hurwitz,
+    truncated_sum,
 )
 
 from mzdual.evaluators import (
@@ -25,7 +26,7 @@ from mzdual.evaluators import (
     z_spec,
     zstar_spec,
 )
-from mzdual.nested_sum import EvalConfig, InvalidParamsError, truncated_sum
+from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.words import EMPTY_WORD, LinComb, dual, parse_word, sigma_eps, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
-from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted
-from mzdual.evaluators import Params, z_spec
+from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted, truncated_sum
+import mzdual.nested_sum
+from mzdual.evaluators import Params, hurwitz_spec, z_spec
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -16,6 +17,7 @@ from mzdual.nested_sum import (
     NonConvergentError,
     Prefactor,
     _fit_design,
+    _gamma_ratio,
     _GAMMA_RATIO_CACHE_BYTES,
     _GAMMA_RATIOS,
     _make_marks,
@@ -28,7 +30,6 @@ from mzdual.nested_sum import (
     lgamma_diff,
     tail_powers_log,
     term_behaviour,
-    truncated_sum,
 )
 from mzdual.words import parse_word
 
@@ -89,11 +90,41 @@ class TestEvaluate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EvalConfig(n_initial=1)
-        with pytest.raises(ValueError):
-            EvalConfig(growth=1)
+            EvalConfig(max_n=4095)
         with pytest.raises(ValueError):
             EvalConfig(rel_tol=2.0)
+
+
+class TestSchedule:
+    # every evaluation fits at 4096 * 4**j and streams no further than the
+    # last of these <= max_n
+    @pytest.mark.parametrize("max_n,last", [(4096, 4096), (5000, 4096), (16383, 4096), (16384, 16384)])
+    def test_stream_ends_at_last_checkpoint(self, monkeypatch, max_n, last):
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi):
+            his.append(hi)
+            return run_block(stream, hi)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
+        res = evaluate(single(b=2, beta=0.7), EvalConfig(rel_tol=1e-16, max_n=max_n))
+        assert not res.converged
+        assert res.n_used == last and max(his) == last + 1
+
+    def test_unconverged_value_from_last_fit(self):
+        # the best of the fits at 4096, ..., 4194304; the stream to 10**7
+        # added no fit and changes neither value nor estimate
+        res = evaluate(hurwitz_spec(parse_word("1:2"), 0.7), EvalConfig(rel_tol=1e-16, max_n=10**7))
+        assert res == (2.8340491566946104, 1.4170245783473053e-14, 4194304, False)
+
+    def test_no_fit_gives_unbounded_error(self, monkeypatch):
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", lambda *args, **kwargs: None)
+        spec = single(b=2, beta=0.7)
+        res = evaluate(spec, EvalConfig(max_n=20000))
+        assert res.n_used == 16384 and not res.converged
+        assert res.err_estimate == math.inf
+        assert res.value == truncated_sum(spec, 16384)
 
 
 class TestBruteForceEquivalence:
@@ -349,7 +380,7 @@ DEPTH3 = (
     IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
 )
 # block ends: every index alone; a cut right after m = 0; the first
-# blocks evaluate streams (n_initial + 1, then 4 * n_initial + 1)
+# blocks evaluate streams (_N_INITIAL + 1, then _GROWTH * _N_INITIAL + 1)
 SPLITS = {
     "ones": list(range(1, 301)),
     "after_zero": [1, 300],
@@ -412,8 +443,8 @@ class TestGammaRatioCache:
 
 
 def poch(pf: Prefactor, alpha: complex, m) -> np.ndarray:
-    """The kernel's Pochhammer-ratio prefactor at the indices m."""
-    return _prefactor_array(pf, np.asarray(m, dtype=np.float64), alpha, 1.0)
+    """The kernel's Gamma ratio of the prefactor pf at the indices m."""
+    return _gamma_ratio(pf, np.asarray(m, dtype=np.float64), alpha)
 
 
 # each kernel prefactor and the oracle recurrence that tabulates it
@@ -425,7 +456,7 @@ POCH_ORACLES = (
 
 
 class TestPochhammerLog:
-    # the kernel's one Pochhammer path: exp of lgamma_diff in _prefactor_array
+    # the kernel's one Pochhammer path: exp of lgamma_diff in _gamma_ratio
     def test_factorial(self):
         # (1)_m = m!, so the three ratios are 1, 1/(m+1) and 1
         m = np.array([1.0, 5.0, 40.0, 1000.0])

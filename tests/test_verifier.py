@@ -194,6 +194,10 @@ class TestSuiteConfig:
             SuiteConfig(weight_max=1)
         with pytest.raises(ValueError):
             SuiteConfig(tol=0)
+        with pytest.raises(ValueError):
+            SuiteConfig(r_max=-1)
+        with pytest.raises(ValueError):
+            SuiteConfig(depth_max=0)
 
     def test_even_r_values(self):
         assert SuiteConfig(r_max=4, even_r_only=True).r_values() == [0, 2, 4]

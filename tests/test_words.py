@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_words_recursive
+from oracles import count_words_recursive, lincomb_from_json, lincomb_map_words, lincomb_sub
 from mzdual.words import (
     EMPTY_WORD,
     Cut,
@@ -121,6 +121,8 @@ class TestLinComb:
     def test_no_zero_coefficients(self):
         lc = LinComb([(W("1:2"), 1), (W("1:2"), -1)])
         assert len(lc) == 0 and not lc
+        two = LinComb([(W("1:2"), 1), (W("1:3"), 2)])
+        assert lincomb_sub(two, two) == LinComb()
 
     def test_exact_arithmetic(self):
         lc = Fraction(1, 3) * LinComb.of(W("1:2")) + Fraction(2, 3) * LinComb.of(W("1:2"))
@@ -128,7 +130,7 @@ class TestLinComb:
 
     def test_json_round_trip(self):
         lc = LinComb([(W("1:2"), Fraction(3, 7)), (W("1:3"), -2)])
-        assert LinComb.from_json(lc.to_json()) == lc
+        assert lincomb_from_json(lc.to_json()) == lc
 
     @given(st.lists(st.tuples(admissible_words, st.integers(-5, 5)), max_size=6))
     def test_addition_matches_dict_accumulation(self, pairs):
@@ -245,6 +247,6 @@ class TestMonomialFamilies:
         for wt in range(2, 7):
             for w in words_of_weight(wt):
                 for l in range(4):
-                    lhs = v_y_monomials(w, l).map_words(dual)
+                    lhs = lincomb_map_words(v_y_monomials(w, l), dual)
                     rhs = v_prime_monomials(dual(w), l)
                     assert lhs == rhs, (w, l)
