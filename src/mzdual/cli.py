@@ -187,10 +187,10 @@ def _cmd_verify(args) -> int:
             tol=args.tol,
             even_r_only=args.even_only,
         )
-    except ValueError as exc:
+        report = run_suite(args.suite, sc, workers=args.workers)
+    except (InvalidParamsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_suite(args.suite, sc, workers=args.workers)
     if args.output == "json":
         print(json.dumps(report.to_json(include_timestamp=not args.no_timestamp), sort_keys=True))
     elif args.output == "csv":

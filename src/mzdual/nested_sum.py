@@ -11,11 +11,10 @@ multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link).  Work is O(N * depth) and fully vectorized; the
 running outer partial sum is recorded at geometrically spaced marks.
 
-Each Pochhammer prefactor is a Gamma ratio, (base)_m / m! or
-m! / (base)_{m+1} or (m+1)! / (base)_{m+1}, in one base alpha or beta.
-The series of one identity share a parameter pair and are streamed over
-the same blocks of m, so the ratio of each block is computed once and
-kept, read-only, in a small least-recently-used cache bounded by bytes.
+Each Pochhammer prefactor, (base)_m / m! or m! / (base)_{m+1} or
+(m+1)! / (base)_{m+1} in one base alpha or beta, is a running product
+r(m) = r(m-1) (1 + d / (m + c)).  The stream carries it across blocks as
+it carries the prefix of each level.
 
 The infinite tail is removed by fitting the recorded partial sums against
 exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
@@ -30,12 +29,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 
 class KernelError(Exception):
@@ -322,173 +319,17 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-# Stirling correction B_2n / (2n (2n-1) z^(2n-1)) coefficients, n = 1..4
-_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
-_LGDIFF_CROSSOVER = 64.0
-
-
-def _stirling_tail(z: np.ndarray) -> np.ndarray:
-    inv2 = 1.0 / (z * z)
-    acc = np.zeros_like(z)
-    for c in reversed(_STIRLING):
-        acc = (acc + c) * inv2
-    return acc * z  # sum c_n z^(1-2n)
-
-
-def _log1p(u: np.ndarray) -> np.ndarray:
-    # log(1 + u) to full relative accuracy for small real or complex u;
-    # numpy's complex log of 1 + u loses about eps / |u| relative
-    if not np.iscomplexobj(u):
-        return np.log1p(u)
-    x, y = u.real, u.imag
-    return 0.5 * np.log1p(2.0 * x + x * x + y * y) + 1j * np.arctan2(y, 1.0 + x)
-
-
-def lgamma_diff(z: np.ndarray, d: complex) -> np.ndarray:
-    """loggamma(z + d) - loggamma(z) for z >= 1, without cancellation.
-
-    A naive difference of two log-gammas loses ~ |loggamma(z)| * eps
-    absolutely, which at z ~ 1e7 corrupts the 1e-8 digits of the
-    exponent of every Pochhammer ratio.  For z above a crossover the
-    difference of the Stirling expansions is formed term by term, every
-    piece O(d log z); below it the direct difference is already accurate.
-    Real d gives a real array, complex d a complex one.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    d = complex(d)
-    lgamma = loggamma
-    if d.imag == 0:
-        d, lgamma = d.real, gammaln
-    small = z < _LGDIFF_CROSSOVER
-    out = np.empty(z.shape, dtype=np.result_type(z, d))
-    if small.any():
-        zs = z[small]
-        out[small] = lgamma(zs + d) - lgamma(zs)
-    big = ~small
-    if big.any():
-        zb = z[big]
-        zd = zb + d
-        out[big] = (
-            (zb - 0.5) * _log1p(d / zb)
-            + d * np.log(zd)
-            - d
-            + _stirling_tail(zd)
-            - _stirling_tail(zb)
-        )
-    return out
-
-
-def _lgamma_value(shift: complex) -> complex:
-    if complex(shift).imag == 0:
-        return float(gammaln(complex(shift).real))
-    return complex(loggamma(complex(shift)))
-
-
-def _gamma_ratio(ratio: Prefactor, x: np.ndarray, base: complex) -> np.ndarray:
-    # the Gamma ratio of POCH_FIRST, POCH_LAST or POCH_LAST_HSTAR at m = x
-    z = x + 1.0  # z = m + 1 >= 1
-    if ratio is Prefactor.POCH_FIRST:
-        # (base)_m / m! = Gamma(m+base) / (Gamma(base) Gamma(m+1))
-        return np.exp(lgamma_diff(z, base - 1.0) - _lgamma_value(base))
-    if ratio is Prefactor.POCH_LAST:
-        # m! / (base)_{m+1} = Gamma(base) Gamma(m+1) / Gamma(m+1+base)
-        return np.exp(_lgamma_value(base) - lgamma_diff(z, base))
-    if ratio is Prefactor.POCH_LAST_HSTAR:
-        # (m+1)! / (base)_{m+1} = Gamma(base) Gamma(m+2) / Gamma(m+1+base)
-        return np.exp(_lgamma_value(base) - lgamma_diff(z + 1.0, base - 1.0))
-    raise ValueError(ratio)
-
-
-# each prefactor as (Gamma ratio, the parameter that is its base); the
-# starred ones are the plain ratios in beta, and POCH_LAST_ZSTAR carries
-# the extra factor (m + alpha)
-_RATIO = {
-    Prefactor.POCH_FIRST: (Prefactor.POCH_FIRST, "alpha"),
-    Prefactor.POCH_LAST: (Prefactor.POCH_LAST, "alpha"),
-    Prefactor.POCH_FIRST_ZSTAR: (Prefactor.POCH_FIRST, "beta"),
-    Prefactor.POCH_LAST_ZSTAR: (Prefactor.POCH_LAST, "beta"),
-    Prefactor.POCH_LAST_HSTAR: (Prefactor.POCH_LAST_HSTAR, "alpha"),
-}
-
-
-# bytes of Gamma-ratio blocks kept: room for the first 16,385 indices,
-# where most evaluations stop, of seven real ratios; the Z and Z* series
-# of one (alpha, beta) pair use four
-_GAMMA_RATIO_CACHE_BYTES = 1 << 20
-
-
-class _BlockCache:
-    """Least-recently-used read-only arrays, bounded by their total bytes.
-
-    An array larger than the whole budget is returned but not kept.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self.hits = self.misses = 0
-        self._arrays: OrderedDict = OrderedDict()
-
-    def get(self, key, compute) -> np.ndarray:
-        arr = self._arrays.get(key)
-        if arr is not None:
-            self.hits += 1
-            self._arrays.move_to_end(key)
-            return arr
-        self.misses += 1
-        arr = compute()
-        arr.setflags(write=False)
-        if arr.nbytes <= self.max_bytes:
-            self._arrays[key] = arr
-            self.nbytes += arr.nbytes
-            while self.nbytes > self.max_bytes:
-                _, old = self._arrays.popitem(last=False)
-                self.nbytes -= old.nbytes
-        return arr
-
-    def clear(self):
-        self._arrays.clear()
-        self.nbytes = self.hits = self.misses = 0
-
-
-# Gamma-ratio blocks by (ratio, base, lo, hi); the specs of one identity
-# share a parameter pair, so they stream the same few ratios over the same
-# blocks of m
-_GAMMA_RATIOS = _BlockCache(_GAMMA_RATIO_CACHE_BYTES)
-
-
-def _prefactor_array(
-    pf: Prefactor, x: np.ndarray, alpha: complex, beta: complex, lo: int
-) -> np.ndarray:
-    """The prefactor at the indices x = arange(lo, hi).  The Gamma ratio
-    comes from the shared cache, as a read-only array when the prefactor
-    is that ratio alone."""
-    ratio, which = _RATIO[pf]
-    base = alpha if which == "alpha" else beta
-    key = (ratio, base, lo, lo + len(x))
-    out = _GAMMA_RATIOS.get(key, lambda: _gamma_ratio(ratio, x, base))
-    return out * (x + alpha) if pf is Prefactor.POCH_LAST_ZSTAR else out
-
-
-def _weights_block(spec: NestedSumSpec, i: int, x: np.ndarray, lo: int) -> np.ndarray:
-    # the weights of index i at m = x = arange(lo, hi); read-only when
-    # the weight is one shared Gamma ratio
-    iw = spec.indices[i]
-    factors = []
-    if iw.a:
-        factors.append(_int_power(x + spec.alpha, iw.a))
-    if iw.b:
-        factors.append(_int_power(x + spec.beta, iw.b))
-    factors.extend(_prefactor_array(pf, x, spec.alpha, spec.beta, lo) for pf in iw.prefactors)
-    if not factors:
-        return np.ones(len(x))
-    w = factors[0]
-    for f in factors[1:]:
-        if w.flags.writeable and np.result_type(w, f) == w.dtype:
-            w *= f
-        else:
-            w = w * f
-    return w
+def _recurrence(pf: Prefactor, alpha: complex, beta: complex) -> tuple[complex, complex, complex]:
+    """(c, d, r0) of the running product r(m) = r(m-1) * (1 + d / (m + c)),
+    r(0) = r0, that gives the prefactor's Pochhammer ratio in its base;
+    POCH_LAST_ZSTAR is the m! / (beta)_{m+1} product times (m + alpha)."""
+    starred = pf in (Prefactor.POCH_FIRST_ZSTAR, Prefactor.POCH_LAST_ZSTAR)
+    base = beta if starred else alpha
+    if pf in (Prefactor.POCH_FIRST, Prefactor.POCH_FIRST_ZSTAR):
+        return 0.0, base - 1.0, 1.0  # (base)_m / m!
+    if pf is Prefactor.POCH_LAST_HSTAR:
+        return base, 1.0 - base, 1.0 / base  # (m+1)! / (base)_{m+1}
+    return base, -base, 1.0 / base  # m! / (base)_{m+1}
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +370,49 @@ class _Stream:
         is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
         self.acc_dtype = _ACC_COMPLEX if is_complex else _ACC_REAL
         self.carries = np.zeros(spec.depth, dtype=self.acc_dtype)
+        # the running product of each (index, prefactor) at next_m - 1
+        self.products = [[None] * len(iw.prefactors) for iw in spec.indices]
         self.next_m = 0
+
+    def _product_block(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
+        # prefactor j of index i at m = x = arange(next_m, hi): the running
+        # product of the steps 1 + d / (m + c), each formed in extended
+        # precision from a float64 quotient, so every step is accurate to
+        # eps |d / (m + c)| and the error stays flat in m
+        pf = self.spec.indices[i].prefactors[j]
+        c, d, r0 = _recurrence(pf, self.spec.alpha, self.spec.beta)
+        acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
+        r = np.empty(len(x), dtype=acc)
+        first = 1 if self.next_m == 0 else 0  # r(0) = r0 is no step
+        r[first:] = d / (x[first:] + c)
+        r[first:] += 1.0
+        r[0] = r0 if first else r[0] * self.products[i][j]
+        np.cumprod(r, out=r)
+        self.products[i][j] = r[-1]
+        return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64)
+
+    def _weights_block(self, i: int, x: np.ndarray) -> np.ndarray:
+        # the weights of index i at m = x = arange(next_m, hi)
+        spec = self.spec
+        iw = spec.indices[i]
+        factors = []
+        if iw.a:
+            factors.append(_int_power(x + spec.alpha, iw.a))
+        if iw.b:
+            factors.append(_int_power(x + spec.beta, iw.b))
+        for j, pf in enumerate(iw.prefactors):
+            factors.append(self._product_block(i, j, x))
+            if pf is Prefactor.POCH_LAST_ZSTAR:
+                factors.append(x + spec.alpha)
+        if not factors:
+            return np.ones(len(x))
+        w = factors[0]
+        for f in factors[1:]:
+            if np.result_type(w, f) == w.dtype:
+                w *= f
+            else:
+                w = w * f
+        return w
 
     def run_block(self, hi: int) -> np.ndarray:
         """Advance through indices [next_m, hi); returns the outer prefix array."""
@@ -540,7 +423,7 @@ class _Stream:
         carries = self.carries.copy()
         prev = None
         for i in range(spec.depth):
-            w = _weights_block(spec, i, m, lo)
+            w = self._weights_block(i, m)
             prefix = np.empty(hi - lo, dtype=self.acc_dtype)
             if i == 0:
                 prefix[:] = w

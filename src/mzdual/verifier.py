@@ -29,7 +29,7 @@ from .evaluators import (
     eval_lincomb,
     sum_results,
 )
-from .nested_sum import EvalConfig, EvalResult
+from .nested_sum import EvalConfig, EvalResult, _validate_params
 from .words import (
     Cut,
     LinComb,
@@ -385,8 +385,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.weight_max < 2:
             raise ValueError("weight_max must be >= 2")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be > 0")
+        for alpha, beta in self.params_grid:
+            _validate_params(alpha, beta)
         if self.r_max < 0:
             raise ValueError("r_max must be >= 0")
         if self.depth_max is not None and self.depth_max < 1:
@@ -476,9 +478,7 @@ class VerificationReport:
 
 # A suite's task generator lists its (check, args) pairs.  Each names its
 # check in its own body, so the check is looked up in this module when the
-# suite runs, not bound when the module is imported.  The parameters run
-# outermost: the series of one pair share their Gamma-ratio blocks, which
-# the kernel keeps only for the pairs it saw last.
+# suite runs, not bound when the module is imported.
 
 
 def _duality_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
@@ -555,6 +555,8 @@ def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationRepo
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_NAMES}")
     words = words_up_to_weight(sc.weight_max, sc.depth_max)
     tasks = _SUITES[which](sc, words, sc.eval_config())
+    if not tasks:
+        raise ValueError(f"suite {which!r} has no checks to run under {sc}")
     report = VerificationReport(suite=which, config=sc)
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

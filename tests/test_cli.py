@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,12 +147,24 @@ class TestVerify:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("flag,value", [("--r-max", "-1"), ("--depth-max", "0")])
-    def test_empty_suite_exits_2(self, capsys, flag, value):
+    @pytest.mark.parametrize("suite,flag,value", [
+        pytest.param("duality", "--r-max", "-1", id="--r-max--1"),
+        pytest.param("duality", "--depth-max", "0", id="--depth-max-0"),
+        # no pair in [1, 2]^2, and no r >= 1 for the cross-link
+        pytest.param("integral", "--grid", "0.5:0.5", id="integral---grid-0.5:0.5"),
+        pytest.param("derivative", "--r-max", "0", id="derivative---r-max-0"),
+    ])
+    def test_empty_suite_exits_2(self, capsys, suite, flag, value):
         # a suite with no checks to run is an argument error, not a pass
-        code, out, err = run(capsys, "verify", "--suite", "duality", "--weight-max", "2", flag, value)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--weight-max", "2", flag, value)
         assert code == 2 and out == ""
         assert flag[2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize("flag,value", [("--grid", "1.0:-1"), ("--tol", "nan"), ("--tol", "0")])
+    def test_bad_input_exits_2(self, capsys, flag, value):
+        # bad input is a usage error (2), not a failed check (1)
+        code, out, err = run(capsys, "verify", "--suite", "duality", "--weight-max", "2", flag, value)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_all_suites_weight_three(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--weight-max", "3")
@@ -187,26 +202,6 @@ class TestVerify:
         _, cold, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold == warm
 
-    def test_gamma_ratio_cache_invisible(self, capsys, monkeypatch):
-        # the suite's JSON is the same when every block computes its
-        # Gamma ratios anew
-        args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
-                "--no-timestamp")
-        mzdual.evaluators._evaluate_cached.cache_clear()
-        mzdual.nested_sum._GAMMA_RATIOS.clear()
-        _, warm, _ = run(capsys, *args)
-        assert mzdual.nested_sum._GAMMA_RATIOS.hits > 0
-        run_block = mzdual.nested_sum._Stream.run_block
-
-        def cold_block(stream, hi):
-            mzdual.nested_sum._GAMMA_RATIOS.clear()
-            return run_block(stream, hi)
-
-        monkeypatch.setattr(mzdual.nested_sum._Stream, "run_block", cold_block)
-        mzdual.evaluators._evaluate_cached.cache_clear()
-        _, cold, _ = run(capsys, *args)
-        assert json.loads(warm)["checks"] and cold == warm
-
     def test_csv_output(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "duality", "--weight-max", "2",
@@ -224,3 +219,11 @@ class TestVerify:
         )
         assert code == 0
         assert "2/2 passed" in out
+
+
+def test_runtime_needs_numpy_alone():
+    # scipy is a test oracle, never imported by the package itself
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import mzdual.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -16,18 +16,14 @@ from mzdual.nested_sum import (
     NestedSumSpec,
     NonConvergentError,
     Prefactor,
+    _BLOCK,
     _fit_design,
-    _gamma_ratio,
-    _GAMMA_RATIO_CACHE_BYTES,
-    _GAMMA_RATIOS,
     _make_marks,
-    _prefactor_array,
     _prefix_behaviour,
     _Stream,
     _tail_basis,
     _tail_fit,
     evaluate,
-    lgamma_diff,
     tail_powers_log,
     term_behaviour,
 )
@@ -406,45 +402,18 @@ class TestStreamSplitInvariance:
             assert whole[0] == 0
 
 
-class TestGammaRatioCache:
-    SPECS = [single(b=3, prefactors=(pf,), alpha=a, beta=b)
-             for pf in Prefactor for a, b in [(0.7, 1.4), (0.6 + 0.4j, 1.3 - 0.2j)]]
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.indices[0].prefactors[0].value}-{s.alpha}")
-    def test_cold_and_warm_evaluate_identical(self, spec):
-        cfg = EvalConfig(rel_tol=1e-12)
-        _GAMMA_RATIOS.clear()
-        cold = evaluate(spec, cfg)
-        assert _GAMMA_RATIOS.hits == 0
-        warm = evaluate(spec, cfg)
-        assert _GAMMA_RATIOS.hits >= 1
-        assert cold == warm
-
-    def test_starred_ratio_shared_with_plain(self):
-        # (beta)_m / m! is one array whether it comes from POCH_FIRST in
-        # alpha = 1.4 or from POCH_FIRST_ZSTAR in beta = 1.4
-        _GAMMA_RATIOS.clear()
-        truncated_sum(single(b=3, prefactors=(Prefactor.POCH_FIRST,), alpha=1.4, beta=0.7), 100)
-        truncated_sum(single(b=3, prefactors=(Prefactor.POCH_FIRST_ZSTAR,), alpha=0.7, beta=1.4), 100)
-        assert (_GAMMA_RATIOS.hits, _GAMMA_RATIOS.misses) == (1, 1)
-
-    def test_cached_arrays_read_only(self):
-        spec = self.SPECS[-1]
-        arr = _prefactor_array(spec.indices[0].prefactors[0], np.arange(64.0), spec.alpha, spec.beta, lo=0)
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-    def test_bytes_bounded(self):
-        spec = NestedSumSpec(DEPTH3, (Link.STRICT, Link.WEAK), 0.6 + 0.4j, 1.3 - 0.2j)
-        _GAMMA_RATIOS.clear()
-        truncated_sum(spec, 2**20 - 1)
-        assert 0 < _GAMMA_RATIOS.nbytes <= _GAMMA_RATIO_CACHE_BYTES
-        assert _GAMMA_RATIOS.misses == 2 * 16  # two ratios, sixteen blocks
-
-
-def poch(pf: Prefactor, alpha: complex, m) -> np.ndarray:
-    """The kernel's Gamma ratio of the prefactor pf at the indices m."""
-    return _gamma_ratio(pf, np.asarray(m, dtype=np.float64), alpha)
+def poch(pf: Prefactor, alpha: complex, m, edges=None) -> np.ndarray:
+    """The kernel's streamed prefactor pf in base alpha at the indices m,
+    from blocks ending at edges, by default the blocks evaluate streams."""
+    m = np.asarray(m)
+    if edges is None:
+        edges = [*range(_BLOCK, m.max() + 1, _BLOCK), m.max() + 1]
+    stream = _Stream(single(b=0, prefactors=(pf,), alpha=alpha, beta=alpha))
+    w = []
+    for hi in edges:
+        w.append(stream._weights_block(0, np.arange(stream.next_m, hi, dtype=np.float64)))
+        stream.next_m = hi
+    return np.concatenate(w)[m]
 
 
 # each kernel prefactor and the oracle recurrence that tabulates it
@@ -456,17 +425,17 @@ POCH_ORACLES = (
 
 
 class TestPochhammerLog:
-    # the kernel's one Pochhammer path: exp of lgamma_diff in _gamma_ratio
+    # the kernel's one Pochhammer path: running products streamed by _Stream
     def test_factorial(self):
         # (1)_m = m!, so the three ratios are 1, 1/(m+1) and 1
-        m = np.array([1.0, 5.0, 40.0, 1000.0])
+        m = np.array([1, 5, 40, 1000])
         np.testing.assert_allclose(poch(Prefactor.POCH_FIRST, 1.0, m), 1.0, rtol=1e-14)
         np.testing.assert_allclose(poch(Prefactor.POCH_LAST, 1.0, m), 1.0 / (m + 1), rtol=1e-14)
         np.testing.assert_allclose(poch(Prefactor.POCH_LAST_HSTAR, 1.0, m), 1.0, rtol=1e-14)
 
     def test_zero_length(self):
         # (alpha)_0 = 1 and (alpha)_1 = alpha
-        assert math.isclose(poch(Prefactor.POCH_FIRST, 1.7, [0])[0], 1.0, rel_tol=1e-15)
+        assert poch(Prefactor.POCH_FIRST, 1.7, [0])[0] == 1.0
         assert math.isclose(poch(Prefactor.POCH_LAST, 1.7, [0])[0], 1 / 1.7, rel_tol=1e-15)
 
     def test_half(self):
@@ -488,29 +457,30 @@ class TestPochhammerLog:
             got = poch(pf, alpha, [m])[0]
             assert abs(got - want) <= 1e-13 * abs(want), pf
 
-    def test_crossover_consistency(self):
-        # z = m + 1 = 63 and 64 straddle the lgamma_diff crossover
-        a, b = poch(Prefactor.POCH_FIRST, 1.3, [62, 63])
-        assert math.isclose(b / a, (1.3 + 62) / 63, rel_tol=1e-13)
+    @pytest.mark.parametrize("edge", [4097, 16385])
+    def test_block_edge_consistency(self, edge):
+        # the product carried across a block edge takes the same step as
+        # one inside a block: (1.3)_m / m! grows by (1.3 + m - 1) / m
+        a, b, c = poch(Prefactor.POCH_FIRST, 1.3, [edge - 1, edge, edge + 1], edges=[edge, edge + 2])
+        assert math.isclose(b / a, (1.3 + edge - 1) / edge, rel_tol=1e-15)
+        assert math.isclose(c / b, (1.3 + edge) / (edge + 1), rel_tol=1e-15)
 
-
-class TestLgammaDiff:
-    @pytest.mark.parametrize("z,d", [(1e7, 0.6), (1e7, -0.4), (63.0, 1.2), (64.0, 1.2), (2.0, 0.5)])
-    def test_against_mpmath(self, z, d):
+    @pytest.mark.parametrize("base", [0.6, 1.5, 0.3 + 0.4j, 1 + 2j])
+    @pytest.mark.parametrize("pf", [pf for pf, _ in POCH_ORACLES], ids=lambda pf: pf.value)
+    def test_against_mpmath(self, pf, base):
+        # no loss of order m * eps out to m = 2^22 - 1, 64 blocks deep
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        truth = float(mp.loggamma(mp.mpf(z) + mp.mpf(d)) - mp.loggamma(mp.mpf(z)))
-        got = float(lgamma_diff(np.array([z]), d)[0])
-        assert abs(got - truth) < 5e-14 * max(1.0, abs(truth))
-
-    @pytest.mark.parametrize("d", [0.3 + 0.4j, 1 + 2j, -0.3 + 0.7j])
-    @pytest.mark.parametrize("z", [64.0, 1e5, 1e7])
-    def test_complex_against_mpmath(self, z, d):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        truth = complex(mp.loggamma(mp.mpf(z) + mp.mpc(d.real, d.imag)) - mp.loggamma(mp.mpf(z)))
-        got = complex(lgamma_diff(np.array([z]), d)[0])
-        assert abs(got - truth) < 5e-14 * max(1.0, abs(truth))
+        b = mp.mpmathify(base)
+        ms = [0, 1, 4096, 4097, 16384, 65536, 2**22 - 1]
+        truth = {
+            Prefactor.POCH_FIRST: lambda m: mp.rf(b, m) / mp.factorial(m),
+            Prefactor.POCH_LAST: lambda m: mp.factorial(m) / mp.rf(b, m + 1),
+            Prefactor.POCH_LAST_HSTAR: lambda m: mp.factorial(m + 1) / mp.rf(b, m + 1),
+        }[pf]
+        for m, got in zip(ms, poch(pf, base, ms)):
+            want = truth(m)
+            assert abs(mp.mpmathify(complex(got)) - want) <= 2e-15 * abs(want), m
 
 
 class TestTailPowerLog:

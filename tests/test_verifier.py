@@ -6,7 +6,7 @@ import pytest
 import mzdual.evaluators
 import mzdual.verifier
 from mzdual.evaluators import Params, eval_Z
-from mzdual.nested_sum import EvalConfig
+from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     SuiteConfig,
     check_derivative_crosslink,
@@ -198,6 +198,10 @@ class TestSuiteConfig:
             SuiteConfig(r_max=-1)
         with pytest.raises(ValueError):
             SuiteConfig(depth_max=0)
+        with pytest.raises(ValueError):
+            SuiteConfig(tol=float("nan"))
+        with pytest.raises(InvalidParamsError):
+            SuiteConfig(params_grid=((1.0, 1.0), (1.0, -1.0)))
 
     def test_even_r_values(self):
         assert SuiteConfig(r_max=4, even_r_only=True).r_values() == [0, 2, 4]
@@ -247,8 +251,8 @@ class TestRunSuite:
         assert a == b
 
     def test_grid_order_invisible(self):
-        # the tasks run pair by pair, so the grid order sets which Gamma
-        # ratios the kernel still holds; the checks must not depend on it
+        # the tasks run pair by pair; the checks must not depend on the
+        # order of the pairs
         grid = ((0.6, 1.5), (1.0, 0.6), (1.5, 1.0))
         reports = []
         for g in (grid, grid[::-1]):
