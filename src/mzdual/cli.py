@@ -102,6 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     try:
+        if args.r_vector is not None and args.family in ("Z", "zeta"):
+            raise ValueError(f"--r-vector does not apply to family {args.family}")
+        if args.beta is not None and args.family in ("zeta", "Hstar"):
+            raise ValueError(f"--beta does not apply to family {args.family}")
         word = parse_word(args.word)
         p = Params(args.alpha, args.beta)
         cfg = EvalConfig(rel_tol=args.rel_tol, max_n=args.max_n)

@@ -4,9 +4,11 @@ The two-parameter family ``eval_Z`` and its r-augmented extension
 ``eval_Zstar`` carry Pochhammer-ratio prefactors in the first parameter
 slot; the one-parameter Hurwitz family ``eval_hurwitz`` and its extension
 ``eval_Hstar`` shift every index by alpha.  Parameter convention: the
-FIRST slot of :class:`Params` always feeds the Pochhammer prefactors (for
-the starred family the theorems pass the pair reversed, and this module
-keeps that textual order).
+FIRST slot of :class:`Params` always feeds the Pochhammer prefactors and
+the SECOND the index weights (m + beta)^-k, and every spec puts them in
+``spec.alpha`` and ``spec.beta`` in that order; the theorems that relate
+Z(a, b) to a starred value at (b, a) swap the pair before the call.
+Z is the starred family at r = 0, so both compile through one function.
 
 Each family compiles a word (plus r-vector, for the starred families)
 into one flat :class:`~mzdual.nested_sum.NestedSumSpec`: auxiliary chain
@@ -68,57 +70,44 @@ def _strict_star(cut: Cut) -> Link:
 
 def z_spec(w: Word, p: Params) -> NestedSumSpec:
     """Kernel spec for the two-parameter evaluation of an admissible word."""
-    depth = w.depth
-    ks = w.exponents()
-    idx = []
-    for i in range(depth):
-        b = ks[i] if i < depth - 1 else ks[i] - 1
-        pfs = []
-        if i == 0:
-            pfs.append(Prefactor.POCH_FIRST)
-        if i == depth - 1:
-            pfs.append(Prefactor.POCH_LAST)
-        idx.append(IndexWeight(a=0, b=b, prefactors=tuple(pfs)))
-    links = tuple(_strict(w.inner_cut(i)) for i in range(1, depth))
-    return NestedSumSpec(tuple(idx), links, alpha=p.alpha, beta=p.beta)
+    return zstar_spec(w, (0,) * w.depth, p)
 
 
 def zstar_spec(w: Word, r: Sequence[int], p: Params) -> NestedSumSpec:
     """Kernel spec for the r-augmented starred family.
 
-    Main index i carries (m+alpha)^-k_i with alpha the SECOND slot; the
-    first slot feeds the Pochhammer prefactors, the r_1 extra powers on
-    the first index, and the auxiliary chain weights.  For i >= 2, r_i
-    auxiliary indices are spliced between main indices i-1 and i:
+    The first slot alpha is the Pochhammer base: (alpha)_m / m! on the
+    first index, m! / (alpha)_{m+1} on the last, (m+alpha)^-r_1 on the
+    first index and (m+alpha)^-1 on every auxiliary index.  Main index i
+    carries (m+beta)^-k_i with beta the SECOND slot, and the last one
+    (m+beta)^-(k_q - 1): with m! / (alpha)_{m+1} this is the paper's
+    last factor m! (m+beta) / (alpha)_{m+1} (m+beta)^-k_q.  For i >= 2,
+    r_i auxiliary indices are spliced between main indices i-1 and i:
     entered by the plain cut inequality, chained weakly, and closed by
     the star-flipped cut inequality (the closing cut of the word is 1).
+    At r = 0 the chains vanish into the plain cuts and the spec is Z's.
     """
     rv = _check_rvector(r, w.depth)
-    poch, main = p.alpha, p.beta  # paper order: (poch base, weight base)
     q = w.depth
     ks = w.exponents()
     idx: list[IndexWeight] = []
     links: list[Link] = []
     for i in range(q):
         if i > 0:
-            enter = _strict(w.inner_cut(i))
-            close = _strict_star(w.inner_cut(i + 1))
-            if rv[i] == 0:
-                links.append(enter)
-            else:
-                links.append(enter)
-                for j in range(rv[i] - 1):
-                    links.append(Link.WEAK)
-                links.append(close)
-                idx.extend(IndexWeight(a=0, b=1) for _ in range(rv[i]))
+            links.append(_strict(w.inner_cut(i)))
+            if rv[i]:
+                links.extend([Link.WEAK] * (rv[i] - 1))
+                links.append(_strict_star(w.inner_cut(i + 1)))
+                idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
         pfs = []
         if i == 0:
-            pfs.append(Prefactor.POCH_FIRST_ZSTAR)
+            pfs.append(Prefactor.POCH_FIRST)
         if i == q - 1:
-            pfs.append(Prefactor.POCH_LAST_ZSTAR)
-        b_extra = rv[0] if i == 0 else 0
-        idx.append(IndexWeight(a=ks[i], b=b_extra, prefactors=tuple(pfs)))
-    return NestedSumSpec(tuple(idx), tuple(links), alpha=main, beta=poch)
+            pfs.append(Prefactor.POCH_LAST)
+        a = rv[0] if i == 0 else 0
+        b = ks[i] if i < q - 1 else ks[i] - 1
+        idx.append(IndexWeight(a=a, b=b, prefactors=tuple(pfs)))
+    return NestedSumSpec(tuple(idx), tuple(links), alpha=p.alpha, beta=p.beta)
 
 
 def hurwitz_spec(w: Word, alpha: complex) -> NestedSumSpec:
@@ -132,7 +121,9 @@ def hurwitz_spec(w: Word, alpha: complex) -> NestedSumSpec:
 def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
     """Kernel spec for the r-augmented Hurwitz-dual family.
 
-    Main index i carries (m+1)^-k_i; every block i = 1..q owns a chain
+    Main index i carries (m+1)^-k_i, and the last one (m+1)^-(k_q - 1)
+    times m! / (alpha)_{m+1}, which is the paper's last factor
+    (m+1)! / (alpha)_{m+1} (m+1)^-k_q; every block i = 1..q owns a chain
     of r_i auxiliary indices weighted (M+alpha)^-1.  The first chain
     starts weakly at 0; chain i closes into main index i by the
     star-flipped cut inequality (closing cut 1 for the last block).
@@ -143,21 +134,15 @@ def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
     idx: list[IndexWeight] = []
     links: list[Link] = []
     for i in range(q):
-        enter = Link.WEAK if i == 0 else _strict(w.inner_cut(i))
-        close = _strict_star(w.inner_cut(i + 1))
-        if rv[i] == 0:
-            if i > 0:
-                links.append(enter)
-        else:
-            if i > 0:
-                links.append(enter)
-            # else: chain 1 opens the whole sum, weakly anchored at 0
-            for _ in range(rv[i] - 1):
-                links.append(Link.WEAK)
+        # chain 1, if any, opens the whole sum, weakly anchored at 0
+        if i > 0:
+            links.append(_strict(w.inner_cut(i)))
+        if rv[i]:
+            links.extend([Link.WEAK] * (rv[i] - 1))
+            links.append(_strict_star(w.inner_cut(i + 1)))
             idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
-            links.append(close)
-        pfs = (Prefactor.POCH_LAST_HSTAR,) if i == q - 1 else ()
-        idx.append(IndexWeight(a=0, b=ks[i], prefactors=pfs))
+        pfs = (Prefactor.POCH_LAST,) if i == q - 1 else ()
+        idx.append(IndexWeight(b=ks[i] if i < q - 1 else ks[i] - 1, prefactors=pfs))
     return NestedSumSpec(tuple(idx), tuple(links), alpha=alpha, beta=1.0)
 
 

@@ -11,10 +11,9 @@ multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link).  Work is O(N * depth) and fully vectorized; the
 running outer partial sum is recorded at geometrically spaced marks.
 
-Each Pochhammer prefactor, (base)_m / m! or m! / (base)_{m+1} or
-(m+1)! / (base)_{m+1} in one base alpha or beta, is a running product
-r(m) = r(m-1) (1 + d / (m + c)).  The stream carries it across blocks as
-it carries the prefix of each level.
+Each Pochhammer prefactor, (alpha)_m / m! or m! / (alpha)_{m+1}, is a
+running product r(m) = r(m-1) (1 + d / (m + c)).  The stream carries it
+across blocks as it carries the prefix of each level.
 
 The infinite tail is removed by fitting the recorded partial sums against
 exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
@@ -55,11 +54,8 @@ class Link(enum.Enum):
 class Prefactor(enum.Enum):
     """Pochhammer-ratio prefactors attachable to a single index m."""
 
-    POCH_FIRST = "poch_first"            # (alpha)_m / m!
-    POCH_LAST = "poch_last"              # m! / (alpha)_{m+1}
-    POCH_FIRST_ZSTAR = "poch_first_zstar"  # (beta)_m / m!
-    POCH_LAST_ZSTAR = "poch_last_zstar"    # m! (m+alpha) / (beta)_{m+1}
-    POCH_LAST_HSTAR = "poch_last_hstar"    # (m+1)! / (alpha)_{m+1}
+    POCH_FIRST = "poch_first"  # (alpha)_m / m!
+    POCH_LAST = "poch_last"  # m! / (alpha)_{m+1}
 
 
 @dataclass(frozen=True)
@@ -76,14 +72,13 @@ class NestedSumSpec:
     """Declarative description of one nested series.
 
     ``links[i]`` relates index i and i+1 (STRICT: m_i < m_{i+1}).  The
-    first index starts at 0, or at 1 when ``start_strict`` is set.
+    first index starts at 0.
     """
 
     indices: tuple[IndexWeight, ...]
     links: tuple[Link, ...]
     alpha: complex
     beta: complex = 1.0
-    start_strict: bool = False
 
     def __post_init__(self):
         if len(self.indices) == 0:
@@ -212,17 +207,6 @@ def _exponent(x: complex) -> complex:
     return x if x.imag else x.real
 
 
-def _prefactor_exponent(pf: Prefactor, alpha: complex, beta: complex) -> complex:
-    a, b = complex(alpha), complex(beta)
-    return {
-        Prefactor.POCH_FIRST: a - 1.0,
-        Prefactor.POCH_LAST: -a,
-        Prefactor.POCH_FIRST_ZSTAR: b - 1.0,
-        Prefactor.POCH_LAST_ZSTAR: 1.0 - b,
-        Prefactor.POCH_LAST_HSTAR: 1.0 - a,
-    }[pf]
-
-
 def _merge_behaviour(entries: Behaviour, keep: int = 12) -> Behaviour:
     # group near-equal exponents, keep the highest log power per group;
     # the order is by real part, which sets the size of m^e
@@ -270,7 +254,8 @@ def term_behaviour(spec: NestedSumSpec) -> Behaviour:
     for iw in spec.indices:
         own = complex(-(iw.a + iw.b))
         for pf in iw.prefactors:
-            own += _prefactor_exponent(pf, spec.alpha, spec.beta)
+            # the product of the steps 1 + d / (m + c) grows like m^d
+            own += _recurrence(pf, spec.alpha)[1]
         if prefix is None:
             current = [(own, 0), (own - 1.0, 0), (own - 2.0, 0)]
         else:
@@ -319,17 +304,12 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _recurrence(pf: Prefactor, alpha: complex, beta: complex) -> tuple[complex, complex, complex]:
+def _recurrence(pf: Prefactor, alpha: complex) -> tuple[complex, complex, complex]:
     """(c, d, r0) of the running product r(m) = r(m-1) * (1 + d / (m + c)),
-    r(0) = r0, that gives the prefactor's Pochhammer ratio in its base;
-    POCH_LAST_ZSTAR is the m! / (beta)_{m+1} product times (m + alpha)."""
-    starred = pf in (Prefactor.POCH_FIRST_ZSTAR, Prefactor.POCH_LAST_ZSTAR)
-    base = beta if starred else alpha
-    if pf in (Prefactor.POCH_FIRST, Prefactor.POCH_FIRST_ZSTAR):
-        return 0.0, base - 1.0, 1.0  # (base)_m / m!
-    if pf is Prefactor.POCH_LAST_HSTAR:
-        return base, 1.0 - base, 1.0 / base  # (m+1)! / (base)_{m+1}
-    return base, -base, 1.0 / base  # m! / (base)_{m+1}
+    r(0) = r0, that gives the prefactor's Pochhammer ratio in base alpha."""
+    if pf is Prefactor.POCH_FIRST:
+        return 0.0, alpha - 1.0, 1.0  # (alpha)_m / m!
+    return alpha, -alpha, 1.0 / alpha  # m! / (alpha)_{m+1}
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +360,7 @@ class _Stream:
         # precision from a float64 quotient, so every step is accurate to
         # eps |d / (m + c)| and the error stays flat in m
         pf = self.spec.indices[i].prefactors[j]
-        c, d, r0 = _recurrence(pf, self.spec.alpha, self.spec.beta)
+        c, d, r0 = _recurrence(pf, self.spec.alpha)
         acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
         r = np.empty(len(x), dtype=acc)
         first = 1 if self.next_m == 0 else 0  # r(0) = r0 is no step
@@ -400,10 +380,8 @@ class _Stream:
             factors.append(_int_power(x + spec.alpha, iw.a))
         if iw.b:
             factors.append(_int_power(x + spec.beta, iw.b))
-        for j, pf in enumerate(iw.prefactors):
+        for j in range(len(iw.prefactors)):
             factors.append(self._product_block(i, j, x))
-            if pf is Prefactor.POCH_LAST_ZSTAR:
-                factors.append(x + spec.alpha)
         if not factors:
             return np.ones(len(x))
         w = factors[0]
@@ -427,8 +405,6 @@ class _Stream:
             prefix = np.empty(hi - lo, dtype=self.acc_dtype)
             if i == 0:
                 prefix[:] = w
-                if spec.start_strict and lo == 0:
-                    prefix[0] = 0.0
             elif spec.links[i - 1] is Link.STRICT:
                 np.multiply(w[1:], prev[:-1], out=prefix[1:])
                 np.multiply(w[:1], carries[i - 1 : i], out=prefix[:1])

@@ -92,6 +92,21 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "max_n" in err
 
+    @pytest.mark.parametrize("family, flag, value", [
+        ("Z", "--r-vector", "3,3"),
+        ("zeta", "--r-vector", "3,3"),
+        ("zeta", "--beta", "2"),
+        ("Hstar", "--beta", "2"),
+    ])
+    def test_flag_foreign_to_family_exits_2(self, capsys, family, flag, value):
+        # a flag the family has no slot for is an error, not ignored
+        code, out, err = run(
+            capsys, "compute", "--family", family, "--word", "1:1,1:2", "--alpha", "1",
+            flag, value,
+        )
+        assert code == 2 and out == ""
+        assert flag in err
+
 
 class TestDual:
     def test_weight_three(self, capsys):

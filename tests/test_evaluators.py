@@ -108,6 +108,11 @@ class TestEvalZstar:
             want = eval_Z(w, p, CFG).value
             assert abs(got - want) <= 1e-9 * abs(want)
 
+    def test_zero_rvector_compiles_to_Z_spec(self):
+        p = Params(0.8, 1.3)
+        for w in words_up_to_weight(4):
+            assert z_spec(w, p) == zstar_spec(w, (0,) * w.depth, p), w
+
     def test_depth_one_display(self):
         # rising powers attach directly to the single index:
         # sum (m+b)^-(r+1) (m+a)^-(k-1); at a=b=1 this is zeta(r+k)
@@ -126,7 +131,7 @@ class TestEvalZstar:
         ]
         for text, rv in cases:
             w = W(text)
-            for poch, main in [(1.0, 1.0), (0.8, 1.3)]:
+            for poch, main in [(1.0, 1.0), (0.8, 1.3), (0.6 + 0.4j, 1.3 - 0.2j)]:
                 spec = zstar_spec(w, rv, Params(poch, main))
                 got = truncated_sum(spec, 40)
                 want = naive_Zstar(w, rv, poch, main, 40)
@@ -200,7 +205,7 @@ class TestEvalHstar:
         ]
         for text, rv in cases:
             w = W(text)
-            for alpha in (0.75, 1.3):
+            for alpha in (0.75, 1.3, 0.6 + 0.4j):
                 got = truncated_sum(hstar_spec(w, rv, alpha), 40)
                 want = naive_Hstar(w, rv, alpha, 40)
                 assert abs(got - want) <= 1e-12 * abs(want), (text, rv, alpha)

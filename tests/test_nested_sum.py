@@ -143,12 +143,6 @@ class TestBruteForceEquivalence:
                     w = w * np.array(poch_ratio_first(spec.alpha, n))
                 elif pf is Prefactor.POCH_LAST:
                     w = w * np.array(poch_ratio_last(spec.alpha, n))
-                elif pf is Prefactor.POCH_FIRST_ZSTAR:
-                    w = w * np.array(poch_ratio_first(spec.beta, n))
-                elif pf is Prefactor.POCH_LAST_ZSTAR:
-                    w = w * np.array(poch_ratio_last(spec.beta, n)) * (m + spec.alpha)
-                elif pf is Prefactor.POCH_LAST_HSTAR:
-                    w = w * np.array(poch_ratio_last_shifted(spec.alpha, n))
             weights.append(w)
         d = spec.depth
         grids = np.meshgrid(*([m] * d), indexing="ij", sparse=True)
@@ -158,8 +152,6 @@ class TestBruteForceEquivalence:
                 mask &= grids[i] < grids[i + 1]
             else:
                 mask &= grids[i] <= grids[i + 1]
-        if spec.start_strict:
-            mask &= grids[0] >= 1
         term = np.ones([n + 1] * d)
         for i, w in enumerate(weights):
             shape = [1] * d
@@ -192,14 +184,14 @@ class TestBruteForceEquivalence:
             IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
         ),
         (
-            IndexWeight(a=1, prefactors=(Prefactor.POCH_FIRST_ZSTAR,)),
-            IndexWeight(b=1),
-            IndexWeight(a=2, prefactors=(Prefactor.POCH_LAST_ZSTAR,)),
+            IndexWeight(a=1, b=1, prefactors=(Prefactor.POCH_FIRST,)),
+            IndexWeight(a=1),
+            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
         ),
         (
             IndexWeight(a=1),
             IndexWeight(a=1),
-            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST_HSTAR,)),
+            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
         ),
     ], ids=["z", "zstar", "hstar"])
     def test_complex_parameters(self, idx, links):
@@ -220,19 +212,21 @@ class TestBruteForceEquivalence:
             naive = self._naive_tensor(spec, self.N)
             assert abs(dp - naive) <= 1e-12 * abs(naive)
 
-    def test_start_strict(self):
-        spec = NestedSumSpec((IndexWeight(b=2),), (), 1.0, 1.0, start_strict=True)
-        assert abs(truncated_sum(spec, 50) - self._naive_tensor(spec, 50)) < 1e-14
-
     def test_hstar_prefactor_pattern(self):
+        # hstar_spec's last index (m+1)^-(k-1) m!/(alpha)_{m+1} is the
+        # paper's (m+1)!/(alpha)_{m+1} (m+1)^-k, here with k = 2
         idx = (
             IndexWeight(a=1),
-            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST_HSTAR,)),
+            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
         )
+        m = np.arange(self.N + 1)
+        inner = np.cumsum(1.0 / (m + 0.75))
+        last = np.array(poch_ratio_last_shifted(0.75, self.N)) / (m + 1.0) ** 2
         for link in (Link.STRICT, Link.WEAK):
             spec = NestedSumSpec(idx, (link,), alpha=0.75, beta=1.0)
             dp = truncated_sum(spec, self.N)
-            naive = self._naive_tensor(spec, self.N)
+            shifted = np.concatenate([[0.0], inner[:-1]]) if link is Link.STRICT else inner
+            naive = float(np.sum(last * shifted))
             assert abs(dp - naive) <= 1e-12 * abs(naive)
 
 
@@ -375,6 +369,12 @@ DEPTH3 = (
     IndexWeight(a=1, b=1),
     IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
 )
+# the same with two running products on the first index, as the single
+# index of a depth-1 word carries them
+DEPTH3_TWO_PRODUCTS = (
+    IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST)),
+    *DEPTH3[1:],
+)
 # block ends: every index alone; a cut right after m = 0; the first
 # blocks evaluate streams (_N_INITIAL + 1, then _GROWTH * _N_INITIAL + 1)
 SPLITS = {
@@ -388,27 +388,33 @@ class TestStreamSplitInvariance:
     # the carries hand each level's prefix across block edges, so a stream
     # cut into blocks anywhere gives the prefixes of one single block
     @pytest.mark.parametrize("split", list(SPLITS))
-    @pytest.mark.parametrize("start_strict", [False, True])
+    @pytest.mark.parametrize("two_products", [False, True])
     @pytest.mark.parametrize("params", [(0.8, 1.3), (0.6 + 0.4j, 1.3 - 0.2j)], ids=["real", "complex"])
     @pytest.mark.parametrize("links", list(itertools.product((Link.STRICT, Link.WEAK), repeat=2)))
-    def test_blocks_match_one_block(self, links, params, start_strict, split):
-        spec = NestedSumSpec(DEPTH3, links, *params, start_strict=start_strict)
+    def test_blocks_match_one_block(self, links, params, two_products, split):
+        spec = NestedSumSpec(DEPTH3_TWO_PRODUCTS if two_products else DEPTH3, links, *params)
         edges = SPLITS[split]
         stream = _Stream(spec)
         blocks = np.concatenate([stream.run_block(hi) for hi in edges])
         whole = _Stream(spec).run_block(edges[-1])
         np.testing.assert_allclose(blocks, whole, rtol=1e-15, atol=0)
-        if start_strict:
-            assert whole[0] == 0
 
 
-def poch(pf: Prefactor, alpha: complex, m, edges=None) -> np.ndarray:
-    """The kernel's streamed prefactor pf in base alpha at the indices m,
-    from blocks ending at edges, by default the blocks evaluate streams."""
+FIRST = IndexWeight(prefactors=(Prefactor.POCH_FIRST,))
+LAST = IndexWeight(prefactors=(Prefactor.POCH_LAST,))
+# hstar_spec's last index at k = 2: (m+1)^-1 m! / (alpha)_{m+1}, which is
+# the paper's (m+1)! / (alpha)_{m+1} times (m+1)^-2
+HSTAR_LAST = IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,))
+
+
+def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
+    """The kernel's streamed weight of the one index iw, in base alpha and
+    with beta = 1, at the indices m, from blocks ending at edges, by
+    default the blocks evaluate streams."""
     m = np.asarray(m)
     if edges is None:
         edges = [*range(_BLOCK, m.max() + 1, _BLOCK), m.max() + 1]
-    stream = _Stream(single(b=0, prefactors=(pf,), alpha=alpha, beta=alpha))
+    stream = _Stream(NestedSumSpec((iw,), (), alpha, 1.0))
     w = []
     for hi in edges:
         w.append(stream._weights_block(0, np.arange(stream.next_m, hi, dtype=np.float64)))
@@ -416,31 +422,35 @@ def poch(pf: Prefactor, alpha: complex, m, edges=None) -> np.ndarray:
     return np.concatenate(w)[m]
 
 
-# each kernel prefactor and the oracle recurrence that tabulates it
+def _hstar_last_oracle(alpha: complex, n: int) -> list:
+    return [x / (m + 1) ** 2 for m, x in enumerate(poch_ratio_last_shifted(alpha, n))]
+
+
+# each kernel weight and the oracle recurrence that tabulates it
 POCH_ORACLES = (
-    (Prefactor.POCH_FIRST, poch_ratio_first),  # (alpha)_m / m!
-    (Prefactor.POCH_LAST, poch_ratio_last),  # m! / (alpha)_{m+1}
-    (Prefactor.POCH_LAST_HSTAR, poch_ratio_last_shifted),  # (m+1)! / (alpha)_{m+1}
+    (FIRST, poch_ratio_first),  # (alpha)_m / m!
+    (LAST, poch_ratio_last),  # m! / (alpha)_{m+1}
+    (HSTAR_LAST, _hstar_last_oracle),  # (m+1)! / (alpha)_{m+1} (m+1)^-2
 )
 
 
 class TestPochhammerLog:
     # the kernel's one Pochhammer path: running products streamed by _Stream
     def test_factorial(self):
-        # (1)_m = m!, so the three ratios are 1, 1/(m+1) and 1
+        # (1)_m = m!, so the three weights are 1, 1/(m+1) and 1/(m+1)^2
         m = np.array([1, 5, 40, 1000])
-        np.testing.assert_allclose(poch(Prefactor.POCH_FIRST, 1.0, m), 1.0, rtol=1e-14)
-        np.testing.assert_allclose(poch(Prefactor.POCH_LAST, 1.0, m), 1.0 / (m + 1), rtol=1e-14)
-        np.testing.assert_allclose(poch(Prefactor.POCH_LAST_HSTAR, 1.0, m), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(poch(FIRST, 1.0, m), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(poch(LAST, 1.0, m), 1.0 / (m + 1), rtol=1e-14)
+        np.testing.assert_allclose(poch(HSTAR_LAST, 1.0, m), 1.0 / (m + 1) ** 2, rtol=1e-14)
 
     def test_zero_length(self):
         # (alpha)_0 = 1 and (alpha)_1 = alpha
-        assert poch(Prefactor.POCH_FIRST, 1.7, [0])[0] == 1.0
-        assert math.isclose(poch(Prefactor.POCH_LAST, 1.7, [0])[0], 1 / 1.7, rel_tol=1e-15)
+        assert poch(FIRST, 1.7, [0])[0] == 1.0
+        assert math.isclose(poch(LAST, 1.7, [0])[0], 1 / 1.7, rel_tol=1e-15)
 
     def test_half(self):
         # (1/2)_2 / 2! = (1/2)(3/2) / 2
-        assert math.isclose(poch(Prefactor.POCH_FIRST, 0.5, [2])[0], 0.375, rel_tol=1e-14)
+        assert math.isclose(poch(FIRST, 0.5, [2])[0], 0.375, rel_tol=1e-14)
 
     def test_pole(self):
         # the Pochhammer base must have a positive real part
@@ -452,33 +462,35 @@ class TestPochhammerLog:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.5, 0.3 + 0.4j])
     @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 63, 64, 65, 100])
     def test_matches_recursive_product(self, alpha, m):
-        for pf, oracle in POCH_ORACLES:
+        for iw, oracle in POCH_ORACLES:
             want = oracle(alpha, m)[m]
-            got = poch(pf, alpha, [m])[0]
-            assert abs(got - want) <= 1e-13 * abs(want), pf
+            got = poch(iw, alpha, [m])[0]
+            assert abs(got - want) <= 1e-13 * abs(want), iw
 
     @pytest.mark.parametrize("edge", [4097, 16385])
     def test_block_edge_consistency(self, edge):
         # the product carried across a block edge takes the same step as
         # one inside a block: (1.3)_m / m! grows by (1.3 + m - 1) / m
-        a, b, c = poch(Prefactor.POCH_FIRST, 1.3, [edge - 1, edge, edge + 1], edges=[edge, edge + 2])
+        a, b, c = poch(FIRST, 1.3, [edge - 1, edge, edge + 1], edges=[edge, edge + 2])
         assert math.isclose(b / a, (1.3 + edge - 1) / edge, rel_tol=1e-15)
         assert math.isclose(c / b, (1.3 + edge) / (edge + 1), rel_tol=1e-15)
 
     @pytest.mark.parametrize("base", [0.6, 1.5, 0.3 + 0.4j, 1 + 2j])
-    @pytest.mark.parametrize("pf", [pf for pf, _ in POCH_ORACLES], ids=lambda pf: pf.value)
-    def test_against_mpmath(self, pf, base):
+    @pytest.mark.parametrize(
+        "iw", [FIRST, LAST, HSTAR_LAST], ids=["poch_first", "poch_last", "poch_last_hstar"]
+    )
+    def test_against_mpmath(self, iw, base):
         # no loss of order m * eps out to m = 2^22 - 1, 64 blocks deep
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         b = mp.mpmathify(base)
         ms = [0, 1, 4096, 4097, 16384, 65536, 2**22 - 1]
         truth = {
-            Prefactor.POCH_FIRST: lambda m: mp.rf(b, m) / mp.factorial(m),
-            Prefactor.POCH_LAST: lambda m: mp.factorial(m) / mp.rf(b, m + 1),
-            Prefactor.POCH_LAST_HSTAR: lambda m: mp.factorial(m + 1) / mp.rf(b, m + 1),
-        }[pf]
-        for m, got in zip(ms, poch(pf, base, ms)):
+            FIRST: lambda m: mp.rf(b, m) / mp.factorial(m),
+            LAST: lambda m: mp.factorial(m) / mp.rf(b, m + 1),
+            HSTAR_LAST: lambda m: mp.factorial(m + 1) / mp.rf(b, m + 1) / (m + 1) ** 2,
+        }[iw]
+        for m, got in zip(ms, poch(iw, base, ms)):
             want = truth(m)
             assert abs(mp.mpmathify(complex(got)) - want) <= 2e-15 * abs(want), m
 

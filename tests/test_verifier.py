@@ -261,6 +261,15 @@ class TestRunSuite:
             reports.append(json.dumps(rep.to_json(include_timestamp=False)["checks"]))
         assert reports[0] == reports[1]
 
+    def test_thm11i_r0_shares_specs(self):
+        # at r = 0 the right-hand side Z*(dual w; 0) at (b, a) compiles to
+        # the left-hand side of the check of dual w at (b, a), a pair of the
+        # symmetric grid, so every spec misses once and hits once
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        run_suite("thm11i", SuiteConfig(weight_max=4, r_max=0))
+        info = mzdual.evaluators._evaluate_cached.cache_info()
+        assert (info.misses, info.hits) == (117, 117)
+
     def test_even_plus_odd_covers_full(self):
         sc_full = SuiteConfig(weight_max=3, r_max=3, params_grid=((1.0, 1.0),))
         sc_even = SuiteConfig(weight_max=3, r_max=3, params_grid=((1.0, 1.0),), even_r_only=True)
