@@ -35,7 +35,7 @@ def parse_complex(text: str) -> complex:
 
 def parse_rvector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad r-vector: {text!r}")
 

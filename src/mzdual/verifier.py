@@ -171,10 +171,7 @@ def check_thm11_ii(
 
 
 def _apply_linear(op: Callable[[Word, int], LinComb], lc: LinComb, r: int) -> LinComb:
-    out = LinComb()
-    for w, c in lc:
-        out = out + c * op(w, r)
-    return out
+    return LinComb((v, c * cv) for w, c in lc for v, cv in op(w, r))
 
 
 def check_prop24(
@@ -539,6 +536,9 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+_CHUNKSIZE = 4
+
+
 def _run_task(task: tuple) -> IdentityCheck:
     check, args = task
     return check(*args)
@@ -553,16 +553,20 @@ def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationRepo
     """
     if which not in SUITE_NAMES:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_NAMES}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     words = words_up_to_weight(sc.weight_max, sc.depth_max)
     tasks = _SUITES[which](sc, words, sc.eval_config())
     if not tasks:
         raise ValueError(f"suite {which!r} has no checks to run under {sc}")
     report = VerificationReport(suite=which, config=sc)
-    if workers > 1 and len(tasks) > 1:
+    chunks = -(-len(tasks) // _CHUNKSIZE)
+    if workers > 1 and chunks > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.checks.extend(pool.map(_run_task, tasks, chunksize=4))
+        # a fork-started pool starts all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+            report.checks.extend(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
     else:
         report.checks.extend(map(_run_task, tasks))
     report.checks.sort(key=lambda c: c.name)

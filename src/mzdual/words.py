@@ -7,6 +7,13 @@ exponent is at least 2; these two constraints make the associated nested
 series converge ("admissibility").  The distinguished empty word plays
 the role of the unit.
 
+The four weight-raising operators are slot placements: block i offers
+s_i slots, r extra exponent units go into the slots, and a block that
+takes d_i units does so in C(d_i + s_i - 1, d_i) ways.  With eps_i the
+indicator of a cut 1 after block i (eps_p = 1), sigma_b1 has s_i = k_i
+and s_p = k_p - 1, sigma_b2 has s_i = k_i throughout, sigma_eps has
+s_i = eps_i, and v_y has s_i = k_i - eps_i, which is k_p - 2 last.
+
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and all operators are pure functions on immutable values.
 """
@@ -316,7 +323,7 @@ def _check_rvector(r: Sequence[int], depth: int) -> RVector:
 
 
 # ---------------------------------------------------------------------------
-# Weight-raising operators
+# Weight-raising operators and the monomial families of the derivative expansion
 # ---------------------------------------------------------------------------
 
 
@@ -326,52 +333,40 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def _bump(w: Word, incr: Sequence[int]) -> Word:
-    return Word((c, k + d) for (c, k), d in zip(w.pairs, incr))
-
-
-def _sigma_binomial(w: Word, r: int, last_offset: int) -> LinComb:
-    """Shared core of the two binomial-weighted operators.
-
-    Distributes r extra exponent units over all blocks; block i < p gets
-    weight C(k_i + r_i - 1, r_i), the last block C(k_p + r_p - last_offset, r_p)
-    with last_offset 2 or 1.
-    """
+def _distribute(w: Word, r: int, slots: Sequence[int]) -> LinComb:
+    """Place r exponent units into the slots[i] slots of each block i of w;
+    each bumped word carries its number of placements, and a block without
+    slots stays fixed.  The empty word maps to itself at r = 0, else to 0."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if w.is_empty:
-        return LinComb.of(w) if r == 0 else LinComb()
-    p = w.depth
-    ks = w.exponents()
+    live = [i for i, s in enumerate(slots) if s > 0]
     out = []
-    for incr in compositions(r, p):
+    for sub in compositions(r, len(live)):
+        incr = [0] * w.depth
         coeff = 1
-        for i in range(p - 1):
-            coeff *= math.comb(ks[i] + incr[i] - 1, incr[i])
-        coeff *= math.comb(ks[-1] + incr[-1] - last_offset, incr[-1])
-        if coeff:
-            out.append((_bump(w, incr), coeff))
+        for i, d in zip(live, sub):
+            incr[i] = d
+            coeff *= math.comb(d + slots[i] - 1, d)
+        out.append((Word((c, k + d) for (c, k), d in zip(w.pairs, incr)), coeff))
     return LinComb(out)
 
 
 def sigma_b1(w: Word, r: int) -> LinComb:
     """Binomial operator matching r-fold differentiation of the two-parameter
     series in its second parameter: last-block weight C(k_p + r_p - 2, r_p)."""
-    return _sigma_binomial(w, r, last_offset=2)
+    p = w.depth
+    return _distribute(w, r, [k - (i == p) for i, k in enumerate(w.exponents(), 1)])
 
 
 def sigma_b2(w: Word, r: int) -> LinComb:
     """Binomial operator for the one-parameter Hurwitz family: every block,
     including the last, carries weight C(k_i + r_i - 1, r_i)."""
-    return _sigma_binomial(w, r, last_offset=1)
+    return _distribute(w, r, w.exponents())
 
 
 def sigma_eps(w: Word, r: int) -> LinComb:
@@ -380,31 +375,7 @@ def sigma_eps(w: Word, r: int) -> LinComb:
     is 1; the last block always is).  Blocks behind a 1/2 cut stay fixed,
     so each monomial appears exactly once.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if w.is_empty:
-        return LinComb.of(w) if r == 0 else LinComb()
-    p = w.depth
-    effective = [i for i in range(p - 1) if w.inner_cut(i + 1).eps == 1] + [p - 1]
-    out = []
-    for sub in compositions(r, len(effective)):
-        incr = [0] * p
-        for pos, d in zip(effective, sub):
-            incr[pos] = d
-        out.append((_bump(w, incr), 1))
-    return LinComb(out)
-
-
-# ---------------------------------------------------------------------------
-# Monomial families entering the derivative-expansion identity
-# ---------------------------------------------------------------------------
-
-
-def _slot_multiplicity(d: int, slots: int) -> int:
-    """Number of ways to write d as an ordered sum of `slots` non-negatives."""
-    if slots == 0:
-        return 1 if d == 0 else 0
-    return math.comb(d + slots - 1, slots - 1)
+    return _distribute(w, r, [w.inner_cut(i).eps for i in range(1, w.depth + 1)])
 
 
 def v_y_monomials(w: Word, l: int) -> LinComb:
@@ -414,23 +385,10 @@ def v_y_monomials(w: Word, l: int) -> LinComb:
     each assignment of non-negative slot values with total l bumps block
     exponents by the per-block slot sums.  Coefficients count assignments.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if w.is_empty:
-        return LinComb.of(w) if l == 0 else LinComb()
     p = w.depth
-    slots = [w.pairs[i][1] - w.inner_cut(i + 1).eps for i in range(p - 1)]
-    slots.append(w.pairs[-1][1] - 2)
-    out = []
-    for incr in compositions(l, p):
-        mult = 1
-        for d, s in zip(incr, slots):
-            mult *= _slot_multiplicity(d, s)
-            if not mult:
-                break
-        if mult:
-            out.append((_bump(w, incr), mult))
-    return LinComb(out)
+    eps = [w.inner_cut(i).eps for i in range(1, p + 1)]
+    slots = [k - e - (i == p) for i, (k, e) in enumerate(zip(w.exponents(), eps), 1)]
+    return _distribute(w, l, slots)
 
 
 def v_prime_monomials(w: Word, l: int) -> LinComb:

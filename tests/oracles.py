@@ -254,6 +254,33 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     return complex(last) if np.iscomplexobj(last) else float(last)
 
 
+def _slot_values(total: int, n: int):
+    """Every tuple of n non-negative slot values with sum `total`."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(total + 1):
+        for rest in _slot_values(total - v, n - 1):
+            yield (v,) + rest
+
+
+def slot_placements(w: Word, r: int, slots) -> LinComb:
+    """Put r units into individual slots, block i owning slots[i] of them,
+    and count the assignments that bump the blocks of w alike."""
+    owner = [i for i, s in enumerate(slots) for _ in range(s)]
+    counts: dict[tuple, int] = {}
+    for values in _slot_values(r, len(owner)):
+        incr = [0] * w.depth
+        for i, v in zip(owner, values):
+            incr[i] += v
+        counts[tuple(incr)] = counts.get(tuple(incr), 0) + 1
+    return LinComb(
+        (Word((c, k + d) for (c, k), d in zip(w.pairs, incr)), n)
+        for incr, n in counts.items()
+    )
+
+
 def lincomb_from_json(records: Iterable[dict]) -> LinComb:
     """Inverse of :meth:`LinComb.to_json`."""
     return LinComb(

@@ -107,6 +107,15 @@ class TestCompute:
         assert code == 2 and out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("rvector", ["1,,1", "1,"])
+    def test_empty_r_vector_item_exits_2(self, capsys, rvector):
+        # an empty item is an error, not dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--family", "Zstar", "--word", "1:1,1:2", "--alpha", "1",
+                  "--beta", "1", "--r-vector", rvector])
+        assert exc.value.code == 2
+        assert "bad r-vector" in capsys.readouterr().err
+
 
 class TestDual:
     def test_weight_three(self, capsys):
@@ -175,7 +184,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert flag[2:].replace("-", "_") in err
 
-    @pytest.mark.parametrize("flag,value", [("--grid", "1.0:-1"), ("--tol", "nan"), ("--tol", "0")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid", "1.0:-1"), ("--tol", "nan"), ("--tol", "0"),
+        ("--workers", "0"), ("--workers", "-3"),
+    ])
     def test_bad_input_exits_2(self, capsys, flag, value):
         # bad input is a usage error (2), not a failed check (1)
         code, out, err = run(capsys, "verify", "--suite", "duality", "--weight-max", "2", flag, value)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -8,6 +9,7 @@ import mzdual.verifier
 from mzdual.evaluators import Params, eval_Z
 from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
+    DEFAULT_GRID,
     SuiteConfig,
     check_derivative_crosslink,
     check_duality,
@@ -288,6 +290,39 @@ class TestRunSuite:
         assert csv.splitlines()[0] == "name,lhs_re,lhs_im,rhs_re,rhs_im,rel_dev,tol,passed"
         table = rep.to_table()
         assert "1/1 passed" in table
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_suite("duality", SuiteConfig(weight_max=2), workers=workers)
+
+    @pytest.mark.parametrize("grid, workers, started", [
+        (((1.0, 1.0), (0.8, 1.2), (1.2, 0.8)), 500, []),  # one chunk: no pool
+        (DEFAULT_GRID, 500, [3]),  # nine tasks in three chunks of four
+        (DEFAULT_GRID, 2, [2]),
+    ], ids=["one-chunk", "three-chunks", "two-workers"])
+    def test_pool_never_exceeds_chunks(self, monkeypatch, grid, workers, started):
+        # a fork-started pool starts every worker at its first submit, so
+        # record max_workers in a fake pool that runs the tasks in-process
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        sc = SuiteConfig(weight_max=2, tol=1e-6, params_grid=grid)
+        rep = run_suite("duality", sc, workers=workers)
+        assert seen == started and rep.passed
 
     def test_parallel_matches_serial(self):
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0), (0.8, 1.2)))

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_words_recursive, lincomb_from_json, lincomb_map_words, lincomb_sub
+from oracles import (
+    count_words_recursive,
+    lincomb_from_json,
+    lincomb_map_words,
+    lincomb_sub,
+    slot_placements,
+)
 from mzdual.words import (
     EMPTY_WORD,
     Cut,
@@ -175,9 +181,37 @@ class TestSigmaOperators:
         assert got == LinComb([(W("1:2,1:2"), 1), (W("1:1,1:3"), 2)])
 
     def test_empty_word_convention(self):
-        for op in (sigma_b1, sigma_eps, sigma_b2):
+        for op in (sigma_b1, sigma_eps, sigma_b2, v_y_monomials, v_prime_monomials):
             assert op(EMPTY_WORD, 0) == LinComb.of(EMPTY_WORD)
             assert op(EMPTY_WORD, 3) == LinComb()
+
+    @pytest.mark.parametrize(
+        "op", [sigma_b1, sigma_eps, sigma_b2, v_y_monomials, v_prime_monomials],
+        ids=lambda op: op.__name__,
+    )
+    @pytest.mark.parametrize("text", ["(empty)", "1:1,1/2:2"])
+    def test_negative_r_rejected(self, op, text):
+        w = EMPTY_WORD if text == "(empty)" else W(text)
+        with pytest.raises(ValueError):
+            op(w, -1)
+
+    def test_slot_operators_match_slot_enumeration(self):
+        # each operator places r units into individual slots; the rules
+        # below give block i its slot count, eps_i is 1 iff the cut after
+        # block i is 1, and the closing cut after the last block is 1
+        for w in [EMPTY_WORD] + words_up_to_weight(6):
+            ks = w.exponents()
+            eps = [c.eps for c, _ in w.pairs[1:]] + [1] if ks else []
+            last = [i == len(ks) - 1 for i in range(len(ks))]
+            rules = {
+                sigma_b1: [k - t for k, t in zip(ks, last)],
+                sigma_b2: list(ks),
+                sigma_eps: eps,
+                v_y_monomials: [k - e - t for k, e, t in zip(ks, eps, last)],
+            }
+            for op, slots in rules.items():
+                for r in range(5):
+                    assert op(w, r) == slot_placements(w, r, slots), (op.__name__, w, r)
 
     def test_weight_bookkeeping_exhaustive(self):
         # every term of sigma_r(w) has weight exactly weight(w) + r
