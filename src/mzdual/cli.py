@@ -2,8 +2,9 @@
 and run verification suites.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify found a
-failing identity, 2 argument/parse/validation error, 3 the evaluator hit
-max_n before reaching the requested tolerance.
+failing identity, 2 any invalid input to any subcommand (bad arguments,
+words, parameters or r-vectors, and a series the kernel rejects), 3 the
+evaluator hit max_n before reaching the requested tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import json
 import sys
 
 from .evaluators import Params, eval_Hstar, eval_Z, eval_Zstar, eval_hurwitz
-from .nested_sum import EvalConfig, InvalidParamsError, NonConvergentError
+from .nested_sum import EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
-from .words import WordError, dual, parse_word, sigma_b1, sigma_b2, sigma_eps
+from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -101,26 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        if args.r_vector is not None and args.family in ("Z", "zeta"):
-            raise ValueError(f"--r-vector does not apply to family {args.family}")
-        if args.beta is not None and args.family in ("zeta", "Hstar"):
-            raise ValueError(f"--beta does not apply to family {args.family}")
-        word = parse_word(args.word)
-        p = Params(args.alpha, args.beta)
-        cfg = EvalConfig(rel_tol=args.rel_tol, max_n=args.max_n)
-        rv = args.r_vector if args.r_vector is not None else (0,) * word.depth
-        if args.family == "Z":
-            res = eval_Z(word, p, cfg)
-        elif args.family == "zeta":
-            res = eval_hurwitz(word, p.alpha, cfg)
-        elif args.family == "Zstar":
-            res = eval_Zstar(word, rv, p, cfg)
-        else:
-            res = eval_Hstar(word, rv, p.alpha, cfg)
-    except (WordError, InvalidParamsError, NonConvergentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.r_vector is not None and args.family in ("Z", "zeta"):
+        raise ValueError(f"--r-vector does not apply to family {args.family}")
+    if args.beta is not None and args.family in ("zeta", "Hstar"):
+        raise ValueError(f"--beta does not apply to family {args.family}")
+    word = parse_word(args.word)
+    p = Params(args.alpha, args.beta)
+    cfg = EvalConfig(rel_tol=args.rel_tol, max_n=args.max_n)
+    rv = args.r_vector if args.r_vector is not None else (0,) * word.depth
+    if args.family == "Z":
+        res = eval_Z(word, p, cfg)
+    elif args.family == "zeta":
+        res = eval_hurwitz(word, p.alpha, cfg)
+    elif args.family == "Zstar":
+        res = eval_Zstar(word, rv, p, cfg)
+    else:
+        res = eval_Hstar(word, rv, p.alpha, cfg)
     value = complex(res.value)
     if args.output == "json":
         print(
@@ -146,11 +143,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    try:
-        word = parse_word(args.word)
-    except WordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    word = parse_word(args.word)
     image = dual(word)
     if args.output == "json":
         print(
@@ -166,14 +159,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_sigma(args) -> int:
     ops = {"b1": sigma_b1, "eps": sigma_eps, "b2": sigma_b2}
-    try:
-        word = parse_word(args.word)
-        if args.r < 0:
-            raise ValueError("r must be >= 0")
-        image = ops[args.op](word, args.r)
-    except (WordError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    image = ops[args.op](parse_word(args.word), args.r)
     if args.output == "json":
         print(json.dumps(image.to_json(), sort_keys=True))
     else:
@@ -182,19 +168,15 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        sc = SuiteConfig(
-            weight_max=args.weight_max,
-            depth_max=args.depth_max,
-            r_max=args.r_max,
-            params_grid=args.grid,
-            tol=args.tol,
-            even_r_only=args.even_only,
-        )
-        report = run_suite(args.suite, sc, workers=args.workers)
-    except (InvalidParamsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sc = SuiteConfig(
+        weight_max=args.weight_max,
+        depth_max=args.depth_max,
+        r_max=args.r_max,
+        params_grid=args.grid,
+        tol=args.tol,
+        even_r_only=args.even_only,
+    )
+    report = run_suite(args.suite, sc, workers=args.workers)
     if args.output == "json":
         print(json.dumps(report.to_json(include_timestamp=not args.no_timestamp), sort_keys=True))
     elif args.output == "csv":
@@ -204,15 +186,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED_CHECK
 
 
+_COMMANDS = {"compute": _cmd_compute, "dual": _cmd_dual, "sigma": _cmd_sigma, "verify": _cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "dual":
-        return _cmd_dual(args)
-    if args.command == "sigma":
-        return _cmd_sigma(args)
-    return _cmd_verify(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, KernelError) as exc:  # WordError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,14 +13,16 @@ Z is the starred family at r = 0, so both compile through one function.
 Each family compiles a word (plus r-vector, for the starred families)
 into one flat :class:`~mzdual.nested_sum.NestedSumSpec`: auxiliary chain
 indices are interleaved with the main indices so a single kernel serves
-all four families.
+all four families.  Each ``eval_*`` is that compile plus one cached
+kernel evaluation; the empty word compiles to the empty spec, which the
+kernel evaluates to 1 after checking the parameters.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .nested_sum import (
     EvalConfig,
@@ -29,7 +31,6 @@ from .nested_sum import (
     Link,
     NestedSumSpec,
     Prefactor,
-    _validate_params,
     evaluate,
 )
 from .words import Cut, LinComb, Word, _check_rvector
@@ -46,13 +47,6 @@ class Params:
     def __post_init__(self):
         if self.beta is None:
             object.__setattr__(self, "beta", self.alpha)
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if isinstance(v, complex) and v.imag == 0:
-                object.__setattr__(self, name, v.real)
-
-    def validate(self):
-        _validate_params(self.alpha, self.beta)
 
     def swapped(self) -> "Params":
         return Params(self.beta, self.alpha)
@@ -162,23 +156,9 @@ def eval_spec(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
     return _evaluate_cached(spec, cfg)
 
 
-def _eval_word(
-    w: Word, p: Params, cfg: EvalConfig, compile_spec: Callable[[], NestedSumSpec],
-    r: Sequence[int] | None = None,
-) -> EvalResult:
-    # the parameters are checked for every word; the empty word gives 1 and
-    # admits only the empty r-vector, any other word is compiled and evaluated
-    p.validate()
-    if w.is_empty:
-        if r is not None:
-            _check_rvector(r, 0)
-        return EvalResult(1.0, 0.0, 0, True)
-    return eval_spec(compile_spec(), cfg)
-
-
 def eval_Z(w: Word, p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Two-parameter series of an admissible word; the empty word gives 1."""
-    return _eval_word(w, p, cfg, lambda: z_spec(w, p))
+    return eval_spec(z_spec(w, p), cfg)
 
 
 def eval_Zstar(
@@ -189,19 +169,19 @@ def eval_Zstar(
     With an all-zero r-vector this degenerates exactly to
     ``eval_Z(w, p)`` (the auxiliary chains vanish into the plain cuts).
     """
-    return _eval_word(w, p, cfg, lambda: zstar_spec(w, r, p), r)
+    return eval_spec(zstar_spec(w, r, p), cfg)
 
 
 def eval_hurwitz(w: Word, alpha: complex, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Multiple Hurwitz value of a word: every index shifted by alpha."""
-    return _eval_word(w, Params(alpha), cfg, lambda: hurwitz_spec(w, alpha))
+    return eval_spec(hurwitz_spec(w, alpha), cfg)
 
 
 def eval_Hstar(
     w: Word, r: Sequence[int], alpha: complex, cfg: EvalConfig = EvalConfig()
 ) -> EvalResult:
     """Hurwitz-dual family with per-block auxiliary chains."""
-    return _eval_word(w, Params(alpha), cfg, lambda: hstar_spec(w, r, alpha), r)
+    return eval_spec(hstar_spec(w, r, alpha), cfg)
 
 
 def sum_results(terms: Iterable[tuple[float, EvalResult]]) -> EvalResult:

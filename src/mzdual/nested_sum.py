@@ -72,7 +72,7 @@ class NestedSumSpec:
     """Declarative description of one nested series.
 
     ``links[i]`` relates index i and i+1 (STRICT: m_i < m_{i+1}).  The
-    first index starts at 0.
+    first index starts at 0.  No indices means the empty product, value 1.
     """
 
     indices: tuple[IndexWeight, ...]
@@ -81,12 +81,9 @@ class NestedSumSpec:
     beta: complex = 1.0
 
     def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ValueError("spec needs at least one index")
-        if len(self.links) != len(self.indices) - 1:
-            raise ValueError(
-                f"need {len(self.indices) - 1} links, got {len(self.links)}"
-            )
+        need = max(len(self.indices) - 1, 0)
+        if len(self.links) != need:
+            raise ValueError(f"need {need} links, got {len(self.links)}")
         # keep real parameters as floats so array dtypes stay real
         for name in ("alpha", "beta"):
             v = getattr(self, name)
@@ -600,6 +597,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     flagged.
     """
     _validate_params(spec.alpha, spec.beta)
+    if not spec.indices:  # the empty product
+        return EvalResult(1.0, 0.0, 0, True)
     behaviour = term_behaviour(spec)
     s_eff = -behaviour[0][0].real
     if s_eff <= 1.0 + 1e-9:

@@ -352,8 +352,7 @@ def check_derivative_crosslink(
             - f(b - 2 * h)
         ) / (12 * h * h)
     scaled = (-1) ** r / math.factorial(r) * deriv
-    stencil_noise = 34.0 * 1e-13 / (12 * h**r)  # eval noise through the stencil
-    lhs = EvalResult(scaled, stencil_noise, 0, True)
+    lhs = EvalResult(scaled, 0.0, 0, True)
     rhs = _zstar_side(dw, r, Params(b, a), cfg)
     name = f"derivative/w={w}/r={r}/a={a:g}/b={b:g}"
     return _make_check(name, lhs, rhs, tol=FD_TOL[r])

@@ -117,10 +117,6 @@ class Word:
     def exponents(self) -> tuple[int, ...]:
         return tuple(k for _, k in self.pairs)
 
-    def cuts(self) -> tuple[Cut, ...]:
-        """All block cuts c_0..c_{p-1}; c_0 is always ONE."""
-        return tuple(c for c, _ in self.pairs)
-
     def inner_cut(self, i: int) -> Cut:
         """Cut c_i sitting between block i and block i+1 (1-based i).
 
@@ -179,9 +175,6 @@ class Word:
     def sort_key(self) -> tuple:
         """Deterministic ordering: by weight, then composition form."""
         return (self.weight, tuple((k, c.value) for c, k in self.pairs))
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 EMPTY_WORD = Word()
@@ -267,9 +260,6 @@ class LinComb:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coeff(self, w: Word) -> Fraction:
-        return self._terms.get(w, Fraction(0))
-
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self._terms)
         for w, c in other._terms.items():
@@ -292,9 +282,6 @@ class LinComb:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -328,7 +315,10 @@ def _check_rvector(r: Sequence[int], depth: int) -> RVector:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of `parts` non-negative integers summing to `total`."""
+    """All ordered tuples of `parts` non-negative integers summing to `total`;
+    none for a negative total."""
+    if parts < 0:
+        raise ValueError("parts must be >= 0")
     if parts == 0:
         if total == 0:
             yield ()

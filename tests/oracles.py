@@ -281,6 +281,16 @@ def slot_placements(w: Word, r: int, slots) -> LinComb:
     )
 
 
+def word_cuts(w: Word) -> tuple[Cut, ...]:
+    """All block cuts c_0..c_{p-1} of a word; c_0 is always ONE."""
+    return tuple(c for c, _ in w.pairs)
+
+
+def lincomb_coeff(lc: LinComb, w: Word) -> Fraction:
+    """The coefficient of one word in a combination (0 if absent)."""
+    return dict(lc.items()).get(w, Fraction(0))
+
+
 def lincomb_from_json(records: Iterable[dict]) -> LinComb:
     """Inverse of :meth:`LinComb.to_json`."""
     return LinComb(

@@ -198,6 +198,14 @@ class TestVerify:
         assert code == 0
         assert "306/306 passed" in out
 
+    def test_kernel_error_exits_2(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise mzdual.nested_sum.NonConvergentError("series diverges")
+
+        monkeypatch.setattr("mzdual.cli.run_suite", diverge)
+        code, _, err = run(capsys, "verify", "--suite", "duality", "--weight-max", "2")
+        assert code == 2 and err.startswith("error:")
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])

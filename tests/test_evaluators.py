@@ -237,7 +237,32 @@ class TestEvalLincomb:
             eval_lincomb(LinComb(), "bogus", Params(1, 1))
 
 
+class TestEmptyWord:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eval_Z(EMPTY_WORD, Params(-1.0, 1.0)),
+            lambda: eval_Zstar(EMPTY_WORD, (), Params(-1.0, 1.0)),
+            lambda: eval_hurwitz(EMPTY_WORD, -1.0),
+            lambda: eval_Hstar(EMPTY_WORD, (), -1.0),
+        ],
+        ids=["Z", "Zstar", "zeta", "Hstar"],
+    )
+    def test_params_checked(self, call):
+        with pytest.raises(InvalidParamsError):
+            call()
+
+
 class TestParams:
+    def test_complex_with_zero_imaginary_part_evaluates_real(self):
+        p = Params(1 + 0j, 0.5 + 0j)
+        assert isinstance(p.alpha, complex)
+        for got, want in [
+            (eval_Z(W("1:2"), p), eval_Z(W("1:2"), Params(1.0, 0.5))),
+            (eval_Zstar(W("1:2"), (1,), p), eval_Zstar(W("1:2"), (1,), Params(1.0, 0.5))),
+        ]:
+            assert type(got.value) is float and got == want
+
     def test_beta_defaults_to_alpha(self):
         p = Params(1.4)
         assert p.beta == 1.4

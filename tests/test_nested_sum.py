@@ -84,6 +84,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             NestedSumSpec((IndexWeight(b=2),), (Link.WEAK,), 1.0, 1.0)
 
+    def test_empty_spec_is_empty_product(self):
+        res = evaluate(NestedSumSpec((), (), alpha=1.3))
+        assert res == (1.0, 0.0, 0, True) and type(res.value) is float
+
+    def test_empty_spec_params_checked(self):
+        with pytest.raises(InvalidParamsError):
+            evaluate(NestedSumSpec((), (), alpha=-1))
+
+    def test_empty_spec_takes_no_link(self):
+        with pytest.raises(ValueError):
+            NestedSumSpec((), (Link.WEAK,), alpha=1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(max_n=4095)

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     count_words_recursive,
+    lincomb_coeff,
     lincomb_from_json,
     lincomb_map_words,
     lincomb_sub,
     slot_placements,
+    word_cuts,
 )
 from mzdual.words import (
     EMPTY_WORD,
@@ -110,6 +112,16 @@ class TestDual:
                 assert dual(d) == w
 
 
+class TestCompositions:
+    def test_negative_parts_rejected(self):
+        with pytest.raises(ValueError):
+            list(compositions(1, -1))
+
+    def test_negative_total_yields_nothing(self):
+        assert list(compositions(-1, 2)) == []
+        assert list(compositions(-1, 0)) == []
+
+
 class TestEnumeration:
     def test_counts_match_recursion(self):
         for wt in range(2, 9):
@@ -132,7 +144,7 @@ class TestLinComb:
 
     def test_exact_arithmetic(self):
         lc = Fraction(1, 3) * LinComb.of(W("1:2")) + Fraction(2, 3) * LinComb.of(W("1:2"))
-        assert lc.coeff(W("1:2")) == 1
+        assert lincomb_coeff(lc, W("1:2")) == 1
 
     def test_json_round_trip(self):
         lc = LinComb([(W("1:2"), Fraction(3, 7)), (W("1:3"), -2)])
@@ -145,7 +157,7 @@ class TestLinComb:
         for w, c in pairs:
             expected[w] = expected.get(w, 0) + c
         for w, c in expected.items():
-            assert lc.coeff(w) == c
+            assert lincomb_coeff(lc, w) == c
 
 
 class TestSigmaOperators:
@@ -247,7 +259,7 @@ class TestSigmaOperators:
         # with every cut equal to 1, all p positions receive increments
         for wt in range(2, 7):
             for w in words_of_weight(wt):
-                if any(c is not Cut.ONE for c in w.cuts()):
+                if any(c is not Cut.ONE for c in word_cuts(w)):
                     continue
                 for r in range(4):
                     expected = LinComb(
