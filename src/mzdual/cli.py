@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--output", choices=["table", "json"], default="json")
 
     ver = sub.add_parser("verify", help="run an identity verification suite")
-    ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
+    ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True,
+                     help="duality is thm11i at r = 0, sum_formula is thm11i on dual(1:k1); "
+                          "all runs each identity once")
     ver.add_argument("--weight-max", type=int, default=4)
     ver.add_argument("--depth-max", type=int, default=None)
     ver.add_argument("--r-max", type=int, default=2)

@@ -617,11 +617,12 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     best: _FitResult | None = None
     prev_value: complex | None = None
     for n in checkpoints:
+        # no name holds a block's prefixes, so they are freed before the next
+        # block is built
         while stream.next_m <= n:
-            lo = stream.next_m
-            prefix = stream.run_block(min(lo + _BLOCK, n + 1))
-            i, j = np.searchsorted(marks, (lo, stream.next_m))
-            sums[i:j] = prefix[marks[i:j] - lo]
+            lo, hi = stream.next_m, min(stream.next_m + _BLOCK, n + 1)
+            i, j = np.searchsorted(marks, (lo, hi))
+            sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
         # the last 30 marks <= n, none below max(32, n // 1024)
         k = np.searchsorted(marks, n, side="right")
         first = max(np.searchsorted(marks, max(32, n // 1024)), k - 30)
@@ -640,8 +641,9 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
             return EvalResult(_as_scalar(fit.value, stream), fit.err, n, True)
 
     if best is None:
-        # no fit: the raw partial sum, with nothing known of its tail
-        return EvalResult(_as_scalar(complex(prefix[-1]), stream), math.inf, n, False)
+        # no fit: the raw partial sum at the last checkpoint (every checkpoint
+        # is a mark), with nothing known of its tail
+        return EvalResult(_as_scalar(complex(sums[k - 1]), stream), math.inf, n, False)
     return EvalResult(_as_scalar(best.value, stream), best.err, n, False)
 
 

@@ -9,13 +9,17 @@ The quadrature and finite-difference checks are cross-validations of the
 integral representation and of the derivative calculus behind the
 starred expansion; they run at their own, much looser, pinned
 tolerances.
+
+Each identity has one check.  The `duality` suite is the thm11i suite at
+r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
+1:k1, and `all` runs each identity once.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -36,7 +40,6 @@ from .words import (
     Word,
     compositions,
     dual,
-    parse_word,
     sigma_b1,
     sigma_b2,
     sigma_eps,
@@ -118,14 +121,6 @@ def _fmt_param(x: complex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_duality(w: Word, p: Params, cfg: EvalConfig = EvalConfig()) -> IdentityCheck:
-    """Two-parameter duality: the word at (a, b) against its dual at (b, a)."""
-    lhs = eval_Z(w, p, cfg)
-    rhs = eval_Z(dual(w), p.swapped(), cfg)
-    name = f"duality/w={w}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
-    return _make_check(name, lhs, rhs)
-
-
 def starred_rvectors(dual_word: Word, r: int) -> list[tuple[int, ...]]:
     """Admissible r-vectors for the starred expansion of a dual word.
 
@@ -202,20 +197,6 @@ def check_thm31(
     dw = dual(w)
     rhs = sum_results((1.0, eval_Hstar(dw, rv, alpha, cfg)) for rv in compositions(r, dw.depth))
     name = f"thm31/w={w}/r={r}/a={_fmt_param(alpha)}"
-    return _make_check(name, lhs, rhs)
-
-
-def check_sum_formula(
-    k1: int, r: int, p: Params, cfg: EvalConfig = EvalConfig()
-) -> IdentityCheck:
-    """Depth-aggregated instance: the composition sum over bumped all-ones
-    words equals a single explicit series (the starred depth-1 value)."""
-    if k1 < 2:
-        raise ValueError("k1 must be >= 2")
-    base = parse_word(f"1:{k1}")
-    lhs = eval_lincomb(sigma_b1(dual(base), r), "Z", p, cfg)
-    rhs = eval_Zstar(base, (r,), p.swapped(), cfg)
-    name = f"sum_formula/k1={k1}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
     return _make_check(name, lhs, rhs)
 
 
@@ -413,6 +394,7 @@ class VerificationReport:
     suite: str
     config: SuiteConfig
     checks: list[IdentityCheck] = field(default_factory=list)
+    """In name order: `run_suite` sorts them, and every writer keeps that order."""
 
     @property
     def passed(self) -> bool:
@@ -421,9 +403,6 @@ class VerificationReport:
     @property
     def n_failed(self) -> int:
         return sum(not c.passed for c in self.checks)
-
-    def sorted_checks(self) -> list[IdentityCheck]:
-        return sorted(self.checks, key=lambda c: c.name)
 
     def to_json(self, include_timestamp: bool = True) -> dict:
         out = {
@@ -442,7 +421,7 @@ class VerificationReport:
                 "tol": self.config.tol,
                 "even_r_only": self.config.even_r_only,
             },
-            "checks": [c.to_json() for c in self.sorted_checks()],
+            "checks": [c.to_json() for c in self.checks],
         }
         if include_timestamp:
             out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -450,7 +429,7 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         lines = ["name,lhs_re,lhs_im,rhs_re,rhs_im,rel_dev,tol,passed"]
-        for c in self.sorted_checks():
+        for c in self.checks:
             lv, rv = complex(c.lhs), complex(c.rhs)
             lines.append(
                 f"{c.name},{lv.real!r},{lv.imag!r},{rv.real!r},{rv.imag!r},"
@@ -461,7 +440,7 @@ class VerificationReport:
     def to_table(self) -> str:
         width = max((len(c.name) for c in self.checks), default=10)
         lines = [f"{'check':<{width}}  {'rel_dev':>10}  {'tol':>10}  status"]
-        for c in self.sorted_checks():
+        for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             lines.append(
                 f"{c.name:<{width}}  {c.rel_dev:>10.3e}  {c.tol:>10.3e}  {status}"
@@ -477,10 +456,6 @@ class VerificationReport:
 # suite runs, not bound when the module is imported.
 
 
-def _duality_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    return [(check_duality, (w, Params(a, b), cfg)) for a, b in sc.params_grid for w in words]
-
-
 def _thm11i_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     return [(check_thm11_i, (w, r, Params(a, b), cfg))
             for a, b in sc.params_grid for w in words for r in sc.r_values()]
@@ -489,11 +464,6 @@ def _thm11i_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[t
 def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the one-parameter identities run on the distinct first-slot values
     return [(check, (w, r, a, cfg)) for a in sc.alphas() for w in words for r in sc.r_values()]
-
-
-def _sum_formula_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    return [(check_sum_formula, (k1, r, Params(a, b), cfg))
-            for a, b in sc.params_grid for k1 in range(2, sc.weight_max + 1) for r in sc.r_values()]
 
 
 def _real_pairs(sc: SuiteConfig) -> list[tuple[complex, complex]]:
@@ -513,23 +483,28 @@ def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> li
     return [(check_derivative_crosslink, (w, r, Params(a, b), None))
             for a, b in _real_pairs(sc)
             for w in words if w.weight <= 4
-            for r in range(1, min(sc.r_max, 2) + 1)]
+            for r in sc.r_values() if 1 <= r <= 2]
 
 
-_SERIES_SUITES = {
-    "duality": _duality_tasks,
+# the distinct identities; `all` runs each of them once
+_IDENTITIES = {
     "thm11i": _thm11i_tasks,
     "thm11ii": lambda sc, words, cfg: _diagonal_tasks(check_thm11_ii, sc, words, cfg),
     "prop24": lambda sc, words, cfg: _diagonal_tasks(check_prop24, sc, words, cfg),
     "thm31": lambda sc, words, cfg: _diagonal_tasks(check_thm31, sc, words, cfg),
-    "sum_formula": _sum_formula_tasks,
 }
+# duality and the sum formula are Theorem 1.1(i) instances, so their suites
+# are views of the thm11i tasks: r = 0, and the words whose dual is 1:k1
 _SUITES = {
-    **_SERIES_SUITES,
+    "duality": lambda sc, words, cfg: _thm11i_tasks(replace(sc, r_max=0), words, cfg),
+    **_IDENTITIES,
+    "sum_formula": lambda sc, words, cfg: _thm11i_tasks(
+        sc, [w for w in words if dual(w).depth == 1], cfg
+    ),
     "integral": _integral_tasks,
     "derivative": _derivative_tasks,
     "all": lambda sc, words, cfg: [
-        task for tasks in _SERIES_SUITES.values() for task in tasks(sc, words, cfg)
+        task for tasks in _IDENTITIES.values() for task in tasks(sc, words, cfg)
     ],
 }
 SUITE_NAMES = tuple(_SUITES)

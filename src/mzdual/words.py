@@ -177,9 +177,6 @@ class Word:
         return (self.weight, tuple((k, c.value) for c, k in self.pairs))
 
 
-EMPTY_WORD = Word()
-
-
 def parse_word(text: str) -> Word:
     """Parse composition syntax ``cut:k,cut:k,...`` or letter syntax over {1,h,0}.
 
@@ -227,7 +224,7 @@ CoeffLike = Union[int, Fraction]
 class LinComb:
     """Finite formal sum of words with exact `Fraction` coefficients.
 
-    Zero coefficients are never stored.  Supports + and scalar *.
+    Zero coefficients are never stored.  Supports +.
     Iteration yields (word, coeff) in the canonical word order.
     """
 
@@ -270,14 +267,6 @@ class LinComb:
                 out.pop(w, None)
         res = LinComb()
         res._terms.update(out)
-        return res
-
-    def __rmul__(self, scalar: CoeffLike) -> "LinComb":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return LinComb()
-        res = LinComb()
-        res._terms.update({w: scalar * c for w, c in self._terms.items()})
         return res
 
     def __eq__(self, other) -> bool:

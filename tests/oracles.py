@@ -281,6 +281,9 @@ def slot_placements(w: Word, r: int, slots) -> LinComb:
     )
 
 
+EMPTY_WORD = Word()
+
+
 def word_cuts(w: Word) -> tuple[Cut, ...]:
     """All block cuts c_0..c_{p-1} of a word; c_0 is always ONE."""
     return tuple(c for c, _ in w.pairs)
@@ -305,4 +308,4 @@ def lincomb_map_words(lc: LinComb, f: Callable[[Word], Word]) -> LinComb:
 
 
 def lincomb_sub(a: LinComb, b: LinComb) -> LinComb:
-    return a + (-1) * b
+    return a + LinComb((w, -c) for w, c in b)

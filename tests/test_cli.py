@@ -196,7 +196,7 @@ class TestVerify:
     def test_all_suites_weight_three(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--weight-max", "3")
         assert code == 0
-        assert "306/306 passed" in out
+        assert "216/216 passed" in out
 
     def test_kernel_error_exits_2(self, capsys, monkeypatch):
         def diverge(*args, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from oracles import (
+    EMPTY_WORD,
     emzv_prefix_sums,
     fit_limit,
     naive_Hstar,
@@ -27,7 +28,7 @@ from mzdual.evaluators import (
     zstar_spec,
 )
 from mzdual.nested_sum import EvalConfig, InvalidParamsError
-from mzdual.words import EMPTY_WORD, LinComb, dual, parse_word, sigma_eps, words_up_to_weight
+from mzdual.words import LinComb, dual, parse_word, sigma_eps, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854

@@ -12,10 +12,8 @@ from mzdual.verifier import (
     DEFAULT_GRID,
     SuiteConfig,
     check_derivative_crosslink,
-    check_duality,
     check_integral_repr,
     check_prop24,
-    check_sum_formula,
     check_thm11_i,
     check_thm11_ii,
     check_thm31,
@@ -24,6 +22,7 @@ from mzdual.verifier import (
 )
 from mzdual.words import (
     LinComb,
+    dual,
     parse_word,
     sigma_b1,
     sigma_b2,
@@ -37,23 +36,23 @@ ZETA4 = 1.0823232337111382
 
 class TestDualityCheck:
     def test_classic_weight_three(self):
-        c = check_duality(W("1:3"), Params(1, 1), CFG)
+        c = check_thm11_i(W("1:3"), 0, Params(1, 1), CFG)
         assert c.passed and c.rel_dev < 1e-8
         assert abs(c.lhs - 1.2020569031595943) < 1e-9
 
     def test_self_dual_depth_one(self):
-        c = check_duality(W("1:2"), Params(0.9, 1.4), CFG)
+        c = check_thm11_i(W("1:2"), 0, Params(0.9, 1.4), CFG)
         assert c.passed
 
     def test_mixed_cut_weight_four(self):
-        c = check_duality(W("1h00"), Params(1.3, 0.7), CFG)
+        c = check_thm11_i(W("1h00"), 0, Params(1.3, 0.7), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
     def test_complex_pochhammer_base(self):
         # the dual side has only real tail exponents, so it checks the
         # complex ones of the left side independently; at rel_tol 1e-11 the
         # derived tol is the floor, not widened by the evaluations' errors
-        c = check_duality(W("1:1,1/2:2"), Params(1 + 2j, 0.7), EvalConfig(rel_tol=1e-11))
+        c = check_thm11_i(W("1:1,1/2:2"), 0, Params(1 + 2j, 0.7), EvalConfig(rel_tol=1e-11))
         assert c.passed and "tolerance-not-reached" not in c.note
         assert c.tol <= 1e-9 and c.n_used <= 10**6
 
@@ -64,9 +63,9 @@ class TestThm11iCheck:
         assert sigma_b1(w, 0) == LinComb.of(w)
         assert starred_rvectors(w, 0) == [(0, 0)]
         c0 = check_thm11_i(w, 0, Params(1.1, 0.8), CFG)
-        cd = check_duality(w, Params(1.1, 0.8), CFG)
-        assert c0.passed and cd.passed
-        assert abs(c0.lhs - cd.lhs) < 1e-12
+        zd = eval_Z(dual(w), Params(0.8, 1.1), CFG)
+        assert c0.passed
+        assert abs(c0.rhs - zd.value) < 1e-12
 
     def test_depth_one(self):
         c = check_thm11_i(W("1:3"), 1, Params(1, 1), CFG)
@@ -112,7 +111,7 @@ class TestThm11iiCheck:
 class TestProp24Check:
     def test_r0_is_diagonal_duality(self):
         c = check_prop24(W("1:1,1:2"), 0, 1.0, CFG)
-        d = check_duality(W("1:1,1:2"), Params(1.0, 1.0), CFG)
+        d = check_thm11_i(W("1:1,1:2"), 0, Params(1.0, 1.0), CFG)
         assert c.passed
         assert abs(c.lhs - d.lhs) < 1e-12
 
@@ -142,16 +141,12 @@ class TestThm31Check:
 
 class TestSumFormulaCheck:
     def test_depth_one_duality(self):
-        c = check_sum_formula(2, 0, Params(1, 1), CFG)
+        c = check_thm11_i(dual(W("1:2")), 0, Params(1, 1), CFG)
         assert c.passed and abs(c.lhs - math.pi**2 / 6) < 1e-9
 
     def test_examples(self):
-        assert check_sum_formula(3, 1, Params(1, 1), CFG).passed
-        assert check_sum_formula(2, 2, Params(1.2, 0.9), CFG).passed
-
-    def test_k1_validated(self):
-        with pytest.raises(ValueError):
-            check_sum_formula(1, 0, Params(1, 1))
+        assert check_thm11_i(dual(W("1:3")), 1, Params(1, 1), CFG).passed
+        assert check_thm11_i(dual(W("1:2")), 2, Params(1.2, 0.9), CFG).passed
 
 
 class TestIntegralCheck:
@@ -227,7 +222,7 @@ class TestRunSuite:
 
     def test_dispatch_resolved_at_call_time(self, monkeypatch):
         # a module attribute replaced after import must see every call
-        calls = {"check_duality": 0, "z_spec": 0}
+        calls = {"check_thm11_i": 0, "zstar_spec": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -238,13 +233,14 @@ class TestRunSuite:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(mzdual.verifier, "check_duality")
-        counting(mzdual.evaluators, "z_spec")
+        counting(mzdual.verifier, "check_thm11_i")
+        counting(mzdual.evaluators, "zstar_spec")
         rep = run_suite("duality", SuiteConfig(weight_max=2))
-        assert calls == {"check_duality": 9, "z_spec": 18}  # two sides per check
+        # two sides per check; z_spec compiles through zstar_spec
+        assert calls == {"check_thm11_i": 9, "zstar_spec": 18}
         assert rep.passed
         eval_Z(W("1:3"), Params(1.0, 1.0), CFG)
-        assert calls["z_spec"] == 19
+        assert calls["zstar_spec"] == 19
 
     def test_deterministic_json(self):
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0),))
@@ -271,6 +267,22 @@ class TestRunSuite:
         run_suite("thm11i", SuiteConfig(weight_max=4, r_max=0))
         info = mzdual.evaluators._evaluate_cached.cache_info()
         assert (info.misses, info.hits) == (117, 117)
+
+    def test_all_runs_each_identity_once(self):
+        names = [c.name for c in run_suite("all", SuiteConfig(weight_max=3)).checks]
+        assert len(set(names)) == len(names) == 216
+        # duality and the sum formula are views of the thm11i checks
+        sc = SuiteConfig(weight_max=3, params_grid=((1.0, 1.0),))
+        thm11i = {c.name for c in run_suite("thm11i", sc).checks}
+        duality = {c.name for c in run_suite("duality", sc).checks}
+        sum_formula = {c.name for c in run_suite("sum_formula", sc).checks}
+        assert duality <= thm11i and len(duality) == 4
+        assert sum_formula <= thm11i and len(sum_formula) == 6
+
+    def test_derivative_even_only(self):
+        sc = SuiteConfig(weight_max=2, params_grid=((1.0, 1.0),), even_r_only=True)
+        names = [c.name for c in run_suite("derivative", sc).checks]
+        assert names and all("/r=2/" in n for n in names)
 
     def test_even_plus_odd_covers_full(self):
         sc_full = SuiteConfig(weight_max=3, r_max=3, params_grid=((1.0, 1.0),))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    EMPTY_WORD,
     count_words_recursive,
     lincomb_coeff,
     lincomb_from_json,
@@ -14,7 +15,6 @@ from oracles import (
     word_cuts,
 )
 from mzdual.words import (
-    EMPTY_WORD,
     Cut,
     LinComb,
     Word,
@@ -143,7 +143,7 @@ class TestLinComb:
         assert lincomb_sub(two, two) == LinComb()
 
     def test_exact_arithmetic(self):
-        lc = Fraction(1, 3) * LinComb.of(W("1:2")) + Fraction(2, 3) * LinComb.of(W("1:2"))
+        lc = LinComb.of(W("1:2"), Fraction(1, 3)) + LinComb.of(W("1:2"), Fraction(2, 3))
         assert lincomb_coeff(lc, W("1:2")) == 1
 
     def test_json_round_trip(self):
@@ -186,7 +186,7 @@ class TestSigmaOperators:
         assert sigma_b2(W("1:2"), 0) == LinComb.of(W("1:2"))
 
     def test_sigma_b2_depth_one(self):
-        assert sigma_b2(W("1:2"), 1) == 2 * LinComb.of(W("1:3"))
+        assert sigma_b2(W("1:2"), 1) == LinComb.of(W("1:3"), 2)
 
     def test_sigma_b2_depth_two(self):
         got = sigma_b2(W("1:1,1:2"), 1)
