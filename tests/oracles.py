@@ -4,7 +4,9 @@ The oracles are deliberately written from the series definitions with
 plain Python loops (no shared code with the package kernel): a recursive
 count of admissible words, full tuple enumeration for small boxes,
 prefactor ratios by scalar recurrences, and a local least-squares tail
-fit used to push slowly converging oracle sums to their limits.
+fit used to push slowly converging oracle sums to their limits, and the
+iterated-integral quadrature with its whole integrand evaluated at every
+point of the tensor rule.
 
 The helpers at the end drive the package itself: the kernel's exact
 partial sums, and the parts of linear-combination arithmetic that only
@@ -19,6 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from mzdual.nested_sum import _BLOCK, NestedSumSpec, _Stream
+from mzdual.verifier import _tanh_sinh_nodes
 from mzdual.words import Cut, LinComb, Word, parse_word
 
 
@@ -217,6 +220,56 @@ def fit_limit(ns, vals, s: float, tmax: int = 0) -> float:
     scale = np.abs(a).max(axis=0)
     sol, *_ = np.linalg.lstsq(a / scale, vals, rcond=None)
     return float(sol[0] / scale[0])
+
+
+_OMEGA = {
+    "1": lambda t: 1.0 / (1.0 - t),
+    "h": lambda t: 1.0 / (t * (1.0 - t)),
+    "0": lambda t: 1.0 / t,
+}
+
+
+def simplex_integral_tensor(
+    letters: str, alpha: float, beta: float, family: str, h: float, kmax: int
+) -> float:
+    """The tanh-sinh tensor rule of `verifier._simplex_integral`, with the
+    whole integrand (every letter form, the Jacobian and the endpoint
+    powers) evaluated at every point.
+
+    Iterated integral over the ordered simplex, mapped to the cube by
+    nested products t_j = u_j * t_{j+1}.
+    """
+    x, wts = _tanh_sinh_nodes(h, kmax)
+    dim = len(letters)
+    total = 0.0
+    # chunk over the outermost (largest t) variable to bound memory
+    shape_rest = [len(x)] * (dim - 1)
+    grids = np.meshgrid(*([x] * (dim - 1)), indexing="ij") if dim > 1 else []
+    wrest = np.ones(shape_rest)
+    for i, g in enumerate(grids):
+        shape = [1] * (dim - 1)
+        shape[i] = len(x)
+        wrest = wrest * wts.reshape(shape)
+    for i_out, t_last in enumerate(x):
+        # t arrays from the last letter inward: t[dim-1] = t_last
+        ts = [None] * dim
+        ts[dim - 1] = np.full(shape_rest or (1,), t_last)
+        for j in range(dim - 2, -1, -1):
+            ts[j] = ts[j + 1] * grids[j]
+        f = np.ones(shape_rest or (1,))
+        jac = np.ones(shape_rest or (1,))
+        for j in range(dim):
+            f = f * _OMEGA[letters[j]](ts[j])
+            if j < dim - 1:
+                jac = jac * ts[j + 1]
+        t0, tn = ts[0], ts[dim - 1]
+        if family == "Z":
+            f = f * (1.0 - t0) ** (1.0 - alpha) * t0 ** (beta - 1.0)
+            f = f * tn ** (1.0 - beta) * (1.0 - tn) ** (alpha - 1.0)
+        else:
+            f = f * t0 ** (alpha - 1.0)
+        total += wts[i_out] * float(np.sum(f * jac * wrest))
+    return total
 
 
 def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:

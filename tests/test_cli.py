@@ -255,6 +255,13 @@ class TestVerify:
         assert code == 0
         assert "2/2 passed" in out
 
+    @pytest.mark.parametrize("grid", ["1,1", "1:1;1:1"])
+    def test_repeated_pairs_run_once(self, capsys, grid):
+        code, out, _ = run(capsys, "verify", "--suite", "thm11i", "--weight-max", "2",
+                           "--grid", grid)
+        assert code == 0
+        assert "3/3 passed" in out
+
 
 def test_runtime_needs_numpy_alone():
     # scipy is a test oracle, never imported by the package itself

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 
+import mpmath
 import pytest
 
 import mzdual.evaluators
@@ -11,6 +12,7 @@ from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     DEFAULT_GRID,
     SuiteConfig,
+    _simplex_integral,
     check_derivative_crosslink,
     check_integral_repr,
     check_prop24,
@@ -27,7 +29,9 @@ from mzdual.words import (
     sigma_b1,
     sigma_b2,
     sigma_eps,
+    words_up_to_weight,
 )
+from oracles import simplex_integral_tensor
 
 W = parse_word
 CFG = EvalConfig(rel_tol=3e-10)
@@ -171,6 +175,41 @@ class TestIntegralCheck:
             check_integral_repr(W("1:2"), Params(0.5, 1.0), "Z", CFG)
 
 
+class TestSimplexIntegral:
+    """The quadrature with its t-powers folded into node weights is the
+    tensor rule that evaluates the whole integrand at every point."""
+
+    @pytest.mark.parametrize("family", ["Z", "zeta"])
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (1.5, 1), (2, 1.3), (1, 2)])
+    def test_equals_tensor_rule(self, family, alpha, beta):
+        for w in words_up_to_weight(4):
+            rule = (w.letters(), alpha, beta, family)
+            got = _simplex_integral(*rule, h=0.16, kmax=24)
+            want = simplex_integral_tensor(*rule, h=0.16, kmax=24)
+            assert abs(got - want) <= 1e-14 * abs(want), (str(w), got, want)
+
+    @pytest.mark.parametrize("family", ["Z", "zeta"])
+    @pytest.mark.parametrize("word", ["1:1,1/2:3", "1:4"])
+    def test_equals_tensor_rule_fine(self, word, family):
+        rule = (W(word).letters(), 1.5, 1.0, family)
+        got = _simplex_integral(*rule, h=0.08, kmax=48)
+        want = simplex_integral_tensor(*rule, h=0.08, kmax=48)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("word,family,alpha,closed", [
+        ("1:2", "Z", 1.0, mpmath.zeta(2)),
+        ("1:1,1:2", "Z", 1.0, mpmath.zeta(3)),
+        ("1:4", "Z", 1.0, mpmath.zeta(4)),
+        ("1:1,1:3", "Z", 1.0, mpmath.pi**4 / 360),
+        ("1:2", "zeta", 1.5, mpmath.zeta(2, 1.5)),
+        ("1:3", "zeta", 1.5, mpmath.zeta(3, 1.5)),
+        ("1:4", "zeta", 1.7, mpmath.zeta(4, 1.7)),
+    ])
+    def test_fine_rule_closed_forms(self, word, family, alpha, closed):
+        got = _simplex_integral(W(word).letters(), alpha, 1.0, family, h=0.08, kmax=48)
+        assert abs(got - float(closed)) <= 1e-9 * float(closed)
+
+
 class TestDerivativeCheck:
     def test_first_derivative(self):
         c = check_derivative_crosslink(W("1:2"), 1, Params(1, 1))
@@ -207,6 +246,14 @@ class TestSuiteConfig:
     def test_alphas_dedupe(self):
         sc = SuiteConfig(params_grid=((1.0, 0.5), (1.0, 1.5), (0.5, 1.0)))
         assert sc.alphas() == [1.0, 0.5]
+
+    def test_pairs_dedupe(self):
+        # the value list 1,1 makes the pair (1, 1) four times
+        sc = SuiteConfig(params_grid=((1.0, 0.5), (1, 1), (1.0, 1.0), (1.0, 0.5), (1, 1.0)))
+        assert sc.params_grid == ((1.0, 0.5), (1, 1))
+        rep = run_suite("thm11i", SuiteConfig(weight_max=2, params_grid=((1.0, 1.0),) * 4))
+        names = [c.name for c in rep.checks]
+        assert len(names) == len(set(names)) == 3
 
 
 class TestRunSuite:
