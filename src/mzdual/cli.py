@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=1e-6)
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=int, default=1,
+                     help="worker processes, capped at one per chunk of 4 checks "
+                          "and at the CPUs this process may use")
     ver.add_argument("--output", choices=["table", "json", "csv"], default="table")
     ver.add_argument("--no-timestamp", action="store_true")
     return top
@@ -122,17 +124,7 @@ def _cmd_compute(args) -> int:
         res = eval_Hstar(word, rv, p.alpha, cfg)
     value = complex(res.value)
     if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "value": [value.real, value.imag],
-                    "err_estimate": res.err_estimate,
-                    "n_used": res.n_used,
-                    "converged": res.converged,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({**res._asdict(), "value": [value.real, value.imag]}, sort_keys=True))
     else:
         shown = f"{value.real:.12g}" if value.imag == 0 else f"{value.real:.12g}{value.imag:+.12g}i"
         print(f"value        = {shown}")

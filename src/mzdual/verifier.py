@@ -9,6 +9,7 @@ The quadrature and finite-difference checks cross-validate the integral
 representation and the derivative calculus behind the starred expansion
 at their own, looser, pinned tolerances.  The quadrature folds every
 power of a variable into node weights; it is within 4.4e-11 of closed forms.
+The derivative stencils reach b - 2*FD_STEP, so they take b > 2*FD_STEP.
 
 Each identity has one check.  The `duality` suite is the thm11i suite at
 r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
@@ -17,9 +18,12 @@ r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -66,17 +70,8 @@ class IdentityCheck:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": [complex(self.lhs).real, complex(self.lhs).imag],
-            "rhs": [complex(self.rhs).real, complex(self.rhs).imag],
-            "abs_dev": self.abs_dev,
-            "rel_dev": self.rel_dev,
-            "tol": self.tol,
-            "n_used": self.n_used,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        lhs, rhs = complex(self.lhs), complex(self.rhs)
+        return {**asdict(self), "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
 
 
 def _make_check(
@@ -313,8 +308,8 @@ def check_derivative_crosslink(
     if r not in (1, 2):
         raise ValueError("derivative cross-link supports r in {1, 2}")
     alpha, beta = complex(p.alpha), complex(p.beta)
-    if alpha.imag or beta.imag:
-        raise ValueError("derivative cross-link requires real parameters")
+    if alpha.imag or beta.imag or not beta.real > 2 * FD_STEP:  # the stencil reaches b - 2h
+        raise ValueError("derivative cross-link requires real parameters with b > 2*FD_STEP")
     if cfg is None:
         cfg = EvalConfig(rel_tol=1e-12)
     dw = dual(w)
@@ -412,14 +407,8 @@ class VerificationReport:
             "n_checks": len(self.checks),
             "n_failed": self.n_failed,
             "config": {
-                "weight_max": self.config.weight_max,
-                "depth_max": self.config.depth_max,
-                "r_max": self.config.r_max,
-                "params_grid": [
-                    [_fmt_param(a), _fmt_param(b)] for a, b in self.config.params_grid
-                ],
-                "tol": self.config.tol,
-                "even_r_only": self.config.even_r_only,
+                **asdict(self.config),
+                "params_grid": [[_fmt_param(a), _fmt_param(b)] for a, b in self.config.params_grid],
             },
             "checks": [c.to_json() for c in self.checks],
         }
@@ -428,14 +417,14 @@ class VerificationReport:
         return out
 
     def to_csv(self) -> str:
-        lines = ["name,lhs_re,lhs_im,rhs_re,rhs_im,rel_dev,tol,passed"]
+        out = io.StringIO()
+        rows = csv.writer(out, lineterminator="\n")  # quotes the names with commas
+        rows.writerow("name lhs_re lhs_im rhs_re rhs_im rel_dev tol passed".split())
         for c in self.checks:
             lv, rv = complex(c.lhs), complex(c.rhs)
-            lines.append(
-                f"{c.name},{lv.real!r},{lv.imag!r},{rv.real!r},{rv.imag!r},"
-                f"{c.rel_dev!r},{c.tol!r},{str(c.passed).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+            rows.writerow([c.name, lv.real, lv.imag, rv.real, rv.imag, c.rel_dev, c.tol,
+                           str(c.passed).lower()])
+        return out.getvalue()
 
     def to_table(self) -> str:
         width = max((len(c.name) for c in self.checks), default=10)
@@ -479,9 +468,9 @@ def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list
 
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the stencils take words of weight <= 4, r in {1, 2} and real parameters
+    # the stencils take words of weight <= 4, r in {1, 2} and real parameters with b > 2*FD_STEP
     return [(check_derivative_crosslink, (w, r, Params(a, b), None))
-            for a, b in _real_pairs(sc)
+            for a, b in _real_pairs(sc) if complex(b).real > 2 * FD_STEP
             for w in words if w.weight <= 4
             for r in sc.r_values() if 1 <= r <= 2]
 
@@ -535,11 +524,13 @@ def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationRepo
         raise ValueError(f"suite {which!r} has no checks to run under {sc}")
     report = VerificationReport(suite=which, config=sc)
     chunks = -(-len(tasks) // _CHUNKSIZE)
-    if workers > 1 and chunks > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, chunks, cpus or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork-started pool starts all max_workers processes at once
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report.checks.extend(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
     else:
         report.checks.extend(map(_run_task, tasks))

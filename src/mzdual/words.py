@@ -24,8 +24,9 @@ import enum
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class WordError(ValueError):
@@ -53,29 +54,27 @@ class Cut(enum.Enum):
     def letter(self) -> str:
         return "1" if self is Cut.ONE else "h"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"Cut.{self.name}"
 
-
-_LETTER_TO_CUT = {"1": Cut.ONE, "h": Cut.HALF}
+_LETTER_TO_CUT = {c.letter: c for c in Cut}
 # Middle-letter complement under the dual map: e -> 1 - e.
 _COMPLEMENT = {"0": "1", "1": "0", "h": "h"}
 
 _PAIR_RE = re.compile(r"^(1|1/2)\s*:\s*(\d+)$")
 
 
+@dataclass(frozen=True)
 class Word:
     """An admissible word in canonical composition form (immutable, hashable).
 
-    ``pairs`` is a tuple of (Cut, int) blocks.  The empty tuple encodes the
-    unit word.  Invariants (checked on construction): first cut is ONE,
-    all exponents >= 1, last exponent >= 2.
+    ``pairs``, given as any iterable, is stored as a tuple of (Cut, int)
+    blocks; the empty tuple encodes the unit word.  Invariants (checked on
+    construction): first cut is ONE, all exponents >= 1, last exponent >= 2.
     """
 
-    __slots__ = ("pairs", "_hash")
+    pairs: tuple[tuple[Cut, int], ...] = ()
 
-    def __init__(self, pairs: Iterable[tuple[Cut, int]] = ()):
-        pairs = tuple((c, int(k)) for c, k in pairs)
+    def __post_init__(self):
+        pairs = tuple((c, int(k)) for c, k in self.pairs)
         if pairs:
             if pairs[0][0] is not Cut.ONE:
                 raise WordError("first cut must be 1", 0)
@@ -90,13 +89,6 @@ class Word:
                     len(pairs) - 1,
                 )
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Word is immutable")
-
-    def __reduce__(self):
-        return (Word, (self.pairs,))
 
     # -- basic structure ----------------------------------------------------
 
@@ -166,12 +158,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def sort_key(self) -> tuple:
         """Deterministic ordering: by weight, then composition form."""
         return (self.weight, tuple((k, c.value) for c, k in self.pairs))
@@ -194,8 +180,7 @@ def parse_word(text: str) -> Word:
             m = _PAIR_RE.match(chunk.strip())
             if m is None:
                 raise WordError(f"malformed pair {chunk.strip()!r}", pos)
-            cut = Cut.ONE if m.group(1) == "1" else Cut.HALF
-            pairs.append((cut, int(m.group(2))))
+            pairs.append((Cut(m.group(1)), int(m.group(2))))
             pos += len(chunk) + 1
         return Word(pairs)
     return Word.from_letters(text)
@@ -230,10 +215,9 @@ class LinComb:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, CoeffLike] | Iterable[tuple[Word, CoeffLike]] = ()):
+    def __init__(self, terms: Iterable[tuple[Word, CoeffLike]] = ()):
         acc: dict[Word, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for w, c in items:
+        for w, c in terms:
             c = Fraction(c)
             if c:
                 acc[w] = acc.get(w, Fraction(0)) + c
@@ -254,20 +238,8 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = LinComb()
-        res._terms.update(out)
-        return res
+        return LinComb([*self._terms.items(), *other._terms.items()])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -59,6 +60,13 @@ class TestCompute:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_json_keys_are_the_fields(self, capsys):
+        _, out, _ = run(capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",
+                        "--beta", "1", "--output", "json")
+        payload = json.loads(out)
+        assert set(payload) == {"value", "err_estimate", "n_used", "converged"}
+        assert len(payload["value"]) == 2 and payload["converged"] is True
 
     def test_complex_parameter(self, capsys):
         code, out, _ = run(
@@ -246,6 +254,15 @@ class TestVerify:
         header, row = out.splitlines()[:2]
         assert header == "name,lhs_re,lhs_im,rhs_re,rhs_im,rel_dev,tol,passed"
         assert row.endswith("true")
+
+    def test_csv_quotes_names_with_commas(self, capsys):
+        args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--grid", "1.0")
+        _, out, _ = run(capsys, *args, "--output", "csv")
+        _, js, _ = run(capsys, *args, "--output", "json")
+        header, *rows = csv.reader(out.splitlines())
+        assert len(header) == 8 and all(len(row) == 8 for row in rows)
+        assert any("," in row[0] for row in rows)
+        assert [row[0] for row in rows] == [c["name"] for c in json.loads(js)["checks"]]
 
     def test_pair_grid_syntax(self, capsys):
         code, out, _ = run(

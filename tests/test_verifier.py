@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import os
 
 import mpmath
 import pytest
@@ -223,6 +224,17 @@ class TestDerivativeCheck:
         with pytest.raises(ValueError):
             check_derivative_crosslink(W("1:2"), 3, Params(1, 1))
 
+    def test_stencil_stays_in_domain(self):
+        # the order-4 stencil evaluates at b - 2*FD_STEP, which must keep b > 0
+        with pytest.raises(ValueError, match=r"b > 2\*FD_STEP"):
+            check_derivative_crosslink(W("1:2"), 1, Params(1, 0.001))
+
+    def test_suite_skips_pairs_too_close_to_zero(self):
+        sc = SuiteConfig(weight_max=2, params_grid=((1, 0.001), (1, 1)))
+        rep = run_suite("derivative", sc)
+        assert rep.checks and rep.passed
+        assert all(c.name.endswith("/a=1/b=1") for c in rep.checks)
+
 
 class TestSuiteConfig:
     def test_validation(self):
@@ -350,20 +362,34 @@ class TestRunSuite:
         table = rep.to_table()
         assert "1/1 passed" in table
 
+    def test_json_keys_are_the_fields(self):
+        rep = run_suite("duality", SuiteConfig(weight_max=2, params_grid=((1.0, 1.0),)))
+        js = rep.to_json(include_timestamp=False)
+        assert set(js["config"]) == {
+            "weight_max", "depth_max", "r_max", "params_grid", "tol", "even_r_only"}
+        assert js["config"]["params_grid"] == [["1", "1"]]
+        (check,) = js["checks"]
+        assert set(check) == {"name", "lhs", "rhs", "abs_dev", "rel_dev", "tol", "n_used",
+                              "passed", "note"}
+        assert check["lhs"] == [rep.checks[0].lhs.real, 0.0]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_suite("duality", SuiteConfig(weight_max=2), workers=workers)
 
-    @pytest.mark.parametrize("grid, workers, started", [
-        (((1.0, 1.0), (0.8, 1.2), (1.2, 0.8)), 500, []),  # one chunk: no pool
-        (DEFAULT_GRID, 500, [3]),  # nine tasks in three chunks of four
-        (DEFAULT_GRID, 2, [2]),
-    ], ids=["one-chunk", "three-chunks", "two-workers"])
-    def test_pool_never_exceeds_chunks(self, monkeypatch, grid, workers, started):
+    @pytest.mark.parametrize("grid, workers, cpus, started", [
+        (((1.0, 1.0), (0.8, 1.2), (1.2, 0.8)), 500, 8, []),  # one chunk: no pool
+        (DEFAULT_GRID, 500, 8, [3]),  # nine tasks in three chunks of four
+        (DEFAULT_GRID, 2, 8, [2]),
+        (DEFAULT_GRID, 500, 2, [2]),  # three chunks, but two usable CPUs
+    ], ids=["one-chunk", "three-chunks", "two-workers", "two-cpus"])
+    def test_pool_never_exceeds_chunks(self, monkeypatch, grid, workers, cpus, started):
         # a fork-started pool starts every worker at its first submit, so
         # record max_workers in a fake pool that runs the tasks in-process
         seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
         class FakePool:
             def __init__(self, max_workers):

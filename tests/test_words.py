@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -135,7 +136,34 @@ class TestEnumeration:
         assert all(w.depth <= 2 for w in words_up_to_weight(6, depth_max=2))
 
 
+class TestWordValue:
+    def test_assignment_raises(self):
+        w = W("1:1,1/2:2")
+        with pytest.raises(AttributeError):
+            w.pairs = ()
+
+    def test_pickle_round_trip(self):
+        w = W("1:1,1/2:2,1:3")
+        assert pickle.loads(pickle.dumps(w)) == w
+
+    def test_every_construction_is_one_value(self):
+        blocks = [(Cut.ONE, 1), (Cut.HALF, 2)]
+        words = [Word(b for b in blocks), Word(blocks), parse_word("1:1,1/2:2"),
+                 Word.from_letters("1h0")]
+        assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
+        assert len(set(words)) == 1
+
+    def test_not_equal_to_its_pairs(self):
+        w = W("1:2")
+        assert w != w.pairs and w.pairs == ((Cut.ONE, 2),)
+
+
 class TestLinComb:
+    def test_empty_is_false(self):
+        x = LinComb([(W("1:2"), Fraction(1, 3)), (W("1h0"), -2)])
+        assert not LinComb() and x
+        assert not x + LinComb((w, -c) for w, c in x)
+
     def test_no_zero_coefficients(self):
         lc = LinComb([(W("1:2"), 1), (W("1:2"), -1)])
         assert len(lc) == 0 and not lc
