@@ -20,7 +20,10 @@ exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
 Euler-Maclaurin).  The exponent/log-power basis is derived from a small
 symbolic analysis of the spec: each level's term behaviour m^e log^t m is
 propagated through the prefix sums, so slowly decaying tails with log
-factors (weight-1 inner blocks) extrapolate correctly.
+factors (weight-1 inner blocks) extrapolate correctly.  Each (s, t) is one
+column of the fit, complex when a complex Pochhammer base puts Im alpha
+into s, and the partial sums are one right-hand side with complex
+coefficients, so complex parameters cost what real ones do.
 """
 
 from __future__ import annotations
@@ -430,25 +433,26 @@ class _FitResult:
 
 
 def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
-    """Modified Gram-Schmidt QR in extended precision, with column dropping.
+    """Modified Gram-Schmidt QR in the precision and dtype of a, with
+    column dropping; projections are q_i^H v, so complex a works as well.
 
     Processes columns left to right, so the factors of every column
     prefix a[:, :k] are available from one pass.  Returns (q, r, kept);
     the columns of q that were dropped stay zero.
     """
     n, k = a.shape
-    q = np.zeros((n, k), dtype=np.longdouble)
-    r = np.zeros((k, k), dtype=np.longdouble)
+    q = np.zeros((n, k), dtype=a.dtype)
+    r = np.zeros((k, k), dtype=a.dtype)
     kept: list[int] = []
     for j in range(k):
-        v = a[:, j].astype(np.longdouble)
-        norm0 = np.sqrt(v @ v)
+        v = a[:, j]
+        norm0 = np.sqrt(np.abs(v.conj() @ v))
         for _ in range(2):
             for i in kept:
-                proj = q[:, i] @ v
+                proj = q[:, i].conj() @ v
                 r[i, j] += proj
                 v = v - proj * q[:, i]
-        norm = np.sqrt(v @ v)
+        norm = np.sqrt(np.abs(v.conj() @ v))
         if norm0 == 0 or norm < drop_tol * norm0:
             continue
         r[j, j] = norm
@@ -458,9 +462,10 @@ def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
 
 
 def _rt_solve(r, kept: list[int], g: np.ndarray) -> np.ndarray:
-    # solve R^T w = g over the kept columns (forward substitution); w[j]
-    # depends only on columns <= j, so every prefix solves its own prefix
-    w = np.zeros(len(g), dtype=np.longdouble)
+    # solve R^T w = g, unconjugated, over the kept columns (forward
+    # substitution); w[j] depends only on columns <= j, so every prefix
+    # solves its own prefix
+    w = np.zeros(len(g), dtype=r.dtype)
     for idx, j in enumerate(kept):
         acc = g[j]
         for j2 in kept[:idx]:
@@ -488,28 +493,18 @@ class _FitDesign(NamedTuple):
 def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
     """Tail functions at the marks, weighted and factored for the fit.
 
-    A real (s, t) is one column; a complex one is two, Re phi and Im phi,
-    whose real span holds c * phi for every complex c.  The basis is cut
-    at the last whole (s, t) within 14 columns and len(marks) - 4.
+    Each (s, t) is one column, complex when s is, so the design is complex
+    exactly when the basis has a complex exponent.  The basis is cut at
+    14 columns and len(marks) - 4.
     """
     n = len(marks)
     ms = np.array(marks, dtype=np.int64)
-    cap = min(n - 4, 14)
-    cols: list[np.ndarray] = []
-    ends: list[int] = []
-    for s, t in basis:
-        phi = tail_powers_log(s, t, ms)
-        parts = [phi.real, phi.imag] if np.iscomplexobj(phi) else [phi]
-        if len(cols) + len(parts) > cap:
-            break
-        if not cols:
-            lead = np.abs(phi)
-        cols.extend(parts)
-        ends.append(len(cols))
+    cols = [tail_powers_log(s, t, ms) for s, t in basis[: min(n - 4, 14)]]
     k_lo = max(2, min(3, len(cols)))
-    sizes = tuple(k for k in ends if k >= k_lo)
+    sizes = tuple(range(k_lo, len(cols) + 1))
     if not sizes:
         return None
+    lead = np.abs(cols[0])
     phi = np.stack(cols, axis=1)
     wrow = 1.0 / np.maximum(lead, np.longdouble(1e-300))
     a_mat = (phi - phi[-1]) * wrow[:, None]
@@ -518,8 +513,8 @@ def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
     q, r, kept = _mgs_qr(a_mat / col_scale)
     w = _rt_solve(r, kept, phi[-1] / col_scale)
     # amp[:, k-1] is the sensitivity of the size-k extrapolation to each row
-    amp = np.cumsum(q * w, axis=1)
-    amp_norms = tuple(float(np.sqrt(np.sum((amp[:, k - 1] * wrow) ** 2))) for k in sizes)
+    amp = np.cumsum(q.conj() * w, axis=1)
+    amp_norms = tuple(float(np.sqrt(np.sum(np.abs(amp[:, k - 1] * wrow) ** 2))) for k in sizes)
     for arr in (wrow, q, w):
         arr.setflags(write=False)
     return _FitDesign(wrow, q, w, sizes, amp_norms, float(lead[-1]))
@@ -537,8 +532,9 @@ def _tail_fit(
     basis-size prefixes; the size minimizing (in-sample misfit projected
     to the last mark) + (noise amplification of the extrapolation) wins.
     Rows are weighted by the inverse leading tail so the residuals are
-    relative misfits, and the solve runs in extended precision.  The real
-    and imaginary parts of complex sums are fitted as two right-hand sides.
+    relative misfits, and the solve runs in extended precision.  The sums
+    are one right-hand side, real or complex, with complex c_k whenever the
+    design or the sums are complex.
     """
     n = len(marks)
     if n < 6:
@@ -548,30 +544,23 @@ def _tail_fit(
         return None
     wrow, q, w = design.wrow, design.q, design.w
 
-    is_complex = np.iscomplexobj(sums)
-    sums_ld = np.asarray(sums)
-    diff = sums_ld[-1] - sums_ld  # tail(M) - tail(last), exact in extended prec
-    if is_complex:
-        y = np.stack(
-            [diff.real.astype(np.longdouble), diff.imag.astype(np.longdouble)], axis=1
-        )
-    else:
-        y = diff.astype(np.longdouble)[:, None]
-    yw = y * wrow[:, None]
-    proj = q.T @ yw  # zero rows for dropped columns
+    sums = np.asarray(sums)
+    # tail(M) - tail(last), exact in extended precision
+    yw = (sums[-1] - sums) * wrow
+    proj = q.conj().T @ yw  # zero rows for dropped columns
 
-    base_value = complex(sums_ld[-1])
+    base_value = complex(sums[-1])
     half = n // 2
     best: tuple[float, complex] | None = None  # (err, value)
     for k, amp_norm in zip(design.sizes, design.amp_norms):
         resid = yw - q[:, :k] @ proj[:k]
-        tail_last = w[:k] @ proj[:k]
-        value = base_value + complex(
-            float(tail_last[0]), float(tail_last[1]) if is_complex else 0.0
-        )
+        value = base_value + complex(w[:k] @ proj[:k])
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             continue
-        resid_abs = np.abs(resid).max(axis=1)
+        # the modulus on a complex design; a real one fits the real and
+        # imaginary parts alike, and takes the larger
+        resid_abs = (np.abs(resid) if np.iscomplexobj(q)
+                     else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
         err_model = float(np.max(resid_abs[half:])) * design.lead_last
         # sensitivity of the extrapolated value to per-row noise
         noise_abs = float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))

@@ -4,9 +4,9 @@ The oracles are deliberately written from the series definitions with
 plain Python loops (no shared code with the package kernel): a recursive
 count of admissible words, full tuple enumeration for small boxes,
 prefactor ratios by scalar recurrences, and a local least-squares tail
-fit used to push slowly converging oracle sums to their limits, and the
+fit used to push slowly converging oracle sums to their limits, the
 iterated-integral quadrature with its whole integrand evaluated at every
-point of the tensor rule.
+point of the tensor rule, and the same integral by Hölder convolution.
 
 The helpers at the end drive the package itself: the kernel's exact
 partial sums, and the parts of linear-combination arithmetic that only
@@ -362,3 +362,67 @@ def lincomb_map_words(lc: LinComb, f: Callable[[Word], Word]) -> LinComb:
 
 def lincomb_sub(a: LinComb, b: LinComb) -> LinComb:
     return a + LinComb((w, -c) for w, c in b)
+
+
+# Hölder convolution (Borwein, Bradley, Broadhurst and Lisoněk, "Special
+# values of multiple polylogarithms", Trans. AMS 353 (2001)): the iterated
+# integral of `simplex_integral_tensor`, split at t = 1/2 so that both
+# halves are power series that converge like 2^-k.
+
+_HOLDER_TERMS = 96
+_COMPLEMENT = {"0": "1", "1": "0", "h": "h"}
+
+
+def _binomial_series(gamma: complex) -> np.ndarray:
+    """The coefficients (-gamma)_k / k! of (1 - t)^gamma."""
+    c = np.ones(_HOLDER_TERMS, dtype=np.complex128)
+    for k in range(1, _HOLDER_TERMS):
+        c[k] = c[k - 1] * (k - 1 - gamma) / k
+    return c
+
+
+def _holder_half(letters: str, first: tuple, last: tuple) -> list:
+    """F_j(1/2) for j = 0..n, where F_j(t) integrates letters[:j] over
+    0 < t_1 < ... < t_j < t.  The weight t^e (1 - t)^g of `first` goes on
+    t_1, and that of `last` on t_n of the whole word only.
+
+    Each F_j is carried as t^e0 * sum_{k<96} c_k t^k.
+    """
+    e0 = 0.0
+    c = np.zeros(_HOLDER_TERMS, dtype=np.complex128)
+    c[0] = 1.0
+    values = [1.0]
+    for j, letter in enumerate(letters):
+        for (e, g), on in ((first, j == 0), (last, j == len(letters) - 1)):
+            if on:
+                e0 += e
+                c = np.convolve(c, _binomial_series(g))[:_HOLDER_TERMS]
+        if letter == "0":
+            e0 -= 1.0
+        elif letter == "1":
+            c = np.cumsum(c)
+        else:  # 1/(t (1 - t)) = 1/t + 1/(1 - t)
+            e0 -= 1.0
+            c = c + np.concatenate(([0.0], np.cumsum(c)[:-1]))
+        c = c / (e0 + np.arange(_HOLDER_TERMS) + 1.0)
+        e0 += 1.0
+        values.append(0.5**e0 * np.sum(c * 0.5 ** np.arange(_HOLDER_TERMS)))
+    return values
+
+
+def holder_integral(w: Word, alpha: complex, beta: complex, family: str) -> complex:
+    """The iterated integral of word w (the series Z(w; alpha, beta), or
+    zeta(w; alpha) for family 'zeta') as sum_j A_j B_j: A_j integrates the
+    first j letters below 1/2, B_j the rest above it.  B_j is computed in
+    u = 1 - t, with the letters reversed and complemented."""
+    letters = w.letters()
+    n = len(letters)
+    if family == "Z":
+        t_first, t_last = (beta - 1.0, 1.0 - alpha), (1.0 - beta, alpha - 1.0)
+        u_first, u_last = (alpha - 1.0, 1.0 - beta), (1.0 - alpha, beta - 1.0)
+    else:
+        t_first, t_last = (alpha - 1.0, 0.0), (0.0, 0.0)
+        u_first, u_last = (0.0, 0.0), (0.0, alpha - 1.0)
+    lower = _holder_half(letters, t_first, t_last)
+    upper = _holder_half("".join(_COMPLEMENT[l] for l in reversed(letters)), u_first, u_last)
+    return complex(sum(lower[j] * upper[n - j] for j in range(n + 1)))

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
-from oracles import poch_ratio_first, poch_ratio_last, poch_ratio_last_shifted, truncated_sum
+from oracles import (
+    holder_integral,
+    poch_ratio_first,
+    poch_ratio_last,
+    poch_ratio_last_shifted,
+    truncated_sum,
+)
+import mzdual.evaluators
 import mzdual.nested_sum
-from mzdual.evaluators import Params, hurwitz_spec, z_spec
+from mzdual.evaluators import Params, eval_hurwitz, eval_Z, hurwitz_spec, z_spec
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -27,7 +34,8 @@ from mzdual.nested_sum import (
     tail_powers_log,
     term_behaviour,
 )
-from mzdual.words import parse_word
+from mzdual.verifier import DEFAULT_GRID, SuiteConfig, run_suite
+from mzdual.words import parse_word, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -268,6 +276,27 @@ class TestPrefactorTelescoping:
         assert abs(res.value - hurwitz_zeta(3, alpha)) < 1e-10
 
 
+class TestHolderOracle:
+    # the oracle of the honesty tests against closed forms
+    @pytest.mark.parametrize(
+        "word,alpha,beta,family,truth",
+        [
+            ("1:1,1:2", 1.0, 1.0, "Z", lambda mp: mp.zeta(3)),
+            ("1:3", 0.7, 0.7, "zeta", lambda mp: mp.zeta(3, 0.7)),
+            ("1:2", 0.3 + 0.4j, 0.3 + 0.4j, "zeta", lambda mp: mp.zeta(2, mp.mpc(0.3, 0.4))),
+            # sum_m 1 / ((m + a) (m + b)) = (psi(a) - psi(b)) / (a - b)
+            ("1:2", 2.5, 0.2, "Z", lambda mp: (mp.psi(0, 2.5) - mp.psi(0, 0.2)) / (mp.mpf(2.5) - mp.mpf(0.2))),
+        ],
+        ids=["zeta3", "hurwitz3", "hurwitz2-complex", "digamma"],
+    )
+    def test_closed_forms(self, word, alpha, beta, family, truth):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        want = complex(truth(mp))
+        got = holder_integral(parse_word(word), alpha, beta, family)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 class TestErrEstimateHonesty:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("alpha", [1.0, 0.6])
@@ -297,6 +326,27 @@ class TestErrEstimateHonesty:
         res = evaluate(z_spec(parse_word("1:1,1:2"), Params(1.0, 1.0)), EvalConfig(rel_tol=rel_tol))
         assert res.converged
         assert abs(res.value - float(mp.zeta(3))) <= res.err_estimate
+
+    # every Z and zeta word of weight <= 4; the deep Z words at
+    # (0.3+0.4i, 1.2-0.3i) and 1e-12 are the hardest of these for the fit
+    @pytest.mark.parametrize("family", ["Z", "zeta"])
+    @pytest.mark.parametrize(
+        "pair,rel_tol",
+        [((0.3 + 0.4j, 1.2 - 0.3j), 1e-12), ((0.6 + 0.3j, 0.6 + 0.3j), 1e-12)]
+        + [(pair, 1e-10) for pair in DEFAULT_GRID + ((0.3 + 0.4j, 1.2 - 0.3j),)],
+    )
+    def test_against_holder(self, pair, rel_tol, family):
+        cfg = EvalConfig(rel_tol=rel_tol)
+        short = []
+        for w in words_up_to_weight(4):
+            if family == "Z":
+                res = eval_Z(w, Params(*pair), cfg)
+            else:
+                res = eval_hurwitz(w, pair[0], cfg)
+            actual = abs(res.value - holder_integral(w, *pair, family))
+            if not (res.converged and actual <= res.err_estimate):
+                short.append((str(w), actual / res.err_estimate, res.n_used, res.converged))
+        assert not short
 
 
 # Z(1:1,1:2) at (alpha, 1) has the tail exponents 2, 3, ... and alpha + 1,
@@ -344,6 +394,47 @@ class TestNoResonanceCliff:
         # sum_{k<=m} k^(-1+2i) ~ C + m^(2i) / (2i): no log, unlike k^-1
         assert all(t == 0 for _, t in _prefix_behaviour([(-1 + 2j, 0)]))
         assert (0.0, 1) in _prefix_behaviour([(-1.0, 0)])
+
+
+class TestComplexCost:
+    # a complex tail exponent is one complex column of the fit, so complex
+    # parameters stream no more than real ones
+    def test_thm11i_complex_grid_streams_as_real(self, monkeypatch):
+        # level terms: the indices of each streamed block times the depth
+        run_block = _Stream.run_block
+        count = [0]
+
+        def counted(stream, hi):
+            prefix = run_block(stream, hi)
+            count[0] += len(prefix) * stream.spec.depth
+            return prefix
+
+        monkeypatch.setattr(_Stream, "run_block", counted)
+        streamed = []
+        for values in ((0.6 + 0.3j, 1.0, 1.5 - 0.5j), (0.6, 1.0, 1.5)):
+            mzdual.evaluators._evaluate_cached.cache_clear()
+            count[0] = 0
+            grid = tuple((a, b) for a in values for b in values)
+            assert run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=grid)).passed
+            streamed.append(count[0])
+        assert streamed[0] == streamed[1]
+
+    def test_deep_starred_spec(self):
+        # a depth-4 starred spec, whose Pochhammer base puts alpha into the
+        # tail exponents: the tail of a real alpha needs no more terms
+        spec = NestedSumSpec(
+            (
+                IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+                IndexWeight(a=1),
+                IndexWeight(a=1),
+                IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
+            ),
+            (Link.WEAK, Link.WEAK, Link.STRICT),
+            0.6 + 0.3j,
+            0.6 + 0.3j,
+        )
+        res = evaluate(spec, EvalConfig(rel_tol=1e-9))
+        assert res.converged and res.n_used == 16_384
 
 
 def recorded_partial_sums(spec: NestedSumSpec, n: int):
