@@ -24,6 +24,13 @@ factors (weight-1 inner blocks) extrapolate correctly.  Each (s, t) is one
 column of the fit, complex when a complex Pochhammer base puts Im alpha
 into s, and the partial sums are one right-hand side with complex
 coefficients, so complex parameters cost what real ones do.
+
+Work shared across specs: the tail analysis is memoized on (indices,
+alpha), all it depends on, and the Pochhammer product blocks below _FLOOR,
+which every evaluation streams, are cached by (prefactor, alpha, block,
+carry); later blocks are built afresh, as keeping them would cost
+megabytes per alpha.  Values are pure functions of their keys, so every
+output is byte-identical to one computed per spec, in any spec order.
 """
 
 from __future__ import annotations
@@ -101,6 +108,7 @@ class NestedSumSpec:
 # every evaluation fits its tail at the checkpoints _N_INITIAL * _GROWTH**j
 _N_INITIAL = 4096
 _GROWTH = 4
+_FLOOR = _N_INITIAL * _GROWTH + 1  # every evaluation streams m < _FLOOR
 
 
 @dataclass(frozen=True)
@@ -243,33 +251,39 @@ def _prefix_behaviour(entries: Behaviour) -> Behaviour:
     return _merge_behaviour(out)
 
 
-def term_behaviour(spec: NestedSumSpec) -> Behaviour:
+def term_behaviour(spec: NestedSumSpec) -> tuple:
     """Asymptotic behaviour (exponent, log power) of the outermost terms.
 
     The leading exponent e* determines the decay s = -Re e* of the outer
     series; convergence requires s > 1.
     """
+    return _behaviour(spec.indices, spec.alpha)
+
+
+@functools.lru_cache(maxsize=1024)
+def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
     prefix: Behaviour | None = None
     current: Behaviour = []
-    for iw in spec.indices:
+    for iw in indices:
         own = complex(-(iw.a + iw.b))
         for pf in iw.prefactors:
             # the product of the steps 1 + d / (m + c) grows like m^d
-            own += _recurrence(pf, spec.alpha)[1]
+            own += _recurrence(pf, alpha)[1]
         if prefix is None:
             current = [(own, 0), (own - 1.0, 0), (own - 2.0, 0)]
         else:
             current = [(own + e, t) for e, t in prefix]
         current = _merge_behaviour(current)
         prefix = _prefix_behaviour(current)
-    return current
+    return tuple(current)
 
 
 # every tail exponent and its integer steps that the tail basis covers
 _EXTRAPOLATION_TERMS = 3
 
 
-def _tail_basis(behaviour: Behaviour) -> tuple[tuple[complex, int], ...]:
+@functools.lru_cache(maxsize=1024)
+def _tail_basis(behaviour: tuple) -> tuple[tuple[complex, int], ...]:
     """Candidate (s, t) pairs for the tail fit, most important first, from
     the :func:`term_behaviour` of the outermost terms.
 
@@ -342,6 +356,45 @@ def _make_marks(limit: int) -> np.ndarray:
     return out
 
 
+def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
+    """The prefactor's running product at m = lo..hi-1, in float64 or complex128,
+    and its extended-precision carry at hi - 1, given the carry at lo - 1 (None
+    at lo = 0).  Each step 1 + d / (m + c) is made in extended precision from a
+    float64 quotient, so it is accurate to eps |d / (m + c)|.  Chunks of
+    _N_INITIAL hand the carry on: one cumprod's bytes, in a fraction of its memory."""
+    c, d, r0 = _recurrence(pf, alpha)
+    acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
+    out = np.empty(hi - lo, dtype=np.complex128 if acc is _ACC_COMPLEX else np.float64)
+    for start in range(lo, hi, _N_INITIAL):
+        r = np.empty(min(hi - start, _N_INITIAL), dtype=acc)
+        first = 1 if start == 0 else 0
+        r[first:] = d / (np.arange(start + first, start + len(r), dtype=np.float64) + c)
+        r[first:] += 1.0
+        r[0] = r0 if first else r[0] * carry
+        np.cumprod(r, out=r)
+        carry = r[-1]
+        out[start - lo : start - lo + len(r)] = r
+    return out, carry
+
+
+# a check evaluates at two bases, (alpha, beta) and (beta, alpha): 2 x 2 x 2
+# blocks; more would hold memory through any later, longer stream
+@functools.lru_cache(maxsize=8)
+def _shared_product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
+    # read-only, as the specs of one alpha share it; the carry is in the key
+    out, carry = _product_block(pf, alpha, lo, hi, carry)
+    out.setflags(write=False)
+    return out, carry
+
+
+def _times(w: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    # w * f, in place when w is writable and of the product's dtype
+    if w is not None and w.flags.writeable and np.result_type(w, f) == w.dtype:
+        w *= f
+        return w
+    return f if w is None else w * f
+
+
 class _Stream:
     """Carries per-level prefix state across blocks of the index range."""
 
@@ -354,43 +407,20 @@ class _Stream:
         self.products = [[None] * len(iw.prefactors) for iw in spec.indices]
         self.next_m = 0
 
-    def _product_block(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        # prefactor j of index i at m = x = arange(next_m, hi): the running
-        # product of the steps 1 + d / (m + c), each formed in extended
-        # precision from a float64 quotient, so every step is accurate to
-        # eps |d / (m + c)| and the error stays flat in m
-        pf = self.spec.indices[i].prefactors[j]
-        c, d, r0 = _recurrence(pf, self.spec.alpha)
-        acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
-        r = np.empty(len(x), dtype=acc)
-        first = 1 if self.next_m == 0 else 0  # r(0) = r0 is no step
-        r[first:] = d / (x[first:] + c)
-        r[first:] += 1.0
-        r[0] = r0 if first else r[0] * self.products[i][j]
-        np.cumprod(r, out=r)
-        self.products[i][j] = r[-1]
-        return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64)
-
     def _weights_block(self, i: int, x: np.ndarray) -> np.ndarray:
-        # the weights of index i at m = x = arange(next_m, hi)
+        # the weights of index i at m = x = arange(next_m, hi), each factor
+        # multiplied in as it is made
         spec = self.spec
         iw = spec.indices[i]
-        factors = []
-        if iw.a:
-            factors.append(_int_power(x + spec.alpha, iw.a))
+        lo, hi = self.next_m, self.next_m + len(x)
+        w = _int_power(x + spec.alpha, iw.a) if iw.a else None
         if iw.b:
-            factors.append(_int_power(x + spec.beta, iw.b))
-        for j in range(len(iw.prefactors)):
-            factors.append(self._product_block(i, j, x))
-        if not factors:
-            return np.ones(len(x))
-        w = factors[0]
-        for f in factors[1:]:
-            if np.result_type(w, f) == w.dtype:
-                w *= f
-            else:
-                w = w * f
-        return w
+            w = _times(w, _int_power(x + spec.beta, iw.b))
+        block = _shared_product_block if hi <= _FLOOR else _product_block
+        for j, pf in enumerate(iw.prefactors):
+            r, self.products[i][j] = block(pf, spec.alpha, lo, hi, self.products[i][j])
+            w = _times(w, r)
+        return np.ones(len(x)) if w is None else w
 
     def run_block(self, hi: int) -> np.ndarray:
         """Advance through indices [next_m, hi); returns the outer prefix array."""
@@ -539,7 +569,7 @@ def _tail_fit(
     n = len(marks)
     if n < 6:
         return None
-    design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
+    design = _fit_design(tuple(basis), tuple(marks.tolist()))
     if design is None:
         return None
     wrow, q, w = design.wrow, design.q, design.w
@@ -549,23 +579,23 @@ def _tail_fit(
     yw = (sums[-1] - sums) * wrow
     proj = q.conj().T @ yw  # zero rows for dropped columns
 
-    base_value = complex(sums[-1])
-    half = n // 2
+    # all sizes at once: column k - 1 of the running projections is the size-k
+    # fit; one contiguous residual row per size keeps each mean in 1-D order
+    k0 = design.sizes[0] - 1
+    resid = yw - np.ascontiguousarray(np.cumsum(q * proj, axis=1)[:, k0:].T)
+    values = complex(sums[-1]) + np.cumsum(w * proj)[k0:].astype(np.complex128)
+    # the modulus on a complex design; a real one fits the real and
+    # imaginary parts alike, and takes the larger
+    resid_abs = (np.abs(resid) if np.iscomplexobj(q)
+                 else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
+    err_model = resid_abs[:, n // 2:].max(axis=1).astype(np.float64) * design.lead_last
+    # sensitivity of the extrapolated value to per-row noise
+    noise_abs = np.sqrt(np.mean((resid_abs / wrow) ** 2, axis=1)).astype(np.float64)
+    errs = 3.0 * err_model + 2.0 * (np.array(design.amp_norms) * noise_abs)
     best: tuple[float, complex] | None = None  # (err, value)
-    for k, amp_norm in zip(design.sizes, design.amp_norms):
-        resid = yw - q[:, :k] @ proj[:k]
-        value = base_value + complex(w[:k] @ proj[:k])
+    for err, value in zip(errs.tolist(), values.tolist()):
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             continue
-        # the modulus on a complex design; a real one fits the real and
-        # imaginary parts alike, and takes the larger
-        resid_abs = (np.abs(resid) if np.iscomplexobj(q)
-                     else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
-        err_model = float(np.max(resid_abs[half:])) * design.lead_last
-        # sensitivity of the extrapolated value to per-row noise
-        noise_abs = float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))
-        err_noise = amp_norm * noise_abs
-        err = 3.0 * err_model + 2.0 * err_noise
         if best is None or err < best[0]:
             best = (err, value)
     if best is None:

@@ -89,6 +89,16 @@ class Word:
                     len(pairs) - 1,
                 )
         object.__setattr__(self, "pairs", pairs)
+        # kept, not a field: Cut's Enum.__hash__ runs in Python once per block
+        object.__setattr__(self, "_hash", hash(pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its blocks, so that a worker process, whose string
+        # hashes differ, computes its own hash
+        return Word, (self.pairs,)
 
     # -- basic structure ----------------------------------------------------
 

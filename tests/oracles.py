@@ -9,18 +9,31 @@ iterated-integral quadrature with its whole integrand evaluated at every
 point of the tensor rule, and the same integral by Hölder convolution.
 
 The helpers at the end drive the package itself: the kernel's exact
-partial sums, and the parts of linear-combination arithmetic that only
-the tests need.
+partial sums, the parts of linear-combination arithmetic that only the
+tests need, and the kernel's running product and tail fit written as one
+cumprod and one loop per basis size, the references that its chunked and
+one-pass forms must match byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from mzdual.nested_sum import _BLOCK, NestedSumSpec, _Stream
+from mzdual.nested_sum import (
+    _ACC_COMPLEX,
+    _ACC_REAL,
+    _BLOCK,
+    NestedSumSpec,
+    Prefactor,
+    _FitResult,
+    _Stream,
+    _fit_design,
+    _recurrence,
+)
 from mzdual.verifier import _tanh_sinh_nodes
 from mzdual.words import Cut, LinComb, Word, parse_word
 
@@ -305,6 +318,54 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     while stream.next_m <= n:
         last = stream.run_block(min(stream.next_m + _BLOCK, n + 1))[-1]
     return complex(last) if np.iscomplexobj(last) else float(last)
+
+
+def product_one_shot(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
+    """The kernel's running product of pf at m = lo..hi-1 and its carry
+    (see nested_sum._product_block), by one cumprod over the whole block."""
+    c, d, r0 = _recurrence(pf, alpha)
+    acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
+    x = np.arange(lo, hi, dtype=np.float64)
+    r = np.empty(hi - lo, dtype=acc)
+    first = 1 if lo == 0 else 0
+    r[first:] = d / (x[first:] + c)
+    r[first:] += 1.0
+    r[0] = r0 if first else r[0] * carry
+    np.cumprod(r, out=r)
+    return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64), r[-1]
+
+
+def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple, scale: float):
+    """nested_sum._tail_fit with one projection, residual and error per
+    basis size, each in its own loop step."""
+    n = len(marks)
+    if n < 6:
+        return None
+    design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
+    if design is None:
+        return None
+    wrow, q, w = design.wrow, design.q, design.w
+    sums = np.asarray(sums)
+    yw = (sums[-1] - sums) * wrow
+    proj = q.conj().T @ yw
+    base_value = complex(sums[-1])
+    best = None  # (err, value)
+    for k, amp_norm in zip(design.sizes, design.amp_norms):
+        resid = yw - q[:, :k] @ proj[:k]
+        value = base_value + complex(w[:k] @ proj[:k])
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            continue
+        resid_abs = (np.abs(resid) if np.iscomplexobj(q)
+                     else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
+        err_model = float(np.max(resid_abs[n // 2:])) * design.lead_last
+        err_noise = amp_norm * float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))
+        err = 3.0 * err_model + 2.0 * err_noise
+        if best is None or err < best[0]:
+            best = (err, value)
+    if best is None:
+        return None
+    err, value = best
+    return _FitResult(value, max(err, 5e-15 * max(abs(value), scale)))
 
 
 def _slot_values(total: int, n: int):

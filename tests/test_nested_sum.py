@@ -10,11 +10,13 @@ from oracles import (
     poch_ratio_first,
     poch_ratio_last,
     poch_ratio_last_shifted,
+    product_one_shot,
+    tail_fit_per_size,
     truncated_sum,
 )
 import mzdual.evaluators
 import mzdual.nested_sum
-from mzdual.evaluators import Params, eval_hurwitz, eval_Z, hurwitz_spec, z_spec
+from mzdual.evaluators import Params, eval_hurwitz, eval_Z, hurwitz_spec, z_spec, zstar_spec
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -24,9 +26,13 @@ from mzdual.nested_sum import (
     NonConvergentError,
     Prefactor,
     _BLOCK,
+    _FLOOR,
+    _behaviour,
     _fit_design,
     _make_marks,
     _prefix_behaviour,
+    _product_block,
+    _shared_product_block,
     _Stream,
     _tail_basis,
     _tail_fit,
@@ -501,6 +507,85 @@ class TestStreamSplitInvariance:
         blocks = np.concatenate([stream.run_block(hi) for hi in edges])
         whole = _Stream(spec).run_block(edges[-1])
         np.testing.assert_allclose(blocks, whole, rtol=1e-15, atol=0)
+
+
+def clear_shared_work():
+    for cache in (_shared_product_block, _behaviour, _tail_basis, _fit_design):
+        cache.cache_clear()
+
+
+class TestSharedWork:
+    # work shared across specs gives the bytes of work done per spec
+    @pytest.mark.parametrize("alpha", [1.3, 0.6 + 0.4j], ids=["real", "complex"])
+    @pytest.mark.parametrize("pf", list(Prefactor))
+    def test_chunked_product_is_one_cumprod(self, pf, alpha):
+        # the first block ends between two chunks of _N_INITIAL, and the
+        # second carries its product across that edge through more chunks
+        head, head_carry = _product_block(pf, alpha, 0, 5000, None)
+        tail, carry = _product_block(pf, alpha, 5000, 70_000, head_carry)
+        want, want_carry = product_one_shot(pf, alpha, 0, 70_000, None)
+        assert np.concatenate([head, tail]).tobytes() == want.tobytes()
+        assert head_carry == product_one_shot(pf, alpha, 0, 5000, None)[1]
+        assert carry == want_carry
+        want_tail, _ = product_one_shot(pf, alpha, 5000, 70_000, head_carry)
+        assert tail.tobytes() == want_tail.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.3, 0.6 + 0.4j], ids=["real", "complex"])
+    def test_shared_block_is_a_fresh_block(self, alpha):
+        clear_shared_work()
+        pf = Prefactor.POCH_LAST
+        first = _shared_product_block(pf, alpha, 0, 4097, None)
+        for _ in range(2):  # a miss, then a hit
+            shared = _shared_product_block(pf, alpha, 4097, _FLOOR, first[1])
+            fresh = _product_block(pf, alpha, 4097, _FLOOR, first[1])
+            assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
+        assert _shared_product_block.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            shared[0][0] = 0.0
+
+    def test_one_pass_fit_is_the_per_size_fit(self, monkeypatch):
+        # every fit of a real and a complex thm11i suite, and the recorded
+        # sums of real and complex designs, complex sums on a real basis
+        # among them, at several lengths
+        fits = []
+
+        def checked(marks, sums, basis, scale):
+            got = _tail_fit(marks, sums, basis, scale)
+            fits.append((got, tail_fit_per_size(marks, sums, basis, scale)))
+            return got
+
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", checked)
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        grid = ((0.6, 1.5), (1.5 - 0.5j, 1.0), (1.0, 0.6 + 0.3j))
+        run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=grid))
+        # and noisy sums, where the noise term sets the error of every size
+        noise = np.random.default_rng(7)
+        for spec in (*TestFitDesignCache.SPECS, hurwitz_spec(parse_word("1:1,1:2"), 1 + 2j)):
+            for n in (4096, 16_384, 65_536):
+                marks, sums, basis = recorded_partial_sums(spec, n)
+                for y in (sums, sums * (1 + 1e-9 * noise.standard_normal(len(sums)))):
+                    fits.append((_tail_fit(marks, y, basis, 1.0),
+                                 tail_fit_per_size(marks, y, basis, 1.0)))
+        assert len(fits) > 150
+        assert all(got is not None and got == want for got, want in fits)
+
+    def test_evaluation_order_invisible(self):
+        # the same specs forward and in reverse, each run from cold caches
+        words = words_up_to_weight(4)
+        # a first index that is the product of two shared blocks, then Z and Z*
+        both = IndexWeight(prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST))
+        specs = []
+        for alpha, beta in ((0.6, 1.5), (1.5, 0.6), (0.6 + 0.3j, 1.0)):
+            specs.append(NestedSumSpec((both, IndexWeight(b=2)), (Link.STRICT,), alpha, beta))
+            p = Params(alpha, beta)
+            for w in words:
+                specs += [z_spec(w, p), zstar_spec(w, (1,) * w.depth, p)]
+        runs = []
+        for order in (specs, specs[::-1]):
+            clear_shared_work()
+            runs.append({spec: evaluate(spec) for spec in order})
+        assert _shared_product_block.cache_info().hits > 0
+        assert runs[0] == runs[1]
 
 
 FIRST = IndexWeight(prefactors=(Prefactor.POCH_FIRST,))

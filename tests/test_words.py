@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,14 @@ class TestWordValue:
     def test_pickle_round_trip(self):
         w = W("1:1,1/2:2,1:3")
         assert pickle.loads(pickle.dumps(w)) == w
+
+    def test_cached_hash_stays_out_of_pickle_and_fields(self):
+        # a worker rebuilds the hash from the blocks, as its string hashes
+        # differ; asdict, and so the JSON, sees the blocks alone
+        w = W("1:1,1/2:2,1:3")
+        assert b"_hash" not in pickle.dumps(w)
+        assert hash(pickle.loads(pickle.dumps(w))) == hash(w) == hash(w.pairs)
+        assert asdict(w) == {"pairs": w.pairs}
 
     def test_every_construction_is_one_value(self):
         blocks = [(Cut.ONE, 1), (Cut.HALF, 2)]
