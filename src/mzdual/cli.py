@@ -14,7 +14,7 @@ import json
 import sys
 
 from .evaluators import Params, eval_Hstar, eval_Z, eval_Zstar, eval_hurwitz
-from .nested_sum import EvalConfig, KernelError
+from .nested_sum import _GROWTH, _MARKS, _N_INITIAL, EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
 from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
 
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated non-negative integers (starred families)")
     comp.add_argument("--rel-tol", type=float, default=1e-10)
     comp.add_argument("--max-n", type=int, default=10**8,
-                      help="most terms streamed, at least 4096; rounded down to 4096*4^j")
+                      help=f"most terms streamed, {_N_INITIAL} to {_MARKS[-1]}; "
+                      f"rounded down to {_N_INITIAL}*{_GROWTH}^j")
     comp.add_argument("--output", choices=["table", "json"], default="table")
 
     du = sub.add_parser("dual", help="print the dual of a word")

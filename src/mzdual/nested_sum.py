@@ -110,6 +110,12 @@ _N_INITIAL = 4096
 _GROWTH = 4
 _FLOOR = _N_INITIAL * _GROWTH + 1  # every evaluation streams m < _FLOOR
 
+# the marks round(2^(j/3)), 32 to 2^62, three per octave, where the partial sums
+# are recorded for the tail fit; each checkpoint 2^(12+2j) is one.  They start at
+# 32, where the Euler-Maclaurin tails are exact to ~m^-9; the last bounds max_n.
+_MARKS = np.array([round(2.0 ** (j / 3.0)) for j in range(15, 187)], dtype=np.int64)
+_MARKS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -123,8 +129,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
-        if self.max_n < _N_INITIAL:
-            raise ValueError(f"max_n must be >= {_N_INITIAL}")
+        if not _N_INITIAL <= self.max_n <= int(_MARKS[-1]):
+            raise ValueError(f"max_n must be in [{_N_INITIAL}, {_MARKS[-1]}]")
 
 
 class EvalResult(NamedTuple):
@@ -251,17 +257,14 @@ def _prefix_behaviour(entries: Behaviour) -> Behaviour:
     return _merge_behaviour(out)
 
 
-def term_behaviour(spec: NestedSumSpec) -> tuple:
-    """Asymptotic behaviour (exponent, log power) of the outermost terms.
+@functools.lru_cache(maxsize=1024)
+def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
+    """Asymptotic behaviour (exponent, log power) of the outermost terms
+    of the spec with these indices and Pochhammer base alpha.
 
     The leading exponent e* determines the decay s = -Re e* of the outer
     series; convergence requires s > 1.
     """
-    return _behaviour(spec.indices, spec.alpha)
-
-
-@functools.lru_cache(maxsize=1024)
-def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
     prefix: Behaviour | None = None
     current: Behaviour = []
     for iw in indices:
@@ -285,7 +288,7 @@ _EXTRAPOLATION_TERMS = 3
 @functools.lru_cache(maxsize=1024)
 def _tail_basis(behaviour: tuple) -> tuple[tuple[complex, int], ...]:
     """Candidate (s, t) pairs for the tail fit, most important first, from
-    the :func:`term_behaviour` of the outermost terms.
+    the :func:`_behaviour` of the outermost terms.
 
     Each exponent e contributes s = -e and its steps s + 1, s + 2, every
     one with log powers t..0: the expansions of the Pochhammer ratios and
@@ -336,24 +339,6 @@ if np.finfo(np.longdouble).eps < 1e-18:
     _ACC_REAL, _ACC_COMPLEX = np.longdouble, np.clongdouble
 else:  # pragma: no cover - platform without 80-bit long double
     _ACC_REAL, _ACC_COMPLEX = np.float64, np.complex128
-
-
-@functools.lru_cache(maxsize=16)
-def _make_marks(limit: int) -> np.ndarray:
-    # the indices round(2^(j/3)) <= limit, j >= 15, where partial sums are
-    # recorded for the tail fit; read-only
-    marks = []
-    j = 15
-    while True:
-        m = round(2.0 ** (j / 3.0))
-        if m > limit:
-            break
-        if not marks or m > marks[-1]:
-            marks.append(m)
-        j += 1
-    out = np.array(marks, dtype=np.int64)
-    out.setflags(write=False)
-    return out
 
 
 def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
@@ -456,12 +441,6 @@ def _validate_params(alpha: complex, beta: complex):
         )
 
 
-@dataclass
-class _FitResult:
-    value: complex
-    err: float
-
-
 def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
     """Modified Gram-Schmidt QR in the precision and dtype of a, with
     column dropping; projections are q_i^H v, so complex a works as well.
@@ -551,12 +530,10 @@ def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
 
 
 def _tail_fit(
-    marks: np.ndarray,
-    sums: np.ndarray,
-    basis: tuple[tuple[complex, int], ...],
-    scale: float,
-) -> _FitResult | None:
-    """Fit recorded partial sums against exact tail functions.
+    marks: np.ndarray, sums: np.ndarray, basis: tuple[tuple[complex, int], ...]
+) -> tuple[complex, float] | None:
+    """Fit recorded partial sums against exact tail functions; returns
+    (value, err), err at least 5e-15 of |value| and |sums[-1]|.
 
     The model S(M) = S_inf - sum_k c_k phi_k(M) is solved for several
     basis-size prefixes; the size minimizing (in-sample misfit projected
@@ -601,8 +578,7 @@ def _tail_fit(
     if best is None:
         return None
     err, value = best
-    floor = 5e-15 * max(abs(value), scale)
-    return _FitResult(value, max(err, floor))
+    return value, max(err, 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -618,7 +594,7 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
         return EvalResult(1.0, 0.0, 0, True)
-    behaviour = term_behaviour(spec)
+    behaviour = _behaviour(spec.indices, spec.alpha)
     s_eff = -behaviour[0][0].real
     if s_eff <= 1.0 + 1e-9:
         raise NonConvergentError(
@@ -629,11 +605,11 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     checkpoints = [_N_INITIAL]
     while checkpoints[-1] * _GROWTH <= cfg.max_n:
         checkpoints.append(checkpoints[-1] * _GROWTH)
-    marks = _make_marks(checkpoints[-1])
+    marks = _MARKS[: np.searchsorted(_MARKS, checkpoints[-1], "right")]
     stream = _Stream(spec)
     sums = np.empty(len(marks), dtype=stream.acc_dtype)
 
-    best: _FitResult | None = None
+    best: tuple[float, complex] | None = None  # (err, value)
     prev_value: complex | None = None
     for n in checkpoints:
         # no name holds a block's prefixes, so they are freed before the next
@@ -642,28 +618,28 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
             lo, hi = stream.next_m, min(stream.next_m + _BLOCK, n + 1)
             i, j = np.searchsorted(marks, (lo, hi))
             sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
-        # the last 30 marks <= n, none below max(32, n // 1024)
+        # the last 30 marks <= n; at three per octave none is below n / 1024
         k = np.searchsorted(marks, n, side="right")
-        first = max(np.searchsorted(marks, max(32, n // 1024)), k - 30)
-        fit = _tail_fit(marks[first:k], sums[first:k], basis, scale=float(abs(complex(sums[k - 1]))))
+        first = max(k - 30, 0)
+        fit = _tail_fit(marks[first:k], sums[first:k], basis)
         if fit is None:
             continue
-        have_prev = prev_value is not None
-        err = max(fit.err, 0.5 * abs(fit.value - prev_value)) if have_prev else fit.err
-        prev_value = fit.value
-        fit = _FitResult(fit.value, err)
-        if best is None or fit.err <= best.err:
-            best = fit
+        value, err = fit
+        if prev_value is not None:
+            err = max(err, 0.5 * abs(value - prev_value))
+        if best is None or err <= best[0]:
+            best = (err, value)
         # a single fit can be biased yet self-consistent; insist on
         # agreement across two checkpoints
-        if have_prev and fit.err <= cfg.rel_tol * max(abs(fit.value), 1e-300):
-            return EvalResult(_as_scalar(fit.value, stream), fit.err, n, True)
+        if prev_value is not None and err <= cfg.rel_tol * max(abs(value), 1e-300):
+            return EvalResult(_as_scalar(value, stream), err, n, True)
+        prev_value = value
 
     if best is None:
         # no fit: the raw partial sum at the last checkpoint (every checkpoint
         # is a mark), with nothing known of its tail
         return EvalResult(_as_scalar(complex(sums[k - 1]), stream), math.inf, n, False)
-    return EvalResult(_as_scalar(best.value, stream), best.err, n, False)
+    return EvalResult(_as_scalar(best[1], stream), best[0], n, False)
 
 
 def _as_scalar(value: complex, stream: _Stream):

@@ -104,11 +104,14 @@ def _make_check(
     )
 
 
-def _fmt_param(x: complex) -> str:
+def _fmt_param(x: complex, sign: str = "") -> str:
+    # each part in its short :g form where that reads back as the same
+    # float, else in its repr, so distinct values get distinct names
     x = complex(x)
-    if x.imag == 0:
-        return f"{x.real:g}"
-    return f"{x.real:g}{x.imag:+g}i"
+    if x.imag:
+        return f"{_fmt_param(x.real)}{_fmt_param(x.imag, '+')}i"
+    short = f"{x.real:{sign}g}"
+    return short if float(short) == x.real else f"{x.real:{sign}}"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def check_integral_repr(
         series = eval_hurwitz(w, p.alpha, cfg)
     quad = EvalResult(fine, quad_err, 0, quad_err <= QUAD_TOL)
     note = "" if quad_err <= QUAD_TOL else f"quadrature non-convergence ({quad_err:.2g})"
-    name = f"integral/{family}/w={w}/a={a:g}/b={b:g}"
+    name = f"integral/{family}/w={w}/a={_fmt_param(a)}/b={_fmt_param(b)}"
     return _make_check(name, quad, series, tol=QUAD_TOL, note=note)
 
 
@@ -294,11 +297,12 @@ def check_integral_repr(
 
 FD_STEP = 1e-3
 FD_TOL = {1: 1e-4, 2: 1e-3}
+# the stencils divide the values they difference by FD_STEP^r, so those
+# values are asked for well below FD_TOL * FD_STEP^r
+FD_CFG = EvalConfig(rel_tol=1e-12)
 
 
-def check_derivative_crosslink(
-    w: Word, r: int, p: Params, cfg: EvalConfig | None = None
-) -> IdentityCheck:
+def check_derivative_crosslink(w: Word, r: int, p: Params) -> IdentityCheck:
     """Finite-difference derivative of the dual side against the starred sum.
 
     The first-slot derivative of the dual evaluation, scaled by
@@ -310,14 +314,12 @@ def check_derivative_crosslink(
     alpha, beta = complex(p.alpha), complex(p.beta)
     if alpha.imag or beta.imag or not beta.real > 2 * FD_STEP:  # the stencil reaches b - 2h
         raise ValueError("derivative cross-link requires real parameters with b > 2*FD_STEP")
-    if cfg is None:
-        cfg = EvalConfig(rel_tol=1e-12)
     dw = dual(w)
     a, b = alpha.real, beta.real
     h = FD_STEP
 
     def f(x: float) -> float:
-        return float(complex(eval_Z(dw, Params(x, a), cfg).value).real)
+        return float(complex(eval_Z(dw, Params(x, a), FD_CFG).value).real)
 
     if r == 1:
         deriv = (-f(b + 2 * h) + 8 * f(b + h) - 8 * f(b - h) + f(b - 2 * h)) / (12 * h)
@@ -331,8 +333,8 @@ def check_derivative_crosslink(
         ) / (12 * h * h)
     scaled = (-1) ** r / math.factorial(r) * deriv
     lhs = EvalResult(scaled, 0.0, 0, True)
-    rhs = _zstar_side(dw, r, Params(b, a), cfg)
-    name = f"derivative/w={w}/r={r}/a={a:g}/b={b:g}"
+    rhs = _zstar_side(dw, r, Params(b, a), FD_CFG)
+    name = f"derivative/w={w}/r={r}/a={_fmt_param(a)}/b={_fmt_param(b)}"
     return _make_check(name, lhs, rhs, tol=FD_TOL[r])
 
 
@@ -469,7 +471,7 @@ def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the stencils take words of weight <= 4, r in {1, 2} and real parameters with b > 2*FD_STEP
-    return [(check_derivative_crosslink, (w, r, Params(a, b), None))
+    return [(check_derivative_crosslink, (w, r, Params(a, b)))
             for a, b in _real_pairs(sc) if complex(b).real > 2 * FD_STEP
             for w in words if w.weight <= 4
             for r in sc.r_values() if 1 <= r <= 2]

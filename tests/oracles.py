@@ -12,7 +12,8 @@ The helpers at the end drive the package itself: the kernel's exact
 partial sums, the parts of linear-combination arithmetic that only the
 tests need, and the kernel's running product and tail fit written as one
 cumprod and one loop per basis size, the references that its chunked and
-one-pass forms must match byte for byte.
+one-pass forms must match byte for byte.  The kernel's checkpoint schedule
+is given as the loop and the window rule that its mark table replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from mzdual.nested_sum import (
     _BLOCK,
     NestedSumSpec,
     Prefactor,
-    _FitResult,
+    _GROWTH,
+    _N_INITIAL,
     _Stream,
     _fit_design,
     _recurrence,
@@ -335,9 +337,9 @@ def product_one_shot(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
     return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64), r[-1]
 
 
-def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple, scale: float):
+def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
     """nested_sum._tail_fit with one projection, residual and error per
-    basis size, each in its own loop step."""
+    basis size, each in its own loop step; (value, err) or None."""
     n = len(marks)
     if n < 6:
         return None
@@ -365,7 +367,34 @@ def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple, scale: 
     if best is None:
         return None
     err, value = best
-    return _FitResult(value, max(err, 5e-15 * max(abs(value), scale)))
+    return value, max(err, 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
+
+
+def marks_loop(limit: int) -> list[int]:
+    """The indices round(2^(j/3)) <= limit, j >= 15, where the kernel records
+    partial sums, by a loop that skips repeats."""
+    marks = []
+    j = 15
+    while (m := round(2.0 ** (j / 3.0))) <= limit:
+        if not marks or m > marks[-1]:
+            marks.append(m)
+        j += 1
+    return marks
+
+
+def fit_windows(max_n: int) -> list[list[int]]:
+    """The marks of each checkpoint's tail fit in an evaluation streamed to
+    max_n: the last 30 marks <= n, none below max(32, n // 1024)."""
+    checkpoints = [_N_INITIAL]
+    while checkpoints[-1] * _GROWTH <= max_n:
+        checkpoints.append(checkpoints[-1] * _GROWTH)
+    marks = np.array(marks_loop(checkpoints[-1]), dtype=np.int64)
+    windows = []
+    for n in checkpoints:
+        k = np.searchsorted(marks, n, side="right")
+        first = max(np.searchsorted(marks, max(32, n // 1024)), k - 30)
+        windows.append(marks[first:k].tolist())
+    return windows
 
 
 def _slot_values(total: int, n: int):

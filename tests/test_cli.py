@@ -100,6 +100,14 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "max_n" in err
 
+    def test_max_n_beyond_mark_table_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",
+            "--beta", "1", "--max-n", "100000000000000000000000",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: max_n")
+
     @pytest.mark.parametrize("family, flag, value", [
         ("Z", "--r-vector", "3,3"),
         ("zeta", "--r-vector", "3,3"),

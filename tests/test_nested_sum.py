@@ -6,7 +6,9 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from oracles import (
+    fit_windows,
     holder_integral,
+    marks_loop,
     poch_ratio_first,
     poch_ratio_last,
     poch_ratio_last_shifted,
@@ -27,9 +29,9 @@ from mzdual.nested_sum import (
     Prefactor,
     _BLOCK,
     _FLOOR,
+    _MARKS,
     _behaviour,
     _fit_design,
-    _make_marks,
     _prefix_behaviour,
     _product_block,
     _shared_product_block,
@@ -38,7 +40,6 @@ from mzdual.nested_sum import (
     _tail_fit,
     evaluate,
     tail_powers_log,
-    term_behaviour,
 )
 from mzdual.verifier import DEFAULT_GRID, SuiteConfig, run_suite
 from mzdual.words import parse_word, words_up_to_weight
@@ -113,6 +114,10 @@ class TestEvaluate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(max_n=4095)
+        # the mark table bounds max_n from above
+        assert EvalConfig(max_n=int(_MARKS[-1])).max_n == 2**62
+        with pytest.raises(ValueError, match="max_n"):
+            EvalConfig(max_n=int(_MARKS[-1]) + 1)
         with pytest.raises(ValueError):
             EvalConfig(rel_tol=2.0)
 
@@ -139,6 +144,29 @@ class TestSchedule:
         # added no fit and changes neither value nor estimate
         res = evaluate(hurwitz_spec(parse_word("1:2"), 0.7), EvalConfig(rel_tol=1e-16, max_n=10**7))
         assert res == (2.8340491566946104, 1.4170245783473053e-14, 4194304, False)
+
+    @pytest.mark.parametrize("limit", [4096, 16384, 4096 * 4**7, 2**62])
+    def test_mark_table_is_the_loop(self, limit):
+        assert _MARKS[: np.searchsorted(_MARKS, limit, "right")].tolist() == marks_loop(limit)
+        assert not _MARKS.flags.writeable
+
+    def test_fit_windows_are_the_old_rule(self, monkeypatch):
+        # every fit fails, so each checkpoint to 4^13 hands its window over;
+        # the stream is stubbed, as the windows do not depend on the sums
+        def skipped(stream, hi):
+            lo, stream.next_m = stream.next_m, hi
+            return np.zeros(hi - lo)
+
+        windows = []
+
+        def recorded(marks, sums, basis):
+            windows.append(marks.tolist())
+
+        monkeypatch.setattr(_Stream, "run_block", skipped)
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
+        res = evaluate(single(b=2, beta=0.7), EvalConfig(max_n=4**13))
+        assert res.n_used == 4**13 and len(windows) == 8
+        assert windows == fit_windows(4**13)
 
     def test_no_fit_gives_unbounded_error(self, monkeypatch):
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", lambda *args, **kwargs: None)
@@ -384,14 +412,16 @@ class TestNoResonanceCliff:
         assert max(counts) <= 4 * min(counts)
 
     def test_every_exponent_gets_integer_steps(self):
-        behaviour = term_behaviour(z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)))
+        spec = z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0))
+        behaviour = _behaviour(spec.indices, spec.alpha)
         assert [e for e, _ in behaviour] == pytest.approx([-2.0, -2.001, -3.0, -4.0])
         exponents = [s for s, _ in _tail_basis(behaviour)]
         assert exponents == pytest.approx([2.0, 2.001, 3.0, 3.001, 4.0, 4.001, 5.0, 6.0])
 
     def test_complex_exponents_kept(self):
         # (alpha)_m / m! ~ m^(alpha - 1) keeps Im alpha in the tail exponents
-        behaviour = term_behaviour(z_spec(parse_word("1:1,1:2"), Params(1 + 2j, 0.7)))
+        spec = z_spec(parse_word("1:1,1:2"), Params(1 + 2j, 0.7))
+        behaviour = _behaviour(spec.indices, spec.alpha)
         assert any(isinstance(e, complex) for e, _ in behaviour)
         assert -behaviour[0][0].real == pytest.approx(2.0)
         assert any(isinstance(s, complex) for s, _ in _tail_basis(behaviour))
@@ -446,8 +476,8 @@ class TestComplexCost:
 def recorded_partial_sums(spec: NestedSumSpec, n: int):
     """Marks up to n and the outer partial sums at them, as evaluate fits them."""
     prefix = _Stream(spec).run_block(n + 1)
-    marks = np.array([m for m in _make_marks(n) if m >= 32], dtype=np.int64)
-    return marks, prefix[marks], _tail_basis(term_behaviour(spec))
+    marks = _MARKS[: np.searchsorted(_MARKS, n, "right")]
+    return marks, prefix[marks], _tail_basis(_behaviour(spec.indices, spec.alpha))
 
 
 class TestFitDesignCache:
@@ -460,8 +490,8 @@ class TestFitDesignCache:
     def test_cold_and_warm_fits_identical(self, spec):
         marks, sums, basis = recorded_partial_sums(spec, 4096)
         _fit_design.cache_clear()
-        cold = _tail_fit(marks, sums, basis, 1.0)
-        warm = _tail_fit(marks, sums, basis, 1.0)
+        cold = _tail_fit(marks, sums, basis)
+        warm = _tail_fit(marks, sums, basis)
         assert _fit_design.cache_info().hits >= 1
         assert cold is not None and cold == warm
 
@@ -549,9 +579,9 @@ class TestSharedWork:
         # among them, at several lengths
         fits = []
 
-        def checked(marks, sums, basis, scale):
-            got = _tail_fit(marks, sums, basis, scale)
-            fits.append((got, tail_fit_per_size(marks, sums, basis, scale)))
+        def checked(marks, sums, basis):
+            got = _tail_fit(marks, sums, basis)
+            fits.append((got, tail_fit_per_size(marks, sums, basis)))
             return got
 
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", checked)
@@ -564,8 +594,7 @@ class TestSharedWork:
             for n in (4096, 16_384, 65_536):
                 marks, sums, basis = recorded_partial_sums(spec, n)
                 for y in (sums, sums * (1 + 1e-9 * noise.standard_normal(len(sums)))):
-                    fits.append((_tail_fit(marks, y, basis, 1.0),
-                                 tail_fit_per_size(marks, y, basis, 1.0)))
+                    fits.append((_tail_fit(marks, y, basis), tail_fit_per_size(marks, y, basis)))
         assert len(fits) > 150
         assert all(got is not None and got == want for got, want in fits)
 
@@ -721,7 +750,7 @@ class TestTailPowerLog:
 
 def decay_exponent(spec: NestedSumSpec) -> float:
     """Effective algebraic decay s of the outermost terms (tail ~ N^(1-s))."""
-    return -term_behaviour(spec)[0][0]
+    return -_behaviour(spec.indices, spec.alpha)[0][0]
 
 
 class TestDecayExponent:

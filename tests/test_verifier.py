@@ -269,6 +269,15 @@ class TestSuiteConfig:
 
 
 class TestRunSuite:
+    def test_near_equal_grid_values_named_apart(self):
+        # both values print as 1 in the :g form
+        sc = SuiteConfig(weight_max=2, params_grid=((1.0000001, 1.0), (1.0000002, 1.0)))
+        rep = run_suite("duality", sc)
+        names = [c.name for c in rep.checks]
+        assert names == ["thm11i/w=1:2/r=0/a=1.0000001/b=1", "thm11i/w=1:2/r=0/a=1.0000002/b=1"]
+        grid = rep.to_json(include_timestamp=False)["config"]["params_grid"]
+        assert grid == [["1.0000001", "1"], ["1.0000002", "1"]]
+
     def test_singleton_universe(self):
         sc = SuiteConfig(weight_max=2, tol=1e-7)
         rep = run_suite("duality", sc)
