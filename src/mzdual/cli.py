@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "all runs each identity once")
     ver.add_argument("--weight-max", type=int, default=4)
     ver.add_argument("--depth-max", type=int, default=None)
-    ver.add_argument("--r-max", type=int, default=2)
+    ver.add_argument("--r-max", type=int, default=2,
+                     help="largest r; the derivative suite checks r = 1..r_max")
     ver.add_argument("--grid", type=parse_grid, default=DEFAULT_GRID,
                      help="'default', value list (square grid), or 'a:b;a:b' pairs")
     ver.add_argument("--tol", type=float, default=1e-6)

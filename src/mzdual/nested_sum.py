@@ -35,6 +35,7 @@ output is byte-identical to one computed per spec, in any spec order.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -434,10 +435,11 @@ class _Stream:
 
 
 def _validate_params(alpha: complex, beta: complex):
-    """The parameter domain of every series here: Re(alpha), Re(beta) > 0."""
-    if not (complex(alpha).real > 0 and complex(beta).real > 0):
+    """The parameter domain of every series here: finite, with Re(alpha), Re(beta) > 0."""
+    if not all(cmath.isfinite(x) and x.real > 0 for x in map(complex, (alpha, beta))):
         raise InvalidParamsError(
-            f"need Re(alpha) > 0 and Re(beta) > 0, got alpha={alpha}, beta={beta}"
+            f"need finite alpha, beta with Re(alpha) > 0 and Re(beta) > 0, "
+            f"got alpha={alpha}, beta={beta}"
         )
 
 

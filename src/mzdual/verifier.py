@@ -5,11 +5,10 @@ and records the deviation together with a tolerance tied to the actual
 truncation quality (10x the summed error estimates, floored at 1e-9),
 so a pass means the deviation is explained by truncation alone.
 
-The quadrature and finite-difference checks cross-validate the integral
-representation and the derivative calculus behind the starred expansion
-at their own, looser, pinned tolerances.  The quadrature folds every
-power of a variable into node weights; it is within 4.4e-11 of closed forms.
-The derivative stencils reach b - 2*FD_STEP, so they take b > 2*FD_STEP.
+The quadrature and derivative checks cross-validate the integral
+representation and the derivative calculus behind the starred expansion.
+Only the quadrature keeps a pinned, looser tolerance; it folds every power
+of a variable into node weights and is within 4.4e-11 of closed forms.
 
 Each identity has one check.  The `duality` suite is the thm11i suite at
 r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
@@ -292,50 +291,47 @@ def check_integral_repr(
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference cross-link of the derivative calculus
+# Derivative cross-link: Taylor coefficients from a Cauchy circle
 # ---------------------------------------------------------------------------
 
-FD_STEP = 1e-3
-FD_TOL = {1: 1e-4, 2: 1e-3}
-# the stencils divide the values they difference by FD_STEP^r, so those
-# values are asked for well below FD_TOL * FD_STEP^r
-FD_CFG = EvalConfig(rel_tol=1e-12)
+CIRCLE_POINTS = 48
 
 
-def check_derivative_crosslink(w: Word, r: int, p: Params) -> IdentityCheck:
-    """Finite-difference derivative of the dual side against the starred sum.
+def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalResult:
+    """(-1)^r times the r-th Taylor coefficient of x -> Z(dw; x, beta) at
+    x = alpha, by the trapezoid rule on the circle |x - alpha| = Re(alpha)/3.
 
-    The first-slot derivative of the dual evaluation, scaled by
-    (-1)^r / r!, must equal the sum of starred evaluations over the
-    admissible r-vectors; central order-4 stencils with step 1e-3.
+    The map is analytic on Re x > 0, so the rule's error falls like
+    3^-CIRCLE_POINTS.  The estimate is the gap to the rule on every second
+    point plus the mean evaluation error over rho^r (rho the radius).  For
+    real parameters f(conj x) = conj f(x), so half the circle is evaluated.
     """
-    if r not in (1, 2):
-        raise ValueError("derivative cross-link supports r in {1, 2}")
-    alpha, beta = complex(p.alpha), complex(p.beta)
-    if alpha.imag or beta.imag or not beta.real > 2 * FD_STEP:  # the stencil reaches b - 2h
-        raise ValueError("derivative cross-link requires real parameters with b > 2*FD_STEP")
+    n, x0 = CIRCLE_POINTS, complex(p.alpha)
+    rho, roots = x0.real / 3, np.exp(2j * np.pi * np.arange(n) / n)
+    real = not (x0.imag or complex(p.beta).imag)
+    vals = [eval_Z(dw, Params(complex(x0 + rho * z), p.beta), cfg)
+            for z in roots[: n // 2 + 1 if real else n]]
+    if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
+        vals += [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]
+    terms = np.array([complex(v.value) for v in vals]) * roots**-r / rho**r
+    coeff = terms.mean()
+    err = abs(coeff - terms[::2].mean()) + np.mean([v.err_estimate for v in vals]) / rho**r
+    return EvalResult((-1) ** r * (float(coeff.real) if real else complex(coeff)), float(err),
+                      max(v.n_used for v in vals), all(v.converged for v in vals))
+
+
+def check_derivative_crosslink(
+    w: Word, r: int, p: Params, cfg: EvalConfig = EvalConfig()
+) -> IdentityCheck:
+    """(-1)^r times the r-th Taylor coefficient in x of Z(dual w; x, a) at
+    x = b against the starred sum of dual w at (b, a)."""
+    if r < 1:
+        raise ValueError("derivative cross-link needs r >= 1")
     dw = dual(w)
-    a, b = alpha.real, beta.real
-    h = FD_STEP
-
-    def f(x: float) -> float:
-        return float(complex(eval_Z(dw, Params(x, a), FD_CFG).value).real)
-
-    if r == 1:
-        deriv = (-f(b + 2 * h) + 8 * f(b + h) - 8 * f(b - h) + f(b - 2 * h)) / (12 * h)
-    else:
-        deriv = (
-            -f(b + 2 * h)
-            + 16 * f(b + h)
-            - 30 * f(b)
-            + 16 * f(b - h)
-            - f(b - 2 * h)
-        ) / (12 * h * h)
-    scaled = (-1) ** r / math.factorial(r) * deriv
-    lhs = EvalResult(scaled, 0.0, 0, True)
-    rhs = _zstar_side(dw, r, Params(b, a), FD_CFG)
-    name = f"derivative/w={w}/r={r}/a={_fmt_param(a)}/b={_fmt_param(b)}"
-    return _make_check(name, lhs, rhs, tol=FD_TOL[r])
+    lhs = _taylor_coefficient(dw, r, p.swapped(), cfg)
+    rhs = _zstar_side(dw, r, p.swapped(), cfg)
+    name = f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
+    return _make_check(name, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +453,22 @@ def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) 
     return [(check, (w, r, a, cfg)) for a in sc.alphas() for w in words for r in sc.r_values()]
 
 
-def _real_pairs(sc: SuiteConfig) -> list[tuple[complex, complex]]:
-    return [(a, b) for a, b in sc.params_grid if not (complex(a).imag or complex(b).imag)]
-
-
 def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the quadrature takes words of weight <= 4 and real parameters in [1, 2]
+    # the quadrature takes words of weight <= 4 and real parameters in [1, 2]; the zeta
+    # integrand and series do not depend on b, so its check runs at the least b of each a
+    box = [(a, b) for a, b in sc.params_grid
+           if all(not complex(x).imag and 1 <= complex(x).real <= 2 for x in (a, b))]
+    least_b = {a: min((b for a2, b in box if a2 == a), key=lambda b: complex(b).real)
+               for a, _ in box}
     return [(check_integral_repr, (w, Params(a, b), family, cfg))
-            for a, b in _real_pairs(sc) if 1 <= complex(a).real <= 2 and 1 <= complex(b).real <= 2
-            for w in words if w.weight <= 4
-            for family in ("Z", "zeta")]
+            for a, b in box for w in words if w.weight <= 4
+            for family in ("Z", "zeta") if family == "Z" or b == least_b[a]]
 
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the stencils take words of weight <= 4, r in {1, 2} and real parameters with b > 2*FD_STEP
-    return [(check_derivative_crosslink, (w, r, Params(a, b)))
-            for a, b in _real_pairs(sc) if complex(b).real > 2 * FD_STEP
-            for w in words if w.weight <= 4
-            for r in sc.r_values() if 1 <= r <= 2]
+    # the r >= 1 checks of a pair and word run together, so they share the circle's values
+    return [(check_derivative_crosslink, (w, r, Params(a, b), cfg))
+            for a, b in sc.params_grid for w in words for r in sc.r_values() if r >= 1]
 
 
 # the distinct identities; `all` runs each of them once

@@ -108,6 +108,16 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err.startswith("error: max_n")
 
+    @pytest.mark.parametrize("family, alpha, beta", [
+        ("Z", "1e400", "1"), ("Z", "1+1e400i", "1"), ("zeta", "1e400", None), ("Z", "1", "1e400"),
+    ])
+    def test_non_finite_parameter_exits_2(self, capsys, family, alpha, beta):
+        # an infinite parameter is outside the domain, not a value or a hang
+        argv = ["compute", "--family", family, "--word", "1:2", "--alpha", alpha]
+        code, out, err = run(capsys, *argv, *(["--beta", beta] if beta else []))
+        assert code == 2 and out == ""
+        assert err.startswith("error: need finite alpha, beta")
+
     @pytest.mark.parametrize("family, flag, value", [
         ("Z", "--r-vector", "3,3"),
         ("zeta", "--r-vector", "3,3"),
@@ -201,7 +211,7 @@ class TestVerify:
         assert flag[2:].replace("-", "_") in err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--grid", "1.0:-1"), ("--tol", "nan"), ("--tol", "0"),
+        ("--grid", "1.0:-1"), ("--grid", "1e400"), ("--tol", "nan"), ("--tol", "0"),
         ("--workers", "0"), ("--workers", "-3"),
     ])
     def test_bad_input_exits_2(self, capsys, flag, value):

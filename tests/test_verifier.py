@@ -14,6 +14,7 @@ from mzdual.verifier import (
     DEFAULT_GRID,
     SuiteConfig,
     _simplex_integral,
+    _taylor_coefficient,
     check_derivative_crosslink,
     check_integral_repr,
     check_prop24,
@@ -175,6 +176,18 @@ class TestIntegralCheck:
         with pytest.raises(ValueError):
             check_integral_repr(W("1:2"), Params(0.5, 1.0), "Z", CFG)
 
+    def test_suite_runs_zeta_once_per_alpha(self):
+        # the zeta integrand and series do not depend on b, so the zeta
+        # check runs at the least b paired with each a in the box
+        grid = ((1, 1.5), (1, 1), (1.5, 1.5), (0.5, 1))
+        rep = run_suite("integral", SuiteConfig(weight_max=2, params_grid=grid))
+        names = {c.name for c in rep.checks}
+        assert rep.passed and names == {
+            "integral/Z/w=1:2/a=1/b=1.5", "integral/Z/w=1:2/a=1/b=1",
+            "integral/Z/w=1:2/a=1.5/b=1.5",
+            "integral/zeta/w=1:2/a=1/b=1", "integral/zeta/w=1:2/a=1.5/b=1.5",
+        }
+
 
 class TestSimplexIntegral:
     """The quadrature with its t-powers folded into node weights is the
@@ -221,19 +234,37 @@ class TestDerivativeCheck:
         assert c.passed and c.abs_dev < 1e-3
 
     def test_r_guard(self):
-        with pytest.raises(ValueError):
-            check_derivative_crosslink(W("1:2"), 3, Params(1, 1))
+        # r = 0 is the duality check; every r >= 1 is read off the circle
+        with pytest.raises(ValueError, match=r"r >= 1"):
+            check_derivative_crosslink(W("1:2"), 0, Params(1, 1))
+        assert check_derivative_crosslink(W("1:2"), 3, Params(1, 1), CFG).passed
 
-    def test_stencil_stays_in_domain(self):
-        # the order-4 stencil evaluates at b - 2*FD_STEP, which must keep b > 0
-        with pytest.raises(ValueError, match=r"b > 2\*FD_STEP"):
-            check_derivative_crosslink(W("1:2"), 1, Params(1, 0.001))
+    def test_pair_near_zero_passes(self):
+        # the circle's radius is Re(b) / 3, so it stays in Re x > 0 however small b is
+        c = check_derivative_crosslink(W("1:2"), 1, Params(1, 0.001), CFG)
+        assert c.passed and c.tol <= 1e-8
 
-    def test_suite_skips_pairs_too_close_to_zero(self):
-        sc = SuiteConfig(weight_max=2, params_grid=((1, 0.001), (1, 1)))
+    def test_complex_pair_passes(self):
+        sc = SuiteConfig(weight_max=3, r_max=2, params_grid=((0.6 + 0.3j, 1), (1, 1.5 - 0.5j)))
         rep = run_suite("derivative", sc)
-        assert rep.checks and rep.passed
-        assert all(c.name.endswith("/a=1/b=1") for c in rep.checks)
+        assert len(rep.checks) == 16 and rep.passed
+        assert all(c.tol <= 1e-8 for c in rep.checks)
+
+    @pytest.mark.parametrize("x,a", [
+        (0.6, 1), (1.5, 0.6), (0.3 + 0.4j, 1.2 - 0.3j), (1, 0.6 + 0.3j),
+    ])
+    def test_err_estimate_bounds_psi_closed_form(self, x, a):
+        # Z(1:2; x, a) = (psi(x) - psi(a)) / (x - a), so its Taylor
+        # coefficients in x come from mpmath alone
+        def closed(t):
+            return (mpmath.digamma(t) - mpmath.digamma(a)) / (t - a)
+
+        with mpmath.workdps(30):
+            coeffs = mpmath.taylor(closed, mpmath.mpmathify(x), 4)
+        for r in range(1, 5):
+            got = _taylor_coefficient(W("1:2"), r, Params(x, a), CFG)
+            actual = abs(complex(got.value) - (-1) ** r * complex(coeffs[r]))
+            assert got.converged and actual <= got.err_estimate, (r, actual, got.err_estimate)
 
 
 class TestSuiteConfig:
