@@ -25,12 +25,18 @@ column of the fit, complex when a complex Pochhammer base puts Im alpha
 into s, and the partial sums are one right-hand side with complex
 coefficients, so complex parameters cost what real ones do.
 
+The tail is fitted at the checkpoints 2048 * 2^j, and an evaluation stops
+at the first checkpoint n whose fit meets the tolerance and agrees with the
+fit at n / 4 to within it, so at 8192 terms at the earliest.
+
 Work shared across specs: the tail analysis is memoized on (indices,
-alpha), all it depends on, and the Pochhammer product blocks below _FLOOR,
-which every evaluation streams, are cached by (prefactor, alpha, block,
-carry); later blocks are built afresh, as keeping them would cost
-megabytes per alpha.  Values are pure functions of their keys, so every
-output is byte-identical to one computed per spec, in any spec order.
+alpha), all it depends on; each tail column is computed once at every
+mark, and each fit's design slices its rows from it; and the Pochhammer
+product blocks below _FLOOR, which every evaluation streams, are cached
+by (prefactor, alpha, block, carry); later blocks are built afresh, as
+keeping them would cost megabytes per alpha.  Values are pure functions
+of their keys, so every output is byte-identical to one computed per
+spec, in any spec order.
 """
 
 from __future__ import annotations
@@ -106,13 +112,14 @@ class NestedSumSpec:
         return len(self.indices)
 
 
-# every evaluation fits its tail at the checkpoints _N_INITIAL * _GROWTH**j
-_N_INITIAL = 4096
-_GROWTH = 4
-_FLOOR = _N_INITIAL * _GROWTH + 1  # every evaluation streams m < _FLOOR
+# every evaluation fits its tail at the checkpoints _N_INITIAL * _GROWTH**j, and
+# each fit must agree with the fit at a quarter of its terms
+_N_INITIAL = 2048
+_GROWTH = 2
+_FLOOR = 4 * _N_INITIAL + 1  # every evaluation streams m < _FLOOR
 
 # the marks round(2^(j/3)), 32 to 2^62, three per octave, where the partial sums
-# are recorded for the tail fit; each checkpoint 2^(12+2j) is one.  They start at
+# are recorded for the tail fit; each checkpoint 2^(11+j) is one.  They start at
 # 32, where the Euler-Maclaurin tails are exact to ~m^-9; the last bounds max_n.
 _MARKS = np.array([round(2.0 ** (j / 3.0)) for j in range(15, 187)], dtype=np.int64)
 _MARKS.setflags(write=False)
@@ -363,9 +370,10 @@ def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
     return out, carry
 
 
-# a check evaluates at two bases, (alpha, beta) and (beta, alpha): 2 x 2 x 2
-# blocks; more would hold memory through any later, longer stream
-@functools.lru_cache(maxsize=8)
+# a check evaluates at two bases, (alpha, beta) and (beta, alpha), and streams
+# three blocks below _FLOOR (to 2049, 4097 and 8193) of each of two prefactors:
+# 3 x 2 x 2 blocks; more would hold memory through any later, longer stream
+@functools.lru_cache(maxsize=3 * 2 * 2)
 def _shared_product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
     # read-only, as the specs of one alpha share it; the carry is in the key
     out, carry = _product_block(pf, alpha, lo, hi, carry)
@@ -427,7 +435,8 @@ class _Stream:
             else:
                 np.multiply(w, prev, out=prefix)
             np.cumsum(prefix, out=prefix)
-            prefix += carries[i]
+            if lo:  # the carries start at zero
+                prefix += carries[i]
             self.carries[i] = prefix[-1]
             prev = prefix
         self.next_m = hi
@@ -485,8 +494,17 @@ def _rt_solve(r, kept: list[int], g: np.ndarray) -> np.ndarray:
     return w
 
 
-# fit designs kept; the weight-4 thm11i suite uses 150
+# fit designs kept; the weight-4 thm11i suite uses 229
 _FIT_DESIGN_CACHE = 256
+
+
+# tail columns kept, 172 marks each; the weight-4 thm11i suite uses 63
+@functools.lru_cache(maxsize=256)
+def _tail_column(s: complex, t: int) -> np.ndarray:
+    # tail_powers_log(s, t) at every mark, read-only, for the designs to slice
+    col = tail_powers_log(s, t, _MARKS)
+    col.setflags(write=False)
+    return col
 
 
 class _FitDesign(NamedTuple):
@@ -504,13 +522,13 @@ class _FitDesign(NamedTuple):
 def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
     """Tail functions at the marks, weighted and factored for the fit.
 
-    Each (s, t) is one column, complex when s is, so the design is complex
-    exactly when the basis has a complex exponent.  The basis is cut at
-    14 columns and len(marks) - 4.
+    The marks are consecutive entries of _MARKS.  Each (s, t) is one column,
+    complex when s is, so the design is complex exactly when the basis has a
+    complex exponent.  The basis is cut at 14 columns and len(marks) - 4.
     """
     n = len(marks)
-    ms = np.array(marks, dtype=np.int64)
-    cols = [tail_powers_log(s, t, ms) for s, t in basis[: min(n - 4, 14)]]
+    first = int(np.searchsorted(_MARKS, marks[0]))
+    cols = [_tail_column(s, t)[first : first + n] for s, t in basis[: min(n - 4, 14)]]
     k_lo = max(2, min(3, len(cols)))
     sizes = tuple(range(k_lo, len(cols) + 1))
     if not sizes:
@@ -587,11 +605,13 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Streams the dynamic program forward to each checkpoint
-    _N_INITIAL * _GROWTH**j <= max_n, recording outer partial sums at
-    geometric marks, and extrapolates the tail at every checkpoint until
-    the error estimate (fit residual + basis-sensitivity) meets rel_tol.
-    Streaming ends at the last checkpoint, which returns the best value
-    flagged.
+    n = _N_INITIAL * _GROWTH**j <= max_n, recording outer partial sums at
+    geometric marks, and extrapolates the tail at every checkpoint.  The
+    error at n is the larger of the fit's own estimate (fit residual +
+    basis-sensitivity) and half the gap to the fit at n / 4; the first n
+    where it meets rel_tol ends the stream, so no evaluation stops before
+    4 * _N_INITIAL.  Otherwise streaming ends at the last checkpoint, which
+    returns the best value flagged.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
@@ -612,7 +632,7 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     sums = np.empty(len(marks), dtype=stream.acc_dtype)
 
     best: tuple[float, complex] | None = None  # (err, value)
-    prev_value: complex | None = None
+    values: dict[int, complex] = {}  # the fitted value at each checkpoint
     for n in checkpoints:
         # no name holds a block's prefixes, so they are freed before the next
         # block is built
@@ -627,15 +647,16 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         if fit is None:
             continue
         value, err = fit
-        if prev_value is not None:
-            err = max(err, 0.5 * abs(value - prev_value))
+        values[n] = value
+        # a single fit can be biased yet self-consistent; insist on
+        # agreement with the fit at a quarter of the terms
+        partner = values.get(n // 4)
+        if partner is not None:
+            err = max(err, 0.5 * abs(value - partner))
         if best is None or err <= best[0]:
             best = (err, value)
-        # a single fit can be biased yet self-consistent; insist on
-        # agreement across two checkpoints
-        if prev_value is not None and err <= cfg.rel_tol * max(abs(value), 1e-300):
+        if partner is not None and err <= cfg.rel_tol * max(abs(value), 1e-300):
             return EvalResult(_as_scalar(value, stream), err, n, True)
-        prev_value = value
 
     if best is None:
         # no fit: the raw partial sum at the last checkpoint (every checkpoint

@@ -91,7 +91,7 @@ class TestCompute:
         assert code == 3
         assert "tolerance" in err
 
-    @pytest.mark.parametrize("max_n", ["10", "-5", "4095"])
+    @pytest.mark.parametrize("max_n", ["10", "-5", "2047"])
     def test_max_n_below_first_checkpoint_exits_2(self, capsys, max_n):
         code, out, err = run(
             capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",

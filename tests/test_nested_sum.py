@@ -37,6 +37,7 @@ from mzdual.nested_sum import (
     _shared_product_block,
     _Stream,
     _tail_basis,
+    _tail_column,
     _tail_fit,
     evaluate,
     tail_powers_log,
@@ -113,7 +114,7 @@ class TestEvaluate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EvalConfig(max_n=4095)
+            EvalConfig(max_n=2047)
         # the mark table bounds max_n from above
         assert EvalConfig(max_n=int(_MARKS[-1])).max_n == 2**62
         with pytest.raises(ValueError, match="max_n"):
@@ -123,9 +124,12 @@ class TestEvaluate:
 
 
 class TestSchedule:
-    # every evaluation fits at 4096 * 4**j and streams no further than the
+    # every evaluation fits at 2048 * 2**j and streams no further than the
     # last of these <= max_n
-    @pytest.mark.parametrize("max_n,last", [(4096, 4096), (5000, 4096), (16383, 4096), (16384, 16384)])
+    @pytest.mark.parametrize(
+        "max_n,last",
+        [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192), (16383, 8192), (16384, 16384)],
+    )
     def test_stream_ends_at_last_checkpoint(self, monkeypatch, max_n, last):
         run_block = _Stream.run_block
         his = []
@@ -140,10 +144,10 @@ class TestSchedule:
         assert res.n_used == last and max(his) == last + 1
 
     def test_unconverged_value_from_last_fit(self):
-        # the best of the fits at 4096, ..., 4194304; the stream to 10**7
-        # added no fit and changes neither value nor estimate
+        # the best of the fits at 2048, ..., 8388608, the last checkpoint
+        # <= 10**7; the stream stops there
         res = evaluate(hurwitz_spec(parse_word("1:2"), 0.7), EvalConfig(rel_tol=1e-16, max_n=10**7))
-        assert res == (2.8340491566946104, 1.4170245783473053e-14, 4194304, False)
+        assert res == (2.8340491566946104, 1.4170245783473053e-14, 8388608, False)
 
     @pytest.mark.parametrize("limit", [4096, 16384, 4096 * 4**7, 2**62])
     def test_mark_table_is_the_loop(self, limit):
@@ -151,8 +155,9 @@ class TestSchedule:
         assert not _MARKS.flags.writeable
 
     def test_fit_windows_are_the_old_rule(self, monkeypatch):
-        # every fit fails, so each checkpoint to 4^13 hands its window over;
-        # the stream is stubbed, as the windows do not depend on the sums
+        # every fit fails, so each of the 16 checkpoints to 4^13 hands its
+        # window over; the stream is stubbed, as the windows do not depend on
+        # the sums
         def skipped(stream, hi):
             lo, stream.next_m = stream.next_m, hi
             return np.zeros(hi - lo)
@@ -165,7 +170,7 @@ class TestSchedule:
         monkeypatch.setattr(_Stream, "run_block", skipped)
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
         res = evaluate(single(b=2, beta=0.7), EvalConfig(max_n=4**13))
-        assert res.n_used == 4**13 and len(windows) == 8
+        assert res.n_used == 4**13 and len(windows) == 16
         assert windows == fit_windows(4**13)
 
     def test_no_fit_gives_unbounded_error(self, monkeypatch):
@@ -362,12 +367,15 @@ class TestErrEstimateHonesty:
         assert abs(res.value - float(mp.zeta(3))) <= res.err_estimate
 
     # every Z and zeta word of weight <= 4; the deep Z words at
-    # (0.3+0.4i, 1.2-0.3i) and 1e-12 are the hardest of these for the fit
+    # (0.3+0.4i, 1.2-0.3i) and 1e-12 are the hardest of these for the fit,
+    # and the pairs far from the box guard where the schedule starts: started
+    # at 1024, it stops zeta(1:1,1/2:1,1/2:2; 5) at 4096 with twice its estimate
     @pytest.mark.parametrize("family", ["Z", "zeta"])
     @pytest.mark.parametrize(
         "pair,rel_tol",
         [((0.3 + 0.4j, 1.2 - 0.3j), 1e-12), ((0.6 + 0.3j, 0.6 + 0.3j), 1e-12)]
-        + [(pair, 1e-10) for pair in DEFAULT_GRID + ((0.3 + 0.4j, 1.2 - 0.3j),)],
+        + [(pair, 1e-10) for pair in DEFAULT_GRID + ((0.3 + 0.4j, 1.2 - 0.3j),)]
+        + [(pair, tol) for pair in ((2.5, 0.2), (0.2, 2.5), (5.0, 5.0)) for tol in (1e-9, 1e-12)],
     )
     def test_against_holder(self, pair, rel_tol, family):
         cfg = EvalConfig(rel_tol=rel_tol)
@@ -469,8 +477,9 @@ class TestComplexCost:
             0.6 + 0.3j,
             0.6 + 0.3j,
         )
-        res = evaluate(spec, EvalConfig(rel_tol=1e-9))
-        assert res.converged and res.n_used == 16_384
+        twin = NestedSumSpec(spec.indices, spec.links, 0.6, 0.6)
+        res, real = (evaluate(s, EvalConfig(rel_tol=1e-9)) for s in (spec, twin))
+        assert res.converged and res.n_used == real.n_used
 
 
 def recorded_partial_sums(spec: NestedSumSpec, n: int):
@@ -515,11 +524,11 @@ DEPTH3_TWO_PRODUCTS = (
     *DEPTH3[1:],
 )
 # block ends: every index alone; a cut right after m = 0; the first
-# blocks evaluate streams (_N_INITIAL + 1, then _GROWTH * _N_INITIAL + 1)
+# blocks evaluate streams (to _N_INITIAL * _GROWTH**j + 1)
 SPLITS = {
     "ones": list(range(1, 301)),
     "after_zero": [1, 300],
-    "evaluate_edges": [4097, 16385, 20000],
+    "evaluate_edges": [2049, 4097, 8193, 20000],
 }
 
 
@@ -540,7 +549,7 @@ class TestStreamSplitInvariance:
 
 
 def clear_shared_work():
-    for cache in (_shared_product_block, _behaviour, _tail_basis, _fit_design):
+    for cache in (_shared_product_block, _behaviour, _tail_basis, _tail_column, _fit_design):
         cache.cache_clear()
 
 
