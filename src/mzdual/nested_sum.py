@@ -32,8 +32,8 @@ fit at n / 4 to within it, so at 8192 terms at the earliest.
 Work shared across specs: the tail analysis is memoized on (indices,
 alpha), all it depends on; each tail column is computed once at every
 mark, and each fit's design slices its rows from it; and the Pochhammer
-product blocks below _FLOOR, which every evaluation streams, are cached
-by (prefactor, alpha, block, carry); later blocks are built afresh, as
+product block that starts each stream, at m = 0 where no carry enters, is
+cached by (prefactor, alpha, end); later blocks are built afresh, as
 keeping them would cost megabytes per alpha.  Values are pure functions
 of their keys, so every output is byte-identical to one computed per
 spec, in any spec order.
@@ -116,7 +116,7 @@ class NestedSumSpec:
 # each fit must agree with the fit at a quarter of its terms
 _N_INITIAL = 2048
 _GROWTH = 2
-_FLOOR = 4 * _N_INITIAL + 1  # every evaluation streams m < _FLOOR
+_FLOOR = 4 * _N_INITIAL + 1  # no evaluation stops below it, so evaluate's first block ends here
 
 # the marks round(2^(j/3)), 32 to 2^62, three per octave, where the partial sums
 # are recorded for the tail fit; each checkpoint 2^(11+j) is one.  They start at
@@ -370,13 +370,12 @@ def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
     return out, carry
 
 
-# a check evaluates at two bases, (alpha, beta) and (beta, alpha), and streams
-# three blocks below _FLOOR (to 2049, 4097 and 8193) of each of two prefactors:
-# 3 x 2 x 2 blocks; more would hold memory through any later, longer stream
-@functools.lru_cache(maxsize=3 * 2 * 2)
-def _shared_product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
-    # read-only, as the specs of one alpha share it; the carry is in the key
-    out, carry = _product_block(pf, alpha, lo, hi, carry)
+# the first block of every stream; a check has two bases, (alpha, beta) and (beta,
+# alpha), and two prefactors: 2 x 2 blocks; more would hold memory through longer streams
+@functools.lru_cache(maxsize=2 * 2)
+def _shared_product_block(pf: Prefactor, alpha: complex, hi: int):
+    # the block at m = 0..hi-1, read-only, as the specs of one alpha share it
+    out, carry = _product_block(pf, alpha, 0, hi, None)
     out.setflags(write=False)
     return out, carry
 
@@ -410,9 +409,9 @@ class _Stream:
         w = _int_power(x + spec.alpha, iw.a) if iw.a else None
         if iw.b:
             w = _times(w, _int_power(x + spec.beta, iw.b))
-        block = _shared_product_block if hi <= _FLOOR else _product_block
         for j, pf in enumerate(iw.prefactors):
-            r, self.products[i][j] = block(pf, spec.alpha, lo, hi, self.products[i][j])
+            r, self.products[i][j] = (_shared_product_block(pf, spec.alpha, hi) if not lo else
+                                      _product_block(pf, spec.alpha, lo, hi, self.products[i][j]))
             w = _times(w, r)
         return np.ones(len(x)) if w is None else w
 
@@ -609,9 +608,9 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     geometric marks, and extrapolates the tail at every checkpoint.  The
     error at n is the larger of the fit's own estimate (fit residual +
     basis-sensitivity) and half the gap to the fit at n / 4; the first n
-    where it meets rel_tol ends the stream, so no evaluation stops before
-    4 * _N_INITIAL.  Otherwise streaming ends at the last checkpoint, which
-    returns the best value flagged.
+    where it meets rel_tol ends the stream, or else the last does, with the
+    best fit flagged.  No n below _FLOOR can stop it, so one block streams up
+    to _FLOOR (or past the last n); later blocks end at each n, _BLOCK at most.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
@@ -637,7 +636,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         # no name holds a block's prefixes, so they are freed before the next
         # block is built
         while stream.next_m <= n:
-            lo, hi = stream.next_m, min(stream.next_m + _BLOCK, n + 1)
+            lo = stream.next_m
+            hi = min(lo + _BLOCK, n + 1) if lo else min(_FLOOR, checkpoints[-1] + 1)
             i, j = np.searchsorted(marks, (lo, hi))
             sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
         # the last 30 marks <= n; at three per octave none is below n / 1024

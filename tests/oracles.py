@@ -13,7 +13,8 @@ partial sums, the parts of linear-combination arithmetic that only the
 tests need, and the kernel's running product and tail fit written as one
 cumprod and one loop per basis size, the references that its chunked and
 one-pass forms must match byte for byte.  The kernel's checkpoint schedule
-is given as the loop and the window rule that its mark table replaced.
+is given as the loop and the window rule that its mark table replaced, and
+the ends of the blocks that evaluate streams are listed from that schedule.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from mzdual.nested_sum import (
     _ACC_COMPLEX,
     _ACC_REAL,
     _BLOCK,
+    _FLOOR,
     NestedSumSpec,
     Prefactor,
     _GROWTH,
@@ -313,12 +315,25 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
     return [level_prev[c] for c in checkpoints]
 
 
+def evaluate_block_ends(n: int) -> list[int]:
+    """The ends of the blocks that evaluate streams when n is its last
+    checkpoint: one block to min(_FLOOR, n + 1), then to each checkpoint + 1
+    in steps of at most _BLOCK.  Any other n ends the last block at n + 1."""
+    ends = [min(_FLOOR, n + 1)]
+    checkpoint = _N_INITIAL
+    while ends[-1] <= n:
+        while checkpoint < ends[-1]:  # a checkpoint the blocks have passed
+            checkpoint *= _GROWTH
+        ends.append(min(ends[-1] + _BLOCK, min(checkpoint, n) + 1))
+    return ends
+
+
 def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     """The kernel's exact partial sum with every index <= n, streamed in
     the blocks evaluate uses."""
     stream = _Stream(spec)
-    while stream.next_m <= n:
-        last = stream.run_block(min(stream.next_m + _BLOCK, n + 1))[-1]
+    for hi in evaluate_block_ends(n):
+        last = stream.run_block(hi)[-1]
     return complex(last) if np.iscomplexobj(last) else float(last)
 
 

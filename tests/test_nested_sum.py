@@ -6,6 +6,7 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from oracles import (
+    evaluate_block_ends,
     fit_windows,
     holder_integral,
     marks_loop,
@@ -27,7 +28,6 @@ from mzdual.nested_sum import (
     NestedSumSpec,
     NonConvergentError,
     Prefactor,
-    _BLOCK,
     _FLOOR,
     _MARKS,
     _behaviour,
@@ -42,7 +42,7 @@ from mzdual.nested_sum import (
     evaluate,
     tail_powers_log,
 )
-from mzdual.verifier import DEFAULT_GRID, SuiteConfig, run_suite
+from mzdual.verifier import DEFAULT_GRID, SuiteConfig, check_thm11_i, run_suite
 from mzdual.words import parse_word, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
@@ -125,10 +125,12 @@ class TestEvaluate:
 
 class TestSchedule:
     # every evaluation fits at 2048 * 2**j and streams no further than the
-    # last of these <= max_n
+    # last of these <= max_n: one block to _FLOOR (or past the last), then
+    # blocks to each checkpoint, _BLOCK at most
     @pytest.mark.parametrize(
         "max_n,last",
-        [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192), (16383, 8192), (16384, 16384)],
+        [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192),
+         (16383, 8192), (16384, 16384), (300_000, 262_144)],
     )
     def test_stream_ends_at_last_checkpoint(self, monkeypatch, max_n, last):
         run_block = _Stream.run_block
@@ -141,7 +143,8 @@ class TestSchedule:
         monkeypatch.setattr(_Stream, "run_block", recorded)
         res = evaluate(single(b=2, beta=0.7), EvalConfig(rel_tol=1e-16, max_n=max_n))
         assert not res.converged
-        assert res.n_used == last and max(his) == last + 1
+        assert res.n_used == last and his == evaluate_block_ends(last)
+        assert his[0] == min(8193, last + 1) and his[-1] == last + 1
 
     def test_unconverged_value_from_last_fit(self):
         # the best of the fits at 2048, ..., 8388608, the last checkpoint
@@ -523,12 +526,14 @@ DEPTH3_TWO_PRODUCTS = (
     IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST)),
     *DEPTH3[1:],
 )
-# block ends: every index alone; a cut right after m = 0; the first
-# blocks evaluate streams (to _N_INITIAL * _GROWTH**j + 1)
+# block ends: every index alone; a cut right after m = 0; a cut after each
+# of the first checkpoints (_N_INITIAL * _GROWTH**j + 1: "evaluate_edges");
+# and the blocks evaluate streams, to _FLOOR, then to the next checkpoint + 1
 SPLITS = {
     "ones": list(range(1, 301)),
     "after_zero": [1, 300],
     "evaluate_edges": [2049, 4097, 8193, 20000],
+    "first_block_edges": [8193, 16385, 20000],
 }
 
 
@@ -573,14 +578,23 @@ class TestSharedWork:
     def test_shared_block_is_a_fresh_block(self, alpha):
         clear_shared_work()
         pf = Prefactor.POCH_LAST
-        first = _shared_product_block(pf, alpha, 0, 4097, None)
         for _ in range(2):  # a miss, then a hit
-            shared = _shared_product_block(pf, alpha, 4097, _FLOOR, first[1])
-            fresh = _product_block(pf, alpha, 4097, _FLOOR, first[1])
+            shared = _shared_product_block(pf, alpha, _FLOOR)
+            fresh = _product_block(pf, alpha, 0, _FLOOR, None)
             assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
-        assert _shared_product_block.cache_info().hits == 1
+        assert _shared_product_block.cache_info()[:2] == (1, 1)  # hits, misses
         with pytest.raises(ValueError):
             shared[0][0] = 0.0
+
+    def test_one_check_misses_once_per_block(self):
+        # a check streams the first block of two prefactors at two bases,
+        # (alpha, beta) and (beta, alpha), each built once
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        check = check_thm11_i(parse_word("1:1,1/2:2"), 1, Params(0.6, 1.5))
+        assert check.passed
+        info = _shared_product_block.cache_info()
+        assert info.misses == 4 and info.hits > 0 and info.currsize == info.maxsize == 4
 
     def test_one_pass_fit_is_the_per_size_fit(self, monkeypatch):
         # every fit of a real and a complex thm11i suite, and the recorded
@@ -639,7 +653,7 @@ def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
     default the blocks evaluate streams."""
     m = np.asarray(m)
     if edges is None:
-        edges = [*range(_BLOCK, m.max() + 1, _BLOCK), m.max() + 1]
+        edges = evaluate_block_ends(int(m.max()))
     stream = _Stream(NestedSumSpec((iw,), (), alpha, 1.0))
     w = []
     for hi in edges:
@@ -706,7 +720,7 @@ class TestPochhammerLog:
         "iw", [FIRST, LAST, HSTAR_LAST], ids=["poch_first", "poch_last", "poch_last_hstar"]
     )
     def test_against_mpmath(self, iw, base):
-        # no loss of order m * eps out to m = 2^22 - 1, 64 blocks deep
+        # no loss of order m * eps out to m = 2^22 - 1, 67 blocks deep
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         b = mp.mpmathify(base)
