@@ -2,8 +2,10 @@ import concurrent.futures
 import json
 import math
 import os
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 import mzdual.evaluators
@@ -13,6 +15,8 @@ from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     DEFAULT_GRID,
     SuiteConfig,
+    _insert_ranks,
+    _multisets,
     _simplex_integral,
     _taylor_coefficient,
     check_derivative_crosslink,
@@ -222,6 +226,46 @@ class TestSimplexIntegral:
     def test_fine_rule_closed_forms(self, word, family, alpha, closed):
         got = _simplex_integral(W(word).letters(), alpha, 1.0, family, h=0.08, kmax=48)
         assert abs(got - float(closed)) <= 1e-9 * float(closed)
+
+
+class TestMultisetTables:
+    """The inner sums of the quadrature are tables over multisets of node
+    indices in colex rank order, read at the rank of M + i."""
+
+    @staticmethod
+    def rank(c):
+        return sum(math.comb(cj + j, j + 1) for j, cj in enumerate(sorted(c)))
+
+    @pytest.mark.parametrize("n_nodes", range(1, 7))
+    @pytest.mark.parametrize("k", range(4))
+    def test_rows_in_colex_rank_order(self, n_nodes, k):
+        x = np.linspace(0.1, 0.9, n_nodes)
+        rows, t = _multisets(x, k)
+        assert rows.dtype == np.int32 and rows.shape == (math.comb(n_nodes + k - 1, k), k)
+        assert len({tuple(r) for r in rows}) == len(rows)
+        for r, c in enumerate(rows.tolist()):
+            assert c == sorted(c) and self.rank(c) == r
+            assert t[r] == math.prod(x[c], start=1.0)
+
+    @pytest.mark.parametrize("n_nodes", range(1, 7))
+    @pytest.mark.parametrize("k", range(4))
+    def test_insert_ranks(self, n_nodes, k):
+        rows, _ = _multisets(np.linspace(0.1, 0.9, n_nodes), k)
+        ranks = _insert_ranks(rows, n_nodes)
+        assert ranks.shape == (len(rows), n_nodes)
+        want = [[self.rank(sorted(c + [i])) for i in range(n_nodes)] for c in rows.tolist()]
+        assert ranks.tolist() == want
+
+    @pytest.mark.parametrize("family", ["Z", "zeta"])
+    def test_fine_rule_memory(self, family):
+        # the tables peak near 3.5 MiB; a rule holding nodes^3 = 456,533 floats per outer node peaks at 7.1
+        tracemalloc.start()
+        try:
+            _simplex_integral(W("1:1,1/2:3").letters(), 1.5, 1.0, family, h=0.08, kmax=48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, peak / 2**20
 
 
 class TestDerivativeCheck:
