@@ -14,7 +14,7 @@ import json
 import sys
 
 from .evaluators import Params, eval_Hstar, eval_Z, eval_Zstar, eval_hurwitz
-from .nested_sum import _GROWTH, _MARKS, _N_INITIAL, EvalConfig, KernelError
+from .nested_sum import _MARKS, _N_INITIAL, EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
 from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
 
@@ -70,10 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--beta", type=parse_complex, default=None)
     comp.add_argument("--r-vector", type=parse_rvector, default=None,
                       help="comma-separated non-negative integers (starred families)")
-    comp.add_argument("--rel-tol", type=float, default=1e-10)
-    comp.add_argument("--max-n", type=int, default=10**8,
+    comp.add_argument("--rel-tol", type=float, default=EvalConfig.rel_tol)
+    comp.add_argument("--max-n", type=int, default=EvalConfig.max_n,
                       help=f"most terms streamed, {_N_INITIAL} to {_MARKS[-1]}; "
-                      f"rounded down to {_N_INITIAL}*{_GROWTH}^j")
+                      f"rounded down to {_N_INITIAL}*2^j")
     comp.add_argument("--output", choices=["table", "json"], default="table")
 
     du = sub.add_parser("dual", help="print the dual of a word")
@@ -90,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True,
                      help="duality is thm11i at r = 0, sum_formula is thm11i on dual(1:k1); "
                           "all runs each identity once")
-    ver.add_argument("--weight-max", type=int, default=4)
-    ver.add_argument("--depth-max", type=int, default=None)
-    ver.add_argument("--r-max", type=int, default=2,
+    ver.add_argument("--weight-max", type=int, default=SuiteConfig.weight_max)
+    ver.add_argument("--depth-max", type=int, default=SuiteConfig.depth_max)
+    ver.add_argument("--r-max", type=int, default=SuiteConfig.r_max,
                      help="largest r; the derivative suite checks r = 1..r_max")
-    ver.add_argument("--grid", type=parse_grid, default=DEFAULT_GRID,
+    ver.add_argument("--grid", type=parse_grid, default=SuiteConfig.params_grid,
                      help="'default', value list (square grid), or 'a:b;a:b' pairs")
-    ver.add_argument("--tol", type=float, default=1e-6)
+    ver.add_argument("--tol", type=float, default=SuiteConfig.tol)
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
     ver.add_argument("--workers", type=int, default=1,

@@ -29,14 +29,15 @@ The tail is fitted at the checkpoints 2048 * 2^j, and an evaluation stops
 at the first checkpoint n whose fit meets the tolerance and agrees with the
 fit at n / 4 to within it, so at 8192 terms at the earliest.
 
-Work shared across specs: the tail analysis is memoized on (indices,
-alpha), all it depends on; each tail column is computed once at every
-mark, and each fit's design slices its rows from it; and the Pochhammer
-product block that starts each stream, at m = 0 where no carry enters, is
-cached by (prefactor, alpha, end); later blocks are built afresh, as
-keeping them would cost megabytes per alpha.  Values are pure functions
-of their keys, so every output is byte-identical to one computed per
-spec, in any spec order.
+Work shared across specs: the tail model is memoized on (indices, alpha),
+all it depends on; each tail column is computed once at every mark, and
+each fit's design slices its rows from it; and the Pochhammer product
+block that starts each stream, at m = 0 where no carry enters, is cached
+by (prefactor, alpha, end); later blocks are built afresh, as keeping
+them would cost megabytes per alpha.  The tail model, column and design
+memos hold the working set of every suite at the CLI's default weight
+unevicted.  Values are pure functions of their keys, so every output is
+byte-identical to one computed per spec, in any spec order.
 """
 
 from __future__ import annotations
@@ -112,10 +113,9 @@ class NestedSumSpec:
         return len(self.indices)
 
 
-# every evaluation fits its tail at the checkpoints _N_INITIAL * _GROWTH**j, and
-# each fit must agree with the fit at a quarter of its terms
+# every evaluation fits its tail at the checkpoints _N_INITIAL * 2**j, and each
+# fit must agree with the fit at a quarter of its terms
 _N_INITIAL = 2048
-_GROWTH = 2
 _FLOOR = 4 * _N_INITIAL + 1  # no evaluation stops below it, so evaluate's first block ends here
 
 # the marks round(2^(j/3)), 32 to 2^62, three per octave, where the partial sums
@@ -129,7 +129,7 @@ _MARKS.setflags(write=False)
 class EvalConfig:
     """Precision and truncation policy for :func:`evaluate`: the relative
     tolerance asked for, and the most terms streamed, which the checkpoint
-    schedule rounds down to _N_INITIAL * _GROWTH**j."""
+    schedule rounds down to _N_INITIAL * 2**j."""
 
     rel_tol: float = 1e-10
     max_n: int = 10**8
@@ -265,14 +265,10 @@ def _prefix_behaviour(entries: Behaviour) -> Behaviour:
     return _merge_behaviour(out)
 
 
-@functools.lru_cache(maxsize=1024)
-def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
+def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> Behaviour:
     """Asymptotic behaviour (exponent, log power) of the outermost terms
-    of the spec with these indices and Pochhammer base alpha.
-
-    The leading exponent e* determines the decay s = -Re e* of the outer
-    series; convergence requires s > 1.
-    """
+    of the spec with these indices and Pochhammer base alpha, the leading
+    exponent e* first."""
     prefix: Behaviour | None = None
     current: Behaviour = []
     for iw in indices:
@@ -286,30 +282,37 @@ def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
             current = [(own + e, t) for e, t in prefix]
         current = _merge_behaviour(current)
         prefix = _prefix_behaviour(current)
-    return tuple(current)
+    return current
 
 
 # every tail exponent and its integer steps that the tail basis covers
 _EXTRAPOLATION_TERMS = 3
 
 
+# tail models kept, keyed by (indices, alpha); the weight-4 derivative suite uses 615
 @functools.lru_cache(maxsize=1024)
-def _tail_basis(behaviour: tuple) -> tuple[tuple[complex, int], ...]:
-    """Candidate (s, t) pairs for the tail fit, most important first, from
-    the :func:`_behaviour` of the outermost terms.
+def _tail_basis(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
+    """The tail model of the spec with these indices and Pochhammer base
+    alpha: candidate (s, t) pairs for the tail fit, most important first,
+    from the :func:`_behaviour` of the outermost terms.
 
-    Each exponent e contributes s = -e and its steps s + 1, s + 2, every
-    one with log powers t..0: the expansions of the Pochhammer ratios and
-    of (m + beta)^-b step every exponent by integers, not only the lead.
+    The series converges only if the decay s = -Re e* of the leading
+    exponent exceeds 1.  Each exponent e contributes s = -e and its steps
+    s + 1, s + 2, every one with log powers t..0: the expansions of the
+    Pochhammer ratios and of (m + beta)^-b step every exponent by integers,
+    not only the lead, and none has a smaller s than the lead.
     """
+    behaviour = _behaviour(indices, alpha)
+    s_eff = -behaviour[0][0].real
+    if s_eff <= 1.0 + 1e-9:
+        raise NonConvergentError(f"outermost decay exponent {s_eff:.6g} <= 1; series diverges")
     cand: dict[tuple[complex, int], None] = {}
     for e, t in behaviour:
         for j in range(_EXTRAPOLATION_TERMS):
             s = complex(-e + j)
             s = _exponent(complex(round(s.real, 9), round(s.imag, 9)))
-            if s.real > 1.0 + 1e-9:
-                for tt in range(t, -1, -1):
-                    cand.setdefault((s, tt), None)
+            for tt in range(t, -1, -1):
+                cand.setdefault((s, tt), None)
     return tuple(sorted(cand, key=lambda st: (st[0].real, -st[1], st[0].imag)))
 
 
@@ -493,12 +496,8 @@ def _rt_solve(r, kept: list[int], g: np.ndarray) -> np.ndarray:
     return w
 
 
-# fit designs kept; the weight-4 thm11i suite uses 229
-_FIT_DESIGN_CACHE = 256
-
-
-# tail columns kept, 172 marks each; the weight-4 thm11i suite uses 63
-@functools.lru_cache(maxsize=256)
+# tail columns kept, 172 marks each; the weight-4 derivative suite uses 571
+@functools.lru_cache(maxsize=1024)
 def _tail_column(s: complex, t: int) -> np.ndarray:
     # tail_powers_log(s, t) at every mark, read-only, for the designs to slice
     col = tail_powers_log(s, t, _MARKS)
@@ -517,7 +516,8 @@ class _FitDesign(NamedTuple):
     lead_last: float  # |phi_lead| at the last mark
 
 
-@functools.lru_cache(maxsize=_FIT_DESIGN_CACHE)
+# fit designs kept; the weight-4 derivative suite uses 1,033
+@functools.lru_cache(maxsize=2048)
 def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
     """Tail functions at the marks, weighted and factored for the fit.
 
@@ -604,28 +604,23 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Streams the dynamic program forward to each checkpoint
-    n = _N_INITIAL * _GROWTH**j <= max_n, recording outer partial sums at
+    n = _N_INITIAL * 2**j <= max_n, recording outer partial sums at
     geometric marks, and extrapolates the tail at every checkpoint.  The
     error at n is the larger of the fit's own estimate (fit residual +
     basis-sensitivity) and half the gap to the fit at n / 4; the first n
     where it meets rel_tol ends the stream, or else the last does, with the
     best fit flagged.  No n below _FLOOR can stop it, so one block streams up
     to _FLOOR (or past the last n); later blocks end at each n, _BLOCK at most.
+    A series that diverges raises NonConvergentError from :func:`_tail_basis`.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
         return EvalResult(1.0, 0.0, 0, True)
-    behaviour = _behaviour(spec.indices, spec.alpha)
-    s_eff = -behaviour[0][0].real
-    if s_eff <= 1.0 + 1e-9:
-        raise NonConvergentError(
-            f"outermost decay exponent {s_eff:.6g} <= 1; series diverges"
-        )
-    basis = _tail_basis(behaviour)
+    basis = _tail_basis(spec.indices, spec.alpha)
 
     checkpoints = [_N_INITIAL]
-    while checkpoints[-1] * _GROWTH <= cfg.max_n:
-        checkpoints.append(checkpoints[-1] * _GROWTH)
+    while checkpoints[-1] * 2 <= cfg.max_n:
+        checkpoints.append(checkpoints[-1] * 2)
     marks = _MARKS[: np.searchsorted(_MARKS, checkpoints[-1], "right")]
     stream = _Stream(spec)
     sums = np.empty(len(marks), dtype=stream.acc_dtype)

@@ -214,16 +214,20 @@ def _tanh_sinh_nodes(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], w[keep]
 
 
-def _multisets(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted multisets c of k node indices, row r the one of colex rank
-    sum_j C(c_j + j, j + 1), and the products of their nodes in index order."""
-    rows, t = np.zeros((1, 0), np.int32), np.ones(1)
+def _multisets(x: np.ndarray, k: int) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """For each size j = 0..k, the sorted multisets c of j node indices, row r
+    the one of colex rank sum_j C(c_j + j, j + 1), and the products of their
+    nodes in index order; size k, whose rows nothing reads, has None."""
+    rows, t, tables = np.zeros((1, 0), np.int32), np.ones(1), []
     for j in range(k):
+        tables.append((rows, t))
         # the rows of size j whose largest index is at most m are the first C(m + j, j)
         head = np.concatenate([np.arange(math.comb(m + j, j)) for m in range(len(x))])
         last = np.cumsum(head == 0, dtype=np.int32) - 1  # the new largest index m
-        rows, t = np.column_stack((rows.take(head, 0), last)), t[head] * x[last]
-    return rows, t
+        rows = np.column_stack((rows.take(head, 0), last)) if j < k - 1 else None
+        t = t[head] * x[last]
+    tables.append((None, t))
+    return tables
 
 
 def _insert_ranks(rows: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -268,10 +272,11 @@ def _simplex_integral(
     w = [wts * x**c for c in np.cumsum(expo)]
     # the powers of 1 - t_{n-1} go with the outer nodes' weights
     w[-1] = w[-1] * (1.0 - x) ** (p_out - pole[-1])
+    tables = _multisets(x, n - 1)
     for j in range(n - 1):
         if j and pole[j]:
             f_prev /= 1.0 - t
-        rows, t = _multisets(x, n - 1 - j)
+        rows, t = tables.pop()  # size n - 1 - j, freed once the next is read
         f = np.empty(len(t))
         for s in range(0, len(t), _ROWS):
             if j:

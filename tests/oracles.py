@@ -32,7 +32,6 @@ from mzdual.nested_sum import (
     _FLOOR,
     NestedSumSpec,
     Prefactor,
-    _GROWTH,
     _N_INITIAL,
     _Stream,
     _fit_design,
@@ -323,7 +322,7 @@ def evaluate_block_ends(n: int) -> list[int]:
     checkpoint = _N_INITIAL
     while ends[-1] <= n:
         while checkpoint < ends[-1]:  # a checkpoint the blocks have passed
-            checkpoint *= _GROWTH
+            checkpoint *= 2
         ends.append(min(ends[-1] + _BLOCK, min(checkpoint, n) + 1))
     return ends
 
@@ -401,8 +400,8 @@ def fit_windows(max_n: int) -> list[list[int]]:
     """The marks of each checkpoint's tail fit in an evaluation streamed to
     max_n: the last 30 marks <= n, none below max(32, n // 1024)."""
     checkpoints = [_N_INITIAL]
-    while checkpoints[-1] * _GROWTH <= max_n:
-        checkpoints.append(checkpoints[-1] * _GROWTH)
+    while checkpoints[-1] * 2 <= max_n:
+        checkpoints.append(checkpoints[-1] * 2)
     marks = np.array(marks_loop(checkpoints[-1]), dtype=np.int64)
     windows = []
     for n in checkpoints:

@@ -9,6 +9,8 @@ import pytest
 import mzdual.evaluators
 import mzdual.nested_sum
 from mzdual.cli import main
+from mzdual.nested_sum import EvalConfig
+from mzdual.verifier import SuiteConfig
 
 
 def run(capsys, *argv):
@@ -296,6 +298,37 @@ class TestVerify:
                            "--grid", grid)
         assert code == 0
         assert "3/3 passed" in out
+
+
+class _Built(Exception):
+    """Stops a command once it has built its config."""
+
+
+class TestDefaults:
+    # the parser takes every default from the config it builds
+    def test_compute_builds_default_eval_config(self, monkeypatch):
+        built = []
+
+        def record(word, p, cfg):
+            built.append(cfg)
+            raise _Built
+
+        monkeypatch.setattr("mzdual.cli.eval_Z", record)
+        with pytest.raises(_Built):
+            main(["compute", "--family", "Z", "--word", "1:2", "--alpha", "1", "--beta", "1"])
+        assert built == [EvalConfig()]
+
+    def test_verify_builds_default_suite_config(self, monkeypatch):
+        built = []
+
+        def record(suite, sc, workers):
+            built.append(sc)
+            raise _Built
+
+        monkeypatch.setattr("mzdual.cli.run_suite", record)
+        with pytest.raises(_Built):
+            main(["verify", "--suite", "thm11i"])
+        assert built == [SuiteConfig()]
 
 
 def test_runtime_needs_numpy_alone():

@@ -85,8 +85,12 @@ class TestEvaluate:
             evaluate(single(beta=0.0))
 
     def test_non_convergent(self):
+        # the tail model refuses an outer decay of 1, and evaluate through it
+        spec = single(b=1)
         with pytest.raises(NonConvergentError):
-            evaluate(single(b=1))
+            _tail_basis(spec.indices, spec.alpha)
+        with pytest.raises(NonConvergentError):
+            evaluate(spec)
 
     def test_tolerance_not_reached_flagged(self):
         cfg = EvalConfig(rel_tol=1e-14, max_n=5000)
@@ -426,7 +430,7 @@ class TestNoResonanceCliff:
         spec = z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0))
         behaviour = _behaviour(spec.indices, spec.alpha)
         assert [e for e, _ in behaviour] == pytest.approx([-2.0, -2.001, -3.0, -4.0])
-        exponents = [s for s, _ in _tail_basis(behaviour)]
+        exponents = [s for s, _ in _tail_basis(spec.indices, spec.alpha)]
         assert exponents == pytest.approx([2.0, 2.001, 3.0, 3.001, 4.0, 4.001, 5.0, 6.0])
 
     def test_complex_exponents_kept(self):
@@ -435,7 +439,7 @@ class TestNoResonanceCliff:
         behaviour = _behaviour(spec.indices, spec.alpha)
         assert any(isinstance(e, complex) for e, _ in behaviour)
         assert -behaviour[0][0].real == pytest.approx(2.0)
-        assert any(isinstance(s, complex) for s, _ in _tail_basis(behaviour))
+        assert any(isinstance(s, complex) for s, _ in _tail_basis(spec.indices, spec.alpha))
 
     def test_off_axis_exponent_not_resonant(self):
         # sum_{k<=m} k^(-1+2i) ~ C + m^(2i) / (2i): no log, unlike k^-1
@@ -489,7 +493,7 @@ def recorded_partial_sums(spec: NestedSumSpec, n: int):
     """Marks up to n and the outer partial sums at them, as evaluate fits them."""
     prefix = _Stream(spec).run_block(n + 1)
     marks = _MARKS[: np.searchsorted(_MARKS, n, "right")]
-    return marks, prefix[marks], _tail_basis(_behaviour(spec.indices, spec.alpha))
+    return marks, prefix[marks], _tail_basis(spec.indices, spec.alpha)
 
 
 class TestFitDesignCache:
@@ -527,7 +531,7 @@ DEPTH3_TWO_PRODUCTS = (
     *DEPTH3[1:],
 )
 # block ends: every index alone; a cut right after m = 0; a cut after each
-# of the first checkpoints (_N_INITIAL * _GROWTH**j + 1: "evaluate_edges");
+# of the first checkpoints (_N_INITIAL * 2**j + 1: "evaluate_edges");
 # and the blocks evaluate streams, to _FLOOR, then to the next checkpoint + 1
 SPLITS = {
     "ones": list(range(1, 301)),
@@ -554,7 +558,7 @@ class TestStreamSplitInvariance:
 
 
 def clear_shared_work():
-    for cache in (_shared_product_block, _behaviour, _tail_basis, _tail_column, _fit_design):
+    for cache in (_shared_product_block, _tail_basis, _tail_column, _fit_design):
         cache.cache_clear()
 
 
@@ -595,6 +599,16 @@ class TestSharedWork:
         assert check.passed
         info = _shared_product_block.cache_info()
         assert info.misses == 4 and info.hits > 0 and info.currsize == info.maxsize == 4
+
+    def test_memos_hold_a_suite_without_evicting(self):
+        # the derivative suite's circle points make the largest working set at
+        # a given weight; every miss stays cached, so none is made twice
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
+        for memo in (_fit_design, _tail_column, _tail_basis):
+            info = memo.cache_info()
+            assert info.misses == info.currsize > 0, (memo.__name__, info)
 
     def test_one_pass_fit_is_the_per_size_fit(self, monkeypatch):
         # every fit of a real and a complex thm11i suite, and the recorded

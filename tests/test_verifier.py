@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -239,18 +240,29 @@ class TestMultisetTables:
     @pytest.mark.parametrize("n_nodes", range(1, 7))
     @pytest.mark.parametrize("k", range(4))
     def test_rows_in_colex_rank_order(self, n_nodes, k):
+        # one call gives every size up to k; the rows of size k are not built
         x = np.linspace(0.1, 0.9, n_nodes)
-        rows, t = _multisets(x, k)
-        assert rows.dtype == np.int32 and rows.shape == (math.comb(n_nodes + k - 1, k), k)
-        assert len({tuple(r) for r in rows}) == len(rows)
-        for r, c in enumerate(rows.tolist()):
-            assert c == sorted(c) and self.rank(c) == r
-            assert t[r] == math.prod(x[c], start=1.0)
+        tables = _multisets(x, k)
+        assert len(tables) == k + 1 and tables[k][0] is None
+        for size, (rows, t) in enumerate(tables):
+            combos = itertools.combinations_with_replacement(range(n_nodes), size)
+            multisets = sorted(map(list, combos), key=self.rank)
+            assert [self.rank(c) for c in multisets] == list(range(len(t)))
+            for r, c in enumerate(multisets):
+                assert t[r] == math.prod(x[c], start=1.0)
+            if size == k:
+                continue
+            assert rows.dtype == np.int32 and rows.shape == (len(multisets), size)
+            assert len(multisets) == math.comb(n_nodes + size - 1, size)
+            assert len({tuple(r) for r in rows}) == len(rows)
+            for r, c in enumerate(rows.tolist()):
+                assert c == sorted(c) and self.rank(c) == r
 
     @pytest.mark.parametrize("n_nodes", range(1, 7))
     @pytest.mark.parametrize("k", range(4))
     def test_insert_ranks(self, n_nodes, k):
-        rows, _ = _multisets(np.linspace(0.1, 0.9, n_nodes), k)
+        # the rows of size k, from the tables up to size k + 1, which has none
+        rows, _ = _multisets(np.linspace(0.1, 0.9, n_nodes), k + 1)[k]
         ranks = _insert_ranks(rows, n_nodes)
         assert ranks.shape == (len(rows), n_nodes)
         want = [[self.rank(sorted(c + [i])) for i in range(n_nodes)] for c in rows.tolist()]
@@ -258,7 +270,7 @@ class TestMultisetTables:
 
     @pytest.mark.parametrize("family", ["Z", "zeta"])
     def test_fine_rule_memory(self, family):
-        # the tables peak near 3.5 MiB; a rule holding nodes^3 = 456,533 floats per outer node peaks at 7.1
+        # the tables peak near 3.1 MiB; a rule holding nodes^3 = 456,533 floats per outer node peaks at 7.1
         tracemalloc.start()
         try:
             _simplex_integral(W("1:1,1/2:3").letters(), 1.5, 1.0, family, h=0.08, kmax=48)
