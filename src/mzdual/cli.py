@@ -96,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="largest r; the derivative suite checks r = 1..r_max")
     ver.add_argument("--grid", type=parse_grid, default=SuiteConfig.params_grid,
                      help="'default', value list (square grid), or 'a:b;a:b' pairs")
-    ver.add_argument("--tol", type=float, default=SuiteConfig.tol)
+    ver.add_argument("--tol", type=float, default=SuiteConfig.tol,
+                     help="sets the kernel's rel_tol to tol/30, clamped to [1e-12, 1e-9]; "
+                          "each check passes at its own tol, derived from its error estimates")
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
     ver.add_argument("--workers", type=int, default=1,

@@ -580,10 +580,7 @@ def _tail_fit(
     k0 = design.sizes[0] - 1
     resid = yw - np.ascontiguousarray(np.cumsum(q * proj, axis=1)[:, k0:].T)
     values = complex(sums[-1]) + np.cumsum(w * proj)[k0:].astype(np.complex128)
-    # the modulus on a complex design; a real one fits the real and
-    # imaginary parts alike, and takes the larger
-    resid_abs = (np.abs(resid) if np.iscomplexobj(q)
-                 else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
+    resid_abs = np.abs(resid)
     err_model = resid_abs[:, n // 2:].max(axis=1).astype(np.float64) * design.lead_last
     # sensitivity of the extrapolated value to per-row noise
     noise_abs = np.sqrt(np.mean((resid_abs / wrow) ** 2, axis=1)).astype(np.float64)

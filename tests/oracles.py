@@ -371,8 +371,7 @@ def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
         value = base_value + complex(w[:k] @ proj[:k])
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             continue
-        resid_abs = (np.abs(resid) if np.iscomplexobj(q)
-                     else np.maximum(np.abs(resid.real), np.abs(resid.imag)))
+        resid_abs = np.abs(resid)
         err_model = float(np.max(resid_abs[n // 2:])) * design.lead_last
         err_noise = amp_norm * float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))
         err = 3.0 * err_model + 2.0 * err_noise

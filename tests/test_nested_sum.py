@@ -511,6 +511,23 @@ class TestFitDesignCache:
         assert _fit_design.cache_info().hits >= 1
         assert cold is not None and cold == warm
 
+    @pytest.mark.parametrize("spec", [
+        hurwitz_spec(parse_word("1:1,1:2"), 1 + 2j),
+        z_spec(parse_word("1:1,1:2"), Params(1.0, 0.6 + 0.3j)),
+    ], ids=["zeta-complex-alpha", "Z-complex-beta"])
+    def test_err_does_not_depend_on_phase(self, spec):
+        # complex sums on a real basis: the residual is a modulus, so turning
+        # every sum by one phase turns the value and leaves the err alone.  The
+        # residuals are ~1e-12 of the sums, so a turn's rounding alone moves the
+        # err by up to ~2e-7, while a max(|Re|, |Im|) norm moves it by 0.6% and 6%
+        marks, sums, basis = recorded_partial_sums(spec, 16_384)
+        assert not any(isinstance(s, complex) for s, _ in basis)
+        phase = np.exp(0.25j * np.pi)
+        value, err = _tail_fit(marks, sums, basis)
+        turned, turned_err = _tail_fit(marks, sums * phase, basis)
+        assert turned == pytest.approx(value * phase, rel=1e-9, abs=0)
+        assert turned_err == pytest.approx(err, rel=1e-6, abs=0)
+
     def test_cached_arrays_read_only(self):
         marks, _, basis = recorded_partial_sums(self.SPECS[1], 4096)
         design = _fit_design(tuple(basis), tuple(int(m) for m in marks))

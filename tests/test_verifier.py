@@ -11,10 +11,11 @@ import pytest
 
 import mzdual.evaluators
 import mzdual.verifier
-from mzdual.evaluators import Params, eval_Z
+from mzdual.evaluators import Params, eval_hurwitz, eval_Z
 from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     DEFAULT_GRID,
+    TOL_FLOOR,
     SuiteConfig,
     _insert_ranks,
     _multisets,
@@ -180,6 +181,26 @@ class TestIntegralCheck:
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError):
             check_integral_repr(W("1:2"), Params(0.5, 1.0), "Z", CFG)
+
+    @pytest.mark.parametrize("word, p, family", [
+        ("1:2", Params(1, 1), "Z"), ("1h0", Params(1.0, 1.5), "zeta"),
+    ])
+    def test_tol_is_derived(self, word, p, family):
+        # the quadrature's estimate is the gap between its two rules, and the
+        # tol comes from it and the series' estimate, as in every other check
+        c = check_integral_repr(W(word), p, family, CFG)
+        letters = W(word).letters()
+        a, b = p.alpha.real, p.beta.real
+        fine = _simplex_integral(letters, a, b, family, h=0.08, kmax=48)
+        coarse = _simplex_integral(letters, a, b, family, h=0.16, kmax=24)
+        series = eval_Z(W(word), p, CFG) if family == "Z" else eval_hurwitz(W(word), p.alpha, CFG)
+        rhs = abs(complex(series.value))
+        want = max(TOL_FLOOR, 10.0 * (abs(fine - coarse) + series.err_estimate) / max(rhs, 1.0))
+        assert c.passed and c.note == "" and c.tol == want
+
+    def test_default_grid_tol_is_tight(self):
+        rep = run_suite("integral", SuiteConfig(weight_max=3))
+        assert rep.passed and all(c.tol < 1e-4 for c in rep.checks)
 
     def test_suite_runs_zeta_once_per_alpha(self):
         # the zeta integrand and series do not depend on b, so the zeta
