@@ -8,7 +8,8 @@ so a pass means the deviation is explained by truncation alone.
 The quadrature and derivative checks cross-validate the integral
 representation and the derivative calculus behind the starred expansion.
 The quadrature tabulates inner sums per multiset of nodes, 1,024 at a time,
-and is within 4.4e-11 of closed forms.
+and is within 4.4e-11 of closed forms.  Its first inner sum is memoized: all
+admissible words begin with the letter 1, so all of one weight share it.
 
 Each identity has one check.  The `duality` suite is the thm11i suite at
 r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
@@ -18,6 +19,7 @@ r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -245,7 +247,8 @@ def _simplex_integral(
     a table over multisets: F_0(M) = sum_i w_0[i] (1 - x_i t(M))^p0 on
     |M| = n - 1, F_j(M) = sum_i w_j[i] F_{j-1}(M + i) / (1 - t(M + i))^pole_j,
     and the integral is sum_i w_{n-1}[i] F_{n-2}({i}): N C(N + n - 2, n - 1)
-    powers for N nodes, not N^n, in chunks of _ROWS multisets.
+    powers for N nodes, not N^n, in chunks of _ROWS multisets.  All words of
+    one weight share F_0 (they begin with the letter 1), so it is memoized.
     """
     x, wts = _tanh_sinh_nodes(h, kmax)
     n = len(letters)
@@ -261,22 +264,35 @@ def _simplex_integral(
     w = [wts * x**c for c in np.cumsum(expo)]
     # the powers of 1 - t_{n-1} go with the outer nodes' weights
     w[-1] = w[-1] * (1.0 - x) ** (p_out - pole[-1])
-    tables = _multisets(x, n - 1)
-    for j in range(n - 1):
-        if j and pole[j]:
-            f_prev /= 1.0 - t
+    f_prev = _first_sums(h, kmax, n, expo[0], p0)
+    tables = _multisets(x, n - 1)  # built after F_0, so a miss holds one size n - 1 table
+    _, t = tables.pop()
+    for j in range(1, n - 1):
+        if pole[j]:  # out of place: f_prev may be the memo's array
+            f_prev = f_prev / (1.0 - t)
         rows, t = tables.pop()  # size n - 1 - j, freed once the next is read
         f = np.empty(len(t))
         for s in range(0, len(t), _ROWS):
-            if j:
-                g = f_prev[_insert_ranks(rows[s : s + _ROWS], len(x))]
-            else:  # t_0 = x_i t(M), then in place (1 - t_0)^p0
-                g = np.multiply.outer(t[s : s + _ROWS], x)
-                np.subtract(1.0, g, out=g)
-                g **= p0
-            f[s : s + _ROWS] = g @ w[j]
+            f[s : s + _ROWS] = f_prev[_insert_ranks(rows[s : s + _ROWS], len(x))] @ w[j]
         f_prev = f
     return float(f_prev @ w[-1])
+
+
+@functools.lru_cache(maxsize=2)
+def _first_sums(h: float, kmax: int, n: int, e0: float, p0: float) -> np.ndarray:
+    """F_0(M) = sum_i w_0[i] (1 - x_i t(M))^p0 over the multisets M of size
+    n - 1, with w_0 = wts * x^e0; read-only.  The integral suite asks for it
+    by weight, rules alternating, so 2 entries hold its working set."""
+    x, wts = _tanh_sinh_nodes(h, kmax)
+    w0, t = wts * x**e0, _multisets(x, n - 1)[-1][1]
+    f = np.empty(len(t))
+    for s in range(0, len(t), _ROWS):  # t_0 = x_i t(M), then in place (1 - t_0)^p0
+        g = np.multiply.outer(t[s : s + _ROWS], x)
+        np.subtract(1.0, g, out=g)
+        g **= p0
+        f[s : s + _ROWS] = g @ w0
+    f.flags.writeable = False
+    return f
 
 
 def check_integral_repr(
@@ -290,10 +306,12 @@ def check_integral_repr(
     Limited to words of weight <= 4 and real parameters in [1, 2] (the
     integrand's endpoint singularities stay integrable there).  The rule
     tabulates its inner sums over multisets of nodes, 1,024 at a time, so
-    no array grows past nodes^3 elements.  The fine rule is within 4.4e-11
-    of the closed forms zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its
-    error estimate is the gap to the coarse rule, so the tol is derived from
-    that gap and the series' estimate, as in every other check.
+    no array grows past nodes^3 elements.  The first inner sum is one table
+    for all words of one weight (each begins with the letter 1), computed once
+    per family, pair and rule.  The fine rule is within 4.4e-11 of the closed
+    forms zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its error estimate is
+    the gap to the coarse rule, so the tol is derived from that gap and the
+    series' estimate, as in every other check.
     """
     if w.weight > 4:
         raise ValueError("integral check limited to weight <= 4 (dimension <= 4)")
@@ -477,14 +495,16 @@ def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) 
 
 def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
     # the quadrature takes words of weight <= 4 and real parameters in [1, 2]; the zeta
-    # integrand and series do not depend on b, so its check runs at the least b of each a
+    # integrand and series do not depend on b, so its check runs at the least b of each a.
+    # Pair, then family, then word (in weight order): the words sharing a first inner sum
+    # run together, so the 2-entry memo `_first_sums` misses once per weight and rule
     box = [(a, b) for a, b in sc.params_grid
            if all(not complex(x).imag and 1 <= complex(x).real <= 2 for x in (a, b))]
     least_b = {a: min((b for a2, b in box if a2 == a), key=lambda b: complex(b).real)
                for a, _ in box}
     return [(check_integral_repr, (w, Params(a, b), family, cfg))
-            for a, b in box for w in words if w.weight <= 4
-            for family in ("Z", "zeta") if family == "Z" or b == least_b[a]]
+            for a, b in box for family in ("Z", "zeta") if family == "Z" or b == least_b[a]
+            for w in words if w.weight <= 4]
 
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:

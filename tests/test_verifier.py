@@ -17,6 +17,7 @@ from mzdual.verifier import (
     DEFAULT_GRID,
     TOL_FLOOR,
     SuiteConfig,
+    _first_sums,
     _insert_ranks,
     _multisets,
     _simplex_integral,
@@ -219,6 +220,9 @@ class TestSimplexIntegral:
     """The quadrature with its t-powers folded into node weights is the
     tensor rule that evaluates the whole integrand at every point."""
 
+    RULES = ({"h": 0.16, "kmax": 24}, {"h": 0.08, "kmax": 48})
+    SUITE = ("integral", SuiteConfig(weight_max=4, depth_max=2, params_grid=((1.5, 1),)))
+
     @pytest.mark.parametrize("family", ["Z", "zeta"])
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (1.5, 1), (2, 1.3), (1, 2)])
     def test_equals_tensor_rule(self, family, alpha, beta):
@@ -248,6 +252,47 @@ class TestSimplexIntegral:
     def test_fine_rule_closed_forms(self, word, family, alpha, closed):
         got = _simplex_integral(W(word).letters(), alpha, 1.0, family, h=0.08, kmax=48)
         assert abs(got - float(closed)) <= 1e-9 * float(closed)
+
+    def test_memo_is_invisible(self):
+        # every word of weight <= 4 shares F_0 with the others of its weight;
+        # forwards and backwards from a cold memo, the first word of a weight
+        # that computes it differs, and the floats are the same
+        calls = [(w.letters(), a, b, family, rule) for a, b in ((1.5, 1), (1, 2))
+                 for family in ("Z", "zeta") for w in words_up_to_weight(4)
+                 for rule in self.RULES]
+        runs = []
+        for order in (calls, calls[::-1]):
+            _first_sums.cache_clear()
+            runs.append({c[:4] + (c[4]["h"],): _simplex_integral(*c[:4], **c[4]) for c in order})
+        assert runs[0] == runs[1]
+
+    def test_memo_is_read_only(self):
+        _first_sums.cache_clear()
+        _simplex_integral("1000", 1.5, 1.0, "Z", h=0.16, kmax=24)
+        f0 = _first_sums(0.16, 24, 4, 0.0, -1.5)  # e0 = beta - 1, p0 = -alpha
+        assert _first_sums.cache_info().hits == 1 and not f0.flags.writeable
+        with pytest.raises(ValueError):
+            f0[0] = 0.0
+
+    @pytest.mark.parametrize("letters", ["1100", "1h00"])
+    @pytest.mark.parametrize("family,e0,p0", [("Z", 0.0, -1.5), ("zeta", 0.5, -1.0)])
+    def test_pole_letter_leaves_memo(self, letters, family, e0, p0):
+        # the 1/(1 - t) of the second letter divides F_0 out of place
+        _first_sums.cache_clear()
+        want = _first_sums(0.16, 24, 4, e0, p0).copy()
+        cold = _simplex_integral(letters, 1.5, 1.0, family, h=0.16, kmax=24)
+        warm = _simplex_integral(letters, 1.5, 1.0, family, h=0.16, kmax=24)
+        info = _first_sums.cache_info()
+        assert (info.misses, info.hits) == (1, 2) and cold == warm
+        assert np.array_equal(_first_sums(0.16, 24, 4, e0, p0), want)
+
+    def test_suite_misses_once_per_key(self):
+        # pair, family, word: each of the 12 keys (2 families x 3 weights x
+        # 2 rules) misses once, and the other 24 of the 36 quadratures hit
+        _first_sums.cache_clear()
+        run_suite(*self.SUITE)
+        info = _first_sums.cache_info()
+        assert (info.misses, info.hits) == (12, 24)
 
 
 class TestMultisetTables:
@@ -299,6 +344,19 @@ class TestMultisetTables:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20, peak / 2**20
+
+    def test_suite_memory(self):
+        # the memo holds one fine and one coarse F_0 at a time, and the suite
+        # peaks at 3.2-3.5 MiB; a memo that keeps all 12 reaches 4.2
+        _first_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            run_suite(*TestSimplexIntegral.SUITE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 2**20, peak / 2**20
+        assert _first_sums.cache_info().currsize == 2
 
 
 class TestDerivativeCheck:
