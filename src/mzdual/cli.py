@@ -135,7 +135,7 @@ def _cmd_compute(args) -> int:
         print(f"err_estimate = {res.err_estimate:.3e}")
         print(f"n_used       = {res.n_used}")
     if not res.converged:
-        print("warning: tolerance not reached (max_n hit)", file=sys.stderr)
+        print(f"warning: tolerance not reached in {res.n_used} terms", file=sys.stderr)
         return EXIT_NO_TOLERANCE
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 """Evaluate words under the four parametrized series families.
 
 The two-parameter family ``eval_Z`` and its r-augmented extension
-``eval_Zstar`` carry Pochhammer-ratio prefactors in the first parameter
-slot; the one-parameter Hurwitz family ``eval_hurwitz`` and its extension
+``eval_Zstar`` carry the Pochhammer ratio (alpha)_m / m! in the first
+parameter slot, to the power +1 on the first index and -1 on the last;
+the one-parameter Hurwitz family ``eval_hurwitz`` and its extension
 ``eval_Hstar`` shift every index by alpha.  Parameter convention: the
-FIRST slot of :class:`Params` always feeds the Pochhammer prefactors and
+FIRST slot of :class:`Params` always feeds the Pochhammer ratio and
 the SECOND the index weights (m + beta)^-k, and every spec puts them in
 ``spec.alpha`` and ``spec.beta`` in that order; the theorems that relate
 Z(a, b) to a starred value at (b, a) swap the pair before the call.
@@ -30,7 +31,6 @@ from .nested_sum import (
     IndexWeight,
     Link,
     NestedSumSpec,
-    Prefactor,
     evaluate,
 )
 from .words import Cut, LinComb, Word, _check_rvector
@@ -39,7 +39,7 @@ from .words import Cut, LinComb, Word, _check_rvector
 @dataclass(frozen=True)
 class Params:
     """Ordered parameter pair (slot 1, slot 2); slot 1 feeds the Pochhammer
-    prefactors.  beta defaults to alpha (the one-argument shorthand)."""
+    ratio.  beta defaults to alpha (the one-argument shorthand)."""
 
     alpha: complex
     beta: complex | None = None
@@ -71,11 +71,13 @@ def zstar_spec(w: Word, r: Sequence[int], p: Params) -> NestedSumSpec:
     """Kernel spec for the r-augmented starred family.
 
     The first slot alpha is the Pochhammer base: (alpha)_m / m! on the
-    first index, m! / (alpha)_{m+1} on the last, (m+alpha)^-r_1 on the
-    first index and (m+alpha)^-1 on every auxiliary index.  Main index i
-    carries (m+beta)^-k_i with beta the SECOND slot, and the last one
-    (m+beta)^-(k_q - 1): with m! / (alpha)_{m+1} this is the paper's
-    last factor m! (m+beta) / (alpha)_{m+1} (m+beta)^-k_q.  For i >= 2,
+    first index (poch = 1) and m! / (alpha)_{m+1} = (m+alpha)^-1 over it
+    on the last (poch = -1, one more power in a), so depth 1 telescopes
+    to poch = 0; (m+alpha)^-r_1 on the first index and (m+alpha)^-1 on
+    every auxiliary index.  Main index i carries (m+beta)^-k_i with beta
+    the SECOND slot, and the last one (m+beta)^-(k_q - 1): with m! /
+    (alpha)_{m+1} this is the paper's last factor m! (m+beta) /
+    (alpha)_{m+1} (m+beta)^-k_q.  For i >= 2,
     r_i auxiliary indices are spliced between main indices i-1 and i:
     entered by the plain cut inequality, chained weakly, and closed by
     the star-flipped cut inequality (the closing cut of the word is 1).
@@ -93,14 +95,8 @@ def zstar_spec(w: Word, r: Sequence[int], p: Params) -> NestedSumSpec:
                 links.extend([Link.WEAK] * (rv[i] - 1))
                 links.append(_strict_star(w.inner_cut(i + 1)))
                 idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
-        pfs = []
-        if i == 0:
-            pfs.append(Prefactor.POCH_FIRST)
-        if i == q - 1:
-            pfs.append(Prefactor.POCH_LAST)
-        a = rv[0] if i == 0 else 0
-        b = ks[i] if i < q - 1 else ks[i] - 1
-        idx.append(IndexWeight(a=a, b=b, prefactors=tuple(pfs)))
+        first, last = int(i == 0), int(i == q - 1)
+        idx.append(IndexWeight(a=(rv[0] if first else 0) + last, b=ks[i] - last, poch=first - last))
     return NestedSumSpec(tuple(idx), tuple(links), alpha=p.alpha, beta=p.beta)
 
 
@@ -116,11 +112,11 @@ def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
     """Kernel spec for the r-augmented Hurwitz-dual family.
 
     Main index i carries (m+1)^-k_i, and the last one (m+1)^-(k_q - 1)
-    times m! / (alpha)_{m+1}, which is the paper's last factor
-    (m+1)! / (alpha)_{m+1} (m+1)^-k_q; every block i = 1..q owns a chain
-    of r_i auxiliary indices weighted (M+alpha)^-1.  The first chain
-    starts weakly at 0; chain i closes into main index i by the
-    star-flipped cut inequality (closing cut 1 for the last block).
+    times m! / (alpha)_{m+1} = (m+alpha)^-1 ((alpha)_m / m!)^-1, which is
+    the paper's last factor (m+1)! / (alpha)_{m+1} (m+1)^-k_q; every block
+    i = 1..q owns a chain of r_i auxiliary indices weighted (M+alpha)^-1.
+    The first chain starts weakly at 0; chain i closes into main index i by
+    the star-flipped cut inequality (closing cut 1 for the last block).
     """
     rv = _check_rvector(r, w.depth)
     q = w.depth
@@ -135,8 +131,8 @@ def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
             links.extend([Link.WEAK] * (rv[i] - 1))
             links.append(_strict_star(w.inner_cut(i + 1)))
             idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
-        pfs = (Prefactor.POCH_LAST,) if i == q - 1 else ()
-        idx.append(IndexWeight(b=ks[i] if i < q - 1 else ks[i] - 1, prefactors=pfs))
+        last = int(i == q - 1)
+        idx.append(IndexWeight(a=last, b=ks[i] - last, poch=-last))
     return NestedSumSpec(tuple(idx), tuple(links), alpha=alpha, beta=1.0)
 
 
@@ -184,8 +180,8 @@ def eval_Hstar(
     return eval_spec(hstar_spec(w, r, alpha), cfg)
 
 
-def sum_results(terms: Iterable[tuple[float, EvalResult]]) -> EvalResult:
-    """The sum of coeff * result over (coeff, result) pairs.
+def sum_results(terms: Iterable[tuple[complex, EvalResult]]) -> EvalResult:
+    """The sum of coeff * result over (coeff, result) pairs, coeff real or complex.
 
     Error estimates add up weighted by |coeff|; the sum is converged only
     if every term is, and a complex total with zero imaginary part comes

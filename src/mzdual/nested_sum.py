@@ -2,8 +2,8 @@
 
 A :class:`NestedSumSpec` describes one nested sum: a chain of integer
 indices ``0 <= m_1 (< or <=) m_2 ... m_D < inf``, a per-index weight
-``(m + alpha)^-a (m + beta)^-b`` with optional Pochhammer-ratio
-prefactors, and the strict/weak relation linking consecutive indices.
+``(m + alpha)^-a (m + beta)^-b ((alpha)_m / m!)^poch``, and the
+strict/weak relation linking consecutive indices.
 
 Evaluation is a single streaming pass, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
@@ -11,9 +11,11 @@ multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link).  Work is O(N * depth) and fully vectorized; the
 running outer partial sum is recorded at geometrically spaced marks.
 
-Each Pochhammer prefactor, (alpha)_m / m! or m! / (alpha)_{m+1}, is a
-running product r(m) = r(m-1) (1 + d / (m + c)).  The stream carries it
-across blocks as it carries the prefix of each level.
+The one Pochhammer ratio r(m) = (alpha)_m / m! = r(m-1) (1 + (alpha - 1) / m)
+is a running product, carried across blocks as the prefixes are, and each
+index with poch != 0 builds its block from that carry; m! / (alpha)_{m+1}
+is (m + alpha)^-1 / r.  A block past the range of float64 (r overflows from
+alpha ~ 70) ends the evaluation at once, unconverged.
 
 The infinite tail is removed by fitting the recorded partial sums against
 exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
@@ -33,8 +35,8 @@ Work shared across specs: the tail model is memoized on (indices, alpha),
 all it depends on; each tail column is computed once at every mark, and
 each fit's design slices its rows from it; and the Pochhammer product
 block that starts each stream, at m = 0 where no carry enters, is cached
-by (prefactor, alpha, end); later blocks are built afresh, as keeping
-them would cost megabytes per alpha.  The tail model, column and design
+by (alpha, end); later blocks are built afresh, as keeping them would
+cost megabytes per alpha.  The tail model, column and design
 memos hold the working set of every suite at the CLI's default weight
 unevicted.  Values are pure functions of their keys, so every output is
 byte-identical to one computed per spec, in any spec order.
@@ -69,20 +71,14 @@ class Link(enum.Enum):
     WEAK = "<="
 
 
-class Prefactor(enum.Enum):
-    """Pochhammer-ratio prefactors attachable to a single index m."""
-
-    POCH_FIRST = "poch_first"  # (alpha)_m / m!
-    POCH_LAST = "poch_last"  # m! / (alpha)_{m+1}
-
-
 @dataclass(frozen=True)
 class IndexWeight:
-    """Weight of one summation index: (m+alpha)^-a (m+beta)^-b * prefactors."""
+    """Weight of one summation index: (m+alpha)^-a (m+beta)^-b ((alpha)_m/m!)^poch;
+    m! / (alpha)_{m+1} is poch = -1 with one more power of (m+alpha) in a."""
 
     a: int = 0
     b: int = 0
-    prefactors: tuple[Prefactor, ...] = ()
+    poch: int = 0
 
 
 @dataclass(frozen=True)
@@ -272,10 +268,8 @@ def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> Behaviour:
     prefix: Behaviour | None = None
     current: Behaviour = []
     for iw in indices:
-        own = complex(-(iw.a + iw.b))
-        for pf in iw.prefactors:
-            # the product of the steps 1 + d / (m + c) grows like m^d
-            own += _recurrence(pf, alpha)[1]
+        # (alpha)_m / m! grows like m^(alpha - 1)
+        own = complex(-(iw.a + iw.b)) + iw.poch * (alpha - 1.0)
         if prefix is None:
             current = [(own, 0), (own - 1.0, 0), (own - 2.0, 0)]
         else:
@@ -332,14 +326,6 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _recurrence(pf: Prefactor, alpha: complex) -> tuple[complex, complex, complex]:
-    """(c, d, r0) of the running product r(m) = r(m-1) * (1 + d / (m + c)),
-    r(0) = r0, that gives the prefactor's Pochhammer ratio in base alpha."""
-    if pf is Prefactor.POCH_FIRST:
-        return 0.0, alpha - 1.0, 1.0  # (alpha)_m / m!
-    return alpha, -alpha, 1.0 / alpha  # m! / (alpha)_{m+1}
-
-
 # ---------------------------------------------------------------------------
 # Streaming evaluation
 # ---------------------------------------------------------------------------
@@ -352,21 +338,22 @@ else:  # pragma: no cover - platform without 80-bit long double
     _ACC_REAL, _ACC_COMPLEX = np.float64, np.complex128
 
 
-def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
-    """The prefactor's running product at m = lo..hi-1, in float64 or complex128,
-    and its extended-precision carry at hi - 1, given the carry at lo - 1 (None
-    at lo = 0).  Each step 1 + d / (m + c) is made in extended precision from a
-    float64 quotient, so it is accurate to eps |d / (m + c)|.  Chunks of
-    _N_INITIAL hand the carry on: one cumprod's bytes, in a fraction of its memory."""
-    c, d, r0 = _recurrence(pf, alpha)
+def _product_block(alpha: complex, lo: int, hi: int, carry):
+    """(alpha)_m / m! at m = lo..hi-1 in float64 or complex128 (the last index
+    divides (m + alpha)^-1 by it), and its extended-precision carry at hi - 1,
+    given the carry at lo - 1 (None at lo = 0).  Each step
+    1 + (alpha - 1) / m is made in extended precision from a float64 quotient,
+    so it is accurate to eps |(alpha - 1) / m|.  Chunks of _N_INITIAL hand the
+    carry on: one cumprod's bytes, in a fraction of its memory."""
+    d = alpha - 1.0
     acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
     out = np.empty(hi - lo, dtype=np.complex128 if acc is _ACC_COMPLEX else np.float64)
     for start in range(lo, hi, _N_INITIAL):
         r = np.empty(min(hi - start, _N_INITIAL), dtype=acc)
         first = 1 if start == 0 else 0
-        r[first:] = d / (np.arange(start + first, start + len(r), dtype=np.float64) + c)
+        r[first:] = d / np.arange(start + first, start + len(r), dtype=np.float64)
         r[first:] += 1.0
-        r[0] = r0 if first else r[0] * carry
+        r[0] = 1.0 if first else r[0] * carry
         np.cumprod(r, out=r)
         carry = r[-1]
         out[start - lo : start - lo + len(r)] = r
@@ -374,21 +361,21 @@ def _product_block(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
 
 
 # the first block of every stream; a check has two bases, (alpha, beta) and (beta,
-# alpha), and two prefactors: 2 x 2 blocks; more would hold memory through longer streams
-@functools.lru_cache(maxsize=2 * 2)
-def _shared_product_block(pf: Prefactor, alpha: complex, hi: int):
+# alpha); more would hold memory through longer streams
+@functools.lru_cache(maxsize=2)
+def _shared_product_block(alpha: complex, hi: int):
     # the block at m = 0..hi-1, read-only, as the specs of one alpha share it
-    out, carry = _product_block(pf, alpha, 0, hi, None)
+    out, carry = _product_block(alpha, 0, hi, None)
     out.setflags(write=False)
     return out, carry
 
 
-def _times(w: np.ndarray | None, f: np.ndarray) -> np.ndarray:
-    # w * f, in place when w is writable and of the product's dtype
-    if w is not None and w.flags.writeable and np.result_type(w, f) == w.dtype:
-        w *= f
-        return w
-    return f if w is None else w * f
+def _times(w: np.ndarray | None, f: np.ndarray, divide: bool = False) -> np.ndarray:
+    # w * f, or w / f, in place when w is writable and of the result's dtype
+    op = np.divide if divide else np.multiply
+    if w is None:
+        return op(1.0, f) if divide else f
+    return op(w, f, out=w if w.flags.writeable and np.result_type(w, f) == w.dtype else None)
 
 
 class _Stream:
@@ -399,8 +386,9 @@ class _Stream:
         is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
         self.acc_dtype = _ACC_COMPLEX if is_complex else _ACC_REAL
         self.carries = np.zeros(spec.depth, dtype=self.acc_dtype)
-        # the running product of each (index, prefactor) at next_m - 1
-        self.products = [[None] * len(iw.prefactors) for iw in spec.indices]
+        # (alpha)_m / m! at m - 1, keyed by m, for the block that starts at
+        # next_m and the one after it
+        self.products = {0: None}
         self.next_m = 0
 
     def _weights_block(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -412,10 +400,13 @@ class _Stream:
         w = _int_power(x + spec.alpha, iw.a) if iw.a else None
         if iw.b:
             w = _times(w, _int_power(x + spec.beta, iw.b))
-        for j, pf in enumerate(iw.prefactors):
-            r, self.products[i][j] = (_shared_product_block(pf, spec.alpha, hi) if not lo else
-                                      _product_block(pf, spec.alpha, lo, hi, self.products[i][j]))
-            w = _times(w, r)
+        if iw.poch:
+            carry = self.products[lo]
+            r, out = (_shared_product_block(spec.alpha, hi) if not lo else
+                      _product_block(spec.alpha, lo, hi, carry))
+            self.products = {lo: carry, hi: out}
+            for _ in range(abs(iw.poch)):
+                w = _times(w, r, divide=iw.poch < 0)
         return np.ones(len(x)) if w is None else w
 
     def run_block(self, hi: int) -> np.ndarray:
@@ -608,6 +599,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     where it meets rel_tol ends the stream, or else the last does, with the
     best fit flagged.  No n below _FLOOR can stop it, so one block streams up
     to _FLOOR (or past the last n); later blocks end at each n, _BLOCK at most.
+    A block whose outer prefix is not finite (float64 overflow) ends it at
+    once: the best fit from the checkpoints before it, with an infinite error.
     A series that diverges raises NonConvergentError from :func:`_tail_basis`.
     """
     _validate_params(spec.alpha, spec.beta)
@@ -627,13 +620,18 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     for n in checkpoints:
         # no name holds a block's prefixes, so they are freed before the next
         # block is built
-        while stream.next_m <= n:
+        while stream.next_m <= n and np.isfinite(stream.carries[-1]):
             lo = stream.next_m
             hi = min(lo + _BLOCK, n + 1) if lo else min(_FLOOR, checkpoints[-1] + 1)
             i, j = np.searchsorted(marks, (lo, hi))
-            sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
+            with np.errstate(all="ignore"):
+                sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
         # the last 30 marks <= n; at three per octave none is below n / 1024
         k = np.searchsorted(marks, n, side="right")
+        # a sum past the range of float64 ends the stream, as no later one is finite
+        if stream.next_m <= n or not np.isfinite(sums[k - 1]):
+            value = best[1] if best is not None else math.nan
+            return EvalResult(_as_scalar(value, stream), math.inf, stream.next_m - 1, False)
         first = max(k - 30, 0)
         fit = _tail_fit(marks[first:k], sums[first:k], basis)
         if fit is None:

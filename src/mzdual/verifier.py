@@ -76,22 +76,23 @@ class IdentityCheck:
 
 
 def _make_check(name: str, lhs: EvalResult, rhs: EvalResult) -> IdentityCheck:
-    lv, rv = complex(lhs.value), complex(rhs.value)
-    abs_dev = abs(lv - rv)
+    diff = sum_results(((1, lhs), (-1, rhs)))
+    rv = complex(rhs.value)
+    abs_dev = abs(diff.value)
     scale = abs(rv)
     rel_dev = abs_dev / scale if scale > 0 else abs_dev
-    tol = max(TOL_FLOOR, 10.0 * (lhs.err_estimate + rhs.err_estimate) / max(scale, 1.0))
+    tol = max(TOL_FLOOR, 10.0 * diff.err_estimate / max(scale, 1.0))
     dev = rel_dev if scale >= 1.0 else abs_dev
     return IdentityCheck(
         name=name,
-        lhs=lv,
+        lhs=complex(lhs.value),
         rhs=rv,
         abs_dev=abs_dev,
         rel_dev=rel_dev,
         tol=tol,
-        n_used=max(lhs.n_used, rhs.n_used),
+        n_used=diff.n_used,
         passed=bool(dev <= tol),
-        note="" if lhs.converged and rhs.converged else "tolerance-not-reached",
+        note="" if diff.converged else "tolerance-not-reached",
     )
 
 
@@ -342,9 +343,12 @@ def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalRes
     x = alpha, by the trapezoid rule on the circle |x - alpha| = Re(alpha)/3.
 
     The map is analytic on Re x > 0, so the rule's error falls like
-    3^-CIRCLE_POINTS.  The estimate is the gap to the rule on every second
-    point plus the mean evaluation error over rho^r (rho the radius).  For
-    real parameters f(conj x) = conj f(x), so half the circle is evaluated.
+    3^-CIRCLE_POINTS.  The rule adds the points z up through
+    :func:`sum_results` with the weights z^-r / (N rho^r) (rho the radius),
+    and the rule on every second point with twice those.  The estimate is
+    the gap between the two plus the full rule's own, the mean evaluation
+    error over rho^r.  For real parameters f(conj x) = conj f(x), so half
+    the circle is evaluated.
     """
     n, x0 = CIRCLE_POINTS, complex(p.alpha)
     rho, roots = x0.real / 3, np.exp(2j * np.pi * np.arange(n) / n)
@@ -353,11 +357,12 @@ def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalRes
             for z in roots[: n // 2 + 1 if real else n]]
     if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
         vals += [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]
-    terms = np.array([complex(v.value) for v in vals]) * roots**-r / rho**r
-    coeff = terms.mean()
-    err = abs(coeff - terms[::2].mean()) + np.mean([v.err_estimate for v in vals]) / rho**r
-    return EvalResult((-1) ** r * (float(coeff.real) if real else complex(coeff)), float(err),
-                      max(v.n_used for v in vals), all(v.converged for v in vals))
+    weights = roots**-r / (n * rho**r)
+    full = sum_results(zip(weights.tolist(), vals))
+    half = sum_results(zip((2 * weights[::2]).tolist(), vals[::2]))
+    coeff = complex(full.value)
+    err = abs(coeff - complex(half.value)) + full.err_estimate
+    return full._replace(value=(-1) ** r * (coeff.real if real else coeff), err_estimate=err)
 
 
 def check_derivative_crosslink(

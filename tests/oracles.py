@@ -31,11 +31,9 @@ from mzdual.nested_sum import (
     _BLOCK,
     _FLOOR,
     NestedSumSpec,
-    Prefactor,
     _N_INITIAL,
     _Stream,
     _fit_design,
-    _recurrence,
 )
 from mzdual.verifier import _tanh_sinh_nodes
 from mzdual.words import Cut, LinComb, Word, parse_word
@@ -336,17 +334,17 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     return complex(last) if np.iscomplexobj(last) else float(last)
 
 
-def product_one_shot(pf: Prefactor, alpha: complex, lo: int, hi: int, carry):
-    """The kernel's running product of pf at m = lo..hi-1 and its carry
-    (see nested_sum._product_block), by one cumprod over the whole block."""
-    c, d, r0 = _recurrence(pf, alpha)
+def product_one_shot(alpha: complex, lo: int, hi: int, carry):
+    """The kernel's running product (alpha)_m / m! at m = lo..hi-1 and its
+    carry (see nested_sum._product_block), by one cumprod over the whole block."""
+    d = alpha - 1.0
     acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
     x = np.arange(lo, hi, dtype=np.float64)
     r = np.empty(hi - lo, dtype=acc)
     first = 1 if lo == 0 else 0
-    r[first:] = d / (x[first:] + c)
+    r[first:] = d / x[first:]
     r[first:] += 1.0
-    r[0] = r0 if first else r[0] * carry
+    r[0] = 1.0 if first else r[0] * carry
     np.cumprod(r, out=r)
     return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64), r[-1]
 

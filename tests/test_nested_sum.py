@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from mzdual.nested_sum import (
     Link,
     NestedSumSpec,
     NonConvergentError,
-    Prefactor,
     _FLOOR,
     _MARKS,
     _behaviour,
@@ -49,8 +49,8 @@ ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
 
 
-def single(b=2, a=0, prefactors=(), alpha=1.0, beta=1.0):
-    return NestedSumSpec((IndexWeight(a=a, b=b, prefactors=prefactors),), (), alpha, beta)
+def single(b=2, a=0, poch=0, alpha=1.0, beta=1.0):
+    return NestedSumSpec((IndexWeight(a=a, b=b, poch=poch),), (), alpha, beta)
 
 
 class TestEvaluate:
@@ -204,11 +204,7 @@ class TestBruteForceEquivalence:
                 w = w / (m + spec.alpha) ** iw.a
             if iw.b:
                 w = w / (m + spec.beta) ** iw.b
-            for pf in iw.prefactors:
-                if pf is Prefactor.POCH_FIRST:
-                    w = w * np.array(poch_ratio_first(spec.alpha, n))
-                elif pf is Prefactor.POCH_LAST:
-                    w = w * np.array(poch_ratio_last(spec.alpha, n))
+            w = w * np.array(poch_ratio_first(spec.alpha, n)) ** iw.poch
             weights.append(w)
         d = spec.depth
         grids = np.meshgrid(*([m] * d), indexing="ij", sparse=True)
@@ -228,9 +224,9 @@ class TestBruteForceEquivalence:
 
     def test_depth_three_all_link_patterns(self):
         idx = (
-            IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+            IndexWeight(b=1, poch=1),
             IndexWeight(a=1),
-            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
+            IndexWeight(a=1, b=2, poch=-1),
         )
         for links in itertools.product((Link.STRICT, Link.WEAK), repeat=2):
             spec = NestedSumSpec(idx, links, alpha=0.8, beta=1.3)
@@ -245,19 +241,19 @@ class TestBruteForceEquivalence:
     @pytest.mark.parametrize("links", list(itertools.product((Link.STRICT, Link.WEAK), repeat=2)))
     @pytest.mark.parametrize("idx", [
         (
-            IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+            IndexWeight(b=1, poch=1),
             IndexWeight(a=1),
-            IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
+            IndexWeight(a=1, b=2, poch=-1),
         ),
         (
-            IndexWeight(a=1, b=1, prefactors=(Prefactor.POCH_FIRST,)),
+            IndexWeight(a=1, b=1, poch=1),
             IndexWeight(a=1),
-            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
+            IndexWeight(a=1, b=1, poch=-1),
         ),
         (
             IndexWeight(a=1),
             IndexWeight(a=1),
-            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
+            IndexWeight(a=1, b=1, poch=-1),
         ),
     ], ids=["z", "zstar", "hstar"])
     def test_complex_parameters(self, idx, links):
@@ -269,7 +265,7 @@ class TestBruteForceEquivalence:
 
     def test_depth_two_and_one(self):
         for links, idx in [
-            ((), (IndexWeight(b=2, prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST)),)),
+            ((), (IndexWeight(a=1, b=2, poch=-1),)),
             ((Link.STRICT,), (IndexWeight(b=1), IndexWeight(a=2))),
             ((Link.WEAK,), (IndexWeight(a=1, b=1), IndexWeight(b=2))),
         ]:
@@ -279,11 +275,12 @@ class TestBruteForceEquivalence:
             assert abs(dp - naive) <= 1e-12 * abs(naive)
 
     def test_hstar_prefactor_pattern(self):
-        # hstar_spec's last index (m+1)^-(k-1) m!/(alpha)_{m+1} is the
-        # paper's (m+1)!/(alpha)_{m+1} (m+1)^-k, here with k = 2
+        # hstar_spec's last index (m+1)^-(k-1) m!/(alpha)_{m+1}, that is
+        # (m+1)^-(k-1) (m+alpha)^-1 over (alpha)_m/m!, is the paper's
+        # (m+1)!/(alpha)_{m+1} (m+1)^-k, here with k = 2
         idx = (
             IndexWeight(a=1),
-            IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
+            IndexWeight(a=1, b=1, poch=-1),
         )
         m = np.arange(self.N + 1)
         inner = np.cumsum(1.0 / (m + 0.75))
@@ -299,7 +296,7 @@ class TestBruteForceEquivalence:
 class TestMonotonicity:
     def test_partial_sums_increase(self):
         spec = NestedSumSpec(
-            (IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)), IndexWeight(b=2)),
+            (IndexWeight(b=1, poch=1), IndexWeight(b=2)),
             (Link.STRICT,),
             0.9,
             1.1,
@@ -311,13 +308,11 @@ class TestMonotonicity:
 class TestPrefactorTelescoping:
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.6])
     def test_depth_one_collapse(self, alpha):
-        # (alpha)_m/m! * m!/(alpha)_{m+1} = 1/(m+alpha): a+b+1 total weight
-        spec = NestedSumSpec(
-            (IndexWeight(a=1, b=1, prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST)),),
-            (),
-            alpha,
-            alpha,
-        )
+        # (alpha)_m/m! * m!/(alpha)_{m+1} = 1/(m+alpha), so the one index of a
+        # depth-1 word carries no ratio: Z*(1:2; r = 1) at (alpha, alpha) has
+        # the weight (m+alpha)^-(r+1) (m+alpha)^-(k-1), a+b+1 in total
+        spec = zstar_spec(parse_word("1:2"), (1,), Params(alpha, alpha))
+        assert spec.indices == (IndexWeight(a=2, b=1),)
         res = evaluate(spec)
         assert abs(res.value - hurwitz_zeta(3, alpha)) < 1e-10
 
@@ -447,6 +442,38 @@ class TestNoResonanceCliff:
         assert (0.0, 1) in _prefix_behaviour([(-1.0, 0)])
 
 
+class TestLargeAlpha:
+    # (alpha)_m / m! ~ m^(alpha - 1) / Gamma(alpha) leaves float64 near
+    # m = 65,536 at alpha = 100; a depth-1 word carries no ratio, and a deeper
+    # one stops at the first block past that range
+    @pytest.mark.parametrize("alpha", [5.0, 40.0, 100.0, 150.0])
+    def test_depth_one_needs_no_ratio(self, alpha):
+        # Z(1:2; alpha, 1) = sum_m 1 / ((m + alpha) (m + 1)) = (psi(alpha) - psi(1)) / (alpha - 1)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        truth = float((mp.psi(0, alpha) - mp.psi(0, 1)) / (alpha - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evaluate(z_spec(parse_word("1:2"), Params(alpha, 1.0)))
+        assert res.converged
+        assert abs(res.value - truth) <= res.err_estimate
+
+    @pytest.mark.parametrize("alpha,stop", [(100.0, 65_536), (150.0, 8192)])
+    def test_overflow_stops_at_once(self, alpha, stop):
+        # the first block whose outer prefix passes 1e308 ends the stream, long
+        # before max_n, with the best fit of the checkpoints before it: near
+        # Z(1:3; 1, alpha) = sum_m 1 / ((m+1) (m+alpha)^2), its dual
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        truth = float(mp.nsum(lambda m: 1 / ((m + 1) * (m + alpha) ** 2), [0, mp.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evaluate(z_spec(parse_word("1:1,1:2"), Params(alpha, 1.0)))
+        assert not res.converged and res.err_estimate == math.inf
+        assert res.n_used == stop
+        assert abs(res.value - truth) <= 1e-4 * truth
+
+
 class TestComplexCost:
     # a complex tail exponent is one complex column of the fit, so complex
     # parameters stream no more than real ones
@@ -475,10 +502,10 @@ class TestComplexCost:
         # tail exponents: the tail of a real alpha needs no more terms
         spec = NestedSumSpec(
             (
-                IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+                IndexWeight(b=1, poch=1),
                 IndexWeight(a=1),
                 IndexWeight(a=1),
-                IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,)),
+                IndexWeight(a=1, b=1, poch=-1),
             ),
             (Link.WEAK, Link.WEAK, Link.STRICT),
             0.6 + 0.3j,
@@ -537,15 +564,16 @@ class TestFitDesignCache:
 
 
 DEPTH3 = (
-    IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)),
+    IndexWeight(b=1, poch=1),
     IndexWeight(a=1, b=1),
-    IndexWeight(b=2, prefactors=(Prefactor.POCH_LAST,)),
+    IndexWeight(a=1, b=2, poch=-1),
 )
-# the same with two running products on the first index, as the single
-# index of a depth-1 word carries them
-DEPTH3_TWO_PRODUCTS = (
-    IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST)),
-    *DEPTH3[1:],
+# the ratio on every index, squared on the first, so that each level
+# rebuilds its block from the one carry, and one divides by it mid-stream
+DEPTH3_EVERY_INDEX = (
+    IndexWeight(b=1, poch=2),
+    IndexWeight(a=1, b=1, poch=-1),
+    DEPTH3[2],
 )
 # block ends: every index alone; a cut right after m = 0; a cut after each
 # of the first checkpoints (_N_INITIAL * 2**j + 1: "evaluate_edges");
@@ -562,11 +590,11 @@ class TestStreamSplitInvariance:
     # the carries hand each level's prefix across block edges, so a stream
     # cut into blocks anywhere gives the prefixes of one single block
     @pytest.mark.parametrize("split", list(SPLITS))
-    @pytest.mark.parametrize("two_products", [False, True])
+    @pytest.mark.parametrize("every_index", [False, True])
     @pytest.mark.parametrize("params", [(0.8, 1.3), (0.6 + 0.4j, 1.3 - 0.2j)], ids=["real", "complex"])
     @pytest.mark.parametrize("links", list(itertools.product((Link.STRICT, Link.WEAK), repeat=2)))
-    def test_blocks_match_one_block(self, links, params, two_products, split):
-        spec = NestedSumSpec(DEPTH3_TWO_PRODUCTS if two_products else DEPTH3, links, *params)
+    def test_blocks_match_one_block(self, links, params, every_index, split):
+        spec = NestedSumSpec(DEPTH3_EVERY_INDEX if every_index else DEPTH3, links, *params)
         edges = SPLITS[split]
         stream = _Stream(spec)
         blocks = np.concatenate([stream.run_block(hi) for hi in edges])
@@ -582,40 +610,46 @@ def clear_shared_work():
 class TestSharedWork:
     # work shared across specs gives the bytes of work done per spec
     @pytest.mark.parametrize("alpha", [1.3, 0.6 + 0.4j], ids=["real", "complex"])
-    @pytest.mark.parametrize("pf", list(Prefactor))
-    def test_chunked_product_is_one_cumprod(self, pf, alpha):
+    # the ratio's two powers, under the ids of the two weights they stream:
+    # (alpha)_m / m!, and m! / (alpha)_{m+1} = (m + alpha)^-1 over it
+    @pytest.mark.parametrize("power", [1, -1], ids=["Prefactor.POCH_FIRST", "Prefactor.POCH_LAST"])
+    def test_chunked_product_is_one_cumprod(self, power, alpha):
         # the first block ends between two chunks of _N_INITIAL, and the
         # second carries its product across that edge through more chunks
-        head, head_carry = _product_block(pf, alpha, 0, 5000, None)
-        tail, carry = _product_block(pf, alpha, 5000, 70_000, head_carry)
-        want, want_carry = product_one_shot(pf, alpha, 0, 70_000, None)
+        head, head_carry = _product_block(alpha, 0, 5000, None)
+        tail, carry = _product_block(alpha, 5000, 70_000, head_carry)
+        want, want_carry = product_one_shot(alpha, 0, 70_000, None)
         assert np.concatenate([head, tail]).tobytes() == want.tobytes()
-        assert head_carry == product_one_shot(pf, alpha, 0, 5000, None)[1]
+        assert head_carry == product_one_shot(alpha, 0, 5000, None)[1]
         assert carry == want_carry
-        want_tail, _ = product_one_shot(pf, alpha, 5000, 70_000, head_carry)
+        want_tail, _ = product_one_shot(alpha, 5000, 70_000, head_carry)
         assert tail.tobytes() == want_tail.tobytes()
+        # an index streams that product, to its power, across the same edge
+        m = np.arange(70_000)
+        weight = poch(IndexWeight(a=int(power < 0), poch=power), alpha, m, edges=[5000, 70_000])
+        expect = want if power > 0 else 1.0 / (m + alpha) / want
+        assert weight.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.3, 0.6 + 0.4j], ids=["real", "complex"])
     def test_shared_block_is_a_fresh_block(self, alpha):
         clear_shared_work()
-        pf = Prefactor.POCH_LAST
         for _ in range(2):  # a miss, then a hit
-            shared = _shared_product_block(pf, alpha, _FLOOR)
-            fresh = _product_block(pf, alpha, 0, _FLOOR, None)
+            shared = _shared_product_block(alpha, _FLOOR)
+            fresh = _product_block(alpha, 0, _FLOOR, None)
             assert shared[0].tobytes() == fresh[0].tobytes() and shared[1] == fresh[1]
         assert _shared_product_block.cache_info()[:2] == (1, 1)  # hits, misses
         with pytest.raises(ValueError):
             shared[0][0] = 0.0
 
     def test_one_check_misses_once_per_block(self):
-        # a check streams the first block of two prefactors at two bases,
+        # a check streams the first block of the one ratio at two bases,
         # (alpha, beta) and (beta, alpha), each built once
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         check = check_thm11_i(parse_word("1:1,1/2:2"), 1, Params(0.6, 1.5))
         assert check.passed
         info = _shared_product_block.cache_info()
-        assert info.misses == 4 and info.hits > 0 and info.currsize == info.maxsize == 4
+        assert info.misses == 2 and info.hits > 0 and info.currsize == info.maxsize == 2
 
     def test_memos_hold_a_suite_without_evicting(self):
         # the derivative suite's circle points make the largest working set at
@@ -655,8 +689,8 @@ class TestSharedWork:
     def test_evaluation_order_invisible(self):
         # the same specs forward and in reverse, each run from cold caches
         words = words_up_to_weight(4)
-        # a first index that is the product of two shared blocks, then Z and Z*
-        both = IndexWeight(prefactors=(Prefactor.POCH_FIRST, Prefactor.POCH_LAST))
+        # a first index that divides by the shared block, then Z and Z*
+        both = IndexWeight(a=1, poch=-1)
         specs = []
         for alpha, beta in ((0.6, 1.5), (1.5, 0.6), (0.6 + 0.3j, 1.0)):
             specs.append(NestedSumSpec((both, IndexWeight(b=2)), (Link.STRICT,), alpha, beta))
@@ -671,11 +705,11 @@ class TestSharedWork:
         assert runs[0] == runs[1]
 
 
-FIRST = IndexWeight(prefactors=(Prefactor.POCH_FIRST,))
-LAST = IndexWeight(prefactors=(Prefactor.POCH_LAST,))
+FIRST = IndexWeight(poch=1)  # (alpha)_m / m!
+LAST = IndexWeight(a=1, poch=-1)  # m! / (alpha)_{m+1} = (m+alpha)^-1 m! / (alpha)_m
 # hstar_spec's last index at k = 2: (m+1)^-1 m! / (alpha)_{m+1}, which is
 # the paper's (m+1)! / (alpha)_{m+1} times (m+1)^-2
-HSTAR_LAST = IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,))
+HSTAR_LAST = IndexWeight(a=1, b=1, poch=-1)
 
 
 def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
@@ -726,7 +760,7 @@ class TestPochhammerLog:
     def test_pole(self):
         # the Pochhammer base must have a positive real part
         for alpha in (0.0, -2.0):
-            spec = single(b=2, prefactors=(Prefactor.POCH_FIRST,), alpha=alpha)
+            spec = single(b=2, poch=1, alpha=alpha)
             with pytest.raises(InvalidParamsError):
                 evaluate(spec)
 
@@ -814,7 +848,7 @@ class TestDecayExponent:
     def test_growth_through_prefactor(self):
         # (alpha)_m/m! ~ m^(alpha-1) lifts the inner prefix, lowering decay
         spec = NestedSumSpec(
-            (IndexWeight(b=1, prefactors=(Prefactor.POCH_FIRST,)), IndexWeight(b=1, prefactors=(Prefactor.POCH_LAST,))),
+            (IndexWeight(b=1, poch=1), IndexWeight(a=1, b=1, poch=-1)),
             (Link.STRICT,),
             1.5,
             1.5,
