@@ -509,20 +509,20 @@ class _FitDesign(NamedTuple):
 
 # fit designs kept; the weight-4 derivative suite uses 1,033
 @functools.lru_cache(maxsize=2048)
-def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
+def _fit_design(basis: tuple, marks: tuple) -> _FitDesign:
     """Tail functions at the marks, weighted and factored for the fit.
 
     The marks are consecutive entries of _MARKS.  Each (s, t) is one column,
     complex when s is, so the design is complex exactly when the basis has a
-    complex exponent.  The basis is cut at 14 columns and len(marks) - 4.
+    complex exponent.  The basis is cut at 14 columns and len(marks) - 4,
+    and the fit tries each size from 3 up: every :func:`_tail_basis` has 3
+    columns or more (the lead exponent and its two integer steps), and every
+    window of :func:`evaluate` 19 marks or more (32 ... 2048).
     """
     n = len(marks)
     first = int(np.searchsorted(_MARKS, marks[0]))
     cols = [_tail_column(s, t)[first : first + n] for s, t in basis[: min(n - 4, 14)]]
-    k_lo = max(2, min(3, len(cols)))
-    sizes = tuple(range(k_lo, len(cols) + 1))
-    if not sizes:
-        return None
+    sizes = tuple(range(3, len(cols) + 1))
     lead = np.abs(cols[0])
     phi = np.stack(cols, axis=1)
     wrow = 1.0 / np.maximum(lead, np.longdouble(1e-300))
@@ -541,9 +541,10 @@ def _fit_design(basis: tuple, marks: tuple) -> _FitDesign | None:
 
 def _tail_fit(
     marks: np.ndarray, sums: np.ndarray, basis: tuple[tuple[complex, int], ...]
-) -> tuple[complex, float] | None:
+) -> tuple[complex, float]:
     """Fit recorded partial sums against exact tail functions; returns
-    (value, err), err at least 5e-15 of |value| and |sums[-1]|.
+    (value, err), err at least 5e-15 of |value| and |sums[-1]|, or
+    (nan, inf) when no basis size gives a finite value.
 
     The model S(M) = S_inf - sum_k c_k phi_k(M) is solved for several
     basis-size prefixes; the size minimizing (in-sample misfit projected
@@ -554,11 +555,7 @@ def _tail_fit(
     design or the sums are complex.
     """
     n = len(marks)
-    if n < 6:
-        return None
     design = _fit_design(tuple(basis), tuple(marks.tolist()))
-    if design is None:
-        return None
     wrow, q, w = design.wrow, design.q, design.w
 
     sums = np.asarray(sums)
@@ -576,16 +573,13 @@ def _tail_fit(
     # sensitivity of the extrapolated value to per-row noise
     noise_abs = np.sqrt(np.mean((resid_abs / wrow) ** 2, axis=1)).astype(np.float64)
     errs = 3.0 * err_model + 2.0 * (np.array(design.amp_norms) * noise_abs)
-    best: tuple[float, complex] | None = None  # (err, value)
-    for err, value in zip(errs.tolist(), values.tolist()):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            continue
-        if best is None or err < best[0]:
-            best = (err, value)
-    if best is None:
-        return None
-    err, value = best
-    return value, max(err, 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
+    # the least err among the sizes with a finite value, the smallest such size on a tie
+    finite = np.isfinite(values)
+    if not finite.any():
+        return math.nan, math.inf
+    i = np.flatnonzero(finite)[np.argmin(errs[finite])]
+    value = complex(values[i])
+    return value, max(float(errs[i]), 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -597,10 +591,11 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     error at n is the larger of the fit's own estimate (fit residual +
     basis-sensitivity) and half the gap to the fit at n / 4; the first n
     where it meets rel_tol ends the stream, or else the last does, with the
-    best fit flagged.  No n below _FLOOR can stop it, so one block streams up
-    to _FLOOR (or past the last n); later blocks end at each n, _BLOCK at most.
-    A block whose outer prefix is not finite (float64 overflow) ends it at
-    once: the best fit from the checkpoints before it, with an infinite error.
+    best fit (NaN if none is finite) flagged.  No n below _FLOOR can stop it,
+    so one block streams up to _FLOOR (or past the last n); later blocks end
+    at each n, _BLOCK at most.  A block whose outer prefix is not finite
+    (float64 overflow) ends it at once, with the best fit before that block
+    and an infinite error.
     A series that diverges raises NonConvergentError from :func:`_tail_basis`.
     """
     _validate_params(spec.alpha, spec.beta)
@@ -613,9 +608,10 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         checkpoints.append(checkpoints[-1] * 2)
     marks = _MARKS[: np.searchsorted(_MARKS, checkpoints[-1], "right")]
     stream = _Stream(spec)
-    sums = np.empty(len(marks), dtype=stream.acc_dtype)
+    # NaN at each mark the stream does not reach
+    sums = np.full(len(marks), np.nan, dtype=stream.acc_dtype)
 
-    best: tuple[float, complex] | None = None  # (err, value)
+    best = (math.inf, math.nan)  # (err, value)
     values: dict[int, complex] = {}  # the fitted value at each checkpoint
     for n in checkpoints:
         # no name holds a block's prefixes, so they are freed before the next
@@ -628,31 +624,25 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                 sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
         # the last 30 marks <= n; at three per octave none is below n / 1024
         k = np.searchsorted(marks, n, side="right")
-        # a sum past the range of float64 ends the stream, as no later one is finite
-        if stream.next_m <= n or not np.isfinite(sums[k - 1]):
-            value = best[1] if best is not None else math.nan
-            return EvalResult(_as_scalar(value, stream), math.inf, stream.next_m - 1, False)
+        # a block overflowed: the stream stopped before n, or the sum at n is past float64
+        if not np.isfinite(sums[k - 1]):
+            break
         first = max(k - 30, 0)
-        fit = _tail_fit(marks[first:k], sums[first:k], basis)
-        if fit is None:
-            continue
-        value, err = fit
+        value, err = _tail_fit(marks[first:k], sums[first:k], basis)
         values[n] = value
         # a single fit can be biased yet self-consistent; insist on
-        # agreement with the fit at a quarter of the terms
+        # agreement with the fit at a quarter of the terms, which a NaN fit never gives
         partner = values.get(n // 4)
         if partner is not None:
-            err = max(err, 0.5 * abs(value - partner))
-        if best is None or err <= best[0]:
+            gap = 0.5 * abs(value - partner)
+            err = math.inf if math.isnan(gap) else max(err, gap)
+        if err <= best[0]:
             best = (err, value)
         if partner is not None and err <= cfg.rel_tol * max(abs(value), 1e-300):
             return EvalResult(_as_scalar(value, stream), err, n, True)
 
-    if best is None:
-        # no fit: the raw partial sum at the last checkpoint (every checkpoint
-        # is a mark), with nothing known of its tail
-        return EvalResult(_as_scalar(complex(sums[k - 1]), stream), math.inf, n, False)
-    return EvalResult(_as_scalar(best[1], stream), best[0], n, False)
+    err = best[0] if np.isfinite(stream.carries[-1]) else math.inf
+    return EvalResult(_as_scalar(best[1], stream), err, stream.next_m - 1, False)
 
 
 def _as_scalar(value: complex, stream: _Stream):

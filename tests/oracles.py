@@ -351,13 +351,10 @@ def product_one_shot(alpha: complex, lo: int, hi: int, carry):
 
 def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
     """nested_sum._tail_fit with one projection, residual and error per
-    basis size, each in its own loop step; (value, err) or None."""
+    basis size, each in its own loop step; (value, err), or (nan, inf)
+    when no size gives a finite value."""
     n = len(marks)
-    if n < 6:
-        return None
     design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
-    if design is None:
-        return None
     wrow, q, w = design.wrow, design.q, design.w
     sums = np.asarray(sums)
     yw = (sums[-1] - sums) * wrow
@@ -376,7 +373,7 @@ def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
         if best is None or err < best[0]:
             best = (err, value)
     if best is None:
-        return None
+        return math.nan, math.inf
     err, value = best
     return value, max(err, 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
 

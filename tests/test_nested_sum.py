@@ -20,7 +20,15 @@ from oracles import (
 )
 import mzdual.evaluators
 import mzdual.nested_sum
-from mzdual.evaluators import Params, eval_hurwitz, eval_Z, hurwitz_spec, z_spec, zstar_spec
+from mzdual.evaluators import (
+    Params,
+    eval_hurwitz,
+    eval_Z,
+    hstar_spec,
+    hurwitz_spec,
+    z_spec,
+    zstar_spec,
+)
 from mzdual.nested_sum import (
     EvalConfig,
     IndexWeight,
@@ -43,7 +51,7 @@ from mzdual.nested_sum import (
     tail_powers_log,
 )
 from mzdual.verifier import DEFAULT_GRID, SuiteConfig, check_thm11_i, run_suite
-from mzdual.words import parse_word, words_up_to_weight
+from mzdual.words import compositions, parse_word, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595942854
@@ -83,6 +91,20 @@ class TestEvaluate:
             evaluate(single(alpha=-0.5))
         with pytest.raises(InvalidParamsError):
             evaluate(single(beta=0.0))
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5 - 0.5j, 100.0])
+    def test_every_basis_has_three_columns(self, alpha):
+        # every fit tries the basis sizes from 3 up, so every spec of the four
+        # compilers needs at least the lead exponent and its two integer steps
+        p = Params(alpha, 1.0)
+        specs = []
+        for w in words_up_to_weight(5):
+            specs += [z_spec(w, p), hurwitz_spec(w, alpha)]
+            for extra in range(6 - w.weight):
+                for r in compositions(extra, w.depth):
+                    specs += [zstar_spec(w, r, p), hstar_spec(w, r, alpha)]
+        assert len(specs) == 232
+        assert all(len(_tail_basis(s.indices, s.alpha)) >= 3 for s in specs)
 
     def test_non_convergent(self):
         # the tail model refuses an outer decay of 1, and evaluate through it
@@ -162,9 +184,9 @@ class TestSchedule:
         assert not _MARKS.flags.writeable
 
     def test_fit_windows_are_the_old_rule(self, monkeypatch):
-        # every fit fails, so each of the 16 checkpoints to 4^13 hands its
-        # window over; the stream is stubbed, as the windows do not depend on
-        # the sums
+        # no fit has a finite value, so each of the 16 checkpoints to 4^13
+        # hands its window over; the stream is stubbed, as the windows do not
+        # depend on the sums
         def skipped(stream, hi):
             lo, stream.next_m = stream.next_m, hi
             return np.zeros(hi - lo)
@@ -173,6 +195,7 @@ class TestSchedule:
 
         def recorded(marks, sums, basis):
             windows.append(marks.tolist())
+            return math.nan, math.inf
 
         monkeypatch.setattr(_Stream, "run_block", skipped)
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
@@ -181,12 +204,12 @@ class TestSchedule:
         assert windows == fit_windows(4**13)
 
     def test_no_fit_gives_unbounded_error(self, monkeypatch):
-        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", lambda *args, **kwargs: None)
-        spec = single(b=2, beta=0.7)
-        res = evaluate(spec, EvalConfig(max_n=20000))
+        # no fit has a finite value: the result is NaN with nothing known of
+        # its error, at the last checkpoint
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", lambda *args: (math.nan, math.inf))
+        res = evaluate(single(b=2, beta=0.7), EvalConfig(max_n=20000))
+        assert math.isnan(res.value) and res.err_estimate == math.inf
         assert res.n_used == 16384 and not res.converged
-        assert res.err_estimate == math.inf
-        assert res.value == truncated_sum(spec, 16384)
 
 
 class TestBruteForceEquivalence:
@@ -684,7 +707,7 @@ class TestSharedWork:
                 for y in (sums, sums * (1 + 1e-9 * noise.standard_normal(len(sums)))):
                     fits.append((_tail_fit(marks, y, basis), tail_fit_per_size(marks, y, basis)))
         assert len(fits) > 150
-        assert all(got is not None and got == want for got, want in fits)
+        assert all(math.isfinite(got[1]) and got == want for got, want in fits)
 
     def test_evaluation_order_invisible(self):
         # the same specs forward and in reverse, each run from cold caches
