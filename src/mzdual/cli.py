@@ -4,7 +4,8 @@ and run verification suites.
 Exit codes: 0 success (verify: all checks passed), 1 verify found a
 failing identity, 2 any invalid input to any subcommand (bad arguments,
 words, parameters or r-vectors, and a series the kernel rejects), 3 the
-evaluator hit max_n before reaching the requested tolerance.
+evaluator stopped before reaching the requested tolerance: it hit max_n,
+or a block of terms overflowed float64 first.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def parse_grid(text: str) -> tuple[tuple[complex, complex], ...]:
         return tuple(pairs)
     values = [parse_complex(v) for v in text.split(",")]
     return tuple((a, b) for a in values for b in values)
+
+
+def _print_json(obj) -> None:
+    """Print obj as strict JSON with sorted keys: null for each float that is not finite."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    print(json.dumps(strict, sort_keys=True, allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +135,7 @@ def _cmd_compute(args) -> int:
         res = eval_Hstar(word, rv, p.alpha, cfg)
     value = complex(res.value)
     if args.output == "json":
-        print(json.dumps({**res._asdict(), "value": [value.real, value.imag]}, sort_keys=True))
+        _print_json({**res._asdict(), "value": [value.real, value.imag]})
     else:
         shown = f"{value.real:.12g}" if value.imag == 0 else f"{value.real:.12g}{value.imag:+.12g}i"
         print(f"value        = {shown}")
@@ -144,12 +151,7 @@ def _cmd_dual(args) -> int:
     word = parse_word(args.word)
     image = dual(word)
     if args.output == "json":
-        print(
-            json.dumps(
-                {"word": str(word), "dual": str(image), "dual_letters": image.letters()},
-                sort_keys=True,
-            )
-        )
+        _print_json({"word": str(word), "dual": str(image), "dual_letters": image.letters()})
     else:
         print(f"{image}  (letters: {image.letters()})")
     return EXIT_OK
@@ -159,7 +161,7 @@ def _cmd_sigma(args) -> int:
     ops = {"b1": sigma_b1, "eps": sigma_eps, "b2": sigma_b2}
     image = ops[args.op](parse_word(args.word), args.r)
     if args.output == "json":
-        print(json.dumps(image.to_json(), sort_keys=True))
+        _print_json(image.to_json())
     else:
         print(repr(image) if len(image) else "0")
     return EXIT_OK
@@ -176,7 +178,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_suite(args.suite, sc, workers=args.workers)
     if args.output == "json":
-        print(json.dumps(report.to_json(include_timestamp=not args.no_timestamp), sort_keys=True))
+        _print_json(report.to_json(include_timestamp=not args.no_timestamp))
     elif args.output == "csv":
         sys.stdout.write(report.to_csv())
     else:

@@ -195,6 +195,12 @@ def check_thm31(
 # ---------------------------------------------------------------------------
 
 _ROWS = 1024  # multisets per chunk of the inner sums
+INTEGRAL_WEIGHT_MAX = 4  # the quadrature's dimension, and so the words' weight, at most
+
+
+def _in_integral_box(*params: complex) -> bool:
+    # real and in [1, 2], where the integrand's endpoint singularities stay integrable
+    return all(not complex(x).imag and 1 <= complex(x).real <= 2 for x in params)
 
 
 def _tanh_sinh_nodes(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,22 +310,21 @@ def check_integral_repr(
 ) -> IdentityCheck:
     """Quadrature of the iterated-integral representation against the series.
 
-    Limited to words of weight <= 4 and real parameters in [1, 2] (the
-    integrand's endpoint singularities stay integrable there).  The rule
-    tabulates its inner sums over multisets of nodes, 1,024 at a time, so
-    no array grows past nodes^3 elements.  The first inner sum is one table
+    Limited to the quadrature's domain: weight <= INTEGRAL_WEIGHT_MAX, and
+    the parameters in :func:`_in_integral_box`.  The rule tabulates its inner
+    sums over multisets of nodes, 1,024 at a time, so no array grows past
+    nodes^3 elements.  The first inner sum is one table
     for all words of one weight (each begins with the letter 1), computed once
     per family, pair and rule.  The fine rule is within 4.4e-11 of the closed
     forms zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its error estimate is
     the gap to the coarse rule, so the tol is derived from that gap and the
     series' estimate, as in every other check.
     """
-    if w.weight > 4:
-        raise ValueError("integral check limited to weight <= 4 (dimension <= 4)")
-    alpha, beta = complex(p.alpha), complex(p.beta)
-    if alpha.imag or beta.imag or not (1 <= alpha.real <= 2 and 1 <= beta.real <= 2):
+    if w.weight > INTEGRAL_WEIGHT_MAX:
+        raise ValueError(f"integral check limited to weight <= {INTEGRAL_WEIGHT_MAX}")
+    if not _in_integral_box(p.alpha, p.beta):
         raise ValueError("integral check requires real parameters in [1, 2]")
-    a, b = alpha.real, beta.real
+    a, b = complex(p.alpha).real, complex(p.beta).real
     letters = w.letters()
     coarse = _simplex_integral(letters, a, b, family, h=0.16, kmax=24)
     fine = _simplex_integral(letters, a, b, family, h=0.08, kmax=48)
@@ -499,17 +504,16 @@ def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) 
 
 
 def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the quadrature takes words of weight <= 4 and real parameters in [1, 2]; the zeta
-    # integrand and series do not depend on b, so its check runs at the least b of each a.
-    # Pair, then family, then word (in weight order): the words sharing a first inner sum
-    # run together, so the 2-entry memo `_first_sums` misses once per weight and rule
-    box = [(a, b) for a, b in sc.params_grid
-           if all(not complex(x).imag and 1 <= complex(x).real <= 2 for x in (a, b))]
+    # the quadrature's domain only; the zeta integrand and series do not depend on b, so
+    # its check runs at the least b of each a.  Pair, then family, then word (in weight
+    # order): the words sharing a first inner sum run together, so the 2-entry memo
+    # `_first_sums` misses once per weight and rule
+    box = [(a, b) for a, b in sc.params_grid if _in_integral_box(a, b)]
     least_b = {a: min((b for a2, b in box if a2 == a), key=lambda b: complex(b).real)
                for a, _ in box}
     return [(check_integral_repr, (w, Params(a, b), family, cfg))
             for a, b in box for family in ("Z", "zeta") if family == "Z" or b == least_b[a]
-            for w in words if w.weight <= 4]
+            for w in words if w.weight <= INTEGRAL_WEIGHT_MAX]
 
 
 def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:

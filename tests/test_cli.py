@@ -19,6 +19,14 @@ def run(capsys, *argv):
     return code, cap.out, cap.err
 
 
+def strict_json(text):
+    # json.loads without the NaN, Infinity and -Infinity tokens that strict parsers reject
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCompute:
     def test_basel(self, capsys):
         code, out, _ = run(
@@ -92,6 +100,18 @@ class TestCompute:
         )
         assert code == 3
         assert "tolerance" in err
+
+    def test_overflow_json_is_strict(self, capsys):
+        # the first block overflows before any checkpoint has a finite fit, so
+        # neither the value nor its error is finite: both are written as null
+        code, out, _ = run(
+            capsys, "compute", "--family", "Z", "--word", "1:1,1:2", "--alpha", "300",
+            "--beta", "1", "--output", "json",
+        )
+        assert code == 3
+        data = strict_json(out)
+        assert data["err_estimate"] is None and data["value"] == [None, 0.0]
+        assert data["n_used"] == 8192 and data["converged"] is False
 
     @pytest.mark.parametrize("max_n", ["10", "-5", "2047"])
     def test_max_n_below_first_checkpoint_exits_2(self, capsys, max_n):
@@ -191,6 +211,18 @@ class TestVerify:
         )
         assert code == 0
         assert "9/9 passed" in out
+
+    def test_overflow_json_is_strict(self, capsys):
+        # Z(w; 300, 1) of depth 2 overflows, so its checks have no finite deviation or tol
+        code, out, _ = run(
+            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "300:1",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 1
+        checks = strict_json(out)["checks"]
+        failed = [c for c in checks if not c["passed"]]
+        assert len(checks) == 4 and len(failed) == 2
+        assert all(c["rel_dev"] is None and c["tol"] is None for c in failed)
 
     def test_even_only_mode(self, capsys):
         code, out, _ = run(
