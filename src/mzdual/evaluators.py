@@ -184,16 +184,19 @@ def sum_results(terms: Iterable[tuple[complex, EvalResult]]) -> EvalResult:
     """The sum of coeff * result over (coeff, result) pairs, coeff real or complex.
 
     Error estimates add up weighted by |coeff|; the sum is converged only
-    if every term is, and a complex total with zero imaginary part comes
-    back real.
+    if every term is.  It comes back real when every coeff and value is
+    real (a real NaN stays a real NaN, where (c, 0) * (nan, 0) would put
+    NaN in the imaginary part) or the complex total's imaginary part is 0.
     """
-    total, err, n_used, converged = 0j, 0.0, 0, True
+    total, err, n_used, converged, real = 0j, 0.0, 0, True, True
     for c, res in terms:
-        total += c * complex(res.value)
+        z = complex(res.value)
+        total += c * z
         err += abs(c) * res.err_estimate
         n_used = max(n_used, res.n_used)
         converged = converged and res.converged
-    value = total if total.imag != 0 else total.real
+        real = real and not (z.imag or complex(c).imag)
+    value = total.real if real or total.imag == 0 else total
     return EvalResult(value, err, n_used, converged)
 
 

@@ -8,8 +8,10 @@ so a pass means the deviation is explained by truncation alone.
 The quadrature and derivative checks cross-validate the integral
 representation and the derivative calculus behind the starred expansion.
 The quadrature tabulates inner sums per multiset of nodes, 1,024 at a time,
-and is within 4.4e-11 of closed forms.  Its first inner sum is memoized: all
-admissible words begin with the letter 1, so all of one weight share it.
+and is within 4.4e-11 of closed forms.  Each rule's nodes, node products and
+insert ranks are built once per process: they are pure functions of the rule
+(h, kmax).  Its first inner sum is memoized: all admissible words begin with
+the letter 1, so all of one weight share it.
 
 Each identity has one check.  The `duality` suite is the thm11i suite at
 r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
@@ -254,10 +256,11 @@ def _simplex_integral(
     a table over multisets: F_0(M) = sum_i w_0[i] (1 - x_i t(M))^p0 on
     |M| = n - 1, F_j(M) = sum_i w_j[i] F_{j-1}(M + i) / (1 - t(M + i))^pole_j,
     and the integral is sum_i w_{n-1}[i] F_{n-2}({i}): N C(N + n - 2, n - 1)
-    powers for N nodes, not N^n, in chunks of _ROWS multisets.  All words of
-    one weight share F_0 (they begin with the letter 1), so it is memoized.
+    powers for N nodes, not N^n, in chunks of _ROWS multisets, read at the
+    ranks of M + i that :func:`_rule_tables` builds once per rule.  All words
+    of one weight share F_0 (they begin with the letter 1), so it is memoized.
     """
-    x, wts = _tanh_sinh_nodes(h, kmax)
+    x, wts, ts, ranks = _rule_tables(h, kmax)
     n = len(letters)
     expo = [(j > 0) - (l != "1") for j, l in enumerate(letters)]
     pole = [l != "0" for l in letters]  # the 1/(1 - t) of letters 1 and h
@@ -272,26 +275,43 @@ def _simplex_integral(
     # the powers of 1 - t_{n-1} go with the outer nodes' weights
     w[-1] = w[-1] * (1.0 - x) ** (p_out - pole[-1])
     f_prev = _first_sums(h, kmax, n, expo[0], p0)
-    tables = _multisets(x, n - 1)  # built after F_0, so a miss holds one size n - 1 table
-    _, t = tables.pop()
     for j in range(1, n - 1):
         if pole[j]:  # out of place: f_prev may be the memo's array
-            f_prev = f_prev / (1.0 - t)
-        rows, t = tables.pop()  # size n - 1 - j, freed once the next is read
-        f = np.empty(len(t))
-        for s in range(0, len(t), _ROWS):
-            f[s : s + _ROWS] = f_prev[_insert_ranks(rows[s : s + _ROWS], len(x))] @ w[j]
+            f_prev = f_prev / (1.0 - ts[n - j])
+        rank = ranks[n - 1 - j]  # the multisets of size n - 1 - j, node i inserted
+        f = np.empty(len(rank))
+        for s in range(0, len(rank), _ROWS):
+            f[s : s + _ROWS] = f_prev[rank[s : s + _ROWS]] @ w[j]
         f_prev = f
     return float(f_prev @ w[-1])
 
 
 @functools.lru_cache(maxsize=2)
+def _rule_tables(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """The rule's nodes and weights, the node products t of the multisets of
+    each size < INTEGRAL_WEIGHT_MAX and the :func:`_insert_ranks` of each size
+    < INTEGRAL_WEIGHT_MAX - 1; read-only.  They are pure functions of (h, kmax),
+    so one build serves every word, family and pair; 2 entries hold both rules."""
+    x, wts = _tanh_sinh_nodes(h, kmax)
+    tables = _multisets(x, INTEGRAL_WEIGHT_MAX - 1)
+    ranks = [np.empty((len(rows), len(x)), np.int32) for rows, _ in tables[:-1]]
+    for (rows, _), r in zip(tables, ranks):  # chunk by chunk, to keep the peak down
+        for s in range(0, len(rows), _ROWS):
+            r[s : s + _ROWS] = _insert_ranks(rows[s : s + _ROWS], len(x))
+    ts = [t for _, t in tables]
+    for a in (x, wts, *ts, *ranks):
+        a.flags.writeable = False
+    return x, wts, ts, ranks
+
+
+@functools.lru_cache(maxsize=2)
 def _first_sums(h: float, kmax: int, n: int, e0: float, p0: float) -> np.ndarray:
     """F_0(M) = sum_i w_0[i] (1 - x_i t(M))^p0 over the multisets M of size
-    n - 1, with w_0 = wts * x^e0; read-only.  The integral suite asks for it
-    by weight, rules alternating, so 2 entries hold its working set."""
-    x, wts = _tanh_sinh_nodes(h, kmax)
-    w0, t = wts * x**e0, _multisets(x, n - 1)[-1][1]
+    n - 1, with w_0 = wts * x^e0 and t(M) from the rule's tables, which are
+    built once per process; read-only.  The integral suite asks for it by
+    weight, rules alternating, so 2 entries hold its working set."""
+    x, wts, ts, _ = _rule_tables(h, kmax)
+    w0, t = wts * x**e0, ts[n - 1]
     f = np.empty(len(t))
     for s in range(0, len(t), _ROWS):  # t_0 = x_i t(M), then in place (1 - t_0)^p0
         g = np.multiply.outer(t[s : s + _ROWS], x)
@@ -313,7 +333,8 @@ def check_integral_repr(
     Limited to the quadrature's domain: weight <= INTEGRAL_WEIGHT_MAX, and
     the parameters in :func:`_in_integral_box`.  The rule tabulates its inner
     sums over multisets of nodes, 1,024 at a time, so no array grows past
-    nodes^3 elements.  The first inner sum is one table
+    nodes^3 elements.  Each rule's index tables depend on the rule alone, so
+    they are built once per process.  The first inner sum is one table
     for all words of one weight (each begins with the letter 1), computed once
     per family, pair and rule.  The fine rule is within 4.4e-11 of the closed
     forms zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its error estimate is
@@ -507,7 +528,8 @@ def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list
     # the quadrature's domain only; the zeta integrand and series do not depend on b, so
     # its check runs at the least b of each a.  Pair, then family, then word (in weight
     # order): the words sharing a first inner sum run together, so the 2-entry memo
-    # `_first_sums` misses once per weight and rule
+    # `_first_sums` misses once per weight and rule; `_rule_tables`, a function of the
+    # rule alone, misses once per rule and process (each worker builds its own)
     box = [(a, b) for a, b in sc.params_grid if _in_integral_box(a, b)]
     least_b = {a: min((b for a2, b in box if a2 == a), key=lambda b: complex(b).real)
                for a, _ in box}

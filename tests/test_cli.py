@@ -224,6 +224,17 @@ class TestVerify:
         assert len(checks) == 4 and len(failed) == 2
         assert all(c["rel_dev"] is None and c["tol"] is None for c in failed)
 
+    def test_real_overflow_stays_real(self, capsys):
+        # every check of a real pair is real: an overflowed lhs is a real NaN, so its
+        # imaginary part is 0.0, not null
+        _, out, _ = run(
+            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "300:1",
+            "--output", "json", "--no-timestamp",
+        )
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["thm11i/w=1:1,1/2:2/r=0/a=300/b=1"]["lhs"] == [None, 0.0]
+        assert all(c["lhs"][1] == 0.0 and c["rhs"][1] == 0.0 for c in checks.values())
+
     def test_even_only_mode(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "thm11ii", "--weight-max", "3",

@@ -24,10 +24,11 @@ from mzdual.evaluators import (
     eval_lincomb,
     hstar_spec,
     hurwitz_spec,
+    sum_results,
     z_spec,
     zstar_spec,
 )
-from mzdual.nested_sum import EvalConfig, InvalidParamsError
+from mzdual.nested_sum import EvalConfig, EvalResult, InvalidParamsError
 from mzdual.words import LinComb, dual, parse_word, sigma_eps, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
@@ -236,6 +237,25 @@ class TestEvalLincomb:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             eval_lincomb(LinComb(), "bogus", Params(1, 1))
+
+
+class TestSumResults:
+    @staticmethod
+    def res(value):
+        return EvalResult(value, 0.0, 1, True)
+
+    def test_real_nan_stays_real(self):
+        got = sum_results([(1.0, self.res(math.nan)), (-1.0, self.res(0.5))]).value
+        assert isinstance(got, float) and math.isnan(got)
+
+    def test_complex_sum_stays_complex(self):
+        got = sum_results([(1.0, self.res(math.nan)), (1j, self.res(0.5))]).value
+        assert isinstance(got, complex) and math.isnan(got.real) and math.isnan(got.imag)
+        assert sum_results([(2.0, self.res(1 + 1j))]).value == 2 + 2j
+
+    def test_zero_imaginary_total_is_real(self):
+        got = sum_results([(1.0, self.res(1 + 2j)), (1.0, self.res(1 - 2j))]).value
+        assert isinstance(got, float) and got == 2.0
 
 
 class TestEmptyWord:

@@ -20,6 +20,7 @@ from mzdual.verifier import (
     _first_sums,
     _insert_ranks,
     _multisets,
+    _rule_tables,
     _simplex_integral,
     _taylor_coefficient,
     check_derivative_crosslink,
@@ -253,46 +254,68 @@ class TestSimplexIntegral:
         got = _simplex_integral(W(word).letters(), alpha, 1.0, family, h=0.08, kmax=48)
         assert abs(got - float(closed)) <= 1e-9 * float(closed)
 
+    @staticmethod
+    def clear_memos():
+        _first_sums.cache_clear()
+        _rule_tables.cache_clear()
+
     def test_memo_is_invisible(self):
-        # every word of weight <= 4 shares F_0 with the others of its weight;
-        # forwards and backwards from a cold memo, the first word of a weight
-        # that computes it differs, and the floats are the same
+        # every word of weight <= 4 shares F_0 with the others of its weight,
+        # and every call of a rule shares its tables; forwards and backwards
+        # from cold memos, the first call that computes them differs, and the
+        # floats are the same
         calls = [(w.letters(), a, b, family, rule) for a, b in ((1.5, 1), (1, 2))
                  for family in ("Z", "zeta") for w in words_up_to_weight(4)
                  for rule in self.RULES]
         runs = []
         for order in (calls, calls[::-1]):
-            _first_sums.cache_clear()
+            self.clear_memos()
             runs.append({c[:4] + (c[4]["h"],): _simplex_integral(*c[:4], **c[4]) for c in order})
         assert runs[0] == runs[1]
 
     def test_memo_is_read_only(self):
-        _first_sums.cache_clear()
+        self.clear_memos()
         _simplex_integral("1000", 1.5, 1.0, "Z", h=0.16, kmax=24)
         f0 = _first_sums(0.16, 24, 4, 0.0, -1.5)  # e0 = beta - 1, p0 = -alpha
         assert _first_sums.cache_info().hits == 1 and not f0.flags.writeable
         with pytest.raises(ValueError):
             f0[0] = 0.0
+        x, wts, ts, ranks = _rule_tables(0.16, 24)
+        assert _rule_tables.cache_info()[:2] == (2, 1)  # hits, misses: F_0 and this call hit
+        assert (len(ts), len(ranks)) == (4, 3)
+        for a in (x, wts, *ts, *ranks):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
 
     @pytest.mark.parametrize("letters", ["1100", "1h00"])
     @pytest.mark.parametrize("family,e0,p0", [("Z", 0.0, -1.5), ("zeta", 0.5, -1.0)])
     def test_pole_letter_leaves_memo(self, letters, family, e0, p0):
-        # the 1/(1 - t) of the second letter divides F_0 out of place
-        _first_sums.cache_clear()
+        # the 1/(1 - t) of the second letter divides F_0 out of place, and
+        # neither it nor the gather writes to the rule's tables
+        self.clear_memos()
         want = _first_sums(0.16, 24, 4, e0, p0).copy()
+        _, _, ts, ranks = _rule_tables(0.16, 24)
+        tables = [a.copy() for a in (*ts, *ranks)]
         cold = _simplex_integral(letters, 1.5, 1.0, family, h=0.16, kmax=24)
+        self.clear_memos()
+        fresh = _simplex_integral(letters, 1.5, 1.0, family, h=0.16, kmax=24)
         warm = _simplex_integral(letters, 1.5, 1.0, family, h=0.16, kmax=24)
         info = _first_sums.cache_info()
-        assert (info.misses, info.hits) == (1, 2) and cold == warm
+        assert (info.misses, info.hits) == (1, 1) and cold == fresh == warm
         assert np.array_equal(_first_sums(0.16, 24, 4, e0, p0), want)
+        _, _, ts, ranks = _rule_tables(0.16, 24)
+        assert all(np.array_equal(a, b) for a, b in zip((*ts, *ranks), tables, strict=True))
 
     def test_suite_misses_once_per_key(self):
         # pair, family, word: each of the 12 keys (2 families x 3 weights x
-        # 2 rules) misses once, and the other 24 of the 36 quadratures hit
-        _first_sums.cache_clear()
+        # 2 rules) misses once, and the other 24 of the 36 quadratures hit;
+        # the rule tables miss once per rule
+        self.clear_memos()
         run_suite(*self.SUITE)
         info = _first_sums.cache_info()
         assert (info.misses, info.hits) == (12, 24)
+        assert _rule_tables.cache_info().misses == 2
 
 
 class TestMultisetTables:
@@ -336,7 +359,9 @@ class TestMultisetTables:
 
     @pytest.mark.parametrize("family", ["Z", "zeta"])
     def test_fine_rule_memory(self, family):
-        # the tables peak near 3.1 MiB; a rule holding nodes^3 = 456,533 floats per outer node peaks at 7.1
+        # from cold memos, the rule's tables and F_0 peak near 3.5 MiB; a rule holding
+        # nodes^3 = 456,533 floats per outer node peaks at 7.1
+        TestSimplexIntegral.clear_memos()
         tracemalloc.start()
         try:
             _simplex_integral(W("1:1,1/2:3").letters(), 1.5, 1.0, family, h=0.08, kmax=48)
@@ -346,9 +371,10 @@ class TestMultisetTables:
         assert peak <= 5 * 2**20, peak / 2**20
 
     def test_suite_memory(self):
-        # the memo holds one fine and one coarse F_0 at a time, and the suite
-        # peaks at 3.2-3.5 MiB; a memo that keeps all 12 reaches 4.2
-        _first_sums.cache_clear()
+        # the memos hold one fine and one coarse F_0 and rule's tables at a
+        # time, and the suite peaks at 4.0 MiB from cold memos (2.1 with the
+        # tables built); an F_0 memo that keeps all 12 reaches 4.7
+        TestSimplexIntegral.clear_memos()
         tracemalloc.start()
         try:
             run_suite(*TestSimplexIntegral.SUITE)
@@ -356,7 +382,7 @@ class TestMultisetTables:
         finally:
             tracemalloc.stop()
         assert peak <= 4.25 * 2**20, peak / 2**20
-        assert _first_sums.cache_info().currsize == 2
+        assert _first_sums.cache_info().currsize == _rule_tables.cache_info().currsize == 2
 
 
 class TestDerivativeCheck:
