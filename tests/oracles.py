@@ -9,12 +9,14 @@ iterated-integral quadrature with its whole integrand evaluated at every
 point of the tensor rule, and the same integral by Hölder convolution.
 
 The helpers at the end drive the package itself: the kernel's exact
-partial sums, the parts of linear-combination arithmetic that only the
-tests need, and the kernel's running product and tail fit written as one
-cumprod and one loop per basis size, the references that its chunked and
-one-pass forms must match byte for byte.  The kernel's checkpoint schedule
-is given as the loop and the window rule that its mark table replaced, and
-the ends of the blocks that evaluate streams are listed from that schedule.
+partial sums (its compensated (hi, lo) pairs, rounded to one number), the
+parts of linear-combination arithmetic that only the tests need, and the
+kernel's running product, in long double, and tail fit, on the same pairs,
+written as one cumprod and one loop per basis size, the references that
+its chunked and one-pass forms must match byte for byte.  The kernel's
+checkpoint schedule is given as the loop and the window rule that its mark
+table replaced, and the ends of the blocks that evaluate streams are listed
+from that schedule.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from mzdual.nested_sum import (
-    _ACC_COMPLEX,
-    _ACC_REAL,
     _BLOCK,
     _FLOOR,
     NestedSumSpec,
@@ -327,43 +327,44 @@ def evaluate_block_ends(n: int) -> list[int]:
 
 def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     """The kernel's exact partial sum with every index <= n, streamed in
-    the blocks evaluate uses."""
+    the blocks evaluate uses, its (hi, lo) pair rounded to one number."""
     stream = _Stream(spec)
     for hi in evaluate_block_ends(n):
         last = stream.run_block(hi)[-1]
-    return complex(last) if np.iscomplexobj(last) else float(last)
+    total = last[0] + last[1]
+    return complex(total) if np.iscomplexobj(total) else float(total)
 
 
 def product_one_shot(alpha: complex, lo: int, hi: int, carry):
     """The kernel's running product (alpha)_m / m! at m = lo..hi-1 and its
     carry (see nested_sum._product_block), by one cumprod over the whole block."""
     d = alpha - 1.0
-    acc = _ACC_COMPLEX if np.iscomplexobj(d) else _ACC_REAL
+    is_complex = np.iscomplexobj(d)
     x = np.arange(lo, hi, dtype=np.float64)
-    r = np.empty(hi - lo, dtype=acc)
+    r = np.empty(hi - lo, dtype=np.clongdouble if is_complex else np.longdouble)
     first = 1 if lo == 0 else 0
     r[first:] = d / x[first:]
     r[first:] += 1.0
     r[0] = 1.0 if first else r[0] * carry
     np.cumprod(r, out=r)
-    return r.astype(np.complex128 if acc is _ACC_COMPLEX else np.float64), r[-1]
+    return r.astype(np.complex128 if is_complex else np.float64), r[-1]
 
 
 def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
     """nested_sum._tail_fit with one projection, residual and error per
-    basis size, each in its own loop step; (value, err), or (nan, inf)
-    when no size gives a finite value."""
+    basis size, each in its own loop step, on the same (hi, lo) pairs;
+    (value, err), or (nan, inf) when no size gives a finite value."""
     n = len(marks)
     design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
     wrow, q, w = design.wrow, design.q, design.w
-    sums = np.asarray(sums)
-    yw = (sums[-1] - sums) * wrow
+    hi, lo = np.asarray(sums).T
+    ext = np.clongdouble if np.iscomplexobj(hi) else np.longdouble
+    yw = ((hi[-1] - hi.astype(ext)) + (lo[-1] - lo)) * wrow
     proj = q.conj().T @ yw
-    base_value = complex(sums[-1])
     best = None  # (err, value)
     for k, amp_norm in zip(design.sizes, design.amp_norms):
         resid = yw - q[:, :k] @ proj[:k]
-        value = base_value + complex(w[:k] @ proj[:k])
+        value = complex(hi[-1]) + complex(w[:k] @ proj[:k] + lo[-1])
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             continue
         resid_abs = np.abs(resid)
@@ -375,7 +376,7 @@ def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
     if best is None:
         return math.nan, math.inf
     err, value = best
-    return value, max(err, 5e-15 * max(abs(value), float(abs(complex(sums[-1])))))
+    return value, max(err, 5e-15 * max(abs(value), abs(complex(hi[-1]))))
 
 
 def marks_loop(limit: int) -> list[int]:

@@ -189,7 +189,7 @@ class TestSchedule:
         # depend on the sums
         def skipped(stream, hi):
             lo, stream.next_m = stream.next_m, hi
-            return np.zeros(hi - lo)
+            return np.zeros((hi - lo, 2))
 
         windows = []
 
@@ -540,7 +540,8 @@ class TestComplexCost:
 
 
 def recorded_partial_sums(spec: NestedSumSpec, n: int):
-    """Marks up to n and the outer partial sums at them, as evaluate fits them."""
+    """Marks up to n and the outer partial sums at them, as evaluate fits
+    them: one (hi, lo) pair per mark."""
     prefix = _Stream(spec).run_block(n + 1)
     marks = _MARKS[: np.searchsorted(_MARKS, n, "right")]
     return marks, prefix[marks], _tail_basis(spec.indices, spec.alpha)
@@ -569,12 +570,16 @@ class TestFitDesignCache:
         # complex sums on a real basis: the residual is a modulus, so turning
         # every sum by one phase turns the value and leaves the err alone.  The
         # residuals are ~1e-12 of the sums, so a turn's rounding alone moves the
-        # err by up to ~2e-7, while a max(|Re|, |Im|) norm moves it by 0.6% and 6%
+        # err by up to ~2e-7, while a max(|Re|, |Im|) norm moves it by 0.6% and 6%.
+        # The pairs are turned exactly: each turned sum is split into (hi, lo) again
         marks, sums, basis = recorded_partial_sums(spec, 16_384)
         assert not any(isinstance(s, complex) for s, _ in basis)
         phase = np.exp(0.25j * np.pi)
         value, err = _tail_fit(marks, sums, basis)
-        turned, turned_err = _tail_fit(marks, sums * phase, basis)
+        exact = pair_values(sums) * phase
+        hi = exact.astype(np.complex128)
+        turned_sums = np.stack([hi, (exact - hi).astype(np.complex128)], axis=1)
+        turned, turned_err = _tail_fit(marks, turned_sums, basis)
         assert turned == pytest.approx(value * phase, rel=1e-9, abs=0)
         assert turned_err == pytest.approx(err, rel=1e-6, abs=0)
 
@@ -611,7 +616,10 @@ SPLITS = {
 
 class TestStreamSplitInvariance:
     # the carries hand each level's prefix across block edges, so a stream
-    # cut into blocks anywhere gives the prefixes of one single block
+    # cut into blocks anywhere gives the prefixes of one single block.  The
+    # values the (hi, lo) pairs stand for are compared: numpy's complex
+    # multiply rounds by position in the array, so a term can differ by an
+    # ulp between two splits, and hi and lo each with it
     @pytest.mark.parametrize("split", list(SPLITS))
     @pytest.mark.parametrize("every_index", [False, True])
     @pytest.mark.parametrize("params", [(0.8, 1.3), (0.6 + 0.4j, 1.3 - 0.2j)], ids=["real", "complex"])
@@ -622,7 +630,13 @@ class TestStreamSplitInvariance:
         stream = _Stream(spec)
         blocks = np.concatenate([stream.run_block(hi) for hi in edges])
         whole = _Stream(spec).run_block(edges[-1])
-        np.testing.assert_allclose(blocks, whole, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(pair_values(blocks), pair_values(whole), rtol=1e-15, atol=0)
+
+
+def pair_values(pairs: np.ndarray) -> np.ndarray:
+    """The values that rows of (hi, lo) pairs stand for, in long double."""
+    hi, lo = pairs.T
+    return hi.astype(np.clongdouble if np.iscomplexobj(hi) else np.longdouble) + lo
 
 
 def clear_shared_work():
@@ -664,6 +678,23 @@ class TestSharedWork:
         with pytest.raises(ValueError):
             shared[0][0] = 0.0
 
+    def test_ratio_built_once_per_block(self, monkeypatch):
+        # three indices carry the ratio, and one build serves them all: the
+        # shared first block, then one build for each later block
+        builds = []
+        product_block = _product_block
+
+        def counted(alpha, lo, hi, carry):
+            builds.append((lo, hi))
+            return product_block(alpha, lo, hi, carry)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_product_block", counted)
+        _shared_product_block.cache_clear()
+        stream = _Stream(NestedSumSpec(DEPTH3_EVERY_INDEX, (Link.STRICT, Link.WEAK), 0.8, 1.3))
+        for hi in SPLITS["first_block_edges"]:
+            stream.run_block(hi)
+        assert builds == [(0, 8193), (8193, 16385), (16385, 20000)]
+
     def test_one_check_misses_once_per_block(self):
         # a check streams the first block of the one ratio at two bases,
         # (alpha, beta) and (beta, alpha), each built once
@@ -704,7 +735,7 @@ class TestSharedWork:
         for spec in (*TestFitDesignCache.SPECS, hurwitz_spec(parse_word("1:1,1:2"), 1 + 2j)):
             for n in (4096, 16_384, 65_536):
                 marks, sums, basis = recorded_partial_sums(spec, n)
-                for y in (sums, sums * (1 + 1e-9 * noise.standard_normal(len(sums)))):
+                for y in (sums, sums * (1 + 1e-9 * noise.standard_normal(len(sums))[:, None])):
                     fits.append((_tail_fit(marks, y, basis), tail_fit_per_size(marks, y, basis)))
         assert len(fits) > 150
         assert all(math.isfinite(got[1]) and got == want for got, want in fits)
@@ -745,7 +776,8 @@ def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
     stream = _Stream(NestedSumSpec((iw,), (), alpha, 1.0))
     w = []
     for hi in edges:
-        w.append(stream._weights_block(0, np.arange(stream.next_m, hi, dtype=np.float64)))
+        x = np.arange(stream.next_m, hi, dtype=np.float64)
+        w.append(stream._weights_block(0, x, stream._ratio_block(hi)))
         stream.next_m = hi
     return np.concatenate(w)[m]
 
