@@ -8,8 +8,10 @@ strict/weak relation linking consecutive indices.
 Evaluation is a single streaming pass, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
-one for a strict link).  Work is O(N * depth) and fully vectorized; the
-running outer partial sum is recorded at geometrically spaced marks.
+one for a strict link).  Work is O(N * depth) and fully vectorized, in
+blocks of at most _FLOOR = 8,193 indices, each one pass that carries every
+running sum and product on to the next; the running outer partial sum is
+recorded at geometrically spaced marks.
 Every running sum (each level's prefix, its carry and the recorded outer
 sums) is a compensated (hi, lo) pair of float64 or complex128: about twice
 float64's digits, the same on every platform, whatever its long double.
@@ -334,32 +336,28 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
 # Streaming evaluation
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 13  # the most indices of a later block; the first has _FLOOR at most
 
 
 def _product_block(alpha: complex, lo: int, hi: int, carry):
     """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128
     (the last index divides (m + alpha)^-1 by it), and its long double carry
-    at hi - 1, given the carry at lo - 1 (None at lo = 0).  Each step
-    1 + (alpha - 1) / m is made in long double from a float64 quotient: the
-    product is within 9.9e-16 where float64's is 6.6e-15 off (m = 65,536),
-    and a compensated float64 log sum is 2.7x slower.  Chunks of _N_INITIAL
-    hand the carry on: one cumprod's bytes, in a fraction of its memory."""
+    at hi - 1, given the carry at lo - 1 (None at lo = 0): one cumprod over
+    the block, at most _FLOOR indices.  Each step 1 + (alpha - 1) / m is made
+    in long double from a float64 quotient: the product is within 9.9e-16
+    where float64's is 6.6e-15 off (m = 65,536), and a compensated float64
+    log sum is 2.7x slower."""
     d = alpha - 1.0
     is_complex = np.iscomplexobj(d)
-    ext = np.clongdouble if is_complex else np.longdouble
-    out = np.empty(hi - lo, dtype=np.complex128 if is_complex else np.float64)
-    for start in range(lo, hi, _N_INITIAL):
-        r = np.empty(min(hi - start, _N_INITIAL), dtype=ext)
-        first = 1 if start == 0 else 0
-        r[first:] = d / np.arange(start + first, start + len(r), dtype=np.float64)
-        r[first:] += 1.0
-        r[0] = 1.0 if first else r[0] * carry
-        np.cumprod(r, out=r)
-        carry = r[-1]
-        out[start - lo : start - lo + len(r)] = r
+    r = np.empty(hi - lo, dtype=np.clongdouble if is_complex else np.longdouble)
+    first = 1 if lo == 0 else 0
+    r[first:] = d / np.arange(lo + first, hi, dtype=np.float64)
+    r[first:] += 1.0
+    r[0] = 1.0 if first else r[0] * carry
+    np.cumprod(r, out=r)
+    out = r.astype(np.complex128 if is_complex else np.float64)
     out.setflags(write=False)
-    return out, carry
+    return out, r[-1]
 
 
 # the first block of every stream; a check has two bases, (alpha, beta) and (beta,
@@ -382,24 +380,21 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
     """Turn the terms x and t in the rows of out into running (hi, lo) sums in
     place, from the pair carry before them: hi_k = fl(hi_{k-1} + x_k), and lo
     sums t and each such add's TwoSum error, as if in twice the precision
-    (Ogita, Rump and Oishi, Accurate sum and dot product, 2005).  Chunks of
-    _FLOOR, the first block's length, keep temporaries small and hand the
-    carry on: the same chain."""
-    for start in range(0, out.shape[1], _FLOOR):
-        x, t = out[:, start : start + _FLOOR]
-        s = np.concatenate([carry[:1], x])
-        np.cumsum(s, out=s)
-        a, h = s[:-1], s[1:]  # each hi, and the one before it
-        b = h - a
-        x -= b
-        b -= h
-        b += a
-        b += x  # (a - (h - b)) + (x - b), the rounding error of h = a + x
-        t += b
-        t[0] += carry[1]
-        np.cumsum(t, out=t)
-        x[:] = h
-        carry = out[:, start + len(x) - 1]
+    (Ogita, Rump and Oishi, Accurate sum and dot product, 2005).  One pass
+    over the block, at most _FLOOR indices, so temporaries stay small."""
+    x, t = out
+    s = np.concatenate([carry[:1], x])
+    np.cumsum(s, out=s)
+    a, h = s[:-1], s[1:]  # each hi, and the one before it
+    b = h - a
+    x -= b
+    b -= h
+    b += a
+    b += x  # (a - (h - b)) + (x - b), the rounding error of h = a + x
+    t += b
+    t[0] += carry[1]
+    np.cumsum(t, out=t)
+    x[:] = h
 
 
 class _Stream:
@@ -624,9 +619,10 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     at n / 4; the first n where it meets rel_tol ends the stream, or else the
     last does, with the best fit (NaN if none is finite) flagged.  No n below
     _FLOOR can stop it, so one block streams up to _FLOOR (or past the last
-    n); later blocks end at each n, _BLOCK at most.  A block whose outer
-    prefix is not finite (float64 overflow) ends it at once, with the best
-    fit before that block and an infinite error.
+    n); later blocks end at each n, _BLOCK = 8,192 at most, so no block
+    spans more than _FLOOR indices.  A block whose outer prefix is not
+    finite (float64 overflow) ends it at once, with the best fit before that
+    block and an infinite error.
     A series that diverges raises NonConvergentError from :func:`_tail_basis`.
     """
     _validate_params(spec.alpha, spec.beta)

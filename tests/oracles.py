@@ -12,11 +12,11 @@ The helpers at the end drive the package itself: the kernel's exact
 partial sums (its compensated (hi, lo) pairs, rounded to one number), the
 parts of linear-combination arithmetic that only the tests need, and the
 kernel's running product, in long double, and tail fit, on the same pairs,
-written as one cumprod and one loop per basis size, the references that
-its chunked and one-pass forms must match byte for byte.  The kernel's
-checkpoint schedule is given as the loop and the window rule that its mark
-table replaced, and the ends of the blocks that evaluate streams are listed
-from that schedule.
+written as one cumprod over a whole range and one loop per basis size,
+the references that its blockwise and one-pass forms must match byte for
+byte.  The kernel's checkpoint schedule is given as the loop and the window
+rule that its mark table replaced, and the ends of the blocks that evaluate
+streams are listed from that schedule.
 """
 
 from __future__ import annotations
@@ -315,7 +315,8 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
 def evaluate_block_ends(n: int) -> list[int]:
     """The ends of the blocks that evaluate streams when n is its last
     checkpoint: one block to min(_FLOOR, n + 1), then to each checkpoint + 1
-    in steps of at most _BLOCK.  Any other n ends the last block at n + 1."""
+    in steps of at most _BLOCK, so that no block spans more than _FLOOR
+    indices.  Any other n ends the last block at n + 1."""
     ends = [min(_FLOOR, n + 1)]
     checkpoint = _N_INITIAL
     while ends[-1] <= n:
@@ -337,7 +338,9 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
 
 def product_one_shot(alpha: complex, lo: int, hi: int, carry):
     """The kernel's running product (alpha)_m / m! at m = lo..hi-1 and its
-    carry (see nested_sum._product_block), by one cumprod over the whole block."""
+    carry (see nested_sum._product_block), by one cumprod over the whole range,
+    which may span many of the blocks evaluate streams, each its own cumprod
+    that takes the carry from the one before."""
     d = alpha - 1.0
     is_complex = np.iscomplexobj(d)
     x = np.arange(lo, hi, dtype=np.float64)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestEvaluate:
 class TestSchedule:
     # every evaluation fits at 2048 * 2**j and streams no further than the
     # last of these <= max_n: one block to _FLOOR (or past the last), then
-    # blocks to each checkpoint, _BLOCK at most
+    # blocks to each checkpoint, _BLOCK at most, so none spans more than _FLOOR
     @pytest.mark.parametrize(
         "max_n,last",
         [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192),
@@ -467,8 +468,8 @@ class TestNoResonanceCliff:
 
 class TestLargeAlpha:
     # (alpha)_m / m! ~ m^(alpha - 1) / Gamma(alpha) leaves float64 near
-    # m = 65,536 at alpha = 100; a depth-1 word carries no ratio, and a deeper
-    # one stops at the first block past that range
+    # m = 49,000 at alpha = 100; a depth-1 word carries no ratio, and a deeper
+    # one stops at the end of the first block past that range
     @pytest.mark.parametrize("alpha", [5.0, 40.0, 100.0, 150.0])
     def test_depth_one_needs_no_ratio(self, alpha):
         # Z(1:2; alpha, 1) = sum_m 1 / ((m + alpha) (m + 1)) = (psi(alpha) - psi(1)) / (alpha - 1)
@@ -481,7 +482,7 @@ class TestLargeAlpha:
         assert res.converged
         assert abs(res.value - truth) <= res.err_estimate
 
-    @pytest.mark.parametrize("alpha,stop", [(100.0, 65_536), (150.0, 8192)])
+    @pytest.mark.parametrize("alpha,stop", [(100.0, 49_152), (150.0, 8192)])
     def test_overflow_stops_at_once(self, alpha, stop):
         # the first block whose outer prefix passes 1e308 ends the stream, long
         # before max_n, with the best fit of the checkpoints before it: near
@@ -605,12 +606,14 @@ DEPTH3_EVERY_INDEX = (
 )
 # block ends: every index alone; a cut right after m = 0; a cut after each
 # of the first checkpoints (_N_INITIAL * 2**j + 1: "evaluate_edges");
-# and the blocks evaluate streams, to _FLOOR, then to the next checkpoint + 1
+# and the blocks evaluate streams, to _FLOOR, then to the next checkpoint + 1,
+# and on in blocks of _BLOCK
 SPLITS = {
     "ones": list(range(1, 301)),
     "after_zero": [1, 300],
     "evaluate_edges": [2049, 4097, 8193, 20000],
     "first_block_edges": [8193, 16385, 20000],
+    "later_blocks": [8193, 16385, 24577, 32769, 40000],
 }
 
 
@@ -633,6 +636,25 @@ class TestStreamSplitInvariance:
         np.testing.assert_allclose(pair_values(blocks), pair_values(whole), rtol=1e-15, atol=0)
 
 
+class TestStreamMemory:
+    # every block is one pass over at most _FLOOR indices, so the stream's
+    # temporaries do not grow with max_n: a depth-3 complex evaluation to
+    # 2^20 terms peaks at 1.1 MiB with warm memos; blocks of 65,536 indices
+    # would reach 6.9
+    def test_peak_does_not_grow_with_the_stream(self):
+        spec = z_spec(parse_word("1:1,1:1,1:2"), Params(0.6 + 0.3j, 1.5))
+        cfg = EvalConfig(rel_tol=1e-16, max_n=2**20)
+        evaluate(spec, cfg)  # the memos, warm
+        tracemalloc.start()
+        try:
+            res = evaluate(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_used == 2**20
+        assert peak < 2 * 2**20, peak / 2**20
+
+
 def pair_values(pairs: np.ndarray) -> np.ndarray:
     """The values that rows of (hi, lo) pairs stand for, in long double."""
     hi, lo = pairs.T
@@ -651,8 +673,8 @@ class TestSharedWork:
     # (alpha)_m / m!, and m! / (alpha)_{m+1} = (m + alpha)^-1 over it
     @pytest.mark.parametrize("power", [1, -1], ids=["Prefactor.POCH_FIRST", "Prefactor.POCH_LAST"])
     def test_chunked_product_is_one_cumprod(self, power, alpha):
-        # the first block ends between two chunks of _N_INITIAL, and the
-        # second carries its product across that edge through more chunks
+        # each call is one cumprod; the second takes the carry across the
+        # edge between the two calls, as later blocks of a stream do
         head, head_carry = _product_block(alpha, 0, 5000, None)
         tail, carry = _product_block(alpha, 5000, 70_000, head_carry)
         want, want_carry = product_one_shot(alpha, 0, 70_000, None)
