@@ -2,7 +2,8 @@
 and run verification suites.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify found a
-failing identity, 2 any invalid input to any subcommand (bad arguments,
+failing identity or a check whose evaluation overflowed (its tol is not
+finite), 2 any invalid input to any subcommand (bad arguments,
 words, parameters or r-vectors, and a series the kernel rejects), 3 the
 evaluator stopped before reaching the requested tolerance: it hit max_n,
 or a block of terms overflowed float64 first.
@@ -71,10 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate one series value")
-    comp.add_argument("--family", choices=["Z", "Zstar", "zeta", "Hstar"], required=True)
-    comp.add_argument("--word", required=True)
-    comp.add_argument("--alpha", type=parse_complex, required=True)
-    comp.add_argument("--beta", type=parse_complex, default=None)
+    comp.add_argument("--family", choices=["Z", "Zstar", "zeta", "Hstar"], required=True,
+                      help="series family; zeta is the multiple Hurwitz value")
+    comp.add_argument("--word", required=True,
+                      help="cut:exponent blocks such as 1:1,1/2:2, "
+                           "or letters over 1, h, 0 such as 1h0")
+    comp.add_argument("--alpha", type=parse_complex, required=True,
+                      help="first slot: the Pochhammer base of Z, Zstar and Hstar, "
+                           "the shift of zeta")
+    comp.add_argument("--beta", type=parse_complex, default=None,
+                      help="second slot of Z and Zstar; defaults to --alpha")
     comp.add_argument("--r-vector", type=parse_rvector, default=None,
                       help="comma-separated non-negative integers (starred families)")
     comp.add_argument("--rel-tol", type=float, default=EvalConfig.rel_tol)

@@ -12,9 +12,10 @@ Z(a, b) to a starred value at (b, a) swap the pair before the call.
 Z is the starred family at r = 0, so both compile through one function.
 
 Each family compiles a word (plus r-vector, for the starred families)
-into one flat :class:`~mzdual.nested_sum.NestedSumSpec`: auxiliary chain
-indices are interleaved with the main indices so a single kernel serves
-all four families.  Each ``eval_*`` is that compile plus one cached
+into one flat :class:`~mzdual.nested_sum.NestedSumSpec`, so a single
+kernel serves all four: it hands its main-index weights and the length
+of the auxiliary chain before each main index to one splicer,
+``_chained_spec``.  Each ``eval_*`` is that compile plus one cached
 kernel evaluation; the empty word compiles to the empty spec, which the
 kernel evaluates to 1 after checking the parameters.
 """
@@ -52,14 +53,30 @@ class Params:
         return Params(self.beta, self.alpha)
 
 
-def _strict(cut: Cut) -> Link:
-    # the plain inequality attached to a cut: strict for cut 1, weak for 1/2
-    return Link.STRICT if cut is Cut.ONE else Link.WEAK
+def _link(cut: Cut, star: bool = False) -> Link:
+    # a cut's inequality: strict for cut 1, weak for 1/2; star flips it
+    return Link.STRICT if (cut is Cut.ONE) != star else Link.WEAK
 
 
-def _strict_star(cut: Cut) -> Link:
-    # the star-flipped inequality: weak for cut 1, strict for 1/2
-    return Link.WEAK if cut is Cut.ONE else Link.STRICT
+def _chained_spec(w: Word, chains: Sequence[int], mains: Sequence[IndexWeight],
+                  alpha: complex, beta: complex) -> NestedSumSpec:
+    """The spec of main indices weighted mains[i], each preceded by a chain
+    of chains[i] auxiliary indices weighted (M+alpha)^-1.
+
+    Main index i (or its chain) is entered by the plain inequality of cut
+    c_{i-1}; a chain links weakly inside and closes into main index i by
+    the star-flipped inequality of cut c_i (the closing cut of the word
+    is 1).  A first chain opens the sum, weakly anchored at 0.
+    """
+    idx, links = [], []
+    for i, (n, main) in enumerate(zip(chains, mains)):
+        if i > 0:
+            links.append(_link(w.inner_cut(i)))
+        if n:
+            links += [Link.WEAK] * (n - 1) + [_link(w.inner_cut(i + 1), star=True)]
+            idx += [IndexWeight(a=1)] * n
+        idx.append(main)
+    return NestedSumSpec(tuple(idx), tuple(links), alpha=alpha, beta=beta)
 
 
 def z_spec(w: Word, p: Params) -> NestedSumSpec:
@@ -73,39 +90,25 @@ def zstar_spec(w: Word, r: Sequence[int], p: Params) -> NestedSumSpec:
     The first slot alpha is the Pochhammer base: (alpha)_m / m! on the
     first index (poch = 1) and m! / (alpha)_{m+1} = (m+alpha)^-1 over it
     on the last (poch = -1, one more power in a), so depth 1 telescopes
-    to poch = 0; (m+alpha)^-r_1 on the first index and (m+alpha)^-1 on
-    every auxiliary index.  Main index i carries (m+beta)^-k_i with beta
-    the SECOND slot, and the last one (m+beta)^-(k_q - 1): with m! /
-    (alpha)_{m+1} this is the paper's last factor m! (m+beta) /
-    (alpha)_{m+1} (m+beta)^-k_q.  For i >= 2,
-    r_i auxiliary indices are spliced between main indices i-1 and i:
-    entered by the plain cut inequality, chained weakly, and closed by
-    the star-flipped cut inequality (the closing cut of the word is 1).
-    At r = 0 the chains vanish into the plain cuts and the spec is Z's.
+    to poch = 0; r_1 is the power (m+alpha)^-r_1 on the first index.
+    Main index i carries (m+beta)^-k_i with beta the SECOND slot, and the
+    last one (m+beta)^-(k_q - 1): with m! / (alpha)_{m+1} this is the
+    paper's last factor m! (m+beta) / (alpha)_{m+1} (m+beta)^-k_q.  For
+    i >= 2 a chain of r_i auxiliary indices comes before main index i;
+    at r = 0 there are no chains and the spec is Z's.
     """
     rv = _check_rvector(r, w.depth)
     q = w.depth
-    ks = w.exponents()
-    idx: list[IndexWeight] = []
-    links: list[Link] = []
-    for i in range(q):
-        if i > 0:
-            links.append(_strict(w.inner_cut(i)))
-            if rv[i]:
-                links.extend([Link.WEAK] * (rv[i] - 1))
-                links.append(_strict_star(w.inner_cut(i + 1)))
-                idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
+    mains = []
+    for i, k in enumerate(w.exponents()):
         first, last = int(i == 0), int(i == q - 1)
-        idx.append(IndexWeight(a=(rv[0] if first else 0) + last, b=ks[i] - last, poch=first - last))
-    return NestedSumSpec(tuple(idx), tuple(links), alpha=p.alpha, beta=p.beta)
+        mains.append(IndexWeight(a=rv[0] * first + last, b=k - last, poch=first - last))
+    return _chained_spec(w, (0, *rv[1:]), mains, p.alpha, p.beta)
 
 
 def hurwitz_spec(w: Word, alpha: complex) -> NestedSumSpec:
     """Kernel spec for the one-parameter Hurwitz family."""
-    depth = w.depth
-    idx = tuple(IndexWeight(a=k) for k in w.exponents())
-    links = tuple(_strict(w.inner_cut(i)) for i in range(1, depth))
-    return NestedSumSpec(idx, links, alpha=alpha, beta=1.0)
+    return _chained_spec(w, (0,) * w.depth, [IndexWeight(a=k) for k in w.exponents()], alpha, 1.0)
 
 
 def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
@@ -113,27 +116,12 @@ def hstar_spec(w: Word, r: Sequence[int], alpha: complex) -> NestedSumSpec:
 
     Main index i carries (m+1)^-k_i, and the last one (m+1)^-(k_q - 1)
     times m! / (alpha)_{m+1} = (m+alpha)^-1 ((alpha)_m / m!)^-1, which is
-    the paper's last factor (m+1)! / (alpha)_{m+1} (m+1)^-k_q; every block
-    i = 1..q owns a chain of r_i auxiliary indices weighted (M+alpha)^-1.
-    The first chain starts weakly at 0; chain i closes into main index i by
-    the star-flipped cut inequality (closing cut 1 for the last block).
+    the paper's last factor (m+1)! / (alpha)_{m+1} (m+1)^-k_q; a chain of
+    r_i auxiliary indices comes before every main index i = 1..q.
     """
-    rv = _check_rvector(r, w.depth)
-    q = w.depth
-    ks = w.exponents()
-    idx: list[IndexWeight] = []
-    links: list[Link] = []
-    for i in range(q):
-        # chain 1, if any, opens the whole sum, weakly anchored at 0
-        if i > 0:
-            links.append(_strict(w.inner_cut(i)))
-        if rv[i]:
-            links.extend([Link.WEAK] * (rv[i] - 1))
-            links.append(_strict_star(w.inner_cut(i + 1)))
-            idx.extend(IndexWeight(a=1) for _ in range(rv[i]))
-        last = int(i == q - 1)
-        idx.append(IndexWeight(a=last, b=ks[i] - last, poch=-last))
-    return NestedSumSpec(tuple(idx), tuple(links), alpha=alpha, beta=1.0)
+    rv, ks = _check_rvector(r, w.depth), w.exponents()
+    last = [IndexWeight(a=1, b=k - 1, poch=-1) for k in ks[-1:]]
+    return _chained_spec(w, rv, [IndexWeight(b=k) for k in ks[:-1]] + last, alpha, 1.0)
 
 
 # ---------------------------------------------------------------------------

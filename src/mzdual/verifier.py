@@ -3,7 +3,8 @@
 Every check compares two independently computed sides of one identity
 and records the deviation together with a tolerance tied to the actual
 truncation quality (10x the summed error estimates, floored at 1e-9),
-so a pass means the deviation is explained by truncation alone.
+so a pass means the deviation is explained by truncation alone.  A check
+whose tol is not finite (an evaluation overflowed) fails.
 
 The quadrature and derivative checks cross-validate the integral
 representation and the derivative calculus behind the starred expansion.
@@ -93,7 +94,7 @@ def _make_check(name: str, lhs: EvalResult, rhs: EvalResult) -> IdentityCheck:
         rel_dev=rel_dev,
         tol=tol,
         n_used=diff.n_used,
-        passed=bool(dev <= tol),
+        passed=bool(dev <= tol < math.inf),
         note="" if diff.converged else "tolerance-not-reached",
     )
 

@@ -224,6 +224,19 @@ class TestVerify:
         assert len(checks) == 4 and len(failed) == 2
         assert all(c["rel_dev"] is None and c["tol"] is None for c in failed)
 
+    def test_infinite_tol_fails(self, capsys):
+        # at alpha = 100 one side of this check overflows, so its error and tol are infinite;
+        # a check passes only within a finite tol
+        code, out, _ = run(
+            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "100:1",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        bad = checks.pop("thm11i/w=1:1,1:2/r=0/a=100/b=1")
+        assert bad["tol"] is None and bad["passed"] is False
+        assert len(checks) == 3 and all(c["passed"] for c in checks.values())
+
     def test_real_overflow_stays_real(self, capsys):
         # every check of a real pair is real: an overflowed lhs is a real NaN, so its
         # imaginary part is 0.0, not null

@@ -130,6 +130,8 @@ class TestEvalZstar:
             ("1:1,1/2:2", (2, 1)),
             ("1:2,1/2:1,1:2", (1, 0, 2)),
             ("1:1,1:1,1:2", (0, 2, 1)),
+            # a chain closing into a 1/2 cut: the star-flipped strict link
+            ("1:1,1:1,1/2:2", (0, 1, 0)),
         ]
         for text, rv in cases:
             w = W(text)
@@ -204,6 +206,8 @@ class TestEvalHstar:
             ("1:1,1/2:2", (0, 2)),
             ("1:1,1/2:2", (2, 0)),
             ("1:2,1/2:1,1:2", (1, 1, 0)),
+            # a later chain closing into a 1/2 cut
+            ("1:1,1:1,1/2:2", (0, 1, 0)),
         ]
         for text, rv in cases:
             w = W(text)
