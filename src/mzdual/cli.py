@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'default', value list (square grid), or 'a:b;a:b' pairs")
     ver.add_argument("--tol", type=float, default=SuiteConfig.tol,
                      help="sets the kernel's rel_tol to tol/30, clamped to [1e-12, 1e-9]; "
-                          "each check passes at its own tol, derived from its error estimates")
+                          "each check passes only within its own tol, derived from its error "
+                          "estimates, and fails when that tol is not finite")
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
     ver.add_argument("--workers", type=int, default=1,
