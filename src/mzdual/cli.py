@@ -64,6 +64,9 @@ def _print_json(obj) -> None:
     print(json.dumps(strict, sort_keys=True, allow_nan=False))
 
 
+_WORD_HELP = "cut:exponent blocks such as 1:1,1/2:2, or letters over 1, h, 0 such as 1h0"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mzdual",
@@ -74,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="evaluate one series value")
     comp.add_argument("--family", choices=["Z", "Zstar", "zeta", "Hstar"], required=True,
                       help="series family; zeta is the multiple Hurwitz value")
-    comp.add_argument("--word", required=True,
-                      help="cut:exponent blocks such as 1:1,1/2:2, "
-                           "or letters over 1, h, 0 such as 1h0")
+    comp.add_argument("--word", required=True, help=_WORD_HELP)
     comp.add_argument("--alpha", type=parse_complex, required=True,
                       help="first slot: the Pochhammer base of Z, Zstar and Hstar, "
                            "the shift of zeta")
@@ -84,28 +85,38 @@ def build_parser() -> argparse.ArgumentParser:
                       help="second slot of Z and Zstar; defaults to --alpha")
     comp.add_argument("--r-vector", type=parse_rvector, default=None,
                       help="comma-separated non-negative integers (starred families)")
-    comp.add_argument("--rel-tol", type=float, default=EvalConfig.rel_tol)
+    comp.add_argument("--rel-tol", type=float, default=EvalConfig.rel_tol,
+                      help="the kernel's relative tolerance, in (0, 1), used as given "
+                           "(verify --tol is divided by 30 and clamped to [1e-12, 1e-9])")
     comp.add_argument("--max-n", type=int, default=EvalConfig.max_n,
                       help=f"most terms streamed, {_N_INITIAL} to {_MARKS[-1]}; "
                       f"rounded down to {_N_INITIAL}*2^j")
-    comp.add_argument("--output", choices=["table", "json"], default="table")
+    comp.add_argument("--output", choices=["table", "json"], default="table",
+                      help="json: value as [re, im], err_estimate, n_used and converged, "
+                           "null for a float that is not finite")
 
     du = sub.add_parser("dual", help="print the dual of a word")
-    du.add_argument("--word", required=True)
-    du.add_argument("--output", choices=["table", "json"], default="table")
+    du.add_argument("--word", required=True, help=_WORD_HELP)
+    du.add_argument("--output", choices=["table", "json"], default="table",
+                    help="json: word, dual and dual_letters")
 
     sg = sub.add_parser("sigma", help="apply a weight-raising operator")
-    sg.add_argument("--op", choices=["b1", "eps", "b2"], required=True)
-    sg.add_argument("--word", required=True)
-    sg.add_argument("--r", type=int, required=True)
-    sg.add_argument("--output", choices=["table", "json"], default="json")
+    sg.add_argument("--op", choices=["b1", "eps", "b2"], required=True,
+                    help="b1: binomial, as Z's derivative in beta; eps: unit coefficients on "
+                         "the blocks before a cut 1 and the last; b2: binomial on every block")
+    sg.add_argument("--word", required=True, help=_WORD_HELP)
+    sg.add_argument("--r", type=int, required=True, help="weight added, >= 0")
+    sg.add_argument("--output", choices=["table", "json"], default="json",
+                    help="json: one {coeff_num, coeff_den, word} record per term")
 
     ver = sub.add_parser("verify", help="run an identity verification suite")
     ver.add_argument("--suite", choices=list(SUITE_NAMES), required=True,
                      help="duality is thm11i at r = 0, sum_formula is thm11i on dual(1:k1); "
                           "all runs each identity once")
-    ver.add_argument("--weight-max", type=int, default=SuiteConfig.weight_max)
-    ver.add_argument("--depth-max", type=int, default=SuiteConfig.depth_max)
+    ver.add_argument("--weight-max", type=int, default=SuiteConfig.weight_max,
+                     help="largest word weight checked, >= 2")
+    ver.add_argument("--depth-max", type=int, default=SuiteConfig.depth_max,
+                     help="largest word depth checked, >= 1; every depth if not given")
     ver.add_argument("--r-max", type=int, default=SuiteConfig.r_max,
                      help="largest r; the derivative suite checks r = 1..r_max")
     ver.add_argument("--grid", type=parse_grid, default=SuiteConfig.params_grid,
@@ -119,8 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--workers", type=int, default=1,
                      help="worker processes, capped at one per chunk of 4 checks "
                           "and at the CPUs this process may use")
-    ver.add_argument("--output", choices=["table", "json", "csv"], default="table")
-    ver.add_argument("--no-timestamp", action="store_true")
+    ver.add_argument("--output", choices=["table", "json", "csv"], default="table",
+                     help="json: the config and every check; csv: one row per check")
+    ver.add_argument("--no-timestamp", action="store_true",
+                     help="leave the timestamp out of the json report, "
+                          "so that reruns are byte-identical")
     return top
 
 

@@ -37,15 +37,17 @@ The tail is fitted at the checkpoints 2048 * 2^j, and an evaluation stops
 at the first checkpoint n whose fit meets the tolerance and agrees with the
 fit at n / 4 to within it, so at 8192 terms at the earliest.
 
-Work shared across specs: the tail model is memoized on (indices, alpha),
-all it depends on; each tail column is computed once at every mark, and
-each fit's design slices its rows from it; and the Pochhammer product
-block that starts each stream, at m = 0 where no carry enters, is cached
-by (alpha, end); later blocks are built afresh, once for all the indices
-of a spec, as keeping them would cost megabytes per alpha.  The tail
-model, column and design memos hold the working set of every suite at the
-CLI's default weight unevicted.  Values are pure functions of their keys,
-so every output is byte-identical to one computed per spec, in any order.
+Work shared across specs: the tail model is memoized on the exponents of
+the index weights, all it depends on; each tail column is computed once at
+every mark, and each fit's design slices its rows from it; and the
+Pochhammer product block that starts each stream, at m = 0 where no carry
+enters, is cached by (alpha, end); later blocks are built afresh, once for
+all the indices of a spec, as keeping them would cost megabytes per alpha.
+The tail model, column and design memos hold the working set of every suite
+at the CLI's default weight unevicted, the tail model's that of the
+weight-5 derivative suite too (940 exponent tuples).  Values are pure
+functions of their keys, so every output is byte-identical to one computed
+per spec, in any order.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def _exponent(x: complex) -> complex:
     return x if x.imag else x.real
 
 
-def _merge_behaviour(entries: Behaviour, keep: int = 12) -> Behaviour:
+def _merge_behaviour(entries: Behaviour) -> Behaviour:
     # group near-equal exponents, keep the highest log power per group;
     # the order is by real part, which sets the size of m^e
     entries = sorted(
@@ -249,7 +251,7 @@ def _merge_behaviour(entries: Behaviour, keep: int = 12) -> Behaviour:
     if out:
         lead = out[0][0].real
         out = [(e, t) for e, t in out if e.real > lead - 3.2]
-    return out[:keep]
+    return out
 
 
 def _prefix_behaviour(entries: Behaviour) -> Behaviour:
@@ -267,20 +269,18 @@ def _prefix_behaviour(entries: Behaviour) -> Behaviour:
     return _merge_behaviour(out)
 
 
-def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> Behaviour:
-    """Asymptotic behaviour (exponent, log power) of the outermost terms
-    of the spec with these indices and Pochhammer base alpha, the leading
-    exponent e* first."""
-    prefix: Behaviour | None = None
+def _exponents(spec: NestedSumSpec) -> tuple[complex, ...]:
+    # each index weight behaves like m^e: (m + x)^-1 like m^-1, (alpha)_m / m! like m^(alpha - 1)
+    return tuple(complex(-(iw.a + iw.b)) + iw.poch * (spec.alpha - 1.0) for iw in spec.indices)
+
+
+def _behaviour(exponents: tuple[complex, ...]) -> Behaviour:
+    """Asymptotic behaviour (exponent, log power) of the outermost terms of a
+    spec whose index weights behave like m^e, e in exponents, the lead e* first."""
+    prefix: Behaviour = [(0.0, 0), (-1.0, 0), (-2.0, 0)]  # the empty product and its steps
     current: Behaviour = []
-    for iw in indices:
-        # (alpha)_m / m! grows like m^(alpha - 1)
-        own = complex(-(iw.a + iw.b)) + iw.poch * (alpha - 1.0)
-        if prefix is None:
-            current = [(own, 0), (own - 1.0, 0), (own - 2.0, 0)]
-        else:
-            current = [(own + e, t) for e, t in prefix]
-        current = _merge_behaviour(current)
+    for own in exponents:
+        current = _merge_behaviour([(own + e, t) for e, t in prefix])
         prefix = _prefix_behaviour(current)
     return current
 
@@ -289,12 +289,12 @@ def _behaviour(indices: tuple[IndexWeight, ...], alpha: complex) -> Behaviour:
 _EXTRAPOLATION_TERMS = 3
 
 
-# tail models kept, keyed by (indices, alpha); the weight-4 derivative suite uses 615
+# tail models kept, keyed by the exponents; the weight-5 derivative suite uses 940
 @functools.lru_cache(maxsize=1024)
-def _tail_basis(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
-    """The tail model of the spec with these indices and Pochhammer base
-    alpha: candidate (s, t) pairs for the tail fit, most important first,
-    from the :func:`_behaviour` of the outermost terms.
+def _tail_basis(exponents: tuple[complex, ...]) -> tuple:
+    """The tail model of a spec whose index weights behave like m^e, e in
+    exponents: candidate (s, t) pairs for the tail fit, most important
+    first, from the :func:`_behaviour` of the outermost terms.
 
     The series converges only if the decay s = -Re e* of the leading
     exponent exceeds 1.  Each exponent e contributes s = -e and its steps
@@ -302,7 +302,7 @@ def _tail_basis(indices: tuple[IndexWeight, ...], alpha: complex) -> tuple:
     Pochhammer ratios and of (m + beta)^-b step every exponent by integers,
     not only the lead, and none has a smaller s than the lead.
     """
-    behaviour = _behaviour(indices, alpha)
+    behaviour = _behaviour(exponents)
     s_eff = -behaviour[0][0].real
     if s_eff <= 1.0 + 1e-9:
         raise NonConvergentError(f"outermost decay exponent {s_eff:.6g} <= 1; series diverges")
@@ -628,7 +628,7 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
         return EvalResult(1.0, 0.0, 0, True)
-    basis = _tail_basis(spec.indices, spec.alpha)
+    basis = _tail_basis(_exponents(spec))
 
     checkpoints = [_N_INITIAL]
     while checkpoints[-1] * 2 <= cfg.max_n:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ import pytest
 
 import mzdual.evaluators
 import mzdual.nested_sum
-from mzdual.cli import main
+from mzdual.cli import build_parser, main
 from mzdual.nested_sum import EvalConfig
 from mzdual.verifier import SuiteConfig
 
@@ -354,6 +355,36 @@ class TestVerify:
                            "--grid", grid)
         assert code == 0
         assert "3/3 passed" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("compute --family Zstar --word 1:1,1:2 --alpha 1 --r-vector 1,-1",
+     "r-vector entries must be >= 0"),
+    ("compute --family Z --word 1:2 --alpha abc --beta 1", "argument --alpha: not a number: 'abc'"),
+    ("compute --family Z --word 01 --alpha 1", "word must begin with letter '1'"),
+    ("dual --word 1:0,1:2", "exponent must be >= 1, got 0"),
+], ids=["negative-r-entry", "alpha-not-a-number", "leading-zero-letter", "zero-exponent"])
+def test_rejected_input_exits_2(capsys, argv, message):
+    # the parser's own errors exit through SystemExit, the rest through main's return
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert message in cap.err
+
+
+def test_every_option_has_help():
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    bare = [(p.prog, opt) for p in parsers for a in p._actions
+            if a.option_strings and "-h" not in a.option_strings and not a.help
+            for opt in a.option_strings]
+    assert len(parsers) == 5 and not bare, bare
 
 
 class _Built(Exception):

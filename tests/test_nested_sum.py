@@ -40,7 +40,9 @@ from mzdual.nested_sum import (
     _FLOOR,
     _MARKS,
     _behaviour,
+    _exponents,
     _fit_design,
+    _mgs_qr,
     _prefix_behaviour,
     _product_block,
     _shared_product_block,
@@ -105,13 +107,13 @@ class TestEvaluate:
                 for r in compositions(extra, w.depth):
                     specs += [zstar_spec(w, r, p), hstar_spec(w, r, alpha)]
         assert len(specs) == 232
-        assert all(len(_tail_basis(s.indices, s.alpha)) >= 3 for s in specs)
+        assert all(len(_tail_basis(_exponents(s))) >= 3 for s in specs)
 
     def test_non_convergent(self):
         # the tail model refuses an outer decay of 1, and evaluate through it
         spec = single(b=1)
         with pytest.raises(NonConvergentError):
-            _tail_basis(spec.indices, spec.alpha)
+            _tail_basis(_exponents(spec))
         with pytest.raises(NonConvergentError):
             evaluate(spec)
 
@@ -447,18 +449,18 @@ class TestNoResonanceCliff:
 
     def test_every_exponent_gets_integer_steps(self):
         spec = z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0))
-        behaviour = _behaviour(spec.indices, spec.alpha)
+        behaviour = _behaviour(_exponents(spec))
         assert [e for e, _ in behaviour] == pytest.approx([-2.0, -2.001, -3.0, -4.0])
-        exponents = [s for s, _ in _tail_basis(spec.indices, spec.alpha)]
+        exponents = [s for s, _ in _tail_basis(_exponents(spec))]
         assert exponents == pytest.approx([2.0, 2.001, 3.0, 3.001, 4.0, 4.001, 5.0, 6.0])
 
     def test_complex_exponents_kept(self):
         # (alpha)_m / m! ~ m^(alpha - 1) keeps Im alpha in the tail exponents
         spec = z_spec(parse_word("1:1,1:2"), Params(1 + 2j, 0.7))
-        behaviour = _behaviour(spec.indices, spec.alpha)
+        behaviour = _behaviour(_exponents(spec))
         assert any(isinstance(e, complex) for e, _ in behaviour)
         assert -behaviour[0][0].real == pytest.approx(2.0)
-        assert any(isinstance(s, complex) for s, _ in _tail_basis(spec.indices, spec.alpha))
+        assert any(isinstance(s, complex) for s, _ in _tail_basis(_exponents(spec)))
 
     def test_off_axis_exponent_not_resonant(self):
         # sum_{k<=m} k^(-1+2i) ~ C + m^(2i) / (2i): no log, unlike k^-1
@@ -545,7 +547,7 @@ def recorded_partial_sums(spec: NestedSumSpec, n: int):
     them: one (hi, lo) pair per mark."""
     prefix = _Stream(spec).run_block(n + 1)
     marks = _MARKS[: np.searchsorted(_MARKS, n, "right")]
-    return marks, prefix[marks], _tail_basis(spec.indices, spec.alpha)
+    return marks, prefix[marks], _tail_basis(_exponents(spec))
 
 
 class TestFitDesignCache:
@@ -590,6 +592,25 @@ class TestFitDesignCache:
         for arr in (design.wrow, design.q, design.w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestFitGuards:
+    def test_nan_sum_gives_no_value(self):
+        # one recorded sum that is NaN leaves no basis size a finite value
+        spec = NestedSumSpec((IndexWeight(a=2),), (), 0.7, 1.0)
+        marks, sums, basis = recorded_partial_sums(spec, 4096)
+        sums[len(sums) // 2] = np.nan
+        value, err = _tail_fit(marks, sums, basis)
+        assert math.isnan(value) and err == math.inf
+
+    def test_dependent_column_dropped(self):
+        # the middle column is twice the first: it is dropped, and its q column stays zero
+        a = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+        q, r, kept = _mgs_qr(a)
+        assert kept == [0, 2]
+        assert not q[:, 1].any()
+        assert np.allclose(q[:, kept].T @ q[:, kept], np.eye(2))
+        assert np.allclose(q @ r, a)
 
 
 DEPTH3 = (
@@ -726,6 +747,15 @@ class TestSharedWork:
         assert check.passed
         info = _shared_product_block.cache_info()
         assert info.misses == 2 and info.hits > 0 and info.currsize == info.maxsize == 2
+
+    def test_tail_model_shared_by_equal_exponents(self):
+        # the tail model reads only the exponents: these indices differ, and
+        # each pair of weights behaves like m^-2 m^-2
+        _tail_basis.cache_clear()
+        for indices in ((IndexWeight(a=1, b=1), IndexWeight(a=2)),
+                        (IndexWeight(a=2), IndexWeight(b=2))):
+            assert evaluate(NestedSumSpec(indices, (Link.STRICT,), 0.7, 1.3)).converged
+        assert _tail_basis.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_memos_hold_a_suite_without_evicting(self):
         # the derivative suite's circle points make the largest working set at
@@ -885,6 +915,12 @@ class TestTailPowerLog:
     def test_plain_zeta_tail(self):
         assert math.isclose(self.tail(2, 0, 64), hurwitz_zeta(2, 65), rel_tol=1e-14)
 
+    @pytest.mark.parametrize("s", [1.0, 0.5, 1.0 + 2j])
+    def test_needs_re_s_above_one(self, s):
+        # the tail of m^-s diverges for Re s <= 1
+        with pytest.raises(ValueError, match="Re s > 1"):
+            tail_powers_log(s, 0, np.array([64]))
+
     def test_log_weighted_self_consistency(self):
         for s, t, m in [(1.6, 0, 64), (1.6, 3, 64), (2.0, 2, 100)]:
             k = np.arange(m + 1, m + 200001, dtype=np.float64)
@@ -915,7 +951,7 @@ class TestTailPowerLog:
 
 def decay_exponent(spec: NestedSumSpec) -> float:
     """Effective algebraic decay s of the outermost terms (tail ~ N^(1-s))."""
-    return -_behaviour(spec.indices, spec.alpha)[0][0]
+    return -_behaviour(_exponents(spec))[0][0]
 
 
 class TestDecayExponent:

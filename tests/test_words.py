@@ -82,6 +82,19 @@ class TestParsing:
         with pytest.raises(WordError):
             Word.from_letters("101")
 
+    def test_later_cut_must_be_a_cut(self):
+        with pytest.raises(WordError, match="invalid cut") as exc:
+            Word([(Cut.ONE, 1), ("1/2", 2)])
+        assert exc.value.position == 1
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_inner_cut_out_of_range(self, i):
+        # the cuts are c_1 .. c_depth, c_depth the closing cut 1
+        w = W("1:1,1/2:2")
+        assert (w.inner_cut(1), w.inner_cut(2)) == (Cut.HALF, Cut.ONE)
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            w.inner_cut(i)
+
     @given(admissible_words)
     def test_round_trip_composition(self, w):
         assert parse_word(str(w)) == w
