@@ -749,8 +749,8 @@ class TestSharedWork:
         assert info.misses == 2 and info.hits > 0 and info.currsize == info.maxsize == 2
 
     def test_tail_model_shared_by_equal_exponents(self):
-        # the tail model reads only the exponents: these indices differ, and
-        # each pair of weights behaves like m^-2 m^-2
+        # the tail model reads only the exponents: the indices of the two
+        # specs differ, and every index weight of both behaves like m^-2
         _tail_basis.cache_clear()
         for indices in ((IndexWeight(a=1, b=1), IndexWeight(a=2)),
                         (IndexWeight(a=2), IndexWeight(b=2))):
