@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .evaluators import Params, eval_Hstar, eval_Z, eval_Zstar, eval_hurwitz
+from .evaluators import Params, eval_family
 from .nested_sum import _MARKS, _N_INITIAL, EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
 from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
@@ -147,14 +147,7 @@ def _cmd_compute(args) -> int:
     p = Params(args.alpha, args.beta)
     cfg = EvalConfig(rel_tol=args.rel_tol, max_n=args.max_n)
     rv = args.r_vector if args.r_vector is not None else (0,) * word.depth
-    if args.family == "Z":
-        res = eval_Z(word, p, cfg)
-    elif args.family == "zeta":
-        res = eval_hurwitz(word, p.alpha, cfg)
-    elif args.family == "Zstar":
-        res = eval_Zstar(word, rv, p, cfg)
-    else:
-        res = eval_Hstar(word, rv, p.alpha, cfg)
+    res = eval_family(args.family, word, rv, p, cfg)
     value = complex(res.value)
     if args.output == "json":
         _print_json({**res._asdict(), "value": [value.real, value.imag]})

@@ -15,9 +15,10 @@ Each family compiles a word (plus r-vector, for the starred families)
 into one flat :class:`~mzdual.nested_sum.NestedSumSpec`, so a single
 kernel serves all four: it hands its main-index weights and the length
 of the auxiliary chain before each main index to one splicer,
-``_chained_spec``.  Each ``eval_*`` is that compile plus one cached
-kernel evaluation; the empty word compiles to the empty spec, which the
-kernel evaluates to 1 after checking the parameters.
+``_chained_spec``.  Each family's ``eval_*`` is that compile plus one
+cached kernel evaluation; the empty word compiles to the empty spec, which
+the kernel evaluates to 1 after checking the parameters.  ``eval_family``
+picks one by name, and ``eval_terms`` adds up a combination of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .nested_sum import (
     NestedSumSpec,
     evaluate,
 )
-from .words import Cut, LinComb, Word, _check_rvector
+from .words import Cut, Word, _check_rvector
 
 
 @dataclass(frozen=True)
@@ -188,20 +189,28 @@ def sum_results(terms: Iterable[tuple[complex, EvalResult]]) -> EvalResult:
     return EvalResult(value, err, n_used, converged)
 
 
-Family = Literal["Z", "zeta"]
+Family = Literal["Z", "Zstar", "zeta", "Hstar"]
 
 
-def eval_lincomb(
-    lc: LinComb, family: Family, p: Params, cfg: EvalConfig = EvalConfig()
-) -> EvalResult:
-    """Linear extension: sum of coeff * eval(word) over a combination.
+def eval_family(family: Family, w: Word, r: Sequence[int], p: Params,
+                cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """One family's series at p: Zstar and Hstar read r, zeta and Hstar p.alpha alone."""
+    if family == "Z":
+        return eval_Z(w, p, cfg)
+    if family == "Zstar":
+        return eval_Zstar(w, r, p, cfg)
+    if family == "zeta":
+        return eval_hurwitz(w, p.alpha, cfg)
+    if family == "Hstar":
+        return eval_Hstar(w, r, p.alpha, cfg)
+    raise ValueError(f"unknown family {family!r}")
 
-    Exact rational coefficients are converted to float only here, term by
-    term; error estimates add up weighted by |coeff|.
-    """
-    if family not in ("Z", "zeta"):
-        raise ValueError(f"unknown family {family!r}")
+
+def eval_terms(terms: Iterable[tuple], p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """The sum over (coeff, family, word, r, swapped) terms of coeff times the
+    series at p, or at (b, a) when swapped; exact coefficients become floats
+    only here, term by term, and add up through :func:`sum_results` in order."""
     return sum_results(
-        (float(coeff), eval_Z(w, p, cfg) if family == "Z" else eval_hurwitz(w, p.alpha, cfg))
-        for w, coeff in lc
+        (float(c), eval_family(family, w, r, p.swapped() if swapped else p, cfg))
+        for c, family, w, r, swapped in terms
     )

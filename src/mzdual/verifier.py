@@ -14,9 +14,10 @@ insert ranks are built once per process: they are pure functions of the rule
 (h, kmax).  Its first inner sum is memoized: all admissible words begin with
 the letter 1, so all of one weight share it.
 
-Each identity has one check.  The `duality` suite is the thm11i suite at
-r = 0, the `sum_formula` suite is the thm11i suite on the words dual to
-1:k1, and `all` runs each identity once.
+Each series identity is stated once, as an exact relation in `RELATIONS`,
+and `check_identity` evaluates it.  The `duality` suite is the thm11i suite
+at r = 0, `sum_formula` is it on the words dual to 1:k1, and `all` runs
+each identity once.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .evaluators import (
-    Params,
-    eval_Hstar,
-    eval_Z,
-    eval_Zstar,
-    eval_hurwitz,
-    eval_lincomb,
-    sum_results,
-)
+from .evaluators import Params, eval_family, eval_terms, eval_Z, sum_results
 from .nested_sum import EvalConfig, EvalResult, _validate_params
 from .words import (
     Cut,
@@ -129,68 +122,68 @@ def starred_rvectors(dual_word: Word, r: int) -> list[tuple[int, ...]]:
     return [(0,) + tuple(c) for c in compositions(r, q - 1)]
 
 
-def _zstar_side(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalResult:
-    # sum of starred evaluations over the admissible r-vectors; params
-    # arrive already in (pochhammer-base, weight-base) order
-    return sum_results((1.0, eval_Zstar(dw, rv, p, cfg)) for rv in starred_rvectors(dw, r))
+def _lincomb_terms(lc: LinComb, family: str) -> tuple:
+    return tuple((c, family, v, (), False) for v, c in lc)
 
 
-def check_thm11_i(
-    w: Word, r: int, p: Params, cfg: EvalConfig = EvalConfig()
-) -> IdentityCheck:
-    """Binomial-operator image at (a, b) against the starred sum of the dual
-    at (b, a)."""
-    lhs = eval_lincomb(sigma_b1(w, r), "Z", p, cfg)
-    rhs = _zstar_side(dual(w), r, p.swapped(), cfg)
-    name = f"thm11i/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
-    return _make_check(name, lhs, rhs)
-
-
-def check_thm11_ii(
-    w: Word, r: int, alpha: complex, cfg: EvalConfig = EvalConfig()
-) -> IdentityCheck:
-    """Unit-coefficient operator commutes with dualization on the diagonal
-    (a, a)."""
-    p = Params(alpha)
-    lhs = eval_lincomb(sigma_eps(w, r), "Z", p, cfg)
-    rhs = eval_lincomb(sigma_eps(dual(w), r), "Z", p, cfg)
-    name = f"thm11ii/w={w}/r={r}/a={_fmt_param(alpha)}"
-    return _make_check(name, lhs, rhs)
+def _starred_terms(dw: Word, r: int) -> tuple:
+    # Z*(dw; rv) at (b, a) over the admissible r-vectors
+    return tuple((1, "Zstar", dw, rv, True) for rv in starred_rvectors(dw, r))
 
 
 def _apply_linear(op: Callable[[Word, int], LinComb], lc: LinComb, r: int) -> LinComb:
     return LinComb((v, c * cv) for w, c in lc for v, cv in op(w, r))
 
 
-def check_prop24(
-    w: Word, r: int, alpha: complex, cfg: EvalConfig = EvalConfig()
-) -> IdentityCheck:
-    """Slot-expansion side against letter-insertion side of the diagonal
-    derivative expansion."""
-    p = Params(alpha)
+def _prop24(w: Word, r: int) -> tuple[tuple, tuple]:
     dw = dual(w)
-    lhs_lc = LinComb()
-    rhs_lc = LinComb()
+    lhs, rhs = LinComb(), LinComb()
     for l in range(r + 1):
-        lhs_lc = lhs_lc + _apply_linear(sigma_eps, v_y_monomials(w, l), r - l)
-        rhs_lc = rhs_lc + _apply_linear(sigma_eps, v_prime_monomials(dw, l), r - l)
-    lhs = eval_lincomb(lhs_lc, "Z", p, cfg)
-    rhs = eval_lincomb(rhs_lc, "Z", p, cfg)
-    name = f"prop24/w={w}/r={r}/a={_fmt_param(alpha)}"
-    return _make_check(name, lhs, rhs)
+        lhs = lhs + _apply_linear(sigma_eps, v_y_monomials(w, l), r - l)
+        rhs = rhs + _apply_linear(sigma_eps, v_prime_monomials(dw, l), r - l)
+    return _lincomb_terms(lhs, "Z"), _lincomb_terms(rhs, "Z")
 
 
-def check_thm31(
-    w: Word, r: int, alpha: complex, cfg: EvalConfig = EvalConfig()
-) -> IdentityCheck:
-    """Hurwitz-family identity: the all-blocks binomial image against the
-    composition sum of the starred Hurwitz-dual family."""
-    p = Params(alpha)
-    lhs = eval_lincomb(sigma_b2(w, r), "zeta", p, cfg)
+def _thm31(w: Word, r: int) -> tuple[tuple, tuple]:
     dw = dual(w)
-    rhs = sum_results((1.0, eval_Hstar(dw, rv, alpha, cfg)) for rv in compositions(r, dw.depth))
-    name = f"thm31/w={w}/r={r}/a={_fmt_param(alpha)}"
-    return _make_check(name, lhs, rhs)
+    rhs = tuple((1, "Hstar", dw, rv, False) for rv in compositions(r, dw.depth))
+    return _lincomb_terms(sigma_b2(w, r), "zeta"), rhs
+
+
+# Each identity as one exact relation (w, r) -> (lhs, rhs): each side a tuple of
+# (coeff, family, word, r-vector, swapped) terms, coeff an int or a Fraction,
+# the r-vector () for Z and zeta, a swapped term read at (b, a).  The word
+# operators are looked up in this module when a relation runs.
+RELATIONS: dict[str, Callable[[Word, int], tuple[tuple, tuple]]] = {
+    # Theorem 1.1(i): the binomial image at (a, b), the starred dual at (b, a)
+    "thm11i": lambda w, r: (_lincomb_terms(sigma_b1(w, r), "Z"), _starred_terms(dual(w), r)),
+    # Theorem 1.1(ii), Ohno's relation: sigma_eps commutes with dualization
+    "thm11ii": lambda w, r: (_lincomb_terms(sigma_eps(w, r), "Z"),
+                             _lincomb_terms(sigma_eps(dual(w), r), "Z")),
+    # Proposition 2.4: the slot expansion against the letter insertion
+    "prop24": _prop24,
+    # Theorem 3.1: the all-blocks binomial image against the starred Hurwitz dual
+    "thm31": _thm31,
+}
+# whether an identity has two parameters: it runs on the grid's pairs and its
+# check names b; the others run on the distinct first slots
+_TWO_PARAMETERS = {"thm11i": True, "thm11ii": False, "prop24": False, "thm31": False}
+
+
+def check_identity(
+    identity: str, w: Word, r: int, p: Params, cfg: EvalConfig = EvalConfig()
+) -> IdentityCheck:
+    """The two sides of ``RELATIONS[identity](w, r)`` at p.  A one-parameter
+    identity takes p = Params(a) alone: its check's name does not say b."""
+    if identity not in RELATIONS:
+        raise ValueError(f"unknown identity {identity!r}; choose from {tuple(RELATIONS)}")
+    two = _TWO_PARAMETERS[identity]
+    if not two and p.beta != p.alpha:
+        raise ValueError(f"{identity} has one parameter, got a={p.alpha} and b={p.beta}")
+    lhs, rhs = RELATIONS[identity](w, r)
+    b = f"/b={_fmt_param(p.beta)}" if two else ""
+    name = f"{identity}/w={w}/r={r}/a={_fmt_param(p.alpha)}{b}"
+    return _make_check(name, eval_terms(lhs, p, cfg), eval_terms(rhs, p, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +343,7 @@ def check_integral_repr(
     letters = w.letters()
     coarse = _simplex_integral(letters, a, b, family, h=0.16, kmax=24)
     fine = _simplex_integral(letters, a, b, family, h=0.08, kmax=48)
-    if family == "Z":
-        series = eval_Z(w, p, cfg)
-    else:
-        series = eval_hurwitz(w, p.alpha, cfg)
+    series = eval_family(family, w, (), p, cfg)
     name = f"integral/{family}/w={w}/a={_fmt_param(a)}/b={_fmt_param(b)}"
     return _make_check(name, EvalResult(fine, abs(fine - coarse), 0, True), series)
 
@@ -401,7 +391,7 @@ def check_derivative_crosslink(
         raise ValueError("derivative cross-link needs r >= 1")
     dw = dual(w)
     lhs = _taylor_coefficient(dw, r, p.swapped(), cfg)
-    rhs = _zstar_side(dw, r, p.swapped(), cfg)
+    rhs = eval_terms(_starred_terms(dw, r), p, cfg)  # thm11i's right side
     name = f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
     return _make_check(name, lhs, rhs)
 
@@ -515,14 +505,11 @@ class VerificationReport:
 # suite runs, not bound when the module is imported.
 
 
-def _thm11i_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    return [(check_thm11_i, (w, r, Params(a, b), cfg))
-            for a, b in sc.params_grid for w in words for r in sc.r_values()]
-
-
-def _diagonal_tasks(check, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the one-parameter identities run on the distinct first-slot values
-    return [(check, (w, r, a, cfg)) for a in sc.alphas() for w in words for r in sc.r_values()]
+def _identity_tasks(name: str, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+    # a one-parameter identity runs on the distinct first slots
+    grid = sc.params_grid if _TWO_PARAMETERS[name] else [(a, a) for a in sc.alphas()]
+    return [(check_identity, (name, w, r, Params(a, b), cfg))
+            for a, b in grid for w in words for r in sc.r_values()]
 
 
 def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
@@ -545,25 +532,18 @@ def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> li
             for a, b in sc.params_grid for w in words for r in sc.r_values() if r >= 1]
 
 
-# the distinct identities; `all` runs each of them once
-_IDENTITIES = {
-    "thm11i": _thm11i_tasks,
-    "thm11ii": lambda sc, words, cfg: _diagonal_tasks(check_thm11_ii, sc, words, cfg),
-    "prop24": lambda sc, words, cfg: _diagonal_tasks(check_prop24, sc, words, cfg),
-    "thm31": lambda sc, words, cfg: _diagonal_tasks(check_thm31, sc, words, cfg),
-}
 # duality and the sum formula are Theorem 1.1(i) instances, so their suites
 # are views of the thm11i tasks: r = 0, and the words whose dual is 1:k1
 _SUITES = {
-    "duality": lambda sc, words, cfg: _thm11i_tasks(replace(sc, r_max=0), words, cfg),
-    **_IDENTITIES,
-    "sum_formula": lambda sc, words, cfg: _thm11i_tasks(
-        sc, [w for w in words if dual(w).depth == 1], cfg
+    "duality": lambda sc, words, cfg: _identity_tasks("thm11i", replace(sc, r_max=0), words, cfg),
+    **{name: functools.partial(_identity_tasks, name) for name in RELATIONS},
+    "sum_formula": lambda sc, words, cfg: _identity_tasks(
+        "thm11i", sc, [w for w in words if dual(w).depth == 1], cfg
     ),
     "integral": _integral_tasks,
     "derivative": _derivative_tasks,
     "all": lambda sc, words, cfg: [
-        task for tasks in _IDENTITIES.values() for task in tasks(sc, words, cfg)
+        task for name in RELATIONS for task in _identity_tasks(name, sc, words, cfg)
     ],
 }
 SUITE_NAMES = tuple(_SUITES)

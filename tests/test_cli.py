@@ -396,11 +396,11 @@ class TestDefaults:
     def test_compute_builds_default_eval_config(self, monkeypatch):
         built = []
 
-        def record(word, p, cfg):
+        def record(family, word, r, p, cfg):
             built.append(cfg)
             raise _Built
 
-        monkeypatch.setattr("mzdual.cli.eval_Z", record)
+        monkeypatch.setattr("mzdual.cli.eval_family", record)
         with pytest.raises(_Built):
             main(["compute", "--family", "Z", "--word", "1:2", "--alpha", "1", "--beta", "1"])
         assert built == [EvalConfig()]

@@ -20,8 +20,9 @@ from mzdual.evaluators import (
     eval_Hstar,
     eval_Z,
     eval_Zstar,
+    eval_family,
     eval_hurwitz,
-    eval_lincomb,
+    eval_terms,
     hstar_spec,
     hurwitz_spec,
     sum_results,
@@ -217,30 +218,38 @@ class TestEvalHstar:
                 assert abs(got - want) <= 1e-12 * abs(want), (text, rv, alpha)
 
 
+def lincomb_terms(lc, family):
+    return [(c, family, w, (), False) for w, c in lc]
+
+
 class TestEvalLincomb:
+    """Linear combinations of series, through eval_terms and eval_family."""
+
     def test_singleton(self):
-        lc = LinComb.of(W("1:2"))
-        assert abs(eval_lincomb(lc, "Z", Params(1, 1), CFG).value - ZETA2) < 1e-10
+        terms = lincomb_terms(LinComb.of(W("1:2")), "Z")
+        assert abs(eval_terms(terms, Params(1, 1), CFG).value - ZETA2) < 1e-10
 
     def test_empty_sum_is_zero(self):
-        res = eval_lincomb(LinComb(), "Z", Params(1, 1))
+        res = eval_terms((), Params(1, 1))
         assert res.value == 0.0 and res.err_estimate == 0.0
 
     def test_sigma_image(self):
         lc = sigma_eps(W("1:3"), 1)
         assert lc == LinComb.of(W("1:4"))
-        got = eval_lincomb(lc, "Z", Params(1, 1), CFG).value
+        got = eval_terms(lincomb_terms(lc, "Z"), Params(1, 1), CFG).value
         assert abs(got - ZETA4) < 1e-9
 
     def test_zeta_family(self):
-        lc = LinComb([(W("1:2"), 2), (W("1:3"), -1)])
-        got = eval_lincomb(lc, "zeta", Params(0.5), CFG).value
+        lc = LinComb([(W("1:2"), 2), (W("1:3"), -1)])  # Fraction coefficients
+        got = eval_terms(lincomb_terms(lc, "zeta"), Params(0.5), CFG).value
         want = 2 * hurwitz_zeta(2, 0.5) - hurwitz_zeta(3, 0.5)
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            eval_lincomb(LinComb(), "bogus", Params(1, 1))
+            eval_family("bogus", W("1:2"), (), Params(1, 1))
+        with pytest.raises(ValueError):
+            eval_terms([(1, "bogus", W("1:2"), (), False)], Params(1, 1))
 
 
 class TestSumResults:

@@ -53,7 +53,7 @@ from mzdual.nested_sum import (
     evaluate,
     tail_powers_log,
 )
-from mzdual.verifier import DEFAULT_GRID, SuiteConfig, check_thm11_i, run_suite
+from mzdual.verifier import DEFAULT_GRID, SuiteConfig, check_identity, run_suite
 from mzdual.words import compositions, parse_word, words_up_to_weight
 
 ZETA2 = math.pi**2 / 6
@@ -743,7 +743,7 @@ class TestSharedWork:
         # (alpha, beta) and (beta, alpha), each built once
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
-        check = check_thm11_i(parse_word("1:1,1/2:2"), 1, Params(0.6, 1.5))
+        check = check_identity("thm11i", parse_word("1:1,1/2:2"), 1, Params(0.6, 1.5))
         assert check.passed
         info = _shared_product_block.cache_info()
         assert info.misses == 2 and info.hits > 0 and info.currsize == info.maxsize == 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from mzdual.evaluators import Params, eval_hurwitz, eval_Z
 from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     DEFAULT_GRID,
+    RELATIONS,
     TOL_FLOOR,
     SuiteConfig,
     _first_sums,
@@ -24,11 +26,8 @@ from mzdual.verifier import (
     _simplex_integral,
     _taylor_coefficient,
     check_derivative_crosslink,
+    check_identity,
     check_integral_repr,
-    check_prop24,
-    check_thm11_i,
-    check_thm11_ii,
-    check_thm31,
     run_suite,
     starred_rvectors,
 )
@@ -50,23 +49,24 @@ ZETA4 = 1.0823232337111382
 
 class TestDualityCheck:
     def test_classic_weight_three(self):
-        c = check_thm11_i(W("1:3"), 0, Params(1, 1), CFG)
+        c = check_identity("thm11i", W("1:3"), 0, Params(1, 1), CFG)
         assert c.passed and c.rel_dev < 1e-8
         assert abs(c.lhs - 1.2020569031595943) < 1e-9
 
     def test_self_dual_depth_one(self):
-        c = check_thm11_i(W("1:2"), 0, Params(0.9, 1.4), CFG)
+        c = check_identity("thm11i", W("1:2"), 0, Params(0.9, 1.4), CFG)
         assert c.passed
 
     def test_mixed_cut_weight_four(self):
-        c = check_thm11_i(W("1h00"), 0, Params(1.3, 0.7), CFG)
+        c = check_identity("thm11i", W("1h00"), 0, Params(1.3, 0.7), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
     def test_complex_pochhammer_base(self):
         # the dual side has only real tail exponents, so it checks the
         # complex ones of the left side independently; at rel_tol 1e-11 the
         # derived tol is the floor, not widened by the evaluations' errors
-        c = check_thm11_i(W("1:1,1/2:2"), 0, Params(1 + 2j, 0.7), EvalConfig(rel_tol=1e-11))
+        c = check_identity("thm11i", W("1:1,1/2:2"), 0, Params(1 + 2j, 0.7),
+                           EvalConfig(rel_tol=1e-11))
         assert c.passed and "tolerance-not-reached" not in c.note
         assert c.tol <= 1e-9 and c.n_used <= 10**6
 
@@ -76,17 +76,17 @@ class TestThm11iCheck:
         w = W("1:1,1/2:2")
         assert sigma_b1(w, 0) == LinComb.of(w)
         assert starred_rvectors(w, 0) == [(0, 0)]
-        c0 = check_thm11_i(w, 0, Params(1.1, 0.8), CFG)
+        c0 = check_identity("thm11i", w, 0, Params(1.1, 0.8), CFG)
         zd = eval_Z(dual(w), Params(0.8, 1.1), CFG)
         assert c0.passed
         assert abs(c0.rhs - zd.value) < 1e-12
 
     def test_depth_one(self):
-        c = check_thm11_i(W("1:3"), 1, Params(1, 1), CFG)
+        c = check_identity("thm11i", W("1:3"), 1, Params(1, 1), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
     def test_half_cut_shape(self):
-        c = check_thm11_i(W("1:1,1/2:2"), 1, Params(0.8, 1.2), CFG)
+        c = check_identity("thm11i", W("1:1,1/2:2"), 1, Params(0.8, 1.2), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
     def test_first_slot_pinned_when_dual_opens_weak(self):
@@ -101,47 +101,47 @@ class TestThm11iCheck:
         rvs = starred_rvectors(dw, 2)
         assert all(rv[0] == 0 for rv in rvs)
         assert rvs == [(0, 0, 2), (0, 1, 1), (0, 2, 0)]  # compositions of 2 into 3 - 1 slots
-        c = check_thm11_i(w, 2, Params(1.0, 1.3), CFG)
+        c = check_identity("thm11i", w, 2, Params(1.0, 1.3), CFG)
         assert c.passed
 
 
 class TestThm11iiCheck:
     def test_ohno_instance(self):
-        c = check_thm11_ii(W("1:3"), 1, 1.0, CFG)
+        c = check_identity("thm11ii", W("1:3"), 1, Params(1.0), CFG)
         assert c.passed
         # both sides are the classical even-weight value: pi^4/120 + pi^4/360
         assert abs(c.lhs - ZETA4) < 1e-8
         assert abs(c.rhs - (math.pi**4 / 120 + math.pi**4 / 360)) < 1e-8
 
     def test_self_dual_structural_zero(self):
-        c = check_thm11_ii(W("1:1,1/2:2"), 3, 1.2, CFG)
+        c = check_identity("thm11ii", W("1:1,1/2:2"), 3, Params(1.2), CFG)
         assert c.passed and c.rel_dev == 0.0
 
     def test_weak_tail_relation(self):
-        c = check_thm11_ii(W("1:1,1/2:2"), 2, 1.0, CFG)
+        c = check_identity("thm11ii", W("1:1,1/2:2"), 2, Params(1.0), CFG)
         assert c.passed and c.rel_dev < 1e-7
 
 
 class TestProp24Check:
     def test_r0_is_diagonal_duality(self):
-        c = check_prop24(W("1:1,1:2"), 0, 1.0, CFG)
-        d = check_thm11_i(W("1:1,1:2"), 0, Params(1.0, 1.0), CFG)
+        c = check_identity("prop24", W("1:1,1:2"), 0, Params(1.0), CFG)
+        d = check_identity("thm11i", W("1:1,1:2"), 0, Params(1.0, 1.0), CFG)
         assert c.passed
         assert abs(c.lhs - d.lhs) < 1e-12
 
     def test_examples(self):
-        assert check_prop24(W("1:3"), 1, 1.0, CFG).passed
-        assert check_prop24(W("1:1,1:2"), 2, 1.4, CFG).passed
+        assert check_identity("prop24", W("1:3"), 1, Params(1.0), CFG).passed
+        assert check_identity("prop24", W("1:1,1:2"), 2, Params(1.4), CFG).passed
 
 
 class TestThm31Check:
     def test_r0_is_hurwitz_duality(self):
-        c = check_thm31(W("1:3"), 0, 0.75, CFG)
+        c = check_identity("thm31", W("1:3"), 0, Params(0.75), CFG)
         assert c.passed
 
     def test_examples(self):
-        assert check_thm31(W("1:3"), 1, 1.0, CFG).passed
-        assert check_thm31(W("1:1,1/2:2"), 1, 0.75, CFG).passed
+        assert check_identity("thm31", W("1:3"), 1, Params(1.0), CFG).passed
+        assert check_identity("thm31", W("1:1,1/2:2"), 1, Params(0.75), CFG).passed
 
     def test_example32_both_displays(self):
         # first display: the half-cut tower word; second: its dual
@@ -150,17 +150,54 @@ class TestThm31Check:
         v0 = W("1:1,1/2:2")
         for w in (v0, dual(v0)):
             for r in (0, 1, 2):
-                assert check_thm31(w, r, 0.75, CFG).passed, (w, r)
+                assert check_identity("thm31", w, r, Params(0.75), CFG).passed, (w, r)
 
 
 class TestSumFormulaCheck:
     def test_depth_one_duality(self):
-        c = check_thm11_i(dual(W("1:2")), 0, Params(1, 1), CFG)
+        c = check_identity("thm11i", dual(W("1:2")), 0, Params(1, 1), CFG)
         assert c.passed and abs(c.lhs - math.pi**2 / 6) < 1e-9
 
     def test_examples(self):
-        assert check_thm11_i(dual(W("1:3")), 1, Params(1, 1), CFG).passed
-        assert check_thm11_i(dual(W("1:2")), 2, Params(1.2, 0.9), CFG).passed
+        assert check_identity("thm11i", dual(W("1:3")), 1, Params(1, 1), CFG).passed
+        assert check_identity("thm11i", dual(W("1:2")), 2, Params(1.2, 0.9), CFG).passed
+
+
+class TestRelations:
+    """Each identity is one exact relation of (coeff, family, word, r, swapped) terms."""
+
+    @pytest.mark.parametrize("text", ["1:2", "1:1,1/2:2", "1h00"])
+    def test_r0_is_duality(self, text):
+        w = W(text)
+        dw, q = dual(w), dual(w).depth
+        assert RELATIONS["thm11i"](w, 0) == (
+            ((1, "Z", w, (), False),), ((1, "Zstar", dw, (0,) * q, True),))
+        for identity in ("thm11ii", "prop24"):
+            assert RELATIONS[identity](w, 0) == (((1, "Z", w, (), False),), ((1, "Z", dw, (), False),))
+        assert RELATIONS["thm31"](w, 0) == (
+            ((1, "zeta", w, (), False),), ((1, "Hstar", dw, (0,) * q, False),))
+
+    def test_terms_are_exact(self):
+        families = {"Z": False, "zeta": False, "Zstar": True, "Hstar": True}
+        for w in words_up_to_weight(5):
+            for r in range(3):
+                for identity, relation in RELATIONS.items():
+                    for side in relation(w, r):
+                        assert isinstance(side, tuple)
+                        for coeff, family, v, rv, swapped in side:
+                            assert type(coeff) in (int, Fraction), (identity, w, r)
+                            assert len(rv) == v.depth if families[family] else rv == ()
+                            assert swapped is (family == "Zstar")
+
+    def test_unknown_identity(self):
+        with pytest.raises(ValueError, match="unknown identity"):
+            check_identity("thm99", W("1:2"), 0, Params(1.0), CFG)
+
+    @pytest.mark.parametrize("identity", ["thm11ii", "prop24", "thm31"])
+    def test_one_parameter_identity_rejects_a_pair(self, identity):
+        with pytest.raises(ValueError, match="one parameter"):
+            check_identity(identity, W("1:2"), 0, Params(1.0, 1.5), CFG)
+        assert check_identity(identity, W("1:2"), 0, Params(1.5, 1.5), CFG).name.endswith("/a=1.5")
 
 
 class TestIntegralCheck:
@@ -482,7 +519,7 @@ class TestRunSuite:
 
     def test_dispatch_resolved_at_call_time(self, monkeypatch):
         # a module attribute replaced after import must see every call
-        calls = {"check_thm11_i": 0, "zstar_spec": 0}
+        calls = {"check_identity": 0, "zstar_spec": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -493,11 +530,11 @@ class TestRunSuite:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(mzdual.verifier, "check_thm11_i")
+        counting(mzdual.verifier, "check_identity")
         counting(mzdual.evaluators, "zstar_spec")
         rep = run_suite("duality", SuiteConfig(weight_max=2))
         # two sides per check; z_spec compiles through zstar_spec
-        assert calls == {"check_thm11_i": 9, "zstar_spec": 18}
+        assert calls == {"check_identity": 9, "zstar_spec": 18}
         assert rep.passed
         eval_Z(W("1:3"), Params(1.0, 1.0), CFG)
         assert calls["zstar_spec"] == 19
@@ -611,8 +648,10 @@ class TestRunSuite:
         assert seen == started and rep.passed
 
     def test_parallel_matches_serial(self):
+        # the pool pickles the check_identity tasks of every identity
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0), (0.8, 1.2)))
-        serial = run_suite("duality", sc, workers=1)
-        parallel = run_suite("duality", sc, workers=2)
-        assert [c.name for c in serial.checks] == [c.name for c in parallel.checks]
+        serial = run_suite("all", sc, workers=1)
+        parallel = run_suite("all", sc, workers=2)
+        assert serial.to_json(include_timestamp=False) == parallel.to_json(include_timestamp=False)
+        assert {c.name.split("/")[0] for c in serial.checks} == set(RELATIONS)
         assert serial.passed and parallel.passed
