@@ -16,7 +16,7 @@ import json
 import sys
 
 from .evaluators import Params, eval_family
-from .nested_sum import _MARKS, _N_INITIAL, EvalConfig, KernelError
+from .nested_sum import _MAX_N, _N_START, EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
 from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
 
@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="the kernel's relative tolerance, in (0, 1), used as given "
                            "(verify --tol is divided by 30 and clamped to [1e-12, 1e-9])")
     comp.add_argument("--max-n", type=int, default=EvalConfig.max_n,
-                      help=f"most terms streamed, {_N_INITIAL} to {_MARKS[-1]}; "
-                      f"rounded down to {_N_INITIAL}*2^j")
+                      help=f"most terms streamed, {_N_START} to {_MAX_N}: N starts at "
+                      f"{_N_START} (more for large parameters) and doubles, to at most "
+                      f"max_n, while the error exceeds the tolerance")
     comp.add_argument("--output", choices=["table", "json"], default="table",
                       help="json: value as [re, im], err_estimate, n_used and converged, "
                            "null for a float that is not finite")

@@ -5,49 +5,45 @@ indices ``0 <= m_1 (< or <=) m_2 ... m_D < inf``, a per-index weight
 ``(m + alpha)^-a (m + beta)^-b ((alpha)_m / m!)^poch``, and the
 strict/weak relation linking consecutive indices.
 
-Evaluation is a single streaming pass, innermost index first: level 1
+Evaluation streams the first N terms, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
-one for a strict link).  Work is O(N * depth) and fully vectorized, in
-blocks of at most _FLOOR = 8,193 indices, each one pass that carries every
-running sum and product on to the next; the running outer partial sum is
-recorded at geometrically spaced marks.
-Every running sum (each level's prefix, its carry and the recorded outer
-sums) is a compensated (hi, lo) pair of float64 or complex128: about twice
-float64's digits, the same on every platform, whatever its long double.
+one for a strict link).  Work is O(N * depth), vectorized in blocks of at
+most _BLOCK = 8,192 indices that end at every power of two from 512 on.
+Every running sum is a compensated (hi, lo) pair of float64 or complex128,
+the same on every platform.  The one Pochhammer ratio r(m) = (alpha)_m / m!
+= r(m-1) (1 + (alpha - 1) / m) is a running product in long double, built
+once per block; m! / (alpha)_{m+1} is (m + alpha)^-1 / r.
 
-The one Pochhammer ratio r(m) = (alpha)_m / m! = r(m-1) (1 + (alpha - 1) / m)
-is a running product, carried across blocks as the prefixes are, and built
-once per block for every index with poch != 0; m! / (alpha)_{m+1} is
-(m + alpha)^-1 / r.  A block past the range of float64 (r overflows from
-alpha ~ 70) ends the evaluation at once, unconverged.  Long double stays
-where it pays for itself: in the ratio's product and in the tail fit.
+The tail past N is exact, not fitted: each level's prefix is
+P_i(m) = C_i + F_i(m), where F_i is the asymptotic expansion
+sum c m^e log^t m of the nested harmonic-type sum (Vermaseren, IJMPA 14
+(1999) 2037; Bluemlein, Comput. Phys. Commun. 159 (2004) 19), here with
+Pochhammer weights.  Every exponent is kept exactly as e = n + k (alpha - 1),
+under the key (n, k, t).  The weights expand by the binomial series of
+(m + x)^-a and by r(m) = g m^(alpha-1) exp(sum_j c_j m^-j), whose c_j are
+Bernoulli polynomials at alpha (Tricomi and Erdelyi, Pacific J. Math. 1
+(1951)); g m^(alpha-1) is read off the streamed ratio, so no Gamma function
+is needed.  A level's terms are T_i = W_i (P_{i-1} - T_{i-1}) for a strict
+link, as P(m - 1) = P(m) - T(m), and W_i P_{i-1} for a weak one, and F_i is
+their Euler-Maclaurin summatory function.  Near resonance, |e + 1| < 0.02,
+an inner level expands m^(e+1) in powers of log m, so the cost and the
+rounding stay flat there.  C_i = P_i(N) - F_i(N) comes from the stream,
+and the value is C_D.  Its error is |C_D(N) - C_D(N/2)|, plus the last
+order kept, plus the rounding: eps times the sum of the terms' sizes, and
+the ratio's drift from N/2 to N, which a long double as narrow as float64
+makes visible.
 
-The infinite tail is removed by fitting the recorded partial sums against
-exact tail functions sum_{m>M} m^-s log^t m (computed in closed form via
-Euler-Maclaurin).  The exponent/log-power basis is derived from a small
-symbolic analysis of the spec: each level's term behaviour m^e log^t m is
-propagated through the prefix sums, so slowly decaying tails with log
-factors (weight-1 inner blocks) extrapolate correctly.  Each (s, t) is one
-column of the fit, complex when a complex Pochhammer base puts Im alpha
-into s, and the partial sums are one right-hand side with complex
-coefficients, so complex parameters cost what real ones do.
+N starts at 1,024, and it and the number K of orders kept (6 to 10) grow
+with max(|alpha|, |beta|) so that (max / N)^K <= 1e-17.  N doubles while
+the error exceeds rel_tol |value|, up to max_n.  A stream past the range
+of float64 (r(8192) overflows from alpha ~ 145) ends the evaluation there,
+unconverged, with the value at N / 2 if its level sums are finite.
 
-The tail is fitted at the checkpoints 2048 * 2^j, and an evaluation stops
-at the first checkpoint n whose fit meets the tolerance and agrees with the
-fit at n / 4 to within it, so at 8192 terms at the earliest.
-
-Work shared across specs: the tail model is memoized on the exponents of
-the index weights, all it depends on; each tail column is computed once at
-every mark, and each fit's design slices its rows from it; and the
-Pochhammer product block that starts each stream, at m = 0 where no carry
-enters, is cached by (alpha, end); later blocks are built afresh, once for
-all the indices of a spec, as keeping them would cost megabytes per alpha.
-The tail model, column and design memos hold the working set of every suite
-at the CLI's default weight unevicted, the tail model's that of the
-weight-5 derivative suite too (940 exponent tuples).  Values are pure
-functions of their keys, so every output is byte-identical to one computed
-per spec, in any order.
+Each level's expansion, its constant included, is a pure function of the
+parameters, its index prefix and links, N and that prefix's stream values,
+and is memoized on them, so specs that share a prefix share its expansion,
+and every output is byte-identical to one computed per spec, in any order.
 """
 
 from __future__ import annotations
@@ -117,23 +113,18 @@ class NestedSumSpec:
         return len(self.indices)
 
 
-# every evaluation fits its tail at the checkpoints _N_INITIAL * 2**j, and each
-# fit must agree with the fit at a quarter of its terms
-_N_INITIAL = 2048
-_FLOOR = 4 * _N_INITIAL + 1  # no evaluation stops below it, so evaluate's first block ends here
-
-# the marks round(2^(j/3)), 32 to 2^62, three per octave, where the partial sums
-# are recorded for the tail fit; each checkpoint 2^(11+j) is one.  They start at
-# 32, where the Euler-Maclaurin tails are exact to ~m^-9; the last bounds max_n.
-_MARKS = np.array([round(2.0 ** (j / 3.0)) for j in range(15, 187)], dtype=np.int64)
-_MARKS.setflags(write=False)
+_N_START = 1024  # the first N of every evaluation with max(|alpha|, |beta|) <= 20
+_MAX_N = 2**62
+_ORDERS = range(6, 11)  # the orders K kept, the fewest with (max / N)^K <= _TRUNCATION
+_TRUNCATION = 1e-17
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Precision and truncation policy for :func:`evaluate`: the relative
-    tolerance asked for, and the most terms streamed, which the checkpoint
-    schedule rounds down to _N_INITIAL * 2**j."""
+    tolerance asked for, and the most terms streamed.  N doubles from its
+    first value while the error exceeds the tolerance and 2N <= max_n."""
 
     rel_tol: float = 1e-10
     max_n: int = 10**8
@@ -141,8 +132,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
-        if not _N_INITIAL <= self.max_n <= int(_MARKS[-1]):
-            raise ValueError(f"max_n must be in [{_N_INITIAL}, {_MARKS[-1]}]")
+        if not _N_START <= self.max_n <= _MAX_N:
+            raise ValueError(f"max_n must be in [{_N_START}, {_MAX_N}]")
 
 
 class EvalResult(NamedTuple):
@@ -153,172 +144,10 @@ class EvalResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Exact tails of m^-s log^t m via Euler-Maclaurin
+# Streaming evaluation
 # ---------------------------------------------------------------------------
 
-
-def _ext(x: complex) -> np.generic:
-    # x as an extended-precision scalar, complex only when x is
-    return np.clongdouble(x) if isinstance(x, complex) else np.longdouble(x)
-
-
-def _log_poly_derivative(e: complex, coeffs: list[complex]) -> tuple[complex, list[complex]]:
-    # d/dx [x^-e * sum_j coeffs[j] log^j x] = x^-(e+1) * (new poly)
-    out = [0.0] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        out[j] -= e * c
-        if j >= 1:
-            out[j - 1] += j * c
-    return e + 1.0, out
-
-
-def _eval_log_poly(e: complex, coeffs: list[complex], a: np.ndarray, la: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(a)
-    for c in reversed(coeffs):
-        acc = acc * la + c
-    return acc * a ** -_ext(e)
-
-# Euler-Maclaurin odd-derivative corrections: -B_{2k}/(2k)! * f^(2k-1)(a)
-_EM_CORRECTIONS = (
-    (-1.0 / 12.0, 1),
-    (1.0 / 720.0, 3),
-    (-1.0 / 30240.0, 5),
-    (1.0 / 1209600.0, 7),
-)
-
-
-def tail_powers_log(s: complex, t: int, ms: np.ndarray) -> np.ndarray:
-    """sum_{k>m} k^-s log^t k for each m in ms, in extended precision.
-
-    Euler-Maclaurin at a = m+1 with corrections through the 7th derivative
-    (error ~ a^-(Re s+9), negligible for m >= 32); the integral term has the
-    closed form a^(1-s) * sum_j t!/(t-j)! log^(t-j)(a) / (s-1)^(j+1).  The
-    form holds for complex s, which gives a complex (clongdouble) array.
-    """
-    if s.real <= 1:
-        raise ValueError("tail requires Re s > 1")
-    a = np.asarray(ms, dtype=np.longdouble) + 1
-    la = np.log(a)
-    integral = np.zeros_like(a)
-    fall = 1.0  # t! / (t-j)!
-    for j in range(t + 1):
-        integral = integral + fall * la ** (t - j) / _ext(s - 1.0) ** (j + 1)
-        fall *= t - j
-    total = integral * a ** _ext(1.0 - s)
-    e, coeffs = s, [0.0] * t + [1.0]
-    total += 0.5 * _eval_log_poly(e, coeffs, a, la)
-    order = 0
-    for factor, target in _EM_CORRECTIONS:
-        while order < target:
-            e, coeffs = _log_poly_derivative(e, coeffs)
-            order += 1
-        total += factor * _eval_log_poly(e, coeffs, a, la)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic analysis: term behaviour m^e log^t m per level
-# ---------------------------------------------------------------------------
-
-_RESONANCE_TOL = 1e-6
-
-# A behaviour entry (e, t) stands for m^e log^t m; e is complex when a
-# Pochhammer base is, and a plain float otherwise.
-Behaviour = list[tuple[complex, int]]
-
-
-def _exponent(x: complex) -> complex:
-    # keep an exponent a float unless it has an imaginary part
-    x = complex(x)
-    return x if x.imag else x.real
-
-
-def _merge_behaviour(entries: Behaviour) -> Behaviour:
-    # group near-equal exponents, keep the highest log power per group;
-    # the order is by real part, which sets the size of m^e
-    entries = sorted(
-        ((_exponent(e), t) for e, t in entries), key=lambda et: (-et[0].real, -et[1])
-    )
-    out: Behaviour = []
-    for e, t in entries:
-        for i, (e0, t0) in enumerate(out):
-            if abs(e - e0) < 1e-9:
-                if t > t0:
-                    out[i] = (e0, t)
-                break
-        else:
-            out.append((e, t))
-    if out:
-        lead = out[0][0].real
-        out = [(e, t) for e, t in out if e.real > lead - 3.2]
-    return out
-
-
-def _prefix_behaviour(entries: Behaviour) -> Behaviour:
-    # behaviour of P(m) = sum_{k<=m} of a term behaving like m^e log^t m;
-    # only e = -1 itself resonates with the constant (e = -1 + 2i does not)
-    out: Behaviour = [(0.0, 0)]
-    for e, t in entries:
-        if abs(e + 1.0) < _RESONANCE_TOL:
-            out.append((0.0, t + 1))
-            out.append((-1.0, t))
-        else:
-            out.append((e + 1.0, t))
-            if e.real > -1.0 - _RESONANCE_TOL:
-                out.append((e, t))
-    return _merge_behaviour(out)
-
-
-def _exponents(spec: NestedSumSpec) -> tuple[complex, ...]:
-    # each index weight behaves like m^e: (m + x)^-1 like m^-1, (alpha)_m / m! like m^(alpha - 1)
-    return tuple(complex(-(iw.a + iw.b)) + iw.poch * (spec.alpha - 1.0) for iw in spec.indices)
-
-
-def _behaviour(exponents: tuple[complex, ...]) -> Behaviour:
-    """Asymptotic behaviour (exponent, log power) of the outermost terms of a
-    spec whose index weights behave like m^e, e in exponents, the lead e* first."""
-    prefix: Behaviour = [(0.0, 0), (-1.0, 0), (-2.0, 0)]  # the empty product and its steps
-    current: Behaviour = []
-    for own in exponents:
-        current = _merge_behaviour([(own + e, t) for e, t in prefix])
-        prefix = _prefix_behaviour(current)
-    return current
-
-
-# every tail exponent and its integer steps that the tail basis covers
-_EXTRAPOLATION_TERMS = 3
-
-
-# tail models kept, keyed by the exponents; the weight-5 derivative suite uses 940
-@functools.lru_cache(maxsize=1024)
-def _tail_basis(exponents: tuple[complex, ...]) -> tuple:
-    """The tail model of a spec whose index weights behave like m^e, e in
-    exponents: candidate (s, t) pairs for the tail fit, most important
-    first, from the :func:`_behaviour` of the outermost terms.
-
-    The series converges only if the decay s = -Re e* of the leading
-    exponent exceeds 1.  Each exponent e contributes s = -e and its steps
-    s + 1, s + 2, every one with log powers t..0: the expansions of the
-    Pochhammer ratios and of (m + beta)^-b step every exponent by integers,
-    not only the lead, and none has a smaller s than the lead.
-    """
-    behaviour = _behaviour(exponents)
-    s_eff = -behaviour[0][0].real
-    if s_eff <= 1.0 + 1e-9:
-        raise NonConvergentError(f"outermost decay exponent {s_eff:.6g} <= 1; series diverges")
-    cand: dict[tuple[complex, int], None] = {}
-    for e, t in behaviour:
-        for j in range(_EXTRAPOLATION_TERMS):
-            s = complex(-e + j)
-            s = _exponent(complex(round(s.real, 9), round(s.imag, 9)))
-            for tt in range(t, -1, -1):
-                cand.setdefault((s, tt), None)
-    return tuple(sorted(cand, key=lambda st: (st[0].real, -st[1], st[0].imag)))
-
-
-# ---------------------------------------------------------------------------
-# Weight arrays
-# ---------------------------------------------------------------------------
+_BLOCK = 1 << 13  # the most indices of a block
 
 
 def _int_power(base: np.ndarray, k: int) -> np.ndarray:
@@ -332,18 +161,17 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Streaming evaluation
-# ---------------------------------------------------------------------------
-
-_BLOCK = 1 << 13  # the most indices of a later block; the first has _FLOOR at most
+def _block_end(lo: int) -> int:
+    # blocks end after every power of two from 512 on, _BLOCK indices apart at most,
+    # so every N and N / 2 is a block end, whatever N an evaluation starts at
+    return min(lo + _BLOCK, max(_N_START // 2, 1 << (lo - 1).bit_length()) + 1)
 
 
 def _product_block(alpha: complex, lo: int, hi: int, carry):
     """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128
     (the last index divides (m + alpha)^-1 by it), and its long double carry
     at hi - 1, given the carry at lo - 1 (None at lo = 0): one cumprod over
-    the block, at most _FLOOR indices.  Each step 1 + (alpha - 1) / m is made
+    the block, at most _BLOCK indices.  Each step 1 + (alpha - 1) / m is made
     in long double from a float64 quotient: the product is within 9.9e-16
     where float64's is 6.6e-15 off (m = 65,536), and a compensated float64
     log sum is 2.7x slower."""
@@ -360,14 +188,6 @@ def _product_block(alpha: complex, lo: int, hi: int, carry):
     return out, r[-1]
 
 
-# the first block of every stream; a check has two bases, (alpha, beta) and (beta,
-# alpha); more would hold memory through longer streams
-@functools.lru_cache(maxsize=2)
-def _shared_product_block(alpha: complex, hi: int):
-    # the block at m = 0..hi-1, as the specs of one alpha share it
-    return _product_block(alpha, 0, hi, None)
-
-
 def _times(w: np.ndarray | None, f: np.ndarray, divide: bool = False) -> np.ndarray:
     # w * f, or w / f, in place when w is writable and of the result's dtype
     op = np.divide if divide else np.multiply
@@ -381,7 +201,7 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
     place, from the pair carry before them: hi_k = fl(hi_{k-1} + x_k), and lo
     sums t and each such add's TwoSum error, as if in twice the precision
     (Ogita, Rump and Oishi, Accurate sum and dot product, 2005).  One pass
-    over the block, at most _FLOOR indices, so temporaries stay small."""
+    over the block, at most _BLOCK indices, so temporaries stay small."""
     x, t = out
     s = np.concatenate([carry[:1], x])
     np.cumsum(s, out=s)
@@ -412,9 +232,7 @@ class _Stream:
         # (alpha)_m / m! at m = next_m..hi-1, or None if no index carries it
         if not any(iw.poch for iw in self.spec.indices):
             return None
-        lo, alpha = self.next_m, self.spec.alpha
-        r, self.ratio = (_shared_product_block(alpha, hi) if not lo else
-                         _product_block(alpha, lo, hi, self.ratio))
+        r, self.ratio = _product_block(self.spec.alpha, self.next_m, hi, self.ratio)
         return r
 
     def _weights_block(self, i: int, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
@@ -457,6 +275,17 @@ class _Stream:
         self.next_m = hi
         return out.T
 
+    def state(self, n: int) -> tuple:
+        """Stream through index n; each level's prefix at n as a (hi, lo)
+        pair of Python numbers, and the ratio there (None without one)."""
+        with np.errstate(all="ignore"):
+            while self.next_m <= n:
+                self.run_block(_block_end(self.next_m))
+        scalar = complex if np.iscomplexobj(self.carries) else float
+        sums = tuple((scalar(hi), scalar(lo)) for hi, lo in self.carries)
+        ratio = None if self.ratio is None else complex(self.ratio)
+        return sums, ratio
+
 
 def _validate_params(alpha: complex, beta: complex):
     """The parameter domain of every series here: finite, with Re(alpha), Re(beta) > 0."""
@@ -467,211 +296,274 @@ def _validate_params(alpha: complex, beta: complex):
         )
 
 
-def _mgs_qr(a: np.ndarray, drop_tol: float = 1e-14):
-    """Modified Gram-Schmidt QR in the precision and dtype of a, with
-    column dropping; projections are q_i^H v, so complex a works as well.
+# ---------------------------------------------------------------------------
+# Asymptotic expansions: {(n, k, t): c} stands for sum c m^(n + k (alpha - 1)) log^t m
+# ---------------------------------------------------------------------------
 
-    Processes columns left to right, so the factors of every column
-    prefix a[:, :k] are available from one pass.  Returns (q, r, kept);
-    the columns of q that were dropped stay zero.
-    """
-    n, k = a.shape
-    q = np.zeros((n, k), dtype=a.dtype)
-    r = np.zeros((k, k), dtype=a.dtype)
-    kept: list[int] = []
-    for j in range(k):
-        v = a[:, j]
-        norm0 = np.sqrt(np.abs(v.conj() @ v))
-        for _ in range(2):
-            for i in kept:
-                proj = q[:, i].conj() @ v
-                r[i, j] += proj
-                v = v - proj * q[:, i]
-        norm = np.sqrt(np.abs(v.conj() @ v))
-        if norm0 == 0 or norm < drop_tol * norm0:
+
+# the Bernoulli numbers B_0 .. B_12, with B_1 = -1/2
+_B = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730)
+# Euler-Maclaurin: sum_{j<=m} f(j) = C + int^m f + f(m) / 2 + sum_r B_{r+1} / (r+1)! f^(r)(m), r odd
+_EM = {r: _B[r + 1] / math.factorial(r + 1) for r in range(1, _ORDERS[-1], 2)}
+_RESONANCE = 0.02  # |e + 1| below which an inner level expands m^(e+1) in log m
+
+
+def _order(x: float, n: int) -> int:
+    # the fewest orders whose first omitted one, (x / n)^K, is below _TRUNCATION
+    return next((k for k in _ORDERS if (x / n) ** k <= _TRUNCATION), _ORDERS[-1])
+
+
+def _pochhammer_log(alpha: complex, count: int) -> list[complex]:
+    """c_1 .. c_{count-1} of log((alpha)_m / m!) = log g + (alpha - 1) log m
+    + sum_j c_j m^-j: (-1)^(j+1) (B_{j+1}(alpha) - B_{j+1}(1)) / (j (j+1))."""
+    def bernoulli_poly(n, x):
+        return sum(math.comb(n, j) * _B[j] * x ** (n - j) for j in range(n + 1))
+
+    return [(-1) ** (j + 1) * (bernoulli_poly(j + 1, alpha) - bernoulli_poly(j + 1, 1.0)) / (j * (j + 1))
+            for j in range(1, count)]
+
+
+def _series_mul(a: list, b: list) -> list:
+    # product of two power series in 1/m, cut at the length of a
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+# index weights kept; the weight-4 derivative suite, whose circle points are all
+# bases, uses 1,944
+@functools.lru_cache(maxsize=4096)
+def _weight(iw: IndexWeight, alpha: complex, beta: complex, orders: int) -> dict:
+    """The expansion of one index weight, its first ``orders`` orders."""
+    series = [1.0] + [0.0] * (orders - 1)
+    for x, a in ((alpha, iw.a), (beta, iw.b)):
+        term, binomial = 1.0, [1.0]  # (1 + x / m)^-a = sum_j C(-a, j) x^j m^-j
+        for j in range(1, orders):
+            term *= (-a - j + 1) / j * x
+            binomial.append(term)
+        series = _series_mul(series, binomial)
+    if iw.poch:
+        c = [0.0] + [iw.poch * cj for cj in _pochhammer_log(alpha, orders)]
+        ex = [1.0]  # exp of the series c, term by term
+        for j in range(1, orders):
+            ex.append(sum(i * c[i] * ex[j - i] for i in range(1, j + 1)) / j)
+        series = _series_mul(series, ex)
+    return {(-iw.a - iw.b - j, iw.poch, 0): c for j, c in enumerate(series) if c}
+
+
+def _lead(expansion: dict, d_re: float) -> float:
+    # the largest real part of the expansion's exponents
+    return max(n + k * d_re for n, k, _ in expansion)
+
+
+def _summatory(terms: dict, d: complex, cut: float, log_n: float, g, outer: bool) -> dict:
+    """The Euler-Maclaurin summatory function of an expansion, without its
+    constant: sum_{j<=m} T(j) = C + F(m), each term of F whose exponent's
+    real part exceeds cut; g = 1 / Gamma(alpha), for resonant terms."""
+    d_re = d.real
+    out: dict = {}
+    get = out.get
+    for (n, k, t), c in terms.items():
+        e = n + k * d
+        re = n + k * d_re
+        delta = e + 1.0
+        if not outer and abs(delta) < _RESONANCE:
+            # m^e log^t m = m^-1 sum_j delta^j log^(t+j) m / j!, integrated term by term
+            j, coef, size = 0, c * g**k if k else c, 1.0
+            while size > 1e-20 or j == 0:
+                key = (0, 0, t + j + 1)
+                out[key] = get(key, 0.0) + coef / (t + j + 1)
+                j += 1
+                coef = coef * delta / j
+                size *= abs(delta) * (log_n + 1.0) / j
+        elif re + 1.0 > cut:
+            # int m^e log^t m = m^(e+1) sum_j (-1)^j t!/(t-j)! log^(t-j) m / (e+1)^(j+1)
+            coef = c / delta
+            for j in range(t + 1):
+                key = (n + 1, k, t - j)
+                out[key] = get(key, 0.0) + coef
+                coef = -coef * (t - j) / delta
+        if re <= cut:
             continue
-        r[j, j] = norm
-        q[:, j] = v / norm
-        kept.append(j)
-    return q, r, kept
+        key = (n, k, t)
+        out[key] = get(key, 0.0) + 0.5 * c
+        # derivatives: m^e sum_s v[s] log^s m -> m^(e-1) sum_s (e v[s] + (s+1) v[s+1]) log^s m
+        v = [0.0] * t + [c]
+        r = 1
+        while re - r > cut:
+            v = [e * v[s] + (s + 1) * v[s + 1] for s in range(t)] + [e * v[t]]
+            e -= 1.0
+            if r in _EM:
+                for s, vs in enumerate(v):
+                    key = (n - r, k, s)
+                    out[key] = get(key, 0.0) + _EM[r] * vs
+            r += 1
+    out.pop((0, 0, 0), None)  # a constant is C's
+    return out
 
 
-def _rt_solve(r, kept: list[int], g: np.ndarray) -> np.ndarray:
-    # solve R^T w = g, unconjugated, over the kept columns (forward
-    # substitution); w[j] depends only on columns <= j, so every prefix
-    # solves its own prefix
-    w = np.zeros(len(g), dtype=r.dtype)
-    for idx, j in enumerate(kept):
-        acc = g[j]
-        for j2 in kept[:idx]:
-            acc = acc - r[j2, j] * w[j2]
-        w[j] = acc / r[j, j]
-    return w
+def _at(expansion: dict, m: float, scale) -> tuple[complex, float]:
+    """The value of an expansion at m, and the sum of its terms' sizes;
+    scale is g m^(alpha - 1), None when no term has k != 0."""
+    log_m = math.log(m)
+    total, size = 0.0, 0.0
+    for (n, k, t), c in expansion.items():
+        v = c * m**n * log_m**t
+        if k:
+            v *= scale**k
+        total += v
+        size += abs(v)
+    return total, size
 
 
-# tail columns kept, 172 marks each; the weight-4 derivative suite uses 571
-@functools.lru_cache(maxsize=1024)
-def _tail_column(s: complex, t: int) -> np.ndarray:
-    # tail_powers_log(s, t) at every mark, read-only, for the designs to slice
-    col = tail_powers_log(s, t, _MARKS)
-    col.setflags(write=False)
-    return col
+# one per base, order and N; the weight-4 derivative suite uses 312
+@functools.lru_cache(maxsize=4096)
+def _scale(alpha: complex, orders: int, n: int, ratio) -> complex | None:
+    # g n^(alpha - 1) = r(n) / exp(sum_j c_j n^-j), from the streamed ratio r(n)
+    if ratio is None:
+        return None
+    series = sum(c * n ** -j for j, c in enumerate(_pochhammer_log(alpha, orders), 1))
+    return (ratio / cmath.exp(series)) if isinstance(alpha, complex) else (ratio.real / math.exp(series.real))
 
 
-class _FitDesign(NamedTuple):
-    """The part of a tail fit that does not depend on the partial sums."""
-
-    wrow: np.ndarray  # row weights, 1 / |phi_lead|
-    q: np.ndarray  # orthonormal factor of the weighted, scaled design
-    w: np.ndarray  # extrapolation functional in the basis of q
-    sizes: tuple[int, ...]  # basis sizes (in columns) that the fit tries
-    amp_norms: tuple[float, ...]  # noise amplification of each size
-    lead_last: float  # |phi_lead| at the last mark
-
-
-# fit designs kept; the weight-4 derivative suite uses 1,033
-@functools.lru_cache(maxsize=2048)
-def _fit_design(basis: tuple, marks: tuple) -> _FitDesign:
-    """Tail functions at the marks, weighted and factored for the fit.
-
-    The marks are consecutive entries of _MARKS.  Each (s, t) is one column,
-    complex when s is, so the design is complex exactly when the basis has a
-    complex exponent.  The basis is cut at 14 columns and len(marks) - 4,
-    and the fit tries each size from 3 up: every :func:`_tail_basis` has 3
-    columns or more (the lead exponent and its two integer steps), and every
-    window of :func:`evaluate` 19 marks or more (32 ... 2048).
-    """
-    n = len(marks)
-    first = int(np.searchsorted(_MARKS, marks[0]))
-    cols = [_tail_column(s, t)[first : first + n] for s, t in basis[: min(n - 4, 14)]]
-    sizes = tuple(range(3, len(cols) + 1))
-    lead = np.abs(cols[0])
-    phi = np.stack(cols, axis=1)
-    wrow = 1.0 / np.maximum(lead, np.longdouble(1e-300))
-    a_mat = (phi - phi[-1]) * wrow[:, None]
-    col_scale = np.max(np.abs(a_mat), axis=0)
-    col_scale[col_scale == 0] = 1.0
-    q, r, kept = _mgs_qr(a_mat / col_scale)
-    w = _rt_solve(r, kept, phi[-1] / col_scale)
-    # amp[:, k-1] is the sensitivity of the size-k extrapolation to each row
-    amp = np.cumsum(q.conj() * w, axis=1)
-    amp_norms = tuple(float(np.sqrt(np.sum(np.abs(amp[:, k - 1] * wrow) ** 2))) for k in sizes)
-    for arr in (wrow, q, w):
-        arr.setflags(write=False)
-    return _FitDesign(wrow, q, w, sizes, amp_norms, float(lead[-1]))
+def _lead_decay(spec: NestedSumSpec) -> float:
+    """Re of the exponent e of the outermost terms' lead m^e: each prefix grows
+    like m^(e+1) for its terms' lead e > -1, and stays bounded (but for logs) else."""
+    prefix, d = 0.0, complex(spec.alpha).real - 1.0
+    for iw in spec.indices:
+        lead = prefix - iw.a - iw.b + iw.poch * d
+        prefix = max(lead + 1.0, 0.0)
+    return lead
 
 
-def _tail_fit(
-    marks: np.ndarray, sums: np.ndarray, basis: tuple[tuple[complex, int], ...]
-) -> tuple[complex, float]:
-    """Fit recorded partial sums, one (hi, lo) pair per row, against exact
-    tail functions; returns (value, err), err at least 5e-15 of |value| and
-    |sums[-1]|, or (nan, inf) when no basis size gives a finite value.
+def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
+           sums: tuple, ratio, outer: bool) -> tuple[dict, dict]:
+    """(P, T): the expansions of the last level's prefix, its constant C at
+    key (0, 0, 0) included, and of its terms, for the prefix ``indices`` at
+    N = n, from the stream's prefix sums and ratio at n; the outermost level
+    (outer) integrates every term in closed form, so that F vanishes at infinity."""
+    d = alpha - 1.0
+    d_re = d.real
+    orders = _order(max(abs(alpha), abs(beta)), n)
+    terms = _weight(indices[-1], alpha, beta, orders)
+    if len(indices) > 1:
+        below, below_terms = _inner_level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio)
+        if links[-1] is Link.STRICT:
+            below = dict(below)
+            for key, c in below_terms.items():
+                below[key] = below.get(key, 0.0) - c
+        cut = _lead(terms, d_re) + _lead(below, d_re) - orders + 1e-9
+        below = [(bn, bk, bt, bn + bk * d_re, bc) for (bn, bk, bt), bc in below.items()]
+        product: dict = {}
+        get = product.get
+        for (wn, wk, _), wc in terms.items():
+            w_re = wn + wk * d_re
+            for bn, bk, bt, b_re, bc in below:
+                if w_re + b_re > cut:
+                    key = (wn + bn, wk + bk, bt)
+                    product[key] = get(key, 0.0) + wc * bc
+        terms = product
+    scale = _scale(alpha, orders, n, ratio)
+    g = None if scale is None else scale * n**-d
+    cut = max(0.0, _lead(terms, d_re) + 1.0) - orders + 1e-9
+    prefix = _summatory(terms, d, cut, math.log(n), g, outer)
+    hi, lo = sums[-1]
+    tail, _ = _at(prefix, n, scale)
+    prefix[(0, 0, 0)] = (hi - tail) + lo
+    return prefix, terms
 
-    The model S(M) = S_inf - sum_k c_k phi_k(M) is solved for several
-    basis-size prefixes; the size minimizing (in-sample misfit projected
-    to the last mark) + (noise amplification of the extrapolation) wins.
-    Rows are weighted by the inverse leading tail so the residuals are
-    relative misfits.  sums[-1] - sums is hi's differences, exact in long
-    double, plus lo's, and the value adds lo[-1].  The solve runs in long
-    double: designs reach condition 1.7e15, and a float64 fit streams 3.2%
-    more terms on the weight-4 thm11i suite (3.0% by Householder QR).  The
-    sums are one right-hand side, real or complex, with complex c_k whenever
-    the design or the sums are complex.
-    """
-    n = len(marks)
-    design = _fit_design(tuple(basis), tuple(marks.tolist()))
-    wrow, q, w = design.wrow, design.q, design.w
 
-    hi, lo = np.asarray(sums).T
-    # tail(M) - tail(last), hi's part exact in long double
-    ext = np.clongdouble if np.iscomplexobj(hi) else np.longdouble
-    yw = (np.subtract(hi[-1], hi, dtype=ext) + (lo[-1] - lo)) * wrow
-    proj = q.conj().T @ yw  # zero rows for dropped columns
+# inner levels kept, each shared by every spec that extends its prefix; thm11i at
+# weight 4 uses 504, all suites at weight 5 3,219.  The outermost level of a spec
+# is not kept: no other spec reads it
+@functools.lru_cache(maxsize=4096)
+def _inner_level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
+                 sums: tuple, ratio) -> tuple[dict, dict]:
+    # every kept expansion holds one key tuple per distinct key
+    return tuple({_key(key): c for key, c in expansion.items()}
+                 for expansion in _level(alpha, beta, indices, links, n, sums, ratio, False))
 
-    # all sizes at once: column k - 1 of the running projections is the size-k
-    # fit; one contiguous residual row per size keeps each mean in 1-D order
-    k0 = design.sizes[0] - 1
-    resid = yw - np.ascontiguousarray(np.cumsum(q * proj, axis=1)[:, k0:].T)
-    values = complex(hi[-1]) + (np.cumsum(w * proj)[k0:] + lo[-1]).astype(np.complex128)
-    resid_abs = np.abs(resid)
-    err_model = resid_abs[:, n // 2:].max(axis=1).astype(np.float64) * design.lead_last
-    # sensitivity of the extrapolated value to per-row noise
-    noise_abs = np.sqrt(np.mean((resid_abs / wrow) ** 2, axis=1)).astype(np.float64)
-    errs = 3.0 * err_model + 2.0 * (np.array(design.amp_norms) * noise_abs)
-    # the least err among the sizes with a finite value, the smallest such size on a tie
-    finite = np.isfinite(values)
-    if not finite.any():
-        return math.nan, math.inf
-    i = np.flatnonzero(finite)[np.argmin(errs[finite])]
-    value = complex(values[i])
-    return value, max(float(errs[i]), 5e-15 * max(abs(value), abs(complex(hi[-1]))))
+
+_key = functools.cache(lambda key: key)
+
+
+def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[complex, float]:
+    """The value and its error from the stream's state (level prefix sums,
+    ratio) at N = n and at n / 2: C_D from the expansions at n, and the error
+    |C_D(n) - C_D(n/2)| + the last order kept + the rounding, eps times the
+    terms' sizes, and for each power of the ratio twice its drift from n / 2
+    to n, |R(n) / (2^(alpha-1) R(n/2)) - 1|, as R = g m^(alpha-1) is constant."""
+    alpha, beta = spec.alpha, spec.beta
+    orders = _order(max(abs(alpha), abs(beta)), n)
+    (sums, ratio), (half_sums, half_ratio) = full, half
+    prefix, _ = _level(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
+    prefix = dict(prefix)
+    value = prefix.pop((0, 0, 0))
+    d_re = complex(alpha).real - 1.0
+    cut = -orders + 1.0 + 1e-9  # the last order kept, relative to the constant
+    last = {key: c for key, c in prefix.items() if key[0] + key[1] * d_re <= cut}
+    scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, n // 2, half_ratio)
+    _, size = _at(prefix, n, scale)
+    tail_half, _ = _at(prefix, n // 2, half_scale)
+    hi, lo = half_sums[-1]
+    gap = abs(value - ((hi - tail_half) + lo))
+    omitted = _at(last, n, scale)[1]
+    drift = 0.0 if scale is None else abs(scale / (half_scale * 2.0 ** (alpha - 1.0)) - 1.0)
+    powers = sum(abs(iw.poch) for iw in spec.indices)
+    rounding = (_EPS + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
+    err = gap + omitted + rounding
+    return value, (err if math.isfinite(err) else math.inf)
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
-    Streams the dynamic program forward to each checkpoint
-    n = _N_INITIAL * 2**j <= max_n, recording outer partial sums at
-    geometric marks as compensated (hi, lo) pairs, and extrapolates the tail
-    at every checkpoint.  The error at n is the larger of the fit's own
-    estimate (fit residual + basis-sensitivity) and half the gap to the fit
-    at n / 4; the first n where it meets rel_tol ends the stream, or else the
-    last does, with the best fit (NaN if none is finite) flagged.  No n below
-    _FLOOR can stop it, so one block streams up to _FLOOR (or past the last
-    n); later blocks end at each n, _BLOCK = 8,192 at most, so no block
-    spans more than _FLOOR indices.  A block whose outer prefix is not
-    finite (float64 overflow) ends it at once, with the best fit before that
-    block and an infinite error.
-    A series that diverges raises NonConvergentError from :func:`_tail_basis`.
+    Streams the first N terms, N = 1,024 or more for large parameters, and
+    takes the value and its error from :func:`_tail_fit` at N and N / 2.
+    N doubles while the error exceeds rel_tol |value| and 2N <= max_n, and
+    the best value is flagged unconverged if it never meets it.  A stream
+    whose level sums at N / 2 or N are not finite (float64 overflow) ends
+    there, unconverged, with an infinite error and the value at N / 2 if the
+    sums at N / 4 and N / 2 are finite, NaN otherwise.
+    A series whose outermost terms decay like m^-1 or slower raises
+    NonConvergentError.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
         return EvalResult(1.0, 0.0, 0, True)
-    basis = _tail_basis(_exponents(spec))
+    decay = -_lead_decay(spec)
+    if decay <= 1.0 + 1e-9:
+        raise NonConvergentError(f"outermost decay exponent {decay:.6g} <= 1; series diverges")
 
-    checkpoints = [_N_INITIAL]
-    while checkpoints[-1] * 2 <= cfg.max_n:
-        checkpoints.append(checkpoints[-1] * 2)
-    marks = _MARKS[: np.searchsorted(_MARKS, checkpoints[-1], "right")]
+    x = max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
+    n = _N_START
+    while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
+        n *= 2
     stream = _Stream(spec)
-    # the (hi, lo) outer prefix at each mark, NaN at each the stream does not reach
-    sums = np.full((len(marks), 2), np.nan, dtype=stream.carries.dtype)
+    states: dict[int, tuple] = {}  # the state at each power of two the stream passed
+
+    def reach(m: int) -> bool:
+        # stream through m; whether every level's sum there is finite
+        p = _N_START // 2
+        while p <= m:
+            if p not in states:
+                states[p] = stream.state(p)
+            p *= 2
+        return all(map(cmath.isfinite, (s for pair in states[m][0] for s in pair)))
 
     best = (math.inf, math.nan)  # (err, value)
-    values: dict[int, complex] = {}  # the fitted value at each checkpoint
-    for n in checkpoints:
-        # no name holds a block's prefixes, so they are freed before the next
-        # block is built
-        while stream.next_m <= n and np.isfinite(stream.carries[-1]).all():
-            lo = stream.next_m
-            hi = min(lo + _BLOCK, n + 1) if lo else min(_FLOOR, checkpoints[-1] + 1)
-            i, j = np.searchsorted(marks, (lo, hi))
-            with np.errstate(all="ignore"):
-                sums[i:j] = stream.run_block(hi)[marks[i:j] - lo]
-        # the last 30 marks <= n; at three per octave none is below n / 1024
-        k = np.searchsorted(marks, n, side="right")
-        # a block overflowed: the stream stopped before n, or the sum at n is past float64
-        if not np.isfinite(sums[k - 1]).all():
-            break
-        first = max(k - 30, 0)
-        value, err = _tail_fit(marks[first:k], sums[first:k], basis)
-        values[n] = value
-        # a single fit can be biased yet self-consistent; insist on
-        # agreement with the fit at a quarter of the terms, which a NaN fit never gives
-        partner = values.get(n // 4)
-        if partner is not None:
-            gap = 0.5 * abs(value - partner)
-            err = math.inf if math.isnan(gap) else max(err, gap)
+    while reach(n // 2) and reach(n):
+        value, err = _tail_fit(spec, n, states[n // 2], states[n])
         if err <= best[0]:
             best = (err, value)
-        if partner is not None and err <= cfg.rel_tol * max(abs(value), 1e-300):
+        if err <= cfg.rel_tol * abs(value):
             return EvalResult(_as_scalar(value, stream), err, n, True)
-
-    err = best[0] if np.isfinite(stream.carries[-1]).all() else math.inf
-    return EvalResult(_as_scalar(best[1], stream), err, stream.next_m - 1, False)
+        if 2 * n > cfg.max_n:
+            return EvalResult(_as_scalar(best[1], stream), best[0], n, False)
+        n *= 2
+    # the stream overflowed at n / 2 or n; with no value yet, take the one at n / 2
+    if math.isnan(best[1]) and n // 4 >= _N_START // 2 and reach(n // 4) and reach(n // 2):
+        best = (math.inf, _tail_fit(spec, n // 2, states[n // 4], states[n // 2])[0])
+    return EvalResult(_as_scalar(best[1], stream), math.inf, stream.next_m - 1, False)
 
 
 def _as_scalar(value: complex, stream: _Stream):
-    return complex(value) if np.iscomplexobj(stream.carries) else float(value.real)
-
+    return complex(value) if np.iscomplexobj(stream.carries) else float(complex(value).real)

@@ -11,30 +11,19 @@ point of the tensor rule, and the same integral by Hölder convolution.
 The helpers at the end drive the package itself: the kernel's exact
 partial sums (its compensated (hi, lo) pairs, rounded to one number), the
 parts of linear-combination arithmetic that only the tests need, and the
-kernel's running product, in long double, and tail fit, on the same pairs,
-written as one cumprod over a whole range and one loop per basis size,
-the references that its blockwise and one-pass forms must match byte for
-byte.  The kernel's checkpoint schedule is given as the loop and the window
-rule that its mark table replaced, and the ends of the blocks that evaluate
-streams are listed from that schedule.
+kernel's running product, in long double, written as one cumprod over a
+whole range, the reference that its blockwise form must match byte for
+byte.  The ends of the blocks that evaluate streams are listed by a loop.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from mzdual.nested_sum import (
-    _BLOCK,
-    _FLOOR,
-    NestedSumSpec,
-    _N_INITIAL,
-    _Stream,
-    _fit_design,
-)
+from mzdual.nested_sum import _BLOCK, NestedSumSpec, _Stream
 from mzdual.verifier import _tanh_sinh_nodes
 from mzdual.words import Cut, LinComb, Word, parse_word
 
@@ -313,16 +302,15 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
 
 
 def evaluate_block_ends(n: int) -> list[int]:
-    """The ends of the blocks that evaluate streams when n is its last
-    checkpoint: one block to min(_FLOOR, n + 1), then to each checkpoint + 1
-    in steps of at most _BLOCK, so that no block spans more than _FLOOR
-    indices.  Any other n ends the last block at n + 1."""
-    ends = [min(_FLOOR, n + 1)]
-    checkpoint = _N_INITIAL
+    """The ends of the blocks that evaluate streams through index n: one
+    after each power of two from 512 on, and _BLOCK indices apart at most,
+    the last at n + 1."""
+    ends = [min(513, n + 1)]
     while ends[-1] <= n:
-        while checkpoint < ends[-1]:  # a checkpoint the blocks have passed
-            checkpoint *= 2
-        ends.append(min(ends[-1] + _BLOCK, min(checkpoint, n) + 1))
+        power = 512
+        while power + 1 <= ends[-1]:
+            power *= 2
+        ends.append(min(ends[-1] + _BLOCK, power + 1, n + 1))
     return ends
 
 
@@ -351,62 +339,6 @@ def product_one_shot(alpha: complex, lo: int, hi: int, carry):
     r[0] = 1.0 if first else r[0] * carry
     np.cumprod(r, out=r)
     return r.astype(np.complex128 if is_complex else np.float64), r[-1]
-
-
-def tail_fit_per_size(marks: np.ndarray, sums: np.ndarray, basis: tuple):
-    """nested_sum._tail_fit with one projection, residual and error per
-    basis size, each in its own loop step, on the same (hi, lo) pairs;
-    (value, err), or (nan, inf) when no size gives a finite value."""
-    n = len(marks)
-    design = _fit_design(tuple(basis), tuple(int(m) for m in marks))
-    wrow, q, w = design.wrow, design.q, design.w
-    hi, lo = np.asarray(sums).T
-    ext = np.clongdouble if np.iscomplexobj(hi) else np.longdouble
-    yw = ((hi[-1] - hi.astype(ext)) + (lo[-1] - lo)) * wrow
-    proj = q.conj().T @ yw
-    best = None  # (err, value)
-    for k, amp_norm in zip(design.sizes, design.amp_norms):
-        resid = yw - q[:, :k] @ proj[:k]
-        value = complex(hi[-1]) + complex(w[:k] @ proj[:k] + lo[-1])
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            continue
-        resid_abs = np.abs(resid)
-        err_model = float(np.max(resid_abs[n // 2:])) * design.lead_last
-        err_noise = amp_norm * float(np.sqrt(np.mean((resid_abs / wrow) ** 2)))
-        err = 3.0 * err_model + 2.0 * err_noise
-        if best is None or err < best[0]:
-            best = (err, value)
-    if best is None:
-        return math.nan, math.inf
-    err, value = best
-    return value, max(err, 5e-15 * max(abs(value), abs(complex(hi[-1]))))
-
-
-def marks_loop(limit: int) -> list[int]:
-    """The indices round(2^(j/3)) <= limit, j >= 15, where the kernel records
-    partial sums, by a loop that skips repeats."""
-    marks = []
-    j = 15
-    while (m := round(2.0 ** (j / 3.0))) <= limit:
-        if not marks or m > marks[-1]:
-            marks.append(m)
-        j += 1
-    return marks
-
-
-def fit_windows(max_n: int) -> list[list[int]]:
-    """The marks of each checkpoint's tail fit in an evaluation streamed to
-    max_n: the last 30 marks <= n, none below max(32, n // 1024)."""
-    checkpoints = [_N_INITIAL]
-    while checkpoints[-1] * 2 <= max_n:
-        checkpoints.append(checkpoints[-1] * 2)
-    marks = np.array(marks_loop(checkpoints[-1]), dtype=np.int64)
-    windows = []
-    for n in checkpoints:
-        k = np.searchsorted(marks, n, side="right")
-        first = max(np.searchsorted(marks, max(32, n // 1024)), k - 30)
-        windows.append(marks[first:k].tolist())
-    return windows
 
 
 def _slot_values(total: int, n: int):

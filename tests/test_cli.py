@@ -95,15 +95,16 @@ class TestCompute:
         assert code == 0, err
 
     def test_tolerance_not_reached_exits_3(self, capsys):
+        # no error estimate is below eps |value|, so 1e-17 is not met by N = 4096
         code, _, err = run(
             capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "0.7",
-            "--beta", "0.7", "--rel-tol", "1e-14", "--max-n", "5000",
+            "--beta", "0.7", "--rel-tol", "1e-17", "--max-n", "5000",
         )
         assert code == 3
-        assert "tolerance" in err
+        assert "tolerance not reached in 4096 terms" in err
 
     def test_overflow_json_is_strict(self, capsys):
-        # the first block overflows before any checkpoint has a finite fit, so
+        # the level sums overflow by N / 2 = 8,192, before any N has a value, so
         # neither the value nor its error is finite: both are written as null
         code, out, _ = run(
             capsys, "compute", "--family", "Z", "--word", "1:1,1:2", "--alpha", "300",
@@ -114,7 +115,7 @@ class TestCompute:
         assert data["err_estimate"] is None and data["value"] == [None, 0.0]
         assert data["n_used"] == 8192 and data["converged"] is False
 
-    @pytest.mark.parametrize("max_n", ["10", "-5", "2047"])
+    @pytest.mark.parametrize("max_n", ["10", "-5", "1023"])
     def test_max_n_below_first_checkpoint_exits_2(self, capsys, max_n):
         code, out, err = run(
             capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",
@@ -124,6 +125,7 @@ class TestCompute:
         assert "max_n" in err
 
     def test_max_n_beyond_mark_table_exits_2(self, capsys):
+        # max_n is at most 2^62
         code, out, err = run(
             capsys, "compute", "--family", "Z", "--word", "1:2", "--alpha", "1",
             "--beta", "1", "--max-n", "100000000000000000000000",
@@ -226,17 +228,24 @@ class TestVerify:
         assert all(c["rel_dev"] is None and c["tol"] is None for c in failed)
 
     def test_infinite_tol_fails(self, capsys):
-        # at alpha = 100 one side of this check overflows, so its error and tol are infinite;
-        # a check passes only within a finite tol
+        # at alpha = 150 one side of each depth-2 check overflows at N = 8,192 and keeps
+        # its value at N / 2, so its error and tol are infinite; a check passes only
+        # within a finite tol.  At alpha = 100 every check converges
         code, out, _ = run(
-            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "100:1",
+            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "150:1",
             "--output", "json", "--no-timestamp",
         )
         assert code == 1
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
-        bad = checks.pop("thm11i/w=1:1,1:2/r=0/a=100/b=1")
-        assert bad["tol"] is None and bad["passed"] is False
-        assert len(checks) == 3 and all(c["passed"] for c in checks.values())
+        for word in ("1:1,1:2", "1:1,1/2:2"):
+            bad = checks.pop(f"thm11i/w={word}/r=0/a=150/b=1")
+            assert bad["tol"] is None and bad["rel_dev"] < 1e-9 and bad["passed"] is False
+        assert len(checks) == 2 and all(c["passed"] for c in checks.values())
+        code, out, _ = run(
+            capsys, "verify", "--suite", "duality", "--weight-max", "3", "--grid", "100:1",
+            "--output", "json", "--no-timestamp",
+        )
+        assert code == 0 and all(c["tol"] == 1e-9 for c in strict_json(out)["checks"])
 
     def test_real_overflow_stays_real(self, capsys):
         # every check of a real pair is real: an overflowed lhs is a real NaN, so its
@@ -305,19 +314,19 @@ class TestVerify:
         payload = json.loads(out1)
         assert payload["schema"] == 1 and "timestamp" not in payload
 
-    def test_fit_design_cache_invisible(self, capsys, monkeypatch):
-        # the suite's JSON is the same when every tail fit builds its design anew
+    def test_level_cache_invisible(self, capsys, monkeypatch):
+        # the suite's JSON is the same when every inner level builds its expansion anew
         args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
                 "--no-timestamp")
         mzdual.evaluators._evaluate_cached.cache_clear()
         _, warm, _ = run(capsys, *args)
-        design = mzdual.nested_sum._fit_design
+        level = mzdual.nested_sum._inner_level
 
-        def cold_design(basis, marks):
-            design.cache_clear()
-            return design(basis, marks)
+        def cold_level(*key):
+            level.cache_clear()
+            return level(*key)
 
-        monkeypatch.setattr(mzdual.nested_sum, "_fit_design", cold_design)
+        monkeypatch.setattr(mzdual.nested_sum, "_inner_level", cold_level)
         mzdual.evaluators._evaluate_cached.cache_clear()
         _, cold, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold == warm
