@@ -30,15 +30,16 @@ their Euler-Maclaurin summatory function.  Near resonance, |e + 1| < 0.02,
 an inner level expands m^(e+1) in powers of log m, so the cost and the
 rounding stay flat there.  C_i = P_i(N) - F_i(N) comes from the stream,
 and the value is C_D.  Its error is |C_D(N) - C_D(N/2)|, plus the last
-order kept, plus the rounding: eps times the sum of the terms' sizes, and
-the ratio's drift from N/2 to N, which a long double as narrow as float64
-makes visible.
+order kept, plus the rounding: eps times the sum of the terms' sizes for
+each rounding in a streamed term, and the ratio's drift from N/2 to N,
+which a long double as narrow as float64 makes visible.
 
 N starts at 1,024, and it and the number K of orders kept (6 to 10) grow
 with max(|alpha|, |beta|) so that (max / N)^K <= 1e-17.  N doubles while
-the error exceeds rel_tol |value|, up to max_n.  A stream past the range
-of float64 (r(8192) overflows from alpha ~ 145) ends the evaluation there,
-unconverged, with the value at N / 2 if its level sums are finite.
+the error exceeds rel_tol |value|, up to max_n.  Powers of the ratio are
+taken in long double, so terms that divide by one past float64 (r(8192)
+from alpha ~ 145) are 0; a level sum past float64, or a ratio past long
+double, ends the evaluation, unconverged, with the value at N / 2.
 
 Each level's expansion, its constant included, is a pure function of the
 parameters, its index prefix and links, N and that prefix's stream values,
@@ -277,14 +278,13 @@ class _Stream:
 
     def state(self, n: int) -> tuple:
         """Stream through index n; each level's prefix at n as a (hi, lo)
-        pair of Python numbers, and the ratio there (None without one)."""
+        pair of Python numbers, and the ratio there in long double (None without one)."""
         with np.errstate(all="ignore"):
             while self.next_m <= n:
                 self.run_block(_block_end(self.next_m))
         scalar = complex if np.iscomplexobj(self.carries) else float
         sums = tuple((scalar(hi), scalar(lo)) for hi, lo in self.carries)
-        ratio = None if self.ratio is None else complex(self.ratio)
-        return sums, ratio
+        return sums, self.ratio
 
 
 def _validate_params(alpha: complex, beta: complex):
@@ -313,14 +313,16 @@ def _order(x: float, n: int) -> int:
     return next((k for k in _ORDERS if (x / n) ** k <= _TRUNCATION), _ORDERS[-1])
 
 
-def _pochhammer_log(alpha: complex, count: int) -> list[complex]:
+# one per base and order; the weight-4 derivative suite uses 78
+@functools.lru_cache(maxsize=4096)
+def _pochhammer_log(alpha: complex, count: int) -> tuple[complex, ...]:
     """c_1 .. c_{count-1} of log((alpha)_m / m!) = log g + (alpha - 1) log m
     + sum_j c_j m^-j: (-1)^(j+1) (B_{j+1}(alpha) - B_{j+1}(1)) / (j (j+1))."""
     def bernoulli_poly(n, x):
         return sum(math.comb(n, j) * _B[j] * x ** (n - j) for j in range(n + 1))
 
-    return [(-1) ** (j + 1) * (bernoulli_poly(j + 1, alpha) - bernoulli_poly(j + 1, 1.0)) / (j * (j + 1))
-            for j in range(1, count)]
+    return tuple((-1) ** (j + 1) * (bernoulli_poly(j + 1, alpha) - bernoulli_poly(j + 1, 1.0)) / (j * (j + 1))
+                 for j in range(1, count))
 
 
 def _series_mul(a: list, b: list) -> list:
@@ -400,28 +402,30 @@ def _summatory(terms: dict, d: complex, cut: float, log_n: float, g, outer: bool
     return out
 
 
+def _python(x):
+    # a long double scalar as a Python number, out of float64's range as 0 or inf
+    return complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
+
+
 def _at(expansion: dict, m: float, scale) -> tuple[complex, float]:
     """The value of an expansion at m, and the sum of its terms' sizes;
-    scale is g m^(alpha - 1), None when no term has k != 0."""
+    scale is g m^(alpha - 1) in long double, None when no term has k != 0."""
     log_m = math.log(m)
     total, size = 0.0, 0.0
+    powers = {k: _python(scale**k) for k in {k for _, k, _ in expansion} if k}
     for (n, k, t), c in expansion.items():
-        v = c * m**n * log_m**t
-        if k:
-            v *= scale**k
+        v = c * m**n * log_m**t * powers.get(k, 1.0)
         total += v
         size += abs(v)
     return total, size
 
 
-# one per base, order and N; the weight-4 derivative suite uses 312
-@functools.lru_cache(maxsize=4096)
-def _scale(alpha: complex, orders: int, n: int, ratio) -> complex | None:
-    # g n^(alpha - 1) = r(n) / exp(sum_j c_j n^-j), from the streamed ratio r(n)
+def _scale(alpha: complex, orders: int, n: int, ratio):
+    # g n^(alpha - 1) = r(n) / exp(sum_j c_j n^-j), from the streamed ratio r(n), in long double
     if ratio is None:
         return None
     series = sum(c * n ** -j for j, c in enumerate(_pochhammer_log(alpha, orders), 1))
-    return (ratio / cmath.exp(series)) if isinstance(alpha, complex) else (ratio.real / math.exp(series.real))
+    return ratio / np.exp(type(ratio)(series if np.iscomplexobj(ratio) else series.real))
 
 
 def _lead_decay(spec: NestedSumSpec) -> float:
@@ -462,7 +466,7 @@ def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
                     product[key] = get(key, 0.0) + wc * bc
         terms = product
     scale = _scale(alpha, orders, n, ratio)
-    g = None if scale is None else scale * n**-d
+    g = None if scale is None else _python(scale * type(scale)(n) ** -d)
     cut = max(0.0, _lead(terms, d_re) + 1.0) - orders + 1e-9
     prefix = _summatory(terms, d, cut, math.log(n), g, outer)
     hi, lo = sums[-1]
@@ -488,9 +492,9 @@ _key = functools.cache(lambda key: key)
 def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[complex, float]:
     """The value and its error from the stream's state (level prefix sums,
     ratio) at N = n and at n / 2: C_D from the expansions at n, and the error
-    |C_D(n) - C_D(n/2)| + the last order kept + the rounding, eps times the
-    terms' sizes, and for each power of the ratio twice its drift from n / 2
-    to n, |R(n) / (2^(alpha-1) R(n/2)) - 1|, as R = g m^(alpha-1) is constant."""
+    |C_D(n) - C_D(n/2)| + the last order kept + eps times the terms' sizes for
+    each rounding in a streamed term + for each power of the ratio twice its
+    drift |R(n) / (2^(alpha-1) R(n/2)) - 1|, as R = g m^(alpha-1) is constant."""
     alpha, beta = spec.alpha, spec.beta
     orders = _order(max(abs(alpha), abs(beta)), n)
     (sums, ratio), (half_sums, half_ratio) = full, half
@@ -506,9 +510,11 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     hi, lo = half_sums[-1]
     gap = abs(value - ((hi - tail_half) + lo))
     omitted = _at(last, n, scale)[1]
-    drift = 0.0 if scale is None else abs(scale / (half_scale * 2.0 ** (alpha - 1.0)) - 1.0)
+    drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
     powers = sum(abs(iw.poch) for iw in spec.indices)
-    rounding = (_EPS + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
+    # a streamed term's weights make at most 2 (a + b) + |poch| + 2 roundings of eps / 2 per level
+    weights = sum(iw.a + iw.b for iw in spec.indices) + powers + spec.depth
+    rounding = (_EPS * (1 + weights) + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
     err = gap + omitted + rounding
     return value, (err if math.isfinite(err) else math.inf)
 
@@ -520,9 +526,9 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     takes the value and its error from :func:`_tail_fit` at N and N / 2.
     N doubles while the error exceeds rel_tol |value| and 2N <= max_n, and
     the best value is flagged unconverged if it never meets it.  A stream
-    whose level sums at N / 2 or N are not finite (float64 overflow) ends
-    there, unconverged, with an infinite error and the value at N / 2 if the
-    sums at N / 4 and N / 2 are finite, NaN otherwise.
+    whose level sums (float64) or ratio (long double) at N / 2 or N are not
+    finite ends there, unconverged, with an infinite error and the value at
+    N / 2 if the stream is finite at N / 4 and N / 2, NaN otherwise.
     A series whose outermost terms decay like m^-1 or slower raises
     NonConvergentError.
     """
@@ -541,13 +547,15 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     states: dict[int, tuple] = {}  # the state at each power of two the stream passed
 
     def reach(m: int) -> bool:
-        # stream through m; whether every level's sum there is finite
+        # stream through m; whether every level's sum and the ratio there are finite
         p = _N_START // 2
         while p <= m:
             if p not in states:
                 states[p] = stream.state(p)
             p *= 2
-        return all(map(cmath.isfinite, (s for pair in states[m][0] for s in pair)))
+        sums, ratio = states[m]
+        finite = all(map(cmath.isfinite, (s for pair in sums for s in pair)))
+        return finite and (ratio is None or bool(np.isfinite(ratio)))
 
     best = (math.inf, math.nan)  # (err, value)
     while reach(n // 2) and reach(n):

@@ -42,8 +42,8 @@ from mzdual.nested_sum import (
     _inner_level,
     _lead_decay,
     _level,
+    _pochhammer_log,
     _product_block,
-    _scale,
     _Stream,
     _summatory,
     _tail_fit,
@@ -179,7 +179,7 @@ class TestSchedule:
         # the best of the values at 1024, ..., 8388608, the last N <= 10**7;
         # the stream stops there
         res = evaluate(hurwitz_spec(parse_word("1:2"), 0.7), EvalConfig(rel_tol=1e-16, max_n=10**7))
-        assert res == (2.834049156694611, 6.2928532533838935e-16, 8388608, False)
+        assert res == (2.834049156694611, 2.5171413013534525e-15, 8388608, False)
 
     def test_no_fit_gives_unbounded_error(self, monkeypatch):
         # no fit has a finite value: the result is NaN with nothing known of
@@ -360,9 +360,9 @@ class TestHolderOracle:
     def test_closed_forms(self, word, alpha, beta, family, truth):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        want = complex(truth(mp))
+        want = truth(mp)
         got = holder_integral(parse_word(word), alpha, beta, family)
-        assert abs(got - want) <= 1e-14 * abs(want)
+        assert abs(got - want) <= 1e-24 * abs(want)
 
 
 class TestErrEstimateHonesty:
@@ -409,8 +409,7 @@ class TestErrEstimateHonesty:
 
     # every Z and zeta word of weight <= 4; the pairs far from the box guard
     # where the first N is, and the complex and small-parameter ones the
-    # cancellation in the constants.  The oracle is float64 and is allowed its
-    # own error, HOLDER_ACCURACY of the value
+    # cancellation in the constants
     @pytest.mark.parametrize("family", ["Z", "zeta"])
     @pytest.mark.parametrize(
         "pair,rel_tol",
@@ -428,17 +427,11 @@ class TestErrEstimateHonesty:
                 res = eval_hurwitz(w, pair[0], cfg)
             ref = holder_integral(w, *pair, family)
             actual = abs(res.value - ref)
-            if not (res.converged and actual <= res.err_estimate + HOLDER_ACCURACY * abs(ref)):
-                short.append((str(w), actual / res.err_estimate, res.n_used, res.converged))
+            if not (res.converged and actual <= res.err_estimate):
+                short.append((str(w), float(actual / res.err_estimate), res.n_used, res.converged))
         assert not short
 
 
-# holder_integral's own error, relative: against mpmath it is off by 9.1e-16 of
-# zeta(4, 0.2) and 1.0e-15 of zeta(4, 0.3+0.4i), where the kernel is within
-# 1.8e-16 and 1.1e-16.  The kernel's estimates are below the oracle's error
-# there, so a comparison with the oracle allows it that error;
-# test_hurwitz_against_mpmath holds those values to the estimate alone
-HOLDER_ACCURACY = 2e-15
 AUDIT_PAIRS = [(0.6, 1.5), (1.0, 1.0), (0.3 + 0.4j, 1.2 - 0.3j)]
 
 
@@ -456,8 +449,8 @@ class TestAccuracyAudit:
         for w in words_up_to_weight(4):
             res = eval_family(family, w, (), Params(*pair), self.CFG)
             ref = holder_integral(w, *pair, family)
-            if not (res.converged and abs(res.value - ref) <= res.err_estimate + HOLDER_ACCURACY * abs(ref)):
-                short.append((str(w), abs(res.value - ref) / res.err_estimate))
+            if not (res.converged and abs(res.value - ref) <= res.err_estimate):
+                short.append((str(w), float(abs(res.value - ref) / res.err_estimate)))
         assert not short
 
     @pytest.mark.parametrize("pair", AUDIT_PAIRS)
@@ -572,6 +565,23 @@ class TestLargeAlpha:
         assert not res.converged and res.err_estimate == math.inf
         assert res.n_used == stop
         assert abs(res.value - truth) <= 1e-4 * truth
+
+    def test_ratio_past_float64_divides_to_zero(self):
+        # H*(1:2; alpha) equals zeta(2, alpha).  Its one index divides by the
+        # ratio, whose long double carry holds r(8,192) ~ 1e323, past float64's
+        # range: the terms that carry its inverse are 0 there, and the
+        # evaluation converges at its first N.  Where long double is float64
+        # the carry itself overflows, which ends the stream there, with the
+        # value at N / 2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        truth = float(mp.zeta(2, 150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evaluate(hstar_spec(parse_word("1:2"), (0,), 150.0))
+        assert res.n_used == 8192
+        assert res.converged == (np.finfo(np.longdouble).max > np.finfo(np.float64).max)
+        assert abs(res.value - truth) <= (res.err_estimate if res.converged else 1e-14 * truth)
 
 
 def z_three_dual(alpha: float) -> float:
@@ -705,7 +715,7 @@ def pair_values(pairs: np.ndarray) -> np.ndarray:
 
 
 def clear_shared_work():
-    for cache in (_inner_level, _weight, _scale):
+    for cache in (_inner_level, _weight, _pochhammer_log):
         cache.cache_clear()
 
 
@@ -776,7 +786,7 @@ class TestSharedWork:
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
-        for memo in (_inner_level, _weight, _scale):
+        for memo in (_inner_level, _weight, _pochhammer_log):
             info = memo.cache_info()
             assert info.misses == info.currsize > 0, (memo.__name__, info)
 
