@@ -30,11 +30,7 @@ from .nested_sum import (
 from .evaluators import (
     Params,
     eval_family,
-    eval_Hstar,
     eval_terms,
-    eval_Z,
-    eval_Zstar,
-    eval_hurwitz,
 )
 from .verifier import (
     RELATIONS,
@@ -71,11 +67,7 @@ __all__ = [
     "check_identity",
     "check_integral_repr",
     "dual",
-    "eval_Hstar",
-    "eval_Z",
-    "eval_Zstar",
     "eval_family",
-    "eval_hurwitz",
     "eval_terms",
     "evaluate",
     "parse_word",

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .evaluators import Params, eval_family
+from .evaluators import FAMILIES, Params, eval_family
 from .nested_sum import _MAX_N, _N_START, EvalConfig, KernelError
 from .verifier import DEFAULT_GRID, SUITE_NAMES, SuiteConfig, run_suite
 from .words import dual, parse_word, sigma_b1, sigma_b2, sigma_eps
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate one series value")
-    comp.add_argument("--family", choices=["Z", "Zstar", "zeta", "Hstar"], required=True,
+    comp.add_argument("--family", choices=list(FAMILIES), required=True,
                       help="series family; zeta is the multiple Hurwitz value")
     comp.add_argument("--word", required=True, help=_WORD_HELP)
     comp.add_argument("--alpha", type=parse_complex, required=True,
@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    if args.r_vector is not None and args.family in ("Z", "zeta"):
+    family = FAMILIES[args.family]
+    if args.r_vector is not None and not family.reads_r:
         raise ValueError(f"--r-vector does not apply to family {args.family}")
-    if args.beta is not None and args.family in ("zeta", "Hstar"):
+    if args.beta is not None and not family.reads_beta:
         raise ValueError(f"--beta does not apply to family {args.family}")
     word = parse_word(args.word)
     p = Params(args.alpha, args.beta)

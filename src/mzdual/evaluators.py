@@ -1,31 +1,33 @@
 """Evaluate words under the four parametrized series families.
 
-The two-parameter family ``eval_Z`` and its r-augmented extension
-``eval_Zstar`` carry the Pochhammer ratio (alpha)_m / m! in the first
-parameter slot, to the power +1 on the first index and -1 on the last;
-the one-parameter Hurwitz family ``eval_hurwitz`` and its extension
-``eval_Hstar`` shift every index by alpha.  Parameter convention: the
-FIRST slot of :class:`Params` always feeds the Pochhammer ratio and
-the SECOND the index weights (m + beta)^-k, and every spec puts them in
-``spec.alpha`` and ``spec.beta`` in that order; the theorems that relate
-Z(a, b) to a starred value at (b, a) swap the pair before the call.
-Z is the starred family at r = 0, so both compile through one function.
+The two-parameter family Z and its r-augmented extension Zstar carry the
+Pochhammer ratio (alpha)_m / m! in the first parameter slot, to the power
++1 on the first index and -1 on the last; the one-parameter Hurwitz
+family zeta and its extension Hstar shift every index by alpha.
+Parameter convention: the FIRST slot of :class:`Params` always feeds the
+Pochhammer ratio and the SECOND the index weights (m + beta)^-k, and every
+spec puts them in ``spec.alpha`` and ``spec.beta`` in that order; the
+theorems that relate Z(a, b) to a starred value at (b, a) swap the pair
+before the call.  Z is the starred family at r = 0, so both compile
+through one function.
 
 Each family compiles a word (plus r-vector, for the starred families)
 into one flat :class:`~mzdual.nested_sum.NestedSumSpec`, so a single
 kernel serves all four: it hands its main-index weights and the length
 of the auxiliary chain before each main index to one splicer,
-``_chained_spec``.  Each family's ``eval_*`` is that compile plus one
-cached kernel evaluation; the empty word compiles to the empty spec, which
-the kernel evaluates to 1 after checking the parameters.  ``eval_family``
-picks one by name, and ``eval_terms`` adds up a combination of them.
+``_chained_spec``.  ``FAMILIES`` has one row per family: its compiler,
+and whether it reads the r-vector and the second slot.  ``eval_family``
+is the one evaluation entry: that row's compile plus one cached kernel
+evaluation; the empty word compiles to the empty spec, which the kernel
+evaluates to 1 after checking the parameters.  ``eval_terms`` adds up a
+combination of them.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .nested_sum import (
     EvalConfig,
@@ -141,34 +143,6 @@ def eval_spec(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
     return _evaluate_cached(spec, cfg)
 
 
-def eval_Z(w: Word, p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Two-parameter series of an admissible word; the empty word gives 1."""
-    return eval_spec(z_spec(w, p), cfg)
-
-
-def eval_Zstar(
-    w: Word, r: Sequence[int], p: Params, cfg: EvalConfig = EvalConfig()
-) -> EvalResult:
-    """Starred family with an r-vector of extra first-slot powers.
-
-    With an all-zero r-vector this degenerates exactly to
-    ``eval_Z(w, p)`` (the auxiliary chains vanish into the plain cuts).
-    """
-    return eval_spec(zstar_spec(w, r, p), cfg)
-
-
-def eval_hurwitz(w: Word, alpha: complex, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Multiple Hurwitz value of a word: every index shifted by alpha."""
-    return eval_spec(hurwitz_spec(w, alpha), cfg)
-
-
-def eval_Hstar(
-    w: Word, r: Sequence[int], alpha: complex, cfg: EvalConfig = EvalConfig()
-) -> EvalResult:
-    """Hurwitz-dual family with per-block auxiliary chains."""
-    return eval_spec(hstar_spec(w, r, alpha), cfg)
-
-
 def sum_results(terms: Iterable[tuple[complex, EvalResult]]) -> EvalResult:
     """The sum of coeff * result over (coeff, result) pairs, coeff real or complex.
 
@@ -189,21 +163,31 @@ def sum_results(terms: Iterable[tuple[complex, EvalResult]]) -> EvalResult:
     return EvalResult(value, err, n_used, converged)
 
 
-Family = Literal["Z", "Zstar", "zeta", "Hstar"]
+class SeriesFamily(NamedTuple):
+    """A row of :data:`FAMILIES`: the spec of (word, r-vector, Params), and
+    whether the family reads the r-vector and the second slot of Params."""
+
+    spec: Callable[[Word, Sequence[int], Params], NestedSumSpec]
+    reads_r: bool
+    reads_beta: bool
 
 
-def eval_family(family: Family, w: Word, r: Sequence[int], p: Params,
+# each compiler is looked up when a spec is built, so one replaced after import sees every call
+FAMILIES = {
+    "Z": SeriesFamily(lambda w, r, p: z_spec(w, p), reads_r=False, reads_beta=True),
+    "Zstar": SeriesFamily(lambda w, r, p: zstar_spec(w, r, p), reads_r=True, reads_beta=True),
+    "zeta": SeriesFamily(lambda w, r, p: hurwitz_spec(w, p.alpha), reads_r=False, reads_beta=False),
+    "Hstar": SeriesFamily(lambda w, r, p: hstar_spec(w, r, p.alpha), reads_r=True, reads_beta=False),
+}
+
+
+def eval_family(family: str, w: Word, r: Sequence[int], p: Params,
                 cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """One family's series at p: Zstar and Hstar read r, zeta and Hstar p.alpha alone."""
-    if family == "Z":
-        return eval_Z(w, p, cfg)
-    if family == "Zstar":
-        return eval_Zstar(w, r, p, cfg)
-    if family == "zeta":
-        return eval_hurwitz(w, p.alpha, cfg)
-    if family == "Hstar":
-        return eval_Hstar(w, r, p.alpha, cfg)
-    raise ValueError(f"unknown family {family!r}")
+    """One family's series at p; a family ignores the r-vector or p.beta if
+    its row does not read it.  The empty word gives 1."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return eval_spec(FAMILIES[family].spec(w, r, p), cfg)
 
 
 def eval_terms(terms: Iterable[tuple], p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:

@@ -36,10 +36,13 @@ which a long double as narrow as float64 makes visible.
 
 N starts at 1,024, and it and the number K of orders kept (6 to 10) grow
 with max(|alpha|, |beta|) so that (max / N)^K <= 1e-17.  N doubles while
-the error exceeds rel_tol |value|, up to max_n.  Powers of the ratio are
-taken in long double, so terms that divide by one past float64 (r(8192)
-from alpha ~ 145) are 0; a level sum past float64, or a ratio past long
-double, ends the evaluation, unconverged, with the value at N / 2.
+the error exceeds rel_tol |value|, up to max_n.  The stream owns this
+schedule: it keeps its state at each power of two from 512 on, where its
+blocks end, and the value and error read the states at N / 2 and N.
+Powers of the ratio are taken in long double, so terms that divide by one
+past float64 (r(8192) from alpha ~ 145) are 0; a level sum past float64,
+or a ratio past long double, at N / 2 or N ends the evaluation,
+unconverged, with the value at N / 2.
 
 Each level's expansion, its constant included, is a pure function of the
 parameters, its index prefix and links, N and that prefix's stream values,
@@ -162,12 +165,6 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _block_end(lo: int) -> int:
-    # blocks end after every power of two from 512 on, _BLOCK indices apart at most,
-    # so every N and N / 2 is a block end, whatever N an evaluation starts at
-    return min(lo + _BLOCK, max(_N_START // 2, 1 << (lo - 1).bit_length()) + 1)
-
-
 def _product_block(alpha: complex, lo: int, hi: int, carry):
     """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128
     (the last index divides (m + alpha)^-1 by it), and its long double carry
@@ -219,7 +216,8 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
 
 
 class _Stream:
-    """Carries per-level prefix state across blocks of the index range."""
+    """Carries per-level prefix state across blocks of the index range, and
+    keeps it at each power of two from 512 on that it streams through."""
 
     def __init__(self, spec: NestedSumSpec):
         self.spec = spec
@@ -228,6 +226,7 @@ class _Stream:
         self.carries = np.zeros((spec.depth, 2), dtype=np.complex128 if is_complex else np.float64)
         self.ratio = None  # the ratio's carry at next_m - 1
         self.next_m = 0
+        self.states: dict[int, tuple | None] = {}  # power of two -> the state there
 
     def _ratio_block(self, hi: int) -> np.ndarray | None:
         # (alpha)_m / m! at m = next_m..hi-1, or None if no index carries it
@@ -276,15 +275,23 @@ class _Stream:
         self.next_m = hi
         return out.T
 
-    def state(self, n: int) -> tuple:
-        """Stream through index n; each level's prefix at n as a (hi, lo)
-        pair of Python numbers, and the ratio there in long double (None without one)."""
+    def state(self, n: int) -> tuple | None:
+        """The state at the power of two n >= 512, streamed to on first asking,
+        or None if a level sum or the ratio there is not finite: each level's
+        prefix at n as a (hi, lo) pair of Python numbers, and the ratio there
+        in long double (None without one).  Blocks end after each power of two
+        from 512 on, _BLOCK indices apart at most, so every N and N / 2 is one."""
+        scalar = complex if np.iscomplexobj(self.carries) else float
         with np.errstate(all="ignore"):
             while self.next_m <= n:
-                self.run_block(_block_end(self.next_m))
-        scalar = complex if np.iscomplexobj(self.carries) else float
-        sums = tuple((scalar(hi), scalar(lo)) for hi, lo in self.carries)
-        return sums, self.ratio
+                mark = max(_N_START // 2, 1 << (self.next_m - 1).bit_length())
+                while self.next_m <= mark:
+                    self.run_block(min(self.next_m + _BLOCK, mark + 1))
+                sums = tuple((scalar(hi), scalar(lo)) for hi, lo in self.carries)
+                finite = all(map(cmath.isfinite, (s for pair in sums for s in pair)))
+                finite = finite and (self.ratio is None or bool(np.isfinite(self.ratio)))
+                self.states[mark] = (sums, self.ratio) if finite else None
+        return self.states[n]
 
 
 def _validate_params(alpha: complex, beta: complex):
@@ -442,8 +449,9 @@ def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
            sums: tuple, ratio, outer: bool) -> tuple[dict, dict]:
     """(P, T): the expansions of the last level's prefix, its constant C at
     key (0, 0, 0) included, and of its terms, for the prefix ``indices`` at
-    N = n, from the stream's prefix sums and ratio at n; the outermost level
-    (outer) integrates every term in closed form, so that F vanishes at infinity."""
+    N = n, from the stream's prefix sums and ratio at n.  The outermost level
+    (outer) integrates every term in closed form, so that F vanishes at
+    infinity, and leaves C, the value, to :func:`_tail_fit`."""
     d = alpha - 1.0
     d_re = d.real
     orders = _order(max(abs(alpha), abs(beta)), n)
@@ -465,13 +473,14 @@ def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
                     key = (wn + bn, wk + bk, bt)
                     product[key] = get(key, 0.0) + wc * bc
         terms = product
-    scale = _scale(alpha, orders, n, ratio)
+    # g is read by inner resonant terms alone
+    scale = None if outer else _scale(alpha, orders, n, ratio)
     g = None if scale is None else _python(scale * type(scale)(n) ** -d)
     cut = max(0.0, _lead(terms, d_re) + 1.0) - orders + 1e-9
     prefix = _summatory(terms, d, cut, math.log(n), g, outer)
-    hi, lo = sums[-1]
-    tail, _ = _at(prefix, n, scale)
-    prefix[(0, 0, 0)] = (hi - tail) + lo
+    if not outer:
+        hi, lo = sums[-1]
+        prefix[(0, 0, 0)] = (hi - _at(prefix, n, scale)[0]) + lo
     return prefix, terms
 
 
@@ -499,16 +508,15 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     orders = _order(max(abs(alpha), abs(beta)), n)
     (sums, ratio), (half_sums, half_ratio) = full, half
     prefix, _ = _level(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
-    prefix = dict(prefix)
-    value = prefix.pop((0, 0, 0))
     d_re = complex(alpha).real - 1.0
     cut = -orders + 1.0 + 1e-9  # the last order kept, relative to the constant
     last = {key: c for key, c in prefix.items() if key[0] + key[1] * d_re <= cut}
     scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, n // 2, half_ratio)
-    _, size = _at(prefix, n, scale)
+    tail, size = _at(prefix, n, scale)
     tail_half, _ = _at(prefix, n // 2, half_scale)
-    hi, lo = half_sums[-1]
-    gap = abs(value - ((hi - tail_half) + lo))
+    (hi, lo), (half_hi, half_lo) = sums[-1], half_sums[-1]
+    value = (hi - tail) + lo
+    gap = abs(value - ((half_hi - tail_half) + half_lo))
     omitted = _at(last, n, scale)[1]
     drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
     powers = sum(abs(iw.poch) for iw in spec.indices)
@@ -544,22 +552,9 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
         n *= 2
     stream = _Stream(spec)
-    states: dict[int, tuple] = {}  # the state at each power of two the stream passed
-
-    def reach(m: int) -> bool:
-        # stream through m; whether every level's sum and the ratio there are finite
-        p = _N_START // 2
-        while p <= m:
-            if p not in states:
-                states[p] = stream.state(p)
-            p *= 2
-        sums, ratio = states[m]
-        finite = all(map(cmath.isfinite, (s for pair in sums for s in pair)))
-        return finite and (ratio is None or bool(np.isfinite(ratio)))
-
     best = (math.inf, math.nan)  # (err, value)
-    while reach(n // 2) and reach(n):
-        value, err = _tail_fit(spec, n, states[n // 2], states[n])
+    while (half := stream.state(n // 2)) and (full := stream.state(n)):
+        value, err = _tail_fit(spec, n, half, full)
         if err <= best[0]:
             best = (err, value)
         if err <= cfg.rel_tol * abs(value):
@@ -568,8 +563,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
             return EvalResult(_as_scalar(best[1], stream), best[0], n, False)
         n *= 2
     # the stream overflowed at n / 2 or n; with no value yet, take the one at n / 2
-    if math.isnan(best[1]) and n // 4 >= _N_START // 2 and reach(n // 4) and reach(n // 2):
-        best = (math.inf, _tail_fit(spec, n // 2, states[n // 4], states[n // 2])[0])
+    if math.isnan(best[1]) and n // 4 >= _N_START // 2 and (quarter := stream.state(n // 4)) and half:
+        best = (math.inf, _tail_fit(spec, n // 2, quarter, half)[0])
     return EvalResult(_as_scalar(best[1], stream), math.inf, stream.next_m - 1, False)
 
 

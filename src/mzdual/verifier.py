@@ -33,7 +33,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .evaluators import Params, eval_family, eval_terms, eval_Z, sum_results
+from .evaluators import Params, eval_family, eval_terms, sum_results
 from .nested_sum import EvalConfig, EvalResult, _validate_params
 from .words import (
     Cut,
@@ -370,7 +370,7 @@ def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalRes
     n, x0 = CIRCLE_POINTS, complex(p.alpha)
     rho, roots = x0.real / 3, np.exp(2j * np.pi * np.arange(n) / n)
     real = not (x0.imag or complex(p.beta).imag)
-    vals = [eval_Z(dw, Params(complex(x0 + rho * z), p.beta), cfg)
+    vals = [eval_family("Z", dw, (), Params(complex(x0 + rho * z), p.beta), cfg)
             for z in roots[: n // 2 + 1 if real else n]]
     if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
         vals += [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]

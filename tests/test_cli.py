@@ -28,6 +28,15 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# every flag that a family's row does not read, with a value for it
+FOREIGN_FLAGS = [
+    (name, flag, value)
+    for name, family in mzdual.evaluators.FAMILIES.items()
+    for flag, value, reads in (("--r-vector", "3,3", family.reads_r), ("--beta", "2", family.reads_beta))
+    if not reads
+]
+
+
 class TestCompute:
     def test_basel(self, capsys):
         code, out, _ = run(
@@ -143,12 +152,12 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err.startswith("error: need finite alpha, beta")
 
-    @pytest.mark.parametrize("family, flag, value", [
-        ("Z", "--r-vector", "3,3"),
-        ("zeta", "--r-vector", "3,3"),
-        ("zeta", "--beta", "2"),
-        ("Hstar", "--beta", "2"),
-    ])
+    def test_foreign_flags_follow_the_paper(self):
+        # Z has no r-vector; zeta and Hstar have one parameter, zeta no r-vector
+        foreign = {(family, flag) for family, flag, _ in FOREIGN_FLAGS}
+        assert foreign == {("Z", "--r-vector"), ("zeta", "--r-vector"), ("zeta", "--beta"), ("Hstar", "--beta")}
+
+    @pytest.mark.parametrize("family, flag, value", FOREIGN_FLAGS)
     def test_flag_foreign_to_family_exits_2(self, capsys, family, flag, value):
         # a flag the family has no slot for is an error, not ignored
         code, out, err = run(

@@ -17,11 +17,7 @@ from oracles import (
 
 from mzdual.evaluators import (
     Params,
-    eval_Hstar,
-    eval_Z,
-    eval_Zstar,
     eval_family,
-    eval_hurwitz,
     eval_terms,
     hstar_spec,
     hurwitz_spec,
@@ -43,24 +39,24 @@ W = parse_word
 
 class TestEvalZ:
     def test_empty_word_is_one(self):
-        assert eval_Z(EMPTY_WORD, Params(1.3, 0.7)).value == 1.0
+        assert eval_family("Z", EMPTY_WORD, (), Params(1.3, 0.7)).value == 1.0
 
     def test_basel(self):
-        assert abs(eval_Z(W("1:2"), Params(1, 1), CFG).value - ZETA2) < 1e-10
+        assert abs(eval_family("Z", W("1:2"), (), Params(1, 1), CFG).value - ZETA2) < 1e-10
 
     def test_depth_two(self):
-        assert abs(eval_Z(W("1:1,1:2"), Params(1, 1), CFG).value - ZETA3) < 1e-9
+        assert abs(eval_family("Z", W("1:1,1:2"), (), Params(1, 1), CFG).value - ZETA3) < 1e-9
 
     def test_params_validated(self):
         with pytest.raises(InvalidParamsError):
-            eval_Z(W("1:2"), Params(-1.0, 1.0))
+            eval_family("Z", W("1:2"), (), Params(-1.0, 1.0))
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
     @pytest.mark.parametrize("beta", [0.6, 1.0, 1.5])
     @pytest.mark.parametrize("k", [2, 3])
     def test_depth_one_collapse(self, alpha, beta, k):
         # single block: sum 1/((m+alpha)(m+beta)^(k-1))
-        got = eval_Z(W(f"1:{k}"), Params(alpha, beta), CFG).value
+        got = eval_family("Z", W(f"1:{k}"), (), Params(alpha, beta), CFG).value
         m = np.arange(300_000, dtype=np.float64)
         ns, vals = [], []
         partial = 0.0
@@ -89,7 +85,7 @@ class TestEvalZ:
             cuts = [1 if w.inner_cut(i).value == "1" else 0 for i in range(1, w.depth)]
             vals = emzv_prefix_sums(ks, cuts, checkpoints)
             oracle = fit_limit(checkpoints, vals, s=float(ks[-1]), tmax=max(0, w.depth - 1))
-            got = eval_Z(w, Params(1, 1), CFG).value
+            got = eval_family("Z", w, (), Params(1, 1), CFG).value
             assert abs(got - oracle) <= 1e-8 * abs(oracle), str(w)
 
     def test_self_dual_symmetry(self):
@@ -97,8 +93,8 @@ class TestEvalZ:
         assert dual(w) == w
         for a in (0.6, 1.0, 1.5):
             for b in (0.6, 1.0, 1.5):
-                lhs = eval_Z(w, Params(a, b), CFG).value
-                rhs = eval_Z(w, Params(b, a), CFG).value
+                lhs = eval_family("Z", w, (), Params(a, b), CFG).value
+                rhs = eval_family("Z", w, (), Params(b, a), CFG).value
                 assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
@@ -107,8 +103,8 @@ class TestEvalZstar:
         for text in ["1:2", "1:1,1:2", "1:1,1/2:3", "1:2,1/2:1,1:2"]:
             w = W(text)
             p = Params(1.2, 0.8)
-            got = eval_Zstar(w, (0,) * w.depth, p, CFG).value
-            want = eval_Z(w, p, CFG).value
+            got = eval_family("Zstar", w, (0,) * w.depth, p, CFG).value
+            want = eval_family("Z", w, (), p, CFG).value
             assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_zero_rvector_compiles_to_Z_spec(self):
@@ -119,9 +115,9 @@ class TestEvalZstar:
     def test_depth_one_display(self):
         # rising powers attach directly to the single index:
         # sum (m+b)^-(r+1) (m+a)^-(k-1); at a=b=1 this is zeta(r+k)
-        got = eval_Zstar(W("1:2"), (1,), Params(1, 1), CFG).value
+        got = eval_family("Zstar", W("1:2"), (1,), Params(1, 1), CFG).value
         assert abs(got - ZETA3) < 1e-9
-        got = eval_Zstar(W("1:3"), (1,), Params(1, 1), CFG).value
+        got = eval_family("Zstar", W("1:3"), (1,), Params(1, 1), CFG).value
         assert abs(got - ZETA4) < 1e-9
 
     def test_truncated_matches_naive_chains(self):
@@ -144,22 +140,22 @@ class TestEvalZstar:
 
     def test_rvector_length_checked(self):
         with pytest.raises(ValueError):
-            eval_Zstar(W("1:1,1:2"), (1,), Params(1, 1))
+            eval_family("Zstar", W("1:1,1:2"), (1,), Params(1, 1))
 
     def test_empty_word(self):
-        assert eval_Zstar(EMPTY_WORD, (), Params(1, 1)).value == 1.0
+        assert eval_family("Zstar", EMPTY_WORD, (), Params(1, 1)).value == 1.0
 
 
 class TestEvalHurwitz:
     def test_basel(self):
-        assert abs(eval_hurwitz(W("1:2"), 1.0, CFG).value - ZETA2) < 1e-10
+        assert abs(eval_family("zeta", W("1:2"), (), Params(1.0), CFG).value - ZETA2) < 1e-10
 
     def test_half_gives_pi2_over_2(self):
-        got = eval_hurwitz(W("1:2"), 0.5, CFG).value
+        got = eval_family("zeta", W("1:2"), (), Params(0.5), CFG).value
         assert abs(got - math.pi**2 / 2) < 1e-9
 
     def test_empty_word(self):
-        assert eval_hurwitz(EMPTY_WORD, 2.3).value == 1.0
+        assert eval_family("zeta", EMPTY_WORD, (), Params(2.3)).value == 1.0
 
     def test_truncated_matches_naive(self):
         for text in ["1:3", "1:1,1/2:2", "1:1,1:1,1:2"]:
@@ -172,32 +168,32 @@ class TestEvalHurwitz:
     def test_matches_Z_at_one_on_all_one_words(self):
         for text in ["1:3", "1:1,1:2", "1:2,1:2"]:
             w = W(text)
-            lhs = eval_hurwitz(w, 1.0, CFG).value
-            rhs = eval_Z(w, Params(1, 1), CFG).value
+            lhs = eval_family("zeta", w, (), Params(1.0), CFG).value
+            rhs = eval_family("Z", w, (), Params(1, 1), CFG).value
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     @pytest.mark.parametrize("k,alpha", [(2, 1.0), (3, 0.6), (4, 1.5), (5, 0.75)])
     def test_depth_one_is_hurwitz_zeta(self, k, alpha):
-        got = eval_hurwitz(W(f"1:{k}"), alpha, CFG).value
+        got = eval_family("zeta", W(f"1:{k}"), (), Params(alpha), CFG).value
         assert abs(got - hurwitz_zeta(k, alpha)) < 1e-9 * hurwitz_zeta(k, alpha)
 
 
 class TestEvalHstar:
     def test_empty_word(self):
-        assert eval_Hstar(EMPTY_WORD, (), 1.7).value == 1.0
+        assert eval_family("Hstar", EMPTY_WORD, (), Params(1.7)).value == 1.0
 
     def test_zero_rvector_is_dual_hurwitz(self):
         # the starred family at r = 0 evaluates the dual's Hurwitz value
         for text in ["1:3", "1:1,1:2", "1:1,1/2:2"]:
             w = W(text)
             for alpha in (0.75, 1.0, 1.5):
-                lhs = eval_Hstar(w, (0,) * W(text).depth, alpha, CFG).value
-                rhs = eval_hurwitz(dual(w), alpha, CFG).value
+                lhs = eval_family("Hstar", w, (0,) * W(text).depth, Params(alpha), CFG).value
+                rhs = eval_family("zeta", dual(w), (), Params(alpha), CFG).value
                 assert abs(lhs - rhs) <= 1e-9 * abs(rhs), (text, alpha)
 
     def test_harmonic_number_anchor(self):
         # q=1, r=1 at alpha=1: sum H_{m+1}/(m+1)^2 = 2 zeta(3)
-        got = eval_Hstar(W("1:2"), (1,), 1.0, CFG).value
+        got = eval_family("Hstar", W("1:2"), (1,), Params(1.0), CFG).value
         assert abs(got - 2 * ZETA3) < 1e-9
 
     def test_truncated_matches_naive_chains(self):
@@ -275,10 +271,10 @@ class TestEmptyWord:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: eval_Z(EMPTY_WORD, Params(-1.0, 1.0)),
-            lambda: eval_Zstar(EMPTY_WORD, (), Params(-1.0, 1.0)),
-            lambda: eval_hurwitz(EMPTY_WORD, -1.0),
-            lambda: eval_Hstar(EMPTY_WORD, (), -1.0),
+            lambda: eval_family("Z", EMPTY_WORD, (), Params(-1.0, 1.0)),
+            lambda: eval_family("Zstar", EMPTY_WORD, (), Params(-1.0, 1.0)),
+            lambda: eval_family("zeta", EMPTY_WORD, (), Params(-1.0)),
+            lambda: eval_family("Hstar", EMPTY_WORD, (), Params(-1.0)),
         ],
         ids=["Z", "Zstar", "zeta", "Hstar"],
     )
@@ -292,8 +288,8 @@ class TestParams:
         p = Params(1 + 0j, 0.5 + 0j)
         assert isinstance(p.alpha, complex)
         for got, want in [
-            (eval_Z(W("1:2"), p), eval_Z(W("1:2"), Params(1.0, 0.5))),
-            (eval_Zstar(W("1:2"), (1,), p), eval_Zstar(W("1:2"), (1,), Params(1.0, 0.5))),
+            (eval_family("Z", W("1:2"), (), p), eval_family("Z", W("1:2"), (), Params(1.0, 0.5))),
+            (eval_family("Zstar", W("1:2"), (1,), p), eval_family("Zstar", W("1:2"), (1,), Params(1.0, 0.5))),
         ]:
             assert type(got.value) is float and got == want
 

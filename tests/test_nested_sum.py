@@ -21,9 +21,7 @@ import mzdual.nested_sum
 from mzdual.evaluators import (
     Params,
     eval_family,
-    eval_hurwitz,
     eval_terms,
-    eval_Z,
     hstar_spec,
     hurwitz_spec,
     z_spec,
@@ -174,6 +172,16 @@ class TestSchedule:
         assert not res.converged
         assert res.n_used == last and his == evaluate_block_ends(last)
         assert his[0] == 513 and his[-1] == last + 1
+
+    def test_stream_keeps_each_power_of_two(self):
+        # the stream keeps its state at every power of two from 512 it passes,
+        # and a state whose level sums are not finite is None
+        stream = _Stream(single(b=2, beta=0.7))
+        sums, ratio = stream.state(4096)
+        assert sorted(stream.states) == [512, 1024, 2048, 4096] and stream.next_m == 4097
+        assert stream.states[4096] == (sums, ratio) and ratio is None
+        overflow = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
+        assert overflow.state(512) is not None and overflow.state(8192) is None
 
     def test_unconverged_value_from_last_fit(self):
         # the best of the values at 1024, ..., 8388608, the last N <= 10**7;
@@ -421,10 +429,7 @@ class TestErrEstimateHonesty:
         cfg = EvalConfig(rel_tol=rel_tol)
         short = []
         for w in words_up_to_weight(4):
-            if family == "Z":
-                res = eval_Z(w, Params(*pair), cfg)
-            else:
-                res = eval_hurwitz(w, pair[0], cfg)
+            res = eval_family(family, w, (), Params(*pair), cfg)
             ref = holder_integral(w, *pair, family)
             actual = abs(res.value - ref)
             if not (res.converged and actual <= res.err_estimate):
@@ -521,7 +526,8 @@ class TestNoResonanceCliff:
 
 
 def outer_expansion(spec: NestedSumSpec, n: int = _N_START) -> tuple[dict, dict]:
-    """The expansions (prefix, terms) of a spec's outermost level at N = n."""
+    """The expansions (prefix, terms) of a spec's outermost level at N = n,
+    from the stream's state there; the prefix leaves out the constant."""
     sums, ratio = _Stream(spec).state(n)
     return _level(spec.alpha, spec.beta, spec.indices, spec.links, n, sums, ratio, True)
 

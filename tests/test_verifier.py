@@ -12,7 +12,7 @@ import pytest
 
 import mzdual.evaluators
 import mzdual.verifier
-from mzdual.evaluators import Params, eval_hurwitz, eval_Z
+from mzdual.evaluators import Params, eval_family
 from mzdual.nested_sum import EvalConfig, InvalidParamsError
 from mzdual.verifier import (
     DEFAULT_GRID,
@@ -77,7 +77,7 @@ class TestThm11iCheck:
         assert sigma_b1(w, 0) == LinComb.of(w)
         assert starred_rvectors(w, 0) == [(0, 0)]
         c0 = check_identity("thm11i", w, 0, Params(1.1, 0.8), CFG)
-        zd = eval_Z(dual(w), Params(0.8, 1.1), CFG)
+        zd = eval_family("Z", dual(w), (), Params(0.8, 1.1), CFG)
         assert c0.passed
         assert abs(c0.rhs - zd.value) < 1e-12
 
@@ -239,7 +239,7 @@ class TestIntegralCheck:
         a, b = p.alpha.real, p.beta.real
         fine = _simplex_integral(letters, a, b, family, h=0.08, kmax=48)
         coarse = _simplex_integral(letters, a, b, family, h=0.16, kmax=24)
-        series = eval_Z(W(word), p, CFG) if family == "Z" else eval_hurwitz(W(word), p.alpha, CFG)
+        series = eval_family(family, W(word), (), p, CFG)
         rhs = abs(complex(series.value))
         want = max(TOL_FLOOR, 10.0 * (abs(fine - coarse) + series.err_estimate) / max(rhs, 1.0))
         assert c.passed and c.note == "" and c.tol == want
@@ -525,8 +525,12 @@ class TestRunSuite:
             run_suite("bogus", SuiteConfig())
 
     def test_dispatch_resolved_at_call_time(self, monkeypatch):
-        # a module attribute replaced after import must see every call
-        calls = {"check_identity": 0, "zstar_spec": 0}
+        # a module attribute replaced after import must see every call: the
+        # benchmark's compile layer counts the compilers' calls this way
+        compilers = {"Z": ("z_spec", "zstar_spec"), "Zstar": ("zstar_spec",),
+                     "zeta": ("hurwitz_spec",), "Hstar": ("hstar_spec",)}
+        assert set(compilers) == set(mzdual.evaluators.FAMILIES)
+        calls = {"check_identity": 0, "z_spec": 0, "zstar_spec": 0, "hurwitz_spec": 0, "hstar_spec": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -538,13 +542,17 @@ class TestRunSuite:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(mzdual.verifier, "check_identity")
-        counting(mzdual.evaluators, "zstar_spec")
+        for name in ("z_spec", "zstar_spec", "hurwitz_spec", "hstar_spec"):
+            counting(mzdual.evaluators, name)
         rep = run_suite("duality", SuiteConfig(weight_max=2))
-        # two sides per check; z_spec compiles through zstar_spec
-        assert calls == {"check_identity": 9, "zstar_spec": 18}
+        # two sides per check, a Z and a Z* at r = 0; z_spec compiles through zstar_spec
+        assert calls == {"check_identity": 9, "z_spec": 9, "zstar_spec": 18, "hurwitz_spec": 0, "hstar_spec": 0}
         assert rep.passed
-        eval_Z(W("1:3"), Params(1.0, 1.0), CFG)
-        assert calls["zstar_spec"] == 19
+        # each family's row reaches its compilers through eval_family
+        for family, compiled in compilers.items():
+            before = dict(calls)
+            eval_family(family, W("1:3"), (1,), Params(1.0, 1.0), CFG)
+            assert {k: calls[k] - before[k] for k in calls} == {k: int(k in compiled) for k in calls}, family
 
     def test_deterministic_json(self):
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0),))
