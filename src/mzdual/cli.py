@@ -64,6 +64,7 @@ def _print_json(obj) -> None:
     print(json.dumps(strict, sort_keys=True, allow_nan=False))
 
 
+_SIGMA_OPS = {"b1": sigma_b1, "eps": sigma_eps, "b2": sigma_b2}
 _WORD_HELP = "cut:exponent blocks such as 1:1,1/2:2, or letters over 1, h, 0 such as 1h0"
 
 
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="json: word, dual and dual_letters")
 
     sg = sub.add_parser("sigma", help="apply a weight-raising operator")
-    sg.add_argument("--op", choices=["b1", "eps", "b2"], required=True,
+    sg.add_argument("--op", choices=list(_SIGMA_OPS), required=True,
                     help="b1: binomial, as Z's derivative in beta; eps: unit coefficients on "
                          "the blocks before a cut 1 and the last; b2: binomial on every block")
     sg.add_argument("--word", required=True, help=_WORD_HELP)
@@ -175,8 +176,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    ops = {"b1": sigma_b1, "eps": sigma_eps, "b2": sigma_b2}
-    image = ops[args.op](parse_word(args.word), args.r)
+    image = _SIGMA_OPS[args.op](parse_word(args.word), args.r)
     if args.output == "json":
         _print_json(image.to_json())
     else:

@@ -9,7 +9,7 @@ Evaluation streams the first N terms, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link).  Work is O(N * depth), vectorized in blocks of at
-most _BLOCK = 8,192 indices that end at every power of two from 512 on.
+most _BLOCK = 8,192 indices that end where a state is read.
 Every running sum is a compensated (hi, lo) pair of float64 or complex128,
 the same on every platform.  The one Pochhammer ratio r(m) = (alpha)_m / m!
 = r(m-1) (1 + (alpha - 1) / m) is a running product in long double, built
@@ -36,9 +36,8 @@ which a long double as narrow as float64 makes visible.
 
 N starts at 1,024, and it and the number K of orders kept (6 to 10) grow
 with max(|alpha|, |beta|) so that (max / N)^K <= 1e-17.  N doubles while
-the error exceeds rel_tol |value|, up to max_n.  The stream owns this
-schedule: it keeps its state at each power of two from 512 on, where its
-blocks end, and the value and error read the states at N / 2 and N.
+the error exceeds rel_tol |value|, up to max_n.  The value and error read
+the stream's states at N / 2 and N, each once; N's is the next N / 2.
 Powers of the ratio are taken in long double, so terms that divide by one
 past float64 (r(8192) from alpha ~ 145) are 0; a level sum past float64,
 or a ratio past long double, at N / 2 or N ends the evaluation,
@@ -56,6 +55,7 @@ import cmath
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,6 +88,11 @@ class IndexWeight:
     b: int = 0
     poch: int = 0
 
+    def __post_init__(self):
+        integral = all(isinstance(x, numbers.Integral) for x in (self.a, self.b, self.poch))
+        if not integral or min(self.a, self.b) < 0:
+            raise ValueError(f"need integers a, b >= 0 and poch, got {self}")
+
 
 @dataclass(frozen=True)
 class NestedSumSpec:
@@ -103,6 +108,11 @@ class NestedSumSpec:
     beta: complex = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "links", tuple(self.links))
+        if not (all(isinstance(x, IndexWeight) for x in self.indices)
+                and all(isinstance(x, Link) for x in self.links)):
+            raise ValueError("every index must be an IndexWeight and every link a Link")
         need = max(len(self.indices) - 1, 0)
         if len(self.links) != need:
             raise ValueError(f"need {need} links, got {len(self.links)}")
@@ -216,17 +226,16 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
 
 
 class _Stream:
-    """Carries per-level prefix state across blocks of the index range, and
-    keeps it at each power of two from 512 on that it streams through."""
+    """Carries per-level prefix state across blocks of the index range; its
+    numbers are real or complex (``scalar``) as the parameters are."""
 
     def __init__(self, spec: NestedSumSpec):
         self.spec = spec
-        is_complex = complex(spec.alpha).imag != 0 or complex(spec.beta).imag != 0
+        self.scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
         # each level's (hi, lo) prefix at next_m - 1
-        self.carries = np.zeros((spec.depth, 2), dtype=np.complex128 if is_complex else np.float64)
+        self.carries = np.zeros((spec.depth, 2), dtype=self.scalar)
         self.ratio = None  # the ratio's carry at next_m - 1
         self.next_m = 0
-        self.states: dict[int, tuple | None] = {}  # power of two -> the state there
 
     def _ratio_block(self, hi: int) -> np.ndarray | None:
         # (alpha)_m / m! at m = next_m..hi-1, or None if no index carries it
@@ -276,22 +285,18 @@ class _Stream:
         return out.T
 
     def state(self, n: int) -> tuple | None:
-        """The state at the power of two n >= 512, streamed to on first asking,
-        or None if a level sum or the ratio there is not finite: each level's
-        prefix at n as a (hi, lo) pair of Python numbers, and the ratio there
-        in long double (None without one).  Blocks end after each power of two
-        from 512 on, _BLOCK indices apart at most, so every N and N / 2 is one."""
-        scalar = complex if np.iscomplexobj(self.carries) else float
+        """Stream to index n, never back, in blocks of at most _BLOCK indices:
+        the state there is each level's prefix at n as a (hi, lo) pair of
+        Python numbers and the ratio in long double (None without one), or
+        None if a level sum or the ratio there is not finite."""
+        if n < self.next_m - 1:
+            raise ValueError(f"the stream is past index {n}: it is at {self.next_m - 1}")
         with np.errstate(all="ignore"):
             while self.next_m <= n:
-                mark = max(_N_START // 2, 1 << (self.next_m - 1).bit_length())
-                while self.next_m <= mark:
-                    self.run_block(min(self.next_m + _BLOCK, mark + 1))
-                sums = tuple((scalar(hi), scalar(lo)) for hi, lo in self.carries)
-                finite = all(map(cmath.isfinite, (s for pair in sums for s in pair)))
-                finite = finite and (self.ratio is None or bool(np.isfinite(self.ratio)))
-                self.states[mark] = (sums, self.ratio) if finite else None
-        return self.states[n]
+                self.run_block(min(self.next_m + _BLOCK, n + 1))
+        if not np.isfinite(self.carries).all() or (self.ratio is not None and not np.isfinite(self.ratio)):
+            return None
+        return tuple((self.scalar(hi), self.scalar(lo)) for hi, lo in self.carries), self.ratio
 
 
 def _validate_params(alpha: complex, beta: complex):
@@ -337,8 +342,8 @@ def _series_mul(a: list, b: list) -> list:
     return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
 
-# index weights kept; the weight-4 derivative suite, whose circle points are all
-# bases, uses 1,944
+# index weights kept; the derivative suite, whose circle points are all bases, uses
+# 1,944 at weight 4 and 2,907 at weight 5
 @functools.lru_cache(maxsize=4096)
 def _weight(iw: IndexWeight, alpha: complex, beta: complex, orders: int) -> dict:
     """The expansion of one index weight, its first ``orders`` orders."""
@@ -484,9 +489,10 @@ def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
     return prefix, terms
 
 
-# inner levels kept, each shared by every spec that extends its prefix; thm11i at
-# weight 4 uses 504, all suites at weight 5 3,219.  The outermost level of a spec
-# is not kept: no other spec reads it
+# inner levels kept, each shared by every spec that extends its prefix; the outermost
+# level of a spec is not kept, as no other spec reads it.  thm11i at weight 4 uses 504.
+# The weight-5 derivative suite (720 checks, 56 MB peak RSS) hits 9,558 times and misses
+# 4,635, the same with no bound: it evicts no level it reads again
 @functools.lru_cache(maxsize=4096)
 def _inner_level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
                  sums: tuple, ratio) -> tuple[dict, dict]:
@@ -531,12 +537,13 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Streams the first N terms, N = 1,024 or more for large parameters, and
-    takes the value and its error from :func:`_tail_fit` at N and N / 2.
-    N doubles while the error exceeds rel_tol |value| and 2N <= max_n, and
-    the best value is flagged unconverged if it never meets it.  A stream
-    whose level sums (float64) or ratio (long double) at N / 2 or N are not
-    finite ends there, unconverged, with an infinite error and the value at
-    N / 2 if the stream is finite at N / 4 and N / 2, NaN otherwise.
+    takes the value and its error from :func:`_tail_fit` at N and N / 2,
+    each state read once.  N doubles while the error exceeds rel_tol |value|
+    and 2N <= max_n, and the best value is flagged unconverged if it never
+    meets it.  A stream whose level sums (float64) or ratio (long double) at
+    N / 2 or N are not finite ends there, unconverged, with an infinite
+    error and the value at N / 2 if the stream is finite there and at N / 4
+    (a fresh stream), NaN otherwise.
     A series whose outermost terms decay like m^-1 or slower raises
     NonConvergentError.
     """
@@ -553,20 +560,17 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         n *= 2
     stream = _Stream(spec)
     best = (math.inf, math.nan)  # (err, value)
-    while (half := stream.state(n // 2)) and (full := stream.state(n)):
+    half = stream.state(n // 2)
+    while half and (full := stream.state(n)):
         value, err = _tail_fit(spec, n, half, full)
         if err <= best[0]:
             best = (err, value)
         if err <= cfg.rel_tol * abs(value):
-            return EvalResult(_as_scalar(value, stream), err, n, True)
+            return EvalResult(stream.scalar(value), err, n, True)
         if 2 * n > cfg.max_n:
-            return EvalResult(_as_scalar(best[1], stream), best[0], n, False)
-        n *= 2
-    # the stream overflowed at n / 2 or n; with no value yet, take the one at n / 2
-    if math.isnan(best[1]) and n // 4 >= _N_START // 2 and (quarter := stream.state(n // 4)) and half:
+            return EvalResult(stream.scalar(best[1]), best[0], n, False)
+        n, half = 2 * n, full
+    # overflow at n / 2 or n, no value yet: the one at n / 2, from a fresh stream to n / 4
+    if math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and (quarter := _Stream(spec).state(n // 4)):
         best = (math.inf, _tail_fit(spec, n // 2, quarter, half)[0])
-    return EvalResult(_as_scalar(best[1], stream), math.inf, stream.next_m - 1, False)
-
-
-def _as_scalar(value: complex, stream: _Stream):
-    return complex(value) if np.iscomplexobj(stream.carries) else float(complex(value).real)
+    return EvalResult(stream.scalar(best[1]), math.inf, stream.next_m - 1, False)

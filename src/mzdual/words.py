@@ -149,16 +149,7 @@ class Word:
             raise WordError("word must begin with letter '1'", 0)
         if text[-1] != "0":
             raise WordError("word must end with letter '0'", len(text) - 1)
-        pairs = []
-        i = 0
-        while i < len(text):
-            cut = _LETTER_TO_CUT[text[i]]
-            j = i + 1
-            while j < len(text) and text[j] == "0":
-                j += 1
-            pairs.append((cut, j - i))
-            i = j
-        return Word(pairs)
+        return Word([(_LETTER_TO_CUT[block[0]], len(block)) for block in re.findall("[1h]0*", text)])
 
     def __str__(self) -> str:
         if self.is_empty:

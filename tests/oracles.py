@@ -305,9 +305,10 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
 
 
 def evaluate_block_ends(n: int) -> list[int]:
-    """The ends of the blocks that evaluate streams through index n: one
-    after each power of two from 512 on, and _BLOCK indices apart at most,
-    the last at n + 1."""
+    """The ends of the blocks that evaluate streams through index n when
+    its first N is 1,024: one after each power of two from 512 on, and
+    _BLOCK indices apart at most, the last at n + 1.  A larger first N ends
+    its first blocks at N / 2 + 1 and N + 1 alone."""
     ends = [min(513, n + 1)]
     while ends[-1] <= n:
         power = 512

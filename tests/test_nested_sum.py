@@ -28,6 +28,7 @@ from mzdual.evaluators import (
     zstar_spec,
 )
 from mzdual.nested_sum import (
+    _EPS,
     _MAX_N,
     _N_START,
     EvalConfig,
@@ -127,6 +128,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             NestedSumSpec((IndexWeight(b=2),), (Link.WEAK,), 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            # sum (m + 1.5)^2 / (m + 1)^5 = 2.5436 "converged" to 0.4498, as (m + 1.5)^-2 was streamed
+            (lambda: single(a=-2, b=5, alpha=1.5), ValueError),
+            # sum (m + 1.5) / (m + 1)^3 = 2.2460 streamed 67,108,864 terms to 0.4687
+            (lambda: single(a=-1, b=3, alpha=1.5), ValueError),
+            # the link "<" was read as weak: 2.4041, not zeta(2, 1) = zeta(3)
+            (lambda: NestedSumSpec((IndexWeight(b=1), IndexWeight(b=2)), ("<",), 1.0, 1.0), ValueError),
+            # lists were unhashable in the level memo; they are kept as tuples
+            (lambda: NestedSumSpec([IndexWeight(b=1), IndexWeight(b=2)], [Link.STRICT], 1.0, 1.0), ZETA3),
+            # a float exponent failed in range()
+            (lambda: single(b=2.0), ValueError),
+        ],
+        ids=["a=-2", "a=-1", "string-link", "lists", "float-exponent"],
+    )
+    def test_spec_fields_checked(self, make, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                make()
+            return
+        spec = make()
+        res = evaluate(spec)
+        assert type(spec.indices) is tuple and type(spec.links) is tuple
+        assert res.converged and abs(res.value - expected) <= res.err_estimate + 2 * _EPS * expected
+
     def test_empty_spec_is_empty_product(self):
         res = evaluate(NestedSumSpec((), (), alpha=1.3))
         assert res == (1.0, 0.0, 0, True) and type(res.value) is float
@@ -153,7 +180,7 @@ class TestEvaluate:
 class TestSchedule:
     # N doubles from its first value while the error exceeds the tolerance and
     # 2N <= max_n, so an evaluation streams to the last N <= max_n at most, in
-    # blocks that end after each power of two from 512 on, _BLOCK apart at most
+    # blocks that end at each N / 2 and N read, _BLOCK apart at most
     @pytest.mark.parametrize(
         "max_n,last",
         [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192),
@@ -173,15 +200,33 @@ class TestSchedule:
         assert res.n_used == last and his == evaluate_block_ends(last)
         assert his[0] == 513 and his[-1] == last + 1
 
-    def test_stream_keeps_each_power_of_two(self):
-        # the stream keeps its state at every power of two from 512 it passes,
-        # and a state whose level sums are not finite is None
-        stream = _Stream(single(b=2, beta=0.7))
-        sums, ratio = stream.state(4096)
-        assert sorted(stream.states) == [512, 1024, 2048, 4096] and stream.next_m == 4097
-        assert stream.states[4096] == (sums, ratio) and ratio is None
+    def test_stream_reads_forward(self):
+        # state(n) streams to index n and gives the state there; a later read
+        # continues the same stream, which cannot go back, and a state whose
+        # level sums are not finite is None
+        spec = single(b=2, beta=0.7)
+        stream = _Stream(spec)
+        _, ratio = stream.state(4096)
+        assert stream.next_m == 4097 and ratio is None
+        assert stream.state(8192) == _Stream(spec).state(8192) and stream.next_m == 8193
+        with pytest.raises(ValueError):
+            stream.state(2048)
         overflow = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
         assert overflow.state(512) is not None and overflow.state(8192) is None
+
+    def test_first_n_of_8192_streams_two_blocks(self, monkeypatch):
+        # at (100, 1) the first N is 8,192: one block to N / 2 and one to N,
+        # where the value converges
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi):
+            his.append(hi)
+            return run_block(stream, hi)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
+        res = evaluate(z_spec(parse_word("1:1,1:2"), Params(100.0, 1.0)))
+        assert res.converged and res.n_used == 8192 and his == [4097, 8193]
 
     def test_unconverged_value_from_last_fit(self):
         # the best of the values at 1024, ..., 8388608, the last N <= 10**7;
