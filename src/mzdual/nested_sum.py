@@ -8,12 +8,15 @@ strict/weak relation linking consecutive indices.
 Evaluation streams the first N terms, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
-one for a strict link).  Work is O(N * depth), vectorized in blocks of at
-most _BLOCK = 8,192 indices that end where a state is read.
-Every running sum is a compensated (hi, lo) pair of float64 or complex128,
-the same on every platform.  The one Pochhammer ratio r(m) = (alpha)_m / m!
-= r(m-1) (1 + (alpha - 1) / m) is a running product in long double, built
-once per block; m! / (alpha)_{m+1} is (m + alpha)^-1 / r.
+one for a strict link, so no term at m = 0).  Work is O(N * depth),
+vectorized in blocks of at most _BLOCK = 8,192 indices that end where a
+state is read: one block [0, N] for the first N / 2 and N while it holds
+N + 1 <= _BLOCK indices, N / 2 read off its column, then one or more
+blocks to each later N.  Every running sum is a compensated (hi, lo) pair
+of float64 or complex128, the same on every platform.  The one Pochhammer
+ratio r(m) = (alpha)_m / m! = r(m-1) (1 + (alpha - 1) / m) is a running
+product in long double, built once per block; m! / (alpha)_{m+1} is
+(m + alpha)^-1 / r.
 
 The tail past N is exact, not fitted: each level's prefix is
 P_i(m) = C_i + F_i(m), where F_i is the asymptotic expansion
@@ -45,8 +48,13 @@ unconverged, with the value at N / 2.
 
 Each level's expansion, its constant included, is a pure function of the
 parameters, its index prefix and links, N and that prefix's stream values,
-and is memoized on them, so specs that share a prefix share its expansion,
-and every output is byte-identical to one computed per spec, in any order.
+and is memoized on them, so specs that share a prefix share its expansion.
+So is an inner level's first block (from index 0), a pure function of the
+parameters, its prefix and links and the block's end and read columns: it
+is kept with the prefix's states there in _FIRST_BLOCKS, least recently
+used out at 1 MiB of arrays, and a spec streams only the levels above its
+deepest prefix kept; the ratio's first block is kept the same way.  Every
+output is byte-identical to one computed per spec, in any order.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import enum
 import functools
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,9 +186,10 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
 
 def _product_block(alpha: complex, lo: int, hi: int, carry):
     """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128
-    (the last index divides (m + alpha)^-1 by it), and its long double carry
-    at hi - 1, given the carry at lo - 1 (None at lo = 0): one cumprod over
-    the block, at most _BLOCK indices.  Each step 1 + (alpha - 1) / m is made
+    (the last index divides (m + alpha)^-1 by it), and the same in long
+    double, whose last entry is the carry at hi - 1, given the carry at
+    lo - 1 (None at lo = 0): one cumprod over the block, at most _BLOCK
+    indices.  Each step 1 + (alpha - 1) / m is made
     in long double from a float64 quotient: the product is within 9.9e-16
     where float64's is 6.6e-15 off (m = 65,536), and a compensated float64
     log sum is 2.7x slower."""
@@ -193,7 +203,7 @@ def _product_block(alpha: complex, lo: int, hi: int, carry):
     np.cumprod(r, out=r)
     out = r.astype(np.complex128 if is_complex else np.float64)
     out.setflags(write=False)
-    return out, r[-1]
+    return out, r
 
 
 def _times(w: np.ndarray | None, f: np.ndarray, divide: bool = False) -> np.ndarray:
@@ -225,6 +235,41 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
     x[:] = h
 
 
+class _FirstBlocks:
+    """The first blocks (from index 0) of inner levels and of the ratio, each
+    shared by every stream whose spec starts with it, least recently used out
+    first, so that they hold at most ``bound`` bytes of arrays.  A first block
+    is a pure function of its key, so a hit gives the bytes a build would."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.nbytes = 0
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, key) -> tuple | None:
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+        return hit
+
+    def put(self, key, arrays: tuple):
+        self.entries[key] = arrays
+        self.nbytes += sum(a.nbytes for a in arrays)
+        while self.nbytes > self.bound:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old)
+
+    def cache_clear(self):
+        self.entries.clear()
+        self.nbytes = 0
+
+
+# 1 MiB holds about 63 real inner levels' first blocks of 1,025 indices, or 31 complex.
+# thm11i at weight 4 has 504 inner prefixes, about 8 MB with no bound; with this one it
+# streams 1,608 levels, where 1,584 are distinct and 3,186 were streamed per spec
+_FIRST_BLOCKS = _FirstBlocks(1 << 20)
+
+
 class _Stream:
     """Carries per-level prefix state across blocks of the index range; its
     numbers are real or complex (``scalar``) as the parameters are."""
@@ -236,13 +281,23 @@ class _Stream:
         self.carries = np.zeros((spec.depth, 2), dtype=self.scalar)
         self.ratio = None  # the ratio's carry at next_m - 1
         self.next_m = 0
+        self.marked = {}  # the last block's marks and end: each level's prefix and the ratio there
 
-    def _ratio_block(self, hi: int) -> np.ndarray | None:
-        # (alpha)_m / m! at m = next_m..hi-1, or None if no index carries it
+    def _ratio_block(self, hi: int, cols: tuple) -> tuple:
+        # (alpha)_m / m! at m = next_m..hi-1, and in long double at the block's
+        # columns cols, the last the carry; (None, None) if no index carries it
         if not any(iw.poch for iw in self.spec.indices):
-            return None
-        r, self.ratio = _product_block(self.spec.alpha, self.next_m, hi, self.ratio)
-        return r
+            return None, None
+        alpha = self.spec.alpha
+        key = (alpha, hi, cols)  # a first block; an inner level's key is longer
+        block = _FIRST_BLOCKS.get(key) if self.next_m == 0 else None
+        if block is None:
+            r, exact = _product_block(alpha, self.next_m, hi, self.ratio)
+            block = r, exact[list(cols)]
+            if self.next_m == 0:
+                _FIRST_BLOCKS.put(key, block)
+        self.ratio = block[1][-1]
+        return block
 
     def _weights_block(self, i: int, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
         # the weights of index i at m = x, each factor multiplied in as it is
@@ -256,47 +311,73 @@ class _Stream:
             w = _times(w, r, divide=iw.poch < 0)
         return np.ones(len(x)) if w is None else w
 
-    def run_block(self, hi: int) -> np.ndarray:
+    def run_block(self, hi: int, marks: tuple = ()) -> np.ndarray:
         """Advance through indices [next_m, hi); returns the outer prefix at
-        each as a (hi, lo) pair, an (hi - next_m, 2) view.  A level's terms
-        after the first are its weights times both parts of the prefix below."""
+        each as a (hi, lo) pair, an (hi - next_m, 2) view, and keeps in
+        ``marked`` each level's prefix and the ratio at the marks (indices in
+        the block) and at hi - 1.  A level's terms after the first are its
+        weights times both parts of the prefix below.  A first block starts
+        above the deepest inner level of the spec in _FIRST_BLOCKS, and leaves
+        there each inner level it streams."""
         lo = self.next_m
-        m = np.arange(lo, hi, dtype=np.float64)
         spec = self.spec
-        r = self._ratio_block(hi)
-        # the prefixes at lo - 1, which a strict link shifts in
-        carries = self.carries.copy()
-        prev = None
-        for i in range(spec.depth):
+        ends = (*marks, hi - 1)
+        cols = tuple(k - lo for k in ends)
+        r, ratios = self._ratio_block(hi, cols)
+        rows = np.empty((spec.depth, 2, len(cols)), dtype=self.scalar)  # each level's prefix at cols
+        keys = [(spec.alpha, spec.beta, spec.indices[:j], spec.links[:j - 1], hi, cols)
+                for j in range(1, spec.depth)] if lo == 0 else []
+        first, prev = 0, None
+        for j in range(len(keys), 0, -1):
+            hit = _FIRST_BLOCKS.get(keys[j - 1])
+            if hit is not None:
+                (prev, rows[:j]), first = hit, j
+                break
+        m = np.arange(lo, hi, dtype=np.float64)
+        for i in range(first, spec.depth):
             w = self._weights_block(i, m, r)
-            out = np.empty((2, hi - lo), dtype=carries.dtype)
+            out = np.empty((2, hi - lo), dtype=self.scalar)
             if i == 0:
                 out[0] = w
                 out[1] = 0.0
             elif spec.links[i - 1] is Link.STRICT:
+                # the prefix below, shifted by one: at lo - 1 first, and none below m = 0
+                # (so no term there, even where w(0) overflows)
                 np.multiply(w[1:], prev[:, :-1], out=out[:, 1:])
-                np.multiply(w[0], carries[i - 1], out=out[:, 0])
+                out[:, 0] = w[0] * self.carries[i - 1] if lo else 0.0
             else:
                 np.multiply(w, prev, out=out)
-            _running_sum(out, carries[i])
-            self.carries[i] = out[:, -1]
+            _running_sum(out, self.carries[i])
+            rows[i] = out[:, cols]
+            if i < len(keys):
+                out.setflags(write=False)
+                _FIRST_BLOCKS.put(keys[i], (out, rows[:i + 1].copy()))
             prev = out
+        self.marked = {k: (rows[:, :, c], None if ratios is None else ratios[c]) for c, k in enumerate(ends)}
+        self.carries = rows[:, :, -1]
         self.next_m = hi
         return out.T
 
-    def state(self, n: int) -> tuple | None:
-        """Stream to index n, never back, in blocks of at most _BLOCK indices:
-        the state there is each level's prefix at n as a (hi, lo) pair of
-        Python numbers and the ratio in long double (None without one), or
-        None if a level sum or the ratio there is not finite."""
-        if n < self.next_m - 1:
-            raise ValueError(f"the stream is past index {n}: it is at {self.next_m - 1}")
+    def states(self, *ns: int) -> list:
+        """The state at each index of ns (ascending, none behind the stream):
+        each level's prefix there as a (hi, lo) pair of Python numbers and the
+        ratio in long double (None without one), or None if a level sum or the
+        ratio there is not finite.  Streams to the last of ns, never back, in
+        blocks of at most _BLOCK indices, each ending after the furthest of ns
+        it reaches, whose columns give the others it passes; past a state that
+        is None it streams no further block, and gives None."""
+        if ns[0] < self.next_m:
+            raise ValueError(f"the stream is past index {ns[0]}: it is at {self.next_m - 1}")
+        got = {}
         with np.errstate(all="ignore"):
-            while self.next_m <= n:
-                self.run_block(min(self.next_m + _BLOCK, n + 1))
-        if not np.isfinite(self.carries).all() or (self.ratio is not None and not np.isfinite(self.ratio)):
-            return None
-        return tuple((self.scalar(hi), self.scalar(lo)) for hi, lo in self.carries), self.ratio
+            while self.next_m <= ns[-1] and None not in got.values():
+                reach = [k for k in ns if self.next_m <= k < self.next_m + _BLOCK]
+                self.run_block(reach[-1] + 1 if reach else self.next_m + _BLOCK, tuple(reach[:-1]))
+                for k in reach:
+                    rows, ratio = self.marked[k]
+                    finite = np.isfinite(rows).all() and (ratio is None or np.isfinite(ratio))
+                    got[k] = (tuple(map(tuple, rows.tolist())), ratio) if finite else None
+        return [got.get(n) for n in ns]
 
 
 def _validate_params(alpha: complex, beta: complex):
@@ -419,19 +500,19 @@ def _python(x):
     return complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
 
 
-def _at(expansion: dict, m: float, scale) -> tuple[complex, float]:
-    """The value of an expansion at m, and the sum of its terms' sizes;
-    scale is g m^(alpha - 1) in long double, None when no term has k != 0."""
+def _at(expansion: dict, m: float, scale) -> complex:
+    """The value of an expansion at m, its terms added in order; scale is
+    g m^(alpha - 1) in long double, None when no term has k != 0."""
     log_m = math.log(m)
-    total, size = 0.0, 0.0
+    total = 0.0
     powers = {k: _python(scale**k) for k in {k for _, k, _ in expansion} if k}
     for (n, k, t), c in expansion.items():
-        v = c * m**n * log_m**t * powers.get(k, 1.0)
-        total += v
-        size += abs(v)
-    return total, size
+        total += c * m**n * log_m**t * powers.get(k, 1.0)
+    return total
 
 
+# one per parameter, order and state read; each evaluation reads its ratio at N and N / 2
+@functools.lru_cache(maxsize=1024)
 def _scale(alpha: complex, orders: int, n: int, ratio):
     # g n^(alpha - 1) = r(n) / exp(sum_j c_j n^-j), from the streamed ratio r(n), in long double
     if ratio is None:
@@ -485,12 +566,14 @@ def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
     prefix = _summatory(terms, d, cut, math.log(n), g, outer)
     if not outer:
         hi, lo = sums[-1]
-        prefix[(0, 0, 0)] = (hi - _at(prefix, n, scale)[0]) + lo
+        prefix[(0, 0, 0)] = (hi - _at(prefix, n, scale)) + lo
     return prefix, terms
 
 
 # inner levels kept, each shared by every spec that extends its prefix; the outermost
-# level of a spec is not kept, as no other spec reads it.  thm11i at weight 4 uses 504.
+# level of a spec is not kept, as no other spec reads it (nor is its first block in
+# _FIRST_BLOCKS).  thm11i at weight 4 uses 504, and no spec's outermost level is
+# another's prefix there.
 # The weight-5 derivative suite (720 checks, 56 MB peak RSS) hits 9,558 times and misses
 # 4,635, the same with no bound: it evicts no level it reads again
 @functools.lru_cache(maxsize=4096)
@@ -516,14 +599,25 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     prefix, _ = _level(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
     d_re = complex(alpha).real - 1.0
     cut = -orders + 1.0 + 1e-9  # the last order kept, relative to the constant
-    last = {key: c for key, c in prefix.items() if key[0] + key[1] * d_re <= cut}
-    scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, n // 2, half_ratio)
-    tail, size = _at(prefix, n, scale)
-    tail_half, _ = _at(prefix, n // 2, half_scale)
+    half_n = n // 2
+    scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, half_n, half_ratio)
+    # in one pass, the expansion at n and at n / 2, and the sizes of its terms
+    # and of those of the last order kept at n, each sum in the expansion's order
+    ks = {k for _, k, _ in prefix if k}
+    scales = {k: _python(scale**k) for k in ks}
+    half_scales = {k: _python(half_scale**k) for k in ks}
+    log_n, log_half = math.log(n), math.log(half_n)
+    tail, size, tail_half, omitted = 0.0, 0.0, 0.0, 0.0
+    for (e, k, t), c in prefix.items():
+        v = c * n**e * log_n**t * scales.get(k, 1.0)
+        tail += v
+        size += abs(v)
+        tail_half += c * half_n**e * log_half**t * half_scales.get(k, 1.0)
+        if e + k * d_re <= cut:
+            omitted += abs(v)
     (hi, lo), (half_hi, half_lo) = sums[-1], half_sums[-1]
     value = (hi - tail) + lo
     gap = abs(value - ((half_hi - tail_half) + half_lo))
-    omitted = _at(last, n, scale)[1]
     drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
     powers = sum(abs(iw.poch) for iw in spec.indices)
     # a streamed term's weights make at most 2 (a + b) + |poch| + 2 roundings of eps / 2 per level
@@ -560,8 +654,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         n *= 2
     stream = _Stream(spec)
     best = (math.inf, math.nan)  # (err, value)
-    half = stream.state(n // 2)
-    while half and (full := stream.state(n)):
+    half, full = stream.states(n // 2, n)
+    while half and full:
         value, err = _tail_fit(spec, n, half, full)
         if err <= best[0]:
             best = (err, value)
@@ -570,7 +664,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         if 2 * n > cfg.max_n:
             return EvalResult(stream.scalar(best[1]), best[0], n, False)
         n, half = 2 * n, full
+        full, = stream.states(n)
     # overflow at n / 2 or n, no value yet: the one at n / 2, from a fresh stream to n / 4
-    if math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and (quarter := _Stream(spec).state(n // 4)):
+    if math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and (quarter := _Stream(spec).states(n // 4)[0]):
         best = (math.inf, _tail_fit(spec, n // 2, quarter, half)[0])
-    return EvalResult(stream.scalar(best[1]), math.inf, stream.next_m - 1, False)
+    return EvalResult(stream.scalar(best[1]), math.inf, n if half else n // 2, False)

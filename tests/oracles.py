@@ -306,12 +306,13 @@ def emzv_prefix_sums(ks, cuts, checkpoints) -> list[float]:
 
 def evaluate_block_ends(n: int) -> list[int]:
     """The ends of the blocks that evaluate streams through index n when
-    its first N is 1,024: one after each power of two from 512 on, and
-    _BLOCK indices apart at most, the last at n + 1.  A larger first N ends
-    its first blocks at N / 2 + 1 and N + 1 alone."""
-    ends = [min(513, n + 1)]
+    its first N is 1,024: one block [0, 1,024] for N / 2 and N, then one
+    after each power of two, and _BLOCK indices apart at most, the last at
+    n + 1.  A first N of 2,048 or 4,096 is one block [0, N] too; a first N
+    of 8,192 ends its first blocks at N / 2 + 1 and N + 1."""
+    ends = [min(1025, n + 1)]
     while ends[-1] <= n:
-        power = 512
+        power = 1024
         while power + 1 <= ends[-1]:
             power *= 2
         ends.append(min(ends[-1] + _BLOCK, power + 1, n + 1))

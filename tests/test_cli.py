@@ -324,7 +324,8 @@ class TestVerify:
         assert payload["schema"] == 1 and "timestamp" not in payload
 
     def test_level_cache_invisible(self, capsys, monkeypatch):
-        # the suite's JSON is the same when every inner level builds its expansion anew
+        # the suite's JSON is the same when every inner level builds its expansion
+        # anew and streams its first block anew (a memo that holds 0 bytes)
         args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
                 "--no-timestamp")
         mzdual.evaluators._evaluate_cached.cache_clear()
@@ -336,6 +337,7 @@ class TestVerify:
             return level(*key)
 
         monkeypatch.setattr(mzdual.nested_sum, "_inner_level", cold_level)
+        monkeypatch.setattr(mzdual.nested_sum, "_FIRST_BLOCKS", mzdual.nested_sum._FirstBlocks(0))
         mzdual.evaluators._evaluate_cached.cache_clear()
         _, cold, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold == warm

@@ -29,6 +29,7 @@ from mzdual.evaluators import (
 )
 from mzdual.nested_sum import (
     _EPS,
+    _FIRST_BLOCKS,
     _MAX_N,
     _N_START,
     EvalConfig,
@@ -41,8 +42,10 @@ from mzdual.nested_sum import (
     _inner_level,
     _lead_decay,
     _level,
+    _key,
     _pochhammer_log,
     _product_block,
+    _scale,
     _Stream,
     _summatory,
     _tail_fit,
@@ -107,6 +110,16 @@ class TestEvaluate:
         first = 8192 if alpha == 100.0 else _N_START
         results = [evaluate(s) for s in specs]
         assert all(res.converged and res.n_used == first for res in results)
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-200, 1e-300])
+    def test_strict_link_has_no_term_below_zero(self, alpha):
+        # zeta(1:1,1:2; alpha) = sum_{m1 < m2} (m1 + alpha)^-1 (m2 + alpha)^-2
+        # is zeta(2) / alpha but for 1e-150 of it.  A strict link's first term
+        # at m = 0 is 0, with no prefix below it, though (0 + alpha)^-2 is inf
+        mp = pytest.importorskip("mpmath")
+        res = eval_family("zeta", parse_word("1:1,1:2"), (), Params(alpha, 1.0))
+        assert res.converged and res.n_used == _N_START
+        assert abs(res.value - float(mp.zeta(2) / mp.mpf(alpha))) <= res.err_estimate
 
     def test_non_convergent(self):
         # an outer decay of 1 is refused before anything is streamed
@@ -180,7 +193,8 @@ class TestEvaluate:
 class TestSchedule:
     # N doubles from its first value while the error exceeds the tolerance and
     # 2N <= max_n, so an evaluation streams to the last N <= max_n at most, in
-    # blocks that end at each N / 2 and N read, _BLOCK apart at most
+    # blocks that end at each N read, _BLOCK apart at most; the first N / 2 and
+    # N are read from one block [0, N] when it holds N + 1 <= _BLOCK indices
     @pytest.mark.parametrize(
         "max_n,last",
         [(2048, 2048), (3000, 2048), (4096, 4096), (5000, 4096), (8191, 4096), (8192, 8192),
@@ -190,29 +204,55 @@ class TestSchedule:
         run_block = _Stream.run_block
         his = []
 
-        def recorded(stream, hi):
+        def recorded(stream, hi, *marks):
             his.append(hi)
-            return run_block(stream, hi)
+            return run_block(stream, hi, *marks)
 
         monkeypatch.setattr(_Stream, "run_block", recorded)
         res = evaluate(single(b=2, beta=0.7), EvalConfig(rel_tol=1e-16, max_n=max_n))
         assert not res.converged
         assert res.n_used == last and his == evaluate_block_ends(last)
-        assert his[0] == 513 and his[-1] == last + 1
+        assert his[0] == 1025 and his[-1] == last + 1
 
     def test_stream_reads_forward(self):
-        # state(n) streams to index n and gives the state there; a later read
+        # states(n) streams to index n and gives the state there; a later read
         # continues the same stream, which cannot go back, and a state whose
         # level sums are not finite is None
         spec = single(b=2, beta=0.7)
         stream = _Stream(spec)
-        _, ratio = stream.state(4096)
+        (_, ratio), = stream.states(4096)
         assert stream.next_m == 4097 and ratio is None
-        assert stream.state(8192) == _Stream(spec).state(8192) and stream.next_m == 8193
+        assert stream.states(8192) == _Stream(spec).states(8192) and stream.next_m == 8193
         with pytest.raises(ValueError):
-            stream.state(2048)
+            stream.states(2048)
         overflow = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
-        assert overflow.state(512) is not None and overflow.state(8192) is None
+        assert overflow.states(512)[0] is not None and overflow.states(8192) == [None]
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.6 + 0.3j], ids=["real", "complex"])
+    def test_one_block_reads_both_states(self, alpha):
+        # the state at N / 2 read off the column of the block [0, N] is the
+        # one a block ending there gives, and so is the state at N
+        spec = z_spec(parse_word("1:1,1/2:1,1:2"), Params(alpha, 1.5))
+        stream = _Stream(spec)
+        assert stream.states(512, 1024) == _Stream(spec).states(512) + _Stream(spec).states(1024)
+        assert stream.next_m == 1025
+
+    def test_overflow_at_n_half_stops_the_stream(self, monkeypatch):
+        # a state that is None ends the stream: a first N of 16,384 reads
+        # N / 2 = 8,192 in two blocks, and after its None nothing is streamed
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi, *marks):
+            his.append(hi)
+            return run_block(stream, hi, *marks)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
+        stream = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
+        assert stream.states(8192, 16384) == [None, None] and his == [8192, 8193]
+        # one block reads both; the None at N / 2 is reported at N / 2
+        res = evaluate(hurwitz_spec(parse_word("1:3"), 1e-110))
+        assert res.n_used == 512 and math.isnan(res.value) and res.err_estimate == math.inf
 
     def test_first_n_of_8192_streams_two_blocks(self, monkeypatch):
         # at (100, 1) the first N is 8,192: one block to N / 2 and one to N,
@@ -220,9 +260,9 @@ class TestSchedule:
         run_block = _Stream.run_block
         his = []
 
-        def recorded(stream, hi):
+        def recorded(stream, hi, *marks):
             his.append(hi)
-            return run_block(stream, hi)
+            return run_block(stream, hi, *marks)
 
         monkeypatch.setattr(_Stream, "run_block", recorded)
         res = evaluate(z_spec(parse_word("1:1,1:2"), Params(100.0, 1.0)))
@@ -573,7 +613,7 @@ class TestNoResonanceCliff:
 def outer_expansion(spec: NestedSumSpec, n: int = _N_START) -> tuple[dict, dict]:
     """The expansions (prefix, terms) of a spec's outermost level at N = n,
     from the stream's state there; the prefix leaves out the constant."""
-    sums, ratio = _Stream(spec).state(n)
+    (sums, ratio), = _Stream(spec).states(n)
     return _level(spec.alpha, spec.beta, spec.indices, spec.links, n, sums, ratio, True)
 
 
@@ -652,8 +692,8 @@ class TestComplexCost:
         run_block = _Stream.run_block
         count = [0]
 
-        def counted(stream, hi):
-            prefix = run_block(stream, hi)
+        def counted(stream, hi, *marks):
+            prefix = run_block(stream, hi, *marks)
             count[0] += len(prefix) * stream.spec.depth
             return prefix
 
@@ -690,9 +730,8 @@ class TestFitGuards:
     def test_nan_sum_gives_no_value(self):
         # a level sum that is NaN leaves the value NaN and its error unbounded
         spec = NestedSumSpec((IndexWeight(a=2),), (), 0.7, 1.0)
-        stream = _Stream(spec)
-        half = stream.state(512)
-        (hi, lo), = stream.state(1024)[0]
+        half, full = _Stream(spec).states(512, 1024)
+        (hi, lo), = full[0]
         value, err = _tail_fit(spec, 1024, half, (((math.nan, lo),), None))
         assert math.isnan(value) and err == math.inf
 
@@ -766,7 +805,8 @@ def pair_values(pairs: np.ndarray) -> np.ndarray:
 
 
 def clear_shared_work():
-    for cache in (_inner_level, _weight, _pochhammer_log):
+    # every kernel memo: the first blocks, the expansions and their parts
+    for cache in (_FIRST_BLOCKS, _inner_level, _weight, _pochhammer_log, _scale, _key):
         cache.cache_clear()
 
 
@@ -779,12 +819,15 @@ class TestSharedWork:
     def test_chunked_product_is_one_cumprod(self, power, alpha):
         # each call is one cumprod; the second takes the carry across the
         # edge between the two calls, as later blocks of a stream do
-        head, head_carry = _product_block(alpha, 0, 5000, None)
-        tail, carry = _product_block(alpha, 5000, 70_000, head_carry)
+        head, head_exact = _product_block(alpha, 0, 5000, None)
+        head_carry = head_exact[-1]
+        tail, exact = _product_block(alpha, 5000, 70_000, head_carry)
         want, want_carry = product_one_shot(alpha, 0, 70_000, None)
         assert np.concatenate([head, tail]).tobytes() == want.tobytes()
         assert head_carry == product_one_shot(alpha, 0, 5000, None)[1]
-        assert carry == want_carry
+        assert exact[-1] == want_carry
+        # the long double block is the one the float one rounds
+        assert tail.tobytes() == exact.astype(tail.dtype).tobytes()
         want_tail, _ = product_one_shot(alpha, 5000, 70_000, head_carry)
         assert tail.tobytes() == want_tail.tobytes()
         # an index streams that product, to its power, across the same edge
@@ -795,7 +838,8 @@ class TestSharedWork:
 
     def test_ratio_built_once_per_block(self, monkeypatch):
         # three indices carry the ratio, and one build serves them all, one
-        # build for each block
+        # build for each block; a second stream reads the first block's
+        clear_shared_work()
         builds = []
         product_block = _product_block
 
@@ -804,24 +848,35 @@ class TestSharedWork:
             return product_block(alpha, lo, hi, carry)
 
         monkeypatch.setattr(mzdual.nested_sum, "_product_block", counted)
-        stream = _Stream(NestedSumSpec(DEPTH3_EVERY_INDEX, (Link.STRICT, Link.WEAK), 0.8, 1.3))
-        for hi in SPLITS["first_block_edges"]:
-            stream.run_block(hi)
-        assert builds == [(0, 8193), (8193, 16385), (16385, 20000)]
+        for links in ((Link.STRICT, Link.WEAK), (Link.WEAK, Link.STRICT)):
+            stream = _Stream(NestedSumSpec(DEPTH3_EVERY_INDEX, links, 0.8, 1.3))
+            for hi in SPLITS["first_block_edges"]:
+                stream.run_block(hi)
+        assert builds == [(0, 8193), (8193, 16385), (16385, 20000)] + [(8193, 16385), (16385, 20000)]
 
     SPECS = [
         z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)),
         z_spec(parse_word("1:1,1:1,1:2"), Params(1 + 2j, 0.7)),
+        zstar_spec(parse_word("1:1,1/2:1,1:2"), (1, 0, 1), Params(0.6, 1.5)),
+        zstar_spec(parse_word("1:1,1/2:2"), (0, 2), Params(0.6 + 0.3j, 1.0)),
     ]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["real", "complex"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["real", "complex", "real-star", "complex-star"])
     def test_cold_and_warm_levels_identical(self, spec):
-        # the inner levels' expansions, built or read from the memo, give one result
+        # the inner levels' first blocks and expansions, built or read from
+        # the memos, give one result
         clear_shared_work()
         cold = evaluate(spec)
+        blocks = len(_FIRST_BLOCKS.entries)
         warm = evaluate(spec)
-        assert _inner_level.cache_info().hits >= 1
+        assert _inner_level.cache_info().hits >= 1 and blocks >= spec.depth - 1
         assert cold == warm
+        # and so does a spec that extends this one, from its prefix's first block
+        longer = NestedSumSpec(spec.indices + (IndexWeight(a=1, b=1),), spec.links + (Link.WEAK,),
+                               spec.alpha, spec.beta)
+        warm = evaluate(longer)
+        clear_shared_work()
+        assert evaluate(longer) == warm
 
     def test_level_shared_by_specs_with_one_prefix(self):
         # an inner level depends on its prefix alone: two specs that differ
@@ -856,8 +911,59 @@ class TestSharedWork:
         for order in (specs, specs[::-1]):
             clear_shared_work()
             runs.append({spec: evaluate(spec) for spec in order})
-        assert _inner_level.cache_info().hits > 0
+        assert _inner_level.cache_info().hits > 0 and _FIRST_BLOCKS.entries
         assert runs[0] == runs[1]
+        # and with no memo at all, each spec streamed and expanded alone
+        alone = {}
+        for spec in specs:
+            clear_shared_work()
+            alone[spec] = evaluate(spec)
+        assert alone == runs[0]
+
+    def test_each_distinct_level_streamed_once(self, monkeypatch):
+        # at one pair, every spec's first block starts above its deepest inner
+        # prefix that another spec streamed: each distinct level (an inner
+        # prefix or a spec) makes one running sum
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        sums, specs = [0], []
+        running_sum, run_block = mzdual.nested_sum._running_sum, _Stream.run_block
+
+        def counted(out, carry):
+            sums[0] += 1
+            return running_sum(out, carry)
+
+        def recorded(stream, hi, *marks):
+            specs.append(stream.spec)
+            return run_block(stream, hi, *marks)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_running_sum", counted)
+        monkeypatch.setattr(_Stream, "run_block", recorded)
+        assert run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=((0.6, 1.5),))).passed
+        # its swapped terms are read at (1.5, 0.6)
+        prefixes = {(s.alpha, s.beta, s.indices[:j], s.links[:j - 1]) for s in specs for j in range(1, s.depth)}
+        assert len(specs) == len(set(specs)) == 31  # one block each
+        # 59 levels in all, each spec streamed alone
+        assert sum(s.depth for s in specs) == 59 and sums[0] == len(prefixes) + len(specs) == 42
+
+    def test_first_blocks_stay_within_their_bound(self):
+        # the memo holds at most its bound of arrays, however many specs
+        # stream, and long streams' blocks past index 0 are not kept
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        assert run_suite("thm11i", SuiteConfig(weight_max=4)).passed
+        held = sum(a.nbytes for entry in _FIRST_BLOCKS.entries.values() for a in entry)
+        assert held == _FIRST_BLOCKS.nbytes <= _FIRST_BLOCKS.bound == 2**20
+        assert _FIRST_BLOCKS.nbytes > 2**20 - 40_000  # full: thm11i streams more than it holds
+        # at beta = 200 the first N is 16,384, whose first blocks span 8,192
+        # complex indices, 256 KiB a level: the deepest are kept, and no block
+        # past index 0 of this stream to 2^16
+        spec = z_spec(parse_word("1:1,1:1,1:1,1:2"), Params(0.6 + 0.3j, 200.0))
+        assert evaluate(spec, EvalConfig(rel_tol=1e-16, max_n=2**16)).n_used == 2**16
+        held = sum(a.nbytes for entry in _FIRST_BLOCKS.entries.values() for a in entry)
+        assert held == _FIRST_BLOCKS.nbytes <= _FIRST_BLOCKS.bound
+        assert [key[-2] for key in _FIRST_BLOCKS.entries][-3:] == [8192] * 3
+        assert all(entry[0].shape[-1] == key[-2] for key, entry in _FIRST_BLOCKS.entries.items())
 
 
 FIRST = IndexWeight(poch=1)  # (alpha)_m / m!
@@ -878,7 +984,8 @@ def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
     w = []
     for hi in edges:
         x = np.arange(stream.next_m, hi, dtype=np.float64)
-        w.append(stream._weights_block(0, x, stream._ratio_block(hi)))
+        r, _ = stream._ratio_block(hi, (hi - 1 - stream.next_m,))
+        w.append(stream._weights_block(0, x, r))
         stream.next_m = hi
     return np.concatenate(w)[m]
 
@@ -964,7 +1071,7 @@ class TestTailPowerLog:
     def tail(s: complex, t: int, m: int) -> complex:
         terms = {(0, 1, t): 1.0}  # m^(0 + 1 * d) log^t m with d = -s
         prefix = _summatory(terms, -s, 1.0 - s.real - 10, math.log(m), None, True)
-        return -_at(prefix, m, m**-s)[0]
+        return -_at(prefix, m, m**-s)
 
     def test_plain_zeta_tail(self):
         assert math.isclose(self.tail(2.0, 0, 64), hurwitz_zeta(2, 65), rel_tol=1e-14)
