@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--even-only", action="store_true",
                      help="restrict to even r (the even-r equivalence mode)")
     ver.add_argument("--workers", type=int, default=1,
-                     help="worker processes, capped at one per chunk of 4 checks "
-                          "and at the CPUs this process may use")
+                     help="worker processes, each evaluating a contiguous slice of the suite's "
+                          "distinct values; capped at the values and the CPUs this process may use")
     ver.add_argument("--output", choices=["table", "json", "csv"], default="table",
                      help="json: the config and every check; csv: one row per check")
     ver.add_argument("--no-timestamp", action="store_true",

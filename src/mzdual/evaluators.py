@@ -16,11 +16,11 @@ into one flat :class:`~mzdual.nested_sum.NestedSumSpec`, so a single
 kernel serves all four: it hands its main-index weights and the length
 of the auxiliary chain before each main index to one splicer,
 ``_chained_spec``.  ``FAMILIES`` has one row per family: its compiler,
-and whether it reads the r-vector and the second slot.  ``eval_family``
-is the one evaluation entry: that row's compile plus one cached kernel
-evaluation; the empty word compiles to the empty spec, which the kernel
-evaluates to 1 after checking the parameters.  ``eval_terms`` adds up a
-combination of them.
+and whether it reads the r-vector and the second slot.  ``family_spec``
+is the one compile entry, that row's compile, and ``eval_family`` adds one
+cached kernel evaluation; the empty word compiles to the empty spec, which
+the kernel evaluates to 1 after checking the parameters.  ``compile_terms``
+compiles a combination of them, and ``eval_terms`` adds up its values.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _evaluate_cached(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
 
 def eval_spec(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
     """Evaluate a kernel spec with memoization (specs and configs are
-    immutable, so repeated identity checks share work)."""
+    immutable, so repeated single checks and computes share work)."""
     return _evaluate_cached(spec, cfg)
 
 
@@ -181,20 +181,27 @@ FAMILIES = {
 }
 
 
-def eval_family(family: str, w: Word, r: Sequence[int], p: Params,
-                cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """One family's series at p; a family ignores the r-vector or p.beta if
-    its row does not read it.  The empty word gives 1."""
+def family_spec(family: str, w: Word, r: Sequence[int], p: Params) -> NestedSumSpec:
+    """One family's spec at p; a family ignores the r-vector or p.beta if
+    its row does not read it."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return eval_spec(FAMILIES[family].spec(w, r, p), cfg)
+    return FAMILIES[family].spec(w, r, p)
+
+
+def eval_family(family: str, w: Word, r: Sequence[int], p: Params,
+                cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """One family's series at p: the value of :func:`family_spec`; the empty word gives 1."""
+    return eval_spec(family_spec(family, w, r, p), cfg)
+
+
+def compile_terms(terms: Iterable[tuple], p: Params) -> list[tuple[float, NestedSumSpec]]:
+    """The (coeff, spec) pairs of (coeff, family, word, r, swapped) terms, at p or at
+    (b, a) when swapped; exact coefficients become floats only here, term by term."""
+    return [(float(c), family_spec(family, w, r, p.swapped() if swapped else p))
+            for c, family, w, r, swapped in terms]
 
 
 def eval_terms(terms: Iterable[tuple], p: Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """The sum over (coeff, family, word, r, swapped) terms of coeff times the
-    series at p, or at (b, a) when swapped; exact coefficients become floats
-    only here, term by term, and add up through :func:`sum_results` in order."""
-    return sum_results(
-        (float(c), eval_family(family, w, r, p.swapped() if swapped else p, cfg))
-        for c, family, w, r, swapped in terms
-    )
+    """The :func:`sum_results` of coeff times value over :func:`compile_terms`, in order."""
+    return sum_results((c, eval_spec(spec, cfg)) for c, spec in compile_terms(terms, p))

@@ -8,16 +8,16 @@ whose tol is not finite (an evaluation overflowed) fails.
 
 The quadrature and derivative checks cross-validate the integral
 representation and the derivative calculus behind the starred expansion.
-The quadrature tabulates inner sums per multiset of nodes, 1,024 at a time,
-and is within 4.4e-11 of closed forms.  Each rule's nodes, node products and
-insert ranks are built once per process: they are pure functions of the rule
-(h, kmax).  Its first inner sum is memoized: all admissible words begin with
-the letter 1, so all of one weight share it.
+Each series identity is stated once, as an exact relation in `RELATIONS`.
+The `duality` suite is the thm11i suite at r = 0, `sum_formula` is it on
+the words dual to 1:k1, and `all` runs each identity once.
 
-Each series identity is stated once, as an exact relation in `RELATIONS`,
-and `check_identity` evaluates it.  The `duality` suite is the thm11i suite
-at r = 0, `sum_formula` is it on the words dual to 1:k1, and `all` runs
-each identity once.
+A suite plans every check before anything is evaluated: its name and two
+sides, each a (keys, assemble) pair, the side assemble([value of each key]).
+A key is a NestedSumSpec or the arguments of one tanh-sinh rule's
+`_simplex_integral`.  Each distinct key is evaluated once, in first-read
+order, in-process or in contiguous slices across the workers; the calling
+process assembles every check from one dict.  A `check_*` is the one-check case.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .evaluators import Params, eval_family, eval_terms, sum_results
-from .nested_sum import EvalConfig, EvalResult, _validate_params
+from . import evaluators
+from .evaluators import Params, compile_terms, family_spec, sum_results
+from .nested_sum import EvalConfig, EvalResult, NestedSumSpec, _validate_params
 from .words import (
     Cut,
     LinComb,
@@ -90,6 +91,39 @@ def _make_check(name: str, lhs: EvalResult, rhs: EvalResult) -> IdentityCheck:
         passed=bool(dev <= tol < math.inf),
         note="" if diff.converged else "tolerance-not-reached",
     )
+
+
+def _values(keys: list, cfg: EvalConfig) -> list:
+    # both looked up when a value is made: (letters, alpha, beta, family, h, kmax) is a quadrature
+    return [evaluators.eval_spec(k, cfg) if isinstance(k, NestedSumSpec)
+            else _simplex_integral(*k[:4], h=k[4], kmax=k[5]) for k in keys]
+
+
+def _run(plans: list[tuple], cfg: EvalConfig, workers: int = 1) -> list[IdentityCheck]:
+    """Evaluate each distinct key once, in first-read order, in-process or in contiguous
+    slices across at most one worker per CPU and per key; then assemble every check."""
+    keys = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, len(keys))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        cuts = [len(keys) * i // workers for i in range(workers + 1)]
+        # a fork-started pool starts all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_values, [keys[i:j] for i, j in zip(cuts, cuts[1:])], [cfg] * workers)
+            values = [v for part in parts for v in part]
+    else:
+        values = _values(keys, cfg)
+    got = dict(zip(keys, values))
+    return [_make_check(name, *(assemble([got[k] for k in ks]) for ks, assemble in sides))
+            for name, *sides in plans]
+
+
+def _series(terms: list[tuple[float, NestedSumSpec]]) -> tuple:
+    # the side sum coeff * value over compile_terms' (coeff, spec) pairs, in order
+    coeffs = [c for c, _ in terms]
+    return tuple(spec for _, spec in terms), lambda vals: sum_results(zip(coeffs, vals))
 
 
 def _fmt_param(x: complex, sign: str = "") -> str:
@@ -175,15 +209,18 @@ def check_identity(
 ) -> IdentityCheck:
     """The two sides of ``RELATIONS[identity](w, r)`` at p.  A one-parameter
     identity takes p = Params(a) alone: its check's name does not say b."""
+    return _run([_identity_plan(identity, w, r, p)], cfg)[0]
+
+
+def _identity_plan(identity: str, w: Word, r: int, p: Params) -> tuple:
     if identity not in RELATIONS:
         raise ValueError(f"unknown identity {identity!r}; choose from {tuple(RELATIONS)}")
     two = _TWO_PARAMETERS[identity]
     if not two and p.beta != p.alpha:
         raise ValueError(f"{identity} has one parameter, got a={p.alpha} and b={p.beta}")
-    lhs, rhs = RELATIONS[identity](w, r)
     b = f"/b={_fmt_param(p.beta)}" if two else ""
     name = f"{identity}/w={w}/r={r}/a={_fmt_param(p.alpha)}{b}"
-    return _make_check(name, eval_terms(lhs, p, cfg), eval_terms(rhs, p, cfg))
+    return name, *(_series(compile_terms(side, p)) for side in RELATIONS[identity](w, r))
 
 
 # ---------------------------------------------------------------------------
@@ -316,36 +353,32 @@ def _first_sums(h: float, kmax: int, n: int, e0: float, p0: float) -> np.ndarray
     return f
 
 
-def check_integral_repr(
-    w: Word,
-    p: Params,
-    family: Literal["Z", "zeta"] = "Z",
-    cfg: EvalConfig = EvalConfig(),
-) -> IdentityCheck:
+def check_integral_repr(w: Word, p: Params, family: Literal["Z", "zeta"] = "Z",
+                        cfg: EvalConfig = EvalConfig()) -> IdentityCheck:
     """Quadrature of the iterated-integral representation against the series.
 
-    Limited to the quadrature's domain: weight <= INTEGRAL_WEIGHT_MAX, and
-    the parameters in :func:`_in_integral_box`.  The rule tabulates its inner
-    sums over multisets of nodes, 1,024 at a time, so no array grows past
-    nodes^3 elements.  Each rule's index tables depend on the rule alone, so
-    they are built once per process.  The first inner sum is one table
-    for all words of one weight (each begins with the letter 1), computed once
-    per family, pair and rule.  The fine rule is within 4.4e-11 of the closed
-    forms zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its error estimate is
-    the gap to the coarse rule, so the tol is derived from that gap and the
-    series' estimate, as in every other check.
+    Limited to the quadrature's domain: the families Z and zeta, weight <=
+    INTEGRAL_WEIGHT_MAX and the parameters in :func:`_in_integral_box`.  The
+    fine rule of :func:`_simplex_integral` is within 4.4e-11 of the closed forms
+    zeta(2..4), pi^4/360 and Hurwitz zeta(s, a); its error estimate is the gap
+    to the coarse rule, so the tol is derived from that gap and the series'
+    estimate, as in every other check.
     """
+    return _run([_integral_plan(w, p, family)], cfg)[0]
+
+
+def _integral_plan(w: Word, p: Params, family: str) -> tuple:
+    if family not in ("Z", "zeta"):
+        raise ValueError(f"integral check has no family {family!r}; choose from ('Z', 'zeta')")
     if w.weight > INTEGRAL_WEIGHT_MAX:
         raise ValueError(f"integral check limited to weight <= {INTEGRAL_WEIGHT_MAX}")
     if not _in_integral_box(p.alpha, p.beta):
         raise ValueError("integral check requires real parameters in [1, 2]")
     a, b = complex(p.alpha).real, complex(p.beta).real
-    letters = w.letters()
-    coarse = _simplex_integral(letters, a, b, family, h=0.16, kmax=24)
-    fine = _simplex_integral(letters, a, b, family, h=0.08, kmax=48)
-    series = eval_family(family, w, (), p, cfg)
+    rules = ((w.letters(), a, b, family, 0.16, 24), (w.letters(), a, b, family, 0.08, 48))
     name = f"integral/{family}/w={w}/a={_fmt_param(a)}/b={_fmt_param(b)}"
-    return _make_check(name, EvalResult(fine, abs(fine - coarse), 0, True), series)
+    quadrature = (rules, lambda v: EvalResult(v[1], abs(v[1] - v[0]), 0, True))  # the fine rule
+    return name, quadrature, ((family_spec(family, w, (), p),), lambda v: v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +388,10 @@ def check_integral_repr(
 CIRCLE_POINTS = 48
 
 
-def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalResult:
-    """(-1)^r times the r-th Taylor coefficient of x -> Z(dw; x, beta) at
-    x = alpha, by the trapezoid rule on the circle |x - alpha| = Re(alpha)/3.
+def _taylor_coefficient(dw: Word, r: int, p: Params) -> tuple:
+    """The side (-1)^r times the r-th Taylor coefficient of x -> Z(dw; x, beta)
+    at x = alpha, by the trapezoid rule on the circle |x - alpha| = Re(alpha)/3:
+    its keys are the specs at the points the rule reads.
 
     The map is analytic on Re x > 0, so the rule's error falls like
     3^-CIRCLE_POINTS.  The rule adds the points z up through
@@ -370,16 +404,20 @@ def _taylor_coefficient(dw: Word, r: int, p: Params, cfg: EvalConfig) -> EvalRes
     n, x0 = CIRCLE_POINTS, complex(p.alpha)
     rho, roots = x0.real / 3, np.exp(2j * np.pi * np.arange(n) / n)
     real = not (x0.imag or complex(p.beta).imag)
-    vals = [eval_family("Z", dw, (), Params(complex(x0 + rho * z), p.beta), cfg)
-            for z in roots[: n // 2 + 1 if real else n]]
-    if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
-        vals += [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]
-    weights = roots**-r / (n * rho**r)
-    full = sum_results(zip(weights.tolist(), vals))
-    half = sum_results(zip((2 * weights[::2]).tolist(), vals[::2]))
-    coeff = complex(full.value)
-    err = abs(coeff - complex(half.value)) + full.err_estimate
-    return full._replace(value=(-1) ** r * (coeff.real if real else coeff), err_estimate=err)
+    keys = tuple(family_spec("Z", dw, (), Params(complex(x0 + rho * z), p.beta))
+                 for z in roots[: n // 2 + 1 if real else n])
+
+    def coefficient(vals: list[EvalResult]) -> EvalResult:
+        if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
+            vals = vals + [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]
+        weights = roots**-r / (n * rho**r)
+        full = sum_results(zip(weights.tolist(), vals))
+        half = sum_results(zip((2 * weights[::2]).tolist(), vals[::2]))
+        coeff = complex(full.value)
+        err = abs(coeff - complex(half.value)) + full.err_estimate
+        return full._replace(value=(-1) ** r * (coeff.real if real else coeff), err_estimate=err)
+
+    return keys, coefficient
 
 
 def check_derivative_crosslink(
@@ -387,13 +425,16 @@ def check_derivative_crosslink(
 ) -> IdentityCheck:
     """(-1)^r times the r-th Taylor coefficient in x of Z(dual w; x, a) at
     x = b against the starred sum of dual w at (b, a)."""
+    return _run([_derivative_plan(w, r, p)], cfg)[0]
+
+
+def _derivative_plan(w: Word, r: int, p: Params) -> tuple:
     if r < 1:
         raise ValueError("derivative cross-link needs r >= 1")
     dw = dual(w)
-    lhs = _taylor_coefficient(dw, r, p.swapped(), cfg)
-    rhs = eval_terms(_starred_terms(dw, r), p, cfg)  # thm11i's right side
     name = f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
-    return _make_check(name, lhs, rhs)
+    rhs = _series(compile_terms(_starred_terms(dw, r), p))  # thm11i's right side
+    return name, _taylor_coefficient(dw, r, p.swapped()), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -500,89 +541,59 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# A suite's task generator lists its (check, args) pairs.  Each names its
-# check in its own body, so the check is looked up in this module when the
-# suite runs, not bound when the module is imported.
-
-
-def _identity_tasks(name: str, sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+def _identity_plans(name: str, sc: SuiteConfig, words: list[Word]) -> list[tuple]:
     # a one-parameter identity runs on the distinct first slots
     grid = sc.params_grid if _TWO_PARAMETERS[name] else [(a, a) for a in sc.alphas()]
-    return [(check_identity, (name, w, r, Params(a, b), cfg))
+    return [_identity_plan(name, w, r, Params(a, b))
             for a, b in grid for w in words for r in sc.r_values()]
 
 
-def _integral_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
+def _integral_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
     # the quadrature's domain only; the zeta integrand and series do not depend on b, so
     # its check runs at the least b of each a.  Pair, then family, then word (in weight
-    # order): the words sharing a first inner sum run together, so the 2-entry memo
-    # `_first_sums` misses once per weight and rule; `_rule_tables`, a function of the
-    # rule alone, misses once per rule and process (each worker builds its own)
+    # order): the words sharing a first inner sum are evaluated together, so the 2-entry
+    # memo `_first_sums` misses once per weight and rule; `_rule_tables`, a function of
+    # the rule alone, misses once per rule and process (each worker builds its own)
     box = [(a, b) for a, b in sc.params_grid if _in_integral_box(a, b)]
     least_b = {a: min((b for a2, b in box if a2 == a), key=lambda b: complex(b).real)
                for a, _ in box}
-    return [(check_integral_repr, (w, Params(a, b), family, cfg))
+    return [_integral_plan(w, Params(a, b), family)
             for a, b in box for family in ("Z", "zeta") if family == "Z" or b == least_b[a]
             for w in words if w.weight <= INTEGRAL_WEIGHT_MAX]
 
 
-def _derivative_tasks(sc: SuiteConfig, words: list[Word], cfg: EvalConfig) -> list[tuple]:
-    # the r >= 1 checks of a pair and word run together, so they share the circle's values
-    return [(check_derivative_crosslink, (w, r, Params(a, b), cfg))
+def _derivative_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
+    # the r >= 1 checks of a pair and word read the same circle points
+    return [_derivative_plan(w, r, Params(a, b))
             for a, b in sc.params_grid for w in words for r in sc.r_values() if r >= 1]
 
 
 # duality and the sum formula are Theorem 1.1(i) instances, so their suites
-# are views of the thm11i tasks: r = 0, and the words whose dual is 1:k1
+# are views of the thm11i plans: r = 0, and the words whose dual is 1:k1
 _SUITES = {
-    "duality": lambda sc, words, cfg: _identity_tasks("thm11i", replace(sc, r_max=0), words, cfg),
-    **{name: functools.partial(_identity_tasks, name) for name in RELATIONS},
-    "sum_formula": lambda sc, words, cfg: _identity_tasks(
-        "thm11i", sc, [w for w in words if dual(w).depth == 1], cfg
-    ),
-    "integral": _integral_tasks,
-    "derivative": _derivative_tasks,
-    "all": lambda sc, words, cfg: [
-        task for name in RELATIONS for task in _identity_tasks(name, sc, words, cfg)
-    ],
+    "duality": lambda sc, words: _identity_plans("thm11i", replace(sc, r_max=0), words),
+    **{name: functools.partial(_identity_plans, name) for name in RELATIONS},
+    "sum_formula": lambda sc, words: _identity_plans("thm11i", sc, [w for w in words if dual(w).depth == 1]),
+    "integral": _integral_plans,
+    "derivative": _derivative_plans,
+    "all": lambda sc, words: [plan for name in RELATIONS for plan in _identity_plans(name, sc, words)],
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
-_CHUNKSIZE = 4
-
-
-def _run_task(task: tuple) -> IdentityCheck:
-    check, args = task
-    return check(*args)
-
-
 def run_suite(which: str, sc: SuiteConfig, workers: int = 1) -> VerificationReport:
-    """Run one identity suite over the configured word/r/parameter grid.
+    """Run one identity suite over the configured word/r/parameter grid:
+    plan every check, evaluate each distinct value once, assemble the checks.
 
-    Check failures are recorded, never raised; the report aggregation is
-    sorted by name, so results are deterministic regardless of execution
-    order (checks are independent and may run in parallel).
+    Check failures are recorded, never raised; the checks are sorted by
+    name, so the report does not depend on how the workers shared the values.
     """
     if which not in SUITE_NAMES:
         raise ValueError(f"unknown suite {which!r}; choose from {SUITE_NAMES}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    words = words_up_to_weight(sc.weight_max, sc.depth_max)
-    tasks = _SUITES[which](sc, words, sc.eval_config())
-    if not tasks:
+    plans = _SUITES[which](sc, words_up_to_weight(sc.weight_max, sc.depth_max))
+    if not plans:
         raise ValueError(f"suite {which!r} has no checks to run under {sc}")
-    report = VerificationReport(suite=which, config=sc)
-    chunks = -(-len(tasks) // _CHUNKSIZE)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, chunks, cpus or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork-started pool starts all max_workers processes at once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            report.checks.extend(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
-    else:
-        report.checks.extend(map(_run_task, tasks))
-    report.checks.sort(key=lambda c: c.name)
-    return report
+    checks = sorted(_run(plans, sc.eval_config(), workers), key=lambda c: c.name)
+    return VerificationReport(suite=which, config=sc, checks=checks)

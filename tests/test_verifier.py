@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+from collections import Counter
 import json
 import math
 import os
@@ -227,6 +228,17 @@ class TestIntegralCheck:
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError):
             check_integral_repr(W("1:2"), Params(0.5, 1.0), "Z", CFG)
+
+    @pytest.mark.parametrize("family", ["Zstar", "Hstar", "bogus"])
+    def test_family_guard(self, monkeypatch, family):
+        # the integral representation is stated for Z and zeta alone, so any other family is
+        # rejected by name before either rule runs
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(mzdual.verifier, "_simplex_integral", no_quadrature)
+        with pytest.raises(ValueError, match=f"no family '{family}'"):
+            check_integral_repr(W("1:2"), Params(1, 1), family, CFG)
 
     @pytest.mark.parametrize("word, p, family", [
         ("1:2", Params(1, 1), "Z"), ("1h0", Params(1.0, 1.5), "zeta"),
@@ -467,7 +479,8 @@ class TestDerivativeCheck:
         with mpmath.workdps(30):
             coeffs = mpmath.taylor(closed, mpmath.mpmathify(x), 4)
         for r in range(1, 5):
-            got = _taylor_coefficient(W("1:2"), r, Params(x, a), CFG)
+            keys, coefficient = _taylor_coefficient(W("1:2"), r, Params(x, a))
+            got = coefficient([mzdual.evaluators.eval_spec(k, CFG) for k in keys])
             actual = abs(complex(got.value) - (-1) ** r * complex(coeffs[r]))
             assert got.converged and actual <= got.err_estimate, (r, actual, got.err_estimate)
 
@@ -530,7 +543,7 @@ class TestRunSuite:
         compilers = {"Z": ("z_spec", "zstar_spec"), "Zstar": ("zstar_spec",),
                      "zeta": ("hurwitz_spec",), "Hstar": ("hstar_spec",)}
         assert set(compilers) == set(mzdual.evaluators.FAMILIES)
-        calls = {"check_identity": 0, "z_spec": 0, "zstar_spec": 0, "hurwitz_spec": 0, "hstar_spec": 0}
+        calls = {"z_spec": 0, "zstar_spec": 0, "hurwitz_spec": 0, "hstar_spec": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -541,12 +554,12 @@ class TestRunSuite:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(mzdual.verifier, "check_identity")
         for name in ("z_spec", "zstar_spec", "hurwitz_spec", "hstar_spec"):
             counting(mzdual.evaluators, name)
         rep = run_suite("duality", SuiteConfig(weight_max=2))
-        # two sides per check, a Z and a Z* at r = 0; z_spec compiles through zstar_spec
-        assert calls == {"check_identity": 9, "z_spec": 9, "zstar_spec": 18, "hurwitz_spec": 0, "hstar_spec": 0}
+        # nine checks planned, two sides each, a Z and a Z* at r = 0; z_spec compiles
+        # through zstar_spec
+        assert calls == {"z_spec": 9, "zstar_spec": 18, "hurwitz_spec": 0, "hstar_spec": 0}
         assert rep.passed
         # each family's row reaches its compilers through eval_family
         for family, compiled in compilers.items():
@@ -561,8 +574,8 @@ class TestRunSuite:
         assert a == b
 
     def test_grid_order_invisible(self):
-        # the tasks run pair by pair; the checks must not depend on the
-        # order of the pairs
+        # the values are evaluated pair by pair; the checks must not depend on
+        # the order of the pairs
         grid = ((0.6, 1.5), (1.0, 0.6), (1.5, 1.0))
         reports = []
         for g in (grid, grid[::-1]):
@@ -574,11 +587,16 @@ class TestRunSuite:
     def test_thm11i_r0_shares_specs(self):
         # at r = 0 the right-hand side Z*(dual w; 0) at (b, a) compiles to
         # the left-hand side of the check of dual w at (b, a), a pair of the
-        # symmetric grid, so every spec misses once and hits once
+        # symmetric grid, so the plan reads every spec twice, and the suite
+        # evaluates each once
+        sc = SuiteConfig(weight_max=4, r_max=0)
+        plans = mzdual.verifier._SUITES["thm11i"](sc, words_up_to_weight(4))
+        reads = Counter(k for _, *sides in plans for keys, _ in sides for k in keys)
+        assert len(reads) == 117 and set(reads.values()) == {2}
         mzdual.evaluators._evaluate_cached.cache_clear()
-        run_suite("thm11i", SuiteConfig(weight_max=4, r_max=0))
+        run_suite("thm11i", sc)
         info = mzdual.evaluators._evaluate_cached.cache_info()
-        assert (info.misses, info.hits) == (117, 117)
+        assert (info.misses, info.hits) == (117, 0)
 
     def test_all_runs_each_identity_once(self):
         names = [c.name for c in run_suite("all", SuiteConfig(weight_max=3)).checks]
@@ -632,14 +650,16 @@ class TestRunSuite:
             run_suite("duality", SuiteConfig(weight_max=2), workers=workers)
 
     @pytest.mark.parametrize("grid, workers, cpus, started", [
-        (((1.0, 1.0), (0.8, 1.2), (1.2, 0.8)), 500, 8, []),  # one chunk: no pool
-        (DEFAULT_GRID, 500, 8, [3]),  # nine tasks in three chunks of four
+        (((1.0, 1.0),), 500, 8, []),  # one value, one chunk: no pool
+        # three values, Z(1:2) at (1, 1), (0.8, 1.2) and (1.2, 0.8): a chunk each
+        (((1.0, 1.0), (0.8, 1.2), (1.2, 0.8)), 500, 8, [3]),
         (DEFAULT_GRID, 2, 8, [2]),
-        (DEFAULT_GRID, 500, 2, [2]),  # three chunks, but two usable CPUs
+        (DEFAULT_GRID, 500, 2, [2]),  # nine values, but two usable CPUs
     ], ids=["one-chunk", "three-chunks", "two-workers", "two-cpus"])
     def test_pool_never_exceeds_chunks(self, monkeypatch, grid, workers, cpus, started):
-        # a fork-started pool starts every worker at its first submit, so
-        # record max_workers in a fake pool that runs the tasks in-process
+        # the workers are capped at min(workers, CPUs, distinct values), each value in one
+        # worker's chunk; a fork-started pool starts every worker at its first submit, so
+        # record max_workers in a fake pool that evaluates the chunks in-process
         seen = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -654,8 +674,8 @@ class TestRunSuite:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         sc = SuiteConfig(weight_max=2, tol=1e-6, params_grid=grid)
@@ -663,10 +683,31 @@ class TestRunSuite:
         assert seen == started and rep.passed
 
     def test_parallel_matches_serial(self):
-        # the pool pickles the check_identity tasks of every identity
+        # the pool pickles the keys of every identity and their values
         sc = SuiteConfig(weight_max=3, tol=1e-6, params_grid=((1.0, 1.0), (0.8, 1.2)))
         serial = run_suite("all", sc, workers=1)
         parallel = run_suite("all", sc, workers=2)
         assert serial.to_json(include_timestamp=False) == parallel.to_json(include_timestamp=False)
         assert {c.name.split("/")[0] for c in serial.checks} == set(RELATIONS)
         assert serial.passed and parallel.passed
+
+    def test_workers_evaluate_each_value_once(self, tmp_path, monkeypatch):
+        # the forked workers inherit this wrapper, and each appends a line per evaluation
+        # to its own file; the memo is cleared, so no worker inherits a value either
+        evaluate = mzdual.evaluators.evaluate
+
+        def counting(*args, **kwargs):
+            with open(tmp_path / str(os.getpid()), "a") as fh:
+                fh.write("evaluate\n")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(mzdual.evaluators, "evaluate", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        run_suite("all", SuiteConfig(weight_max=3), workers=2)
+        counts = [len(f.read_text().splitlines()) for f in tmp_path.iterdir()]
+        assert str(os.getpid()) not in {f.name for f in tmp_path.iterdir()}
+        # the distinct specs of all --weight-max 3; a pool of checks, each worker with
+        # its own memo, made more than 420
+        assert sum(counts) == 372 and len(counts) == 2
