@@ -12,6 +12,7 @@ or a block of terms overflowed float64 first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -206,8 +207,12 @@ def _cmd_verify(args) -> int:
 _COMMANDS = {"compute": _cmd_compute, "dual": _cmd_dual, "sigma": _cmd_sigma, "verify": _cmd_verify}
 
 
+# one parser per process: building it costs about as much as a small compute
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KernelError) as exc:  # WordError is a ValueError

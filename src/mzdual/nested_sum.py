@@ -46,15 +46,15 @@ past float64 (r(8192) from alpha ~ 145) are 0; a level sum past float64,
 or a ratio past long double, at N / 2 or N ends the evaluation,
 unconverged, with the value at N / 2.
 
-Each level's expansion, its constant included, is a pure function of the
-parameters, its index prefix and links, N and that prefix's stream values,
-and is memoized on them, so specs that share a prefix share its expansion.
-So is an inner level's first block (from index 0), a pure function of the
-parameters, its prefix and links and the block's end and read columns: it
-is kept with the prefix's states there in _FIRST_BLOCKS, least recently
-used out at 1 MiB of arrays, and a spec streams only the levels above its
-deepest prefix kept; the ratio's first block is kept the same way.  Every
-output is byte-identical to one computed per spec, in any order.
+Plans per key set, numbers per point.  A level's plan (which coefficients,
+by what factors, make each key of its terms and of F) is a pure function of
+the key sets it reads, alpha - 1, K, N and g, not of beta or of any sum, so
+the points of a structure share it, kept in _PLANS (4 MiB of arrays, least
+recently used out).  A point's numbers are gathers, multiplies and adds
+(np.add.reduceat), an inner level's memoized on the parameters, its prefix
+and links, N and the prefix's stream values; first blocks (from index 0),
+on those and the block's end and read columns (_FIRST_BLOCKS, 1 MiB).
+Every output is byte-identical to one computed per spec, in any order.
 """
 
 from __future__ import annotations
@@ -235,11 +235,10 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
     x[:] = h
 
 
-class _FirstBlocks:
-    """The first blocks (from index 0) of inner levels and of the ratio, each
-    shared by every stream whose spec starts with it, least recently used out
-    first, so that they hold at most ``bound`` bytes of arrays.  A first block
-    is a pure function of its key, so a hit gives the bytes a build would."""
+class _ArrayMemo:
+    """Tuples of arrays, each a pure function of its key, so a hit gives the
+    bytes a build would, least recently used out first, so that their arrays
+    (not their other fields) hold at most ``bound`` bytes."""
 
     def __init__(self, bound: int):
         self.bound = bound
@@ -252,22 +251,23 @@ class _FirstBlocks:
             self.entries.move_to_end(key)
         return hit
 
-    def put(self, key, arrays: tuple):
-        self.entries[key] = arrays
-        self.nbytes += sum(a.nbytes for a in arrays)
+    def put(self, key, entry: tuple):
+        self.entries[key] = entry
+        self.nbytes += sum(a.nbytes for a in entry if isinstance(a, np.ndarray))
         while self.nbytes > self.bound:
             _, old = self.entries.popitem(last=False)
-            self.nbytes -= sum(a.nbytes for a in old)
+            self.nbytes -= sum(a.nbytes for a in old if isinstance(a, np.ndarray))
 
     def cache_clear(self):
         self.entries.clear()
         self.nbytes = 0
 
 
-# 1 MiB holds about 63 real inner levels' first blocks of 1,025 indices, or 31 complex.
-# thm11i at weight 4 has 504 inner prefixes, about 8 MB with no bound; with this one it
-# streams 1,608 levels, where 1,584 are distinct and 3,186 were streamed per spec
-_FIRST_BLOCKS = _FirstBlocks(1 << 20)
+# the first blocks (from index 0) of inner levels and of the ratio, each shared by every
+# stream whose spec starts with it.  1 MiB holds about 63 real inner levels' first blocks
+# of 1,025 indices, or 31 complex; thm11i at weight 4 has 504 inner prefixes, about 8 MB,
+# and streams 1,608 levels with this bound, where 1,584 are distinct and 3,186 per spec
+_FIRST_BLOCKS = _ArrayMemo(1 << 20)
 
 
 class _Stream:
@@ -390,7 +390,7 @@ def _validate_params(alpha: complex, beta: complex):
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic expansions: {(n, k, t): c} stands for sum c m^(n + k (alpha - 1)) log^t m
+# Asymptotic expansions: keys (n, k, t) stand for m^(n + k (alpha - 1)) log^t m
 # ---------------------------------------------------------------------------
 
 
@@ -426,8 +426,9 @@ def _series_mul(a: list, b: list) -> list:
 # index weights kept; the derivative suite, whose circle points are all bases, uses
 # 1,944 at weight 4 and 2,907 at weight 5
 @functools.lru_cache(maxsize=4096)
-def _weight(iw: IndexWeight, alpha: complex, beta: complex, orders: int) -> dict:
-    """The expansion of one index weight, its first ``orders`` orders."""
+def _weight(iw: IndexWeight, alpha: complex, beta: complex, orders: int) -> tuple[tuple, np.ndarray]:
+    """The expansion of one index weight, its first ``orders`` orders: its
+    keys, those of the nonzero coefficients, and the coefficients."""
     series = [1.0] + [0.0] * (orders - 1)
     for x, a in ((alpha, iw.a), (beta, iw.b)):
         term, binomial = 1.0, [1.0]  # (1 + x / m)^-a = sum_j C(-a, j) x^j m^-j
@@ -441,74 +442,14 @@ def _weight(iw: IndexWeight, alpha: complex, beta: complex, orders: int) -> dict
         for j in range(1, orders):
             ex.append(sum(i * c[i] * ex[j - i] for i in range(1, j + 1)) / j)
         series = _series_mul(series, ex)
-    return {(-iw.a - iw.b - j, iw.poch, 0): c for j, c in enumerate(series) if c}
-
-
-def _lead(expansion: dict, d_re: float) -> float:
-    # the largest real part of the expansion's exponents
-    return max(n + k * d_re for n, k, _ in expansion)
-
-
-def _summatory(terms: dict, d: complex, cut: float, log_n: float, g, outer: bool) -> dict:
-    """The Euler-Maclaurin summatory function of an expansion, without its
-    constant: sum_{j<=m} T(j) = C + F(m), each term of F whose exponent's
-    real part exceeds cut; g = 1 / Gamma(alpha), for resonant terms."""
-    d_re = d.real
-    out: dict = {}
-    get = out.get
-    for (n, k, t), c in terms.items():
-        e = n + k * d
-        re = n + k * d_re
-        delta = e + 1.0
-        if not outer and abs(delta) < _RESONANCE:
-            # m^e log^t m = m^-1 sum_j delta^j log^(t+j) m / j!, integrated term by term
-            j, coef, size = 0, c * g**k if k else c, 1.0
-            while size > 1e-20 or j == 0:
-                key = (0, 0, t + j + 1)
-                out[key] = get(key, 0.0) + coef / (t + j + 1)
-                j += 1
-                coef = coef * delta / j
-                size *= abs(delta) * (log_n + 1.0) / j
-        elif re + 1.0 > cut:
-            # int m^e log^t m = m^(e+1) sum_j (-1)^j t!/(t-j)! log^(t-j) m / (e+1)^(j+1)
-            coef = c / delta
-            for j in range(t + 1):
-                key = (n + 1, k, t - j)
-                out[key] = get(key, 0.0) + coef
-                coef = -coef * (t - j) / delta
-        if re <= cut:
-            continue
-        key = (n, k, t)
-        out[key] = get(key, 0.0) + 0.5 * c
-        # derivatives: m^e sum_s v[s] log^s m -> m^(e-1) sum_s (e v[s] + (s+1) v[s+1]) log^s m
-        v = [0.0] * t + [c]
-        r = 1
-        while re - r > cut:
-            v = [e * v[s] + (s + 1) * v[s + 1] for s in range(t)] + [e * v[t]]
-            e -= 1.0
-            if r in _EM:
-                for s, vs in enumerate(v):
-                    key = (n - r, k, s)
-                    out[key] = get(key, 0.0) + _EM[r] * vs
-            r += 1
-    out.pop((0, 0, 0), None)  # a constant is C's
-    return out
+    coeffs = np.array([c for c in series if c])
+    coeffs.setflags(write=False)
+    return tuple((-iw.a - iw.b - j, iw.poch, 0) for j, c in enumerate(series) if c), coeffs
 
 
 def _python(x):
     # a long double scalar as a Python number, out of float64's range as 0 or inf
     return complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
-
-
-def _at(expansion: dict, m: float, scale) -> complex:
-    """The value of an expansion at m, its terms added in order; scale is
-    g m^(alpha - 1) in long double, None when no term has k != 0."""
-    log_m = math.log(m)
-    total = 0.0
-    powers = {k: _python(scale**k) for k in {k for _, k, _ in expansion} if k}
-    for (n, k, t), c in expansion.items():
-        total += c * m**n * log_m**t * powers.get(k, 1.0)
-    return total
 
 
 # one per parameter, order and state read; each evaluation reads its ratio at N and N / 2
@@ -521,6 +462,18 @@ def _scale(alpha: complex, orders: int, n: int, ratio):
     return ratio / np.exp(type(ratio)(series if np.iscomplexobj(ratio) else series.real))
 
 
+# one per key set, N and scale: an outermost level reads two, at N and N / 2
+@functools.lru_cache(maxsize=4096)
+def _basis(keys: tuple, n: int, scale) -> np.ndarray:
+    """m^n log^t m (g m^(alpha - 1))^k at m = n for each key (n, k, t) of an expansion;
+    scale is g n^(alpha - 1) in long double, None when no key has k != 0."""
+    log_n = math.log(n)
+    powers = {k: _python(scale**k) for k in {k for _, k, _ in keys} if k}
+    out = np.array([n**e * log_n**t * powers.get(k, 1.0) for e, k, t in keys])
+    out.setflags(write=False)
+    return out
+
+
 def _lead_decay(spec: NestedSumSpec) -> float:
     """Re of the exponent e of the outermost terms' lead m^e: each prefix grows
     like m^(e+1) for its terms' lead e > -1, and stays bounded (but for logs) else."""
@@ -531,60 +484,148 @@ def _lead_decay(spec: NestedSumSpec) -> float:
     return lead
 
 
-def _level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
-           sums: tuple, ratio, outer: bool) -> tuple[dict, dict]:
-    """(P, T): the expansions of the last level's prefix, its constant C at
-    key (0, 0, 0) included, and of its terms, for the prefix ``indices`` at
-    N = n, from the stream's prefix sums and ratio at n.  The outermost level
-    (outer) integrates every term in closed form, so that F vanishes at
-    infinity, and leaves C, the value, to :func:`_tail_fit`."""
-    d = alpha - 1.0
+class _Plan(NamedTuple):
+    """The symbolic half of one level's expansion: which coefficients of the weight and
+    of the prefix below make each term, and which terms, by what factor, each key of F.
+    Per point a level gathers them, multiplies and adds up each key's (np.add.reduceat)."""
+
+    keys: tuple  # F's; an inner level's prefix appends C at (0, 0, 0)
+    term_keys: tuple
+    placed: np.ndarray | None  # for a strict link, where each term below joins the prefix below
+    size: int  # the prefix below's size, with the keys of the terms below that it lacks
+    pairs: np.ndarray | None  # each term's flat indices of (weight, prefix below) pairs
+    pair_starts: np.ndarray | None
+    index: np.ndarray  # each key of F's term indices and factors
+    factor: np.ndarray
+    starts: np.ndarray
+    omitted: np.ndarray | None  # the outermost level's keys of the last order kept
+
+
+def _flat(groups: dict) -> tuple[list, np.ndarray]:
+    # the groups' entries in key order, and where each group starts
+    starts = np.cumsum([0, *map(len, groups.values())], dtype=np.intp)[:-1]
+    return [x for entries in groups.values() for x in entries], starts
+
+
+# plans kept, least recently used out at 4 MiB of arrays.  thm11i at weight 4 builds
+# 222 plans, 0.24 MB of arrays, for 1,584 level expansions, as beta is not in their keys
+_PLANS = _ArrayMemo(1 << 22)
+
+
+def _plan(key: tuple) -> _Plan:
+    """The plan of a level, from all that it reads, its key in _PLANS: its
+    weight's keys, the (keys, term keys) of the level below (None at the first
+    index), whether the link is strict, alpha - 1, K, N, g and outer."""
+    w_keys, below, strict, d, orders, n, g, outer = key
     d_re = d.real
+    terms, placed, size, pairs, pair_starts = w_keys, None, 0, None, None
+    if below is not None:
+        keys, below_terms = below[0] + ((0, 0, 0),), below[1]
+        if strict:  # P(m - 1) = P(m) - T(m): the terms below join the prefix below
+            position = {k: i for i, k in enumerate(keys)}
+            for k in below_terms:
+                position.setdefault(k, len(position))
+            keys = tuple(position)
+            placed = np.array([position[k] for k in below_terms], dtype=np.intp)
+        size = len(keys)
+        w_re = [wn + wk * d_re for wn, wk, _ in w_keys]
+        b_re = [bn + bk * d_re for bn, bk, _ in keys]
+        cut = max(w_re) + max(b_re) - orders + 1e-9
+        groups: dict = {}
+        for wi, ((wn, wk, _), wr) in enumerate(zip(w_keys, w_re)):
+            for bi, ((bn, bk, bt), br) in enumerate(zip(keys, b_re)):
+                if wr + br > cut:
+                    groups.setdefault((wn + bn, wk + bk, bt), []).append(wi * size + bi)
+        flat, pair_starts = _flat(groups)
+        terms, pairs = tuple(groups), np.array(flat, dtype=np.intp)
+    # the Euler-Maclaurin summatory function of the terms, without its constant:
+    # sum_{j<=m} T(j) = C + F(m), each term of F whose exponent's real part exceeds
+    # cut; g = 1 / Gamma(alpha), for resonant terms
+    cut = max(0.0, max(tn + k * d_re for tn, k, _ in terms) + 1.0) - orders + 1e-9
+    log_n = math.log(n)
+    out: dict = {}
+    for i, (tn, k, t) in enumerate(terms):
+        e = tn + k * d
+        re = tn + k * d_re
+        delta = e + 1.0
+        if not outer and abs(delta) < _RESONANCE:
+            # m^e log^t m = m^-1 sum_j delta^j log^(t+j) m / j!, integrated term by term
+            j, f, size_j = 0, g**k if k else 1.0, 1.0
+            while size_j > 1e-20 or j == 0:
+                out.setdefault((0, 0, t + j + 1), []).append((i, f / (t + j + 1)))
+                j += 1
+                f = f * delta / j
+                size_j *= abs(delta) * (log_n + 1.0) / j
+        elif re + 1.0 > cut:
+            # int m^e log^t m = m^(e+1) sum_j (-1)^j t!/(t-j)! log^(t-j) m / (e+1)^(j+1)
+            f = 1.0 / delta
+            for j in range(t + 1):
+                out.setdefault((tn + 1, k, t - j), []).append((i, f))
+                f = -f * (t - j) / delta
+        if re <= cut:
+            continue
+        out.setdefault((tn, k, t), []).append((i, 0.5))
+        # derivatives: m^e sum_s v[s] log^s m -> m^(e-1) sum_s (e v[s] + (s+1) v[s+1]) log^s m
+        v = [0.0] * t + [1.0]
+        r = 1
+        while re - r > cut:
+            v = [e * v[s] + (s + 1) * v[s + 1] for s in range(t)] + [e * v[t]]
+            e -= 1.0
+            if r in _EM:
+                for s, vs in enumerate(v):
+                    out.setdefault((tn - r, k, s), []).append((i, _EM[r] * vs))
+            r += 1
+    out.pop((0, 0, 0), None)  # a constant is C's
+    flat, starts = _flat(out)
+    omitted = np.array([e + k * d_re <= 1.0 - orders + 1e-9 for e, k, _ in out], dtype=bool) if outer else None
+    plan = _Plan(tuple(out), terms, placed, size, pairs, pair_starts,
+                 np.array([i for i, _ in flat], dtype=np.intp), np.array([f for _, f in flat]), starts, omitted)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    _PLANS.put(key, plan)
+    return plan
+
+
+def _expand(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
+            sums: tuple, ratio, outer: bool) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, P, T): the last level's plan and the coefficients of its prefix (C
+    last but at the outermost level) and of its terms, for the prefix ``indices``
+    at N = n, from the stream's prefix sums and ratio at n.  The outermost level
+    integrates every term in closed form, so that F vanishes at infinity."""
     orders = _order(max(abs(alpha), abs(beta)), n)
-    terms = _weight(indices[-1], alpha, beta, orders)
-    if len(indices) > 1:
-        below, below_terms = _inner_level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio)
-        if links[-1] is Link.STRICT:
-            below = dict(below)
-            for key, c in below_terms.items():
-                below[key] = below.get(key, 0.0) - c
-        cut = _lead(terms, d_re) + _lead(below, d_re) - orders + 1e-9
-        below = [(bn, bk, bt, bn + bk * d_re, bc) for (bn, bk, bt), bc in below.items()]
-        product: dict = {}
-        get = product.get
-        for (wn, wk, _), wc in terms.items():
-            w_re = wn + wk * d_re
-            for bn, bk, bt, b_re, bc in below:
-                if w_re + b_re > cut:
-                    key = (wn + bn, wk + bk, bt)
-                    product[key] = get(key, 0.0) + wc * bc
-        terms = product
+    w_keys, terms = _weight(indices[-1], alpha, beta, orders)
     # g is read by inner resonant terms alone
     scale = None if outer else _scale(alpha, orders, n, ratio)
-    g = None if scale is None else _python(scale * type(scale)(n) ** -d)
-    cut = max(0.0, _lead(terms, d_re) + 1.0) - orders + 1e-9
-    prefix = _summatory(terms, d, cut, math.log(n), g, outer)
+    g = None if scale is None else _python(scale * type(scale)(n) ** -(alpha - 1.0))
+    below = None
+    if len(indices) > 1:
+        below, p, t = _inner_level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio)
+    strict = below is not None and links[-1] is Link.STRICT
+    key = (w_keys, below and (below.keys, below.term_keys), strict, alpha - 1.0, orders, n, g, outer)
+    plan = _PLANS.get(key) or _plan(key)
+    if below is not None:
+        if plan.placed is not None:  # P has T's dtype or a wider one
+            p = np.concatenate((p, np.zeros(plan.size - len(p), p.dtype)))
+            p[plan.placed] -= t
+        terms = np.add.reduceat(np.multiply.outer(terms, p).ravel()[plan.pairs], plan.pair_starts)
+    prefix = np.add.reduceat(terms[plan.index] * plan.factor, plan.starts)
     if not outer:
         hi, lo = sums[-1]
-        prefix[(0, 0, 0)] = (hi - _at(prefix, n, scale)) + lo
-    return prefix, terms
+        prefix = np.append(prefix, (hi - (prefix * _basis(plan.keys, n, scale)).sum()) + lo)
+    return plan, prefix, terms
 
 
-# inner levels kept, each shared by every spec that extends its prefix; the outermost
-# level of a spec is not kept, as no other spec reads it (nor is its first block in
-# _FIRST_BLOCKS).  thm11i at weight 4 uses 504, and no spec's outermost level is
-# another's prefix there.
-# The weight-5 derivative suite (720 checks, 56 MB peak RSS) hits 9,558 times and misses
-# 4,635, the same with no bound: it evicts no level it reads again
+# inner levels' numbers kept, each shared by every spec that extends its prefix (not a
+# spec's outermost level, which no other spec reads).  thm11i at weight 4 uses 504 and
+# the weight-5 derivative suite 4,635 (9,558 hits), with no eviction of a level read again
 @functools.lru_cache(maxsize=4096)
 def _inner_level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
-                 sums: tuple, ratio) -> tuple[dict, dict]:
-    # every kept expansion holds one key tuple per distinct key
-    return tuple({_key(key): c for key, c in expansion.items()}
-                 for expansion in _level(alpha, beta, indices, links, n, sums, ratio, False))
-
-
-_key = functools.cache(lambda key: key)
+                 sums: tuple, ratio) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    level = _expand(alpha, beta, indices, links, n, sums, ratio, False)
+    for a in level[1:]:
+        a.setflags(write=False)
+    return level
 
 
 def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[complex, float]:
@@ -596,34 +637,23 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     alpha, beta = spec.alpha, spec.beta
     orders = _order(max(abs(alpha), abs(beta)), n)
     (sums, ratio), (half_sums, half_ratio) = full, half
-    prefix, _ = _level(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
-    d_re = complex(alpha).real - 1.0
-    cut = -orders + 1.0 + 1e-9  # the last order kept, relative to the constant
+    plan, prefix, _ = _expand(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
     half_n = n // 2
     scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, half_n, half_ratio)
-    # in one pass, the expansion at n and at n / 2, and the sizes of its terms
-    # and of those of the last order kept at n, each sum in the expansion's order
-    ks = {k for _, k, _ in prefix if k}
-    scales = {k: _python(scale**k) for k in ks}
-    half_scales = {k: _python(half_scale**k) for k in ks}
-    log_n, log_half = math.log(n), math.log(half_n)
-    tail, size, tail_half, omitted = 0.0, 0.0, 0.0, 0.0
-    for (e, k, t), c in prefix.items():
-        v = c * n**e * log_n**t * scales.get(k, 1.0)
-        tail += v
-        size += abs(v)
-        tail_half += c * half_n**e * log_half**t * half_scales.get(k, 1.0)
-        if e + k * d_re <= cut:
-            omitted += abs(v)
+    # the expansion at n and at n / 2, and the sizes of its terms and of those of the last order kept at n
+    terms = prefix * _basis(plan.keys, n, scale)
+    sizes = np.abs(terms)
+    tail, size, omitted = terms.sum(), sizes.sum(), sizes[plan.omitted].sum()
+    tail_half = (prefix * _basis(plan.keys, half_n, half_scale)).sum()
     (hi, lo), (half_hi, half_lo) = sums[-1], half_sums[-1]
-    value = (hi - tail) + lo
+    value = _python((hi - tail) + lo)
     gap = abs(value - ((half_hi - tail_half) + half_lo))
     drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
     powers = sum(abs(iw.poch) for iw in spec.indices)
     # a streamed term's weights make at most 2 (a + b) + |poch| + 2 roundings of eps / 2 per level
     weights = sum(iw.a + iw.b for iw in spec.indices) + powers + spec.depth
     rounding = (_EPS * (1 + weights) + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
-    err = gap + omitted + rounding
+    err = float(gap + omitted + rounding)
     return value, (err if math.isfinite(err) else math.inf)
 
 

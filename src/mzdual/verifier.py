@@ -29,7 +29,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -388,10 +388,11 @@ def _integral_plan(w: Word, p: Params, family: str) -> tuple:
 CIRCLE_POINTS = 48
 
 
-def _taylor_coefficient(dw: Word, r: int, p: Params) -> tuple:
-    """The side (-1)^r times the r-th Taylor coefficient of x -> Z(dw; x, beta)
-    at x = alpha, by the trapezoid rule on the circle |x - alpha| = Re(alpha)/3:
-    its keys are the specs at the points the rule reads.
+def _taylor_coefficients(dw: Word, rs: Sequence[int], p: Params) -> list[tuple]:
+    """For each r of rs, the side (-1)^r times the r-th Taylor coefficient of
+    x -> Z(dw; x, beta) at x = alpha, by the trapezoid rule on the circle
+    |x - alpha| = Re(alpha)/3: its keys are the specs at the points the rule
+    reads, compiled once for every r.
 
     The map is analytic on Re x > 0, so the rule's error falls like
     3^-CIRCLE_POINTS.  The rule adds the points z up through
@@ -407,7 +408,7 @@ def _taylor_coefficient(dw: Word, r: int, p: Params) -> tuple:
     keys = tuple(family_spec("Z", dw, (), Params(complex(x0 + rho * z), p.beta))
                  for z in roots[: n // 2 + 1 if real else n])
 
-    def coefficient(vals: list[EvalResult]) -> EvalResult:
+    def coefficient(r: int, vals: list[EvalResult]) -> EvalResult:
         if real:  # the points n/2 + 1 ... n - 1 mirror n/2 - 1 ... 1
             vals = vals + [v._replace(value=complex(v.value).conjugate()) for v in vals[n // 2 - 1 : 0 : -1]]
         weights = roots**-r / (n * rho**r)
@@ -417,7 +418,7 @@ def _taylor_coefficient(dw: Word, r: int, p: Params) -> tuple:
         err = abs(coeff - complex(half.value)) + full.err_estimate
         return full._replace(value=(-1) ** r * (coeff.real if real else coeff), err_estimate=err)
 
-    return keys, coefficient
+    return [(keys, functools.partial(coefficient, r)) for r in rs]
 
 
 def check_derivative_crosslink(
@@ -425,16 +426,17 @@ def check_derivative_crosslink(
 ) -> IdentityCheck:
     """(-1)^r times the r-th Taylor coefficient in x of Z(dual w; x, a) at
     x = b against the starred sum of dual w at (b, a)."""
-    return _run([_derivative_plan(w, r, p)], cfg)[0]
+    return _run(_derivative_plans_at(w, [r], p), cfg)[0]
 
 
-def _derivative_plan(w: Word, r: int, p: Params) -> tuple:
-    if r < 1:
+def _derivative_plans_at(w: Word, rs: Sequence[int], p: Params) -> list[tuple]:
+    # the check of each r of rs at p; their left sides read one circle
+    if any(r < 1 for r in rs):
         raise ValueError("derivative cross-link needs r >= 1")
     dw = dual(w)
-    name = f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}"
-    rhs = _series(compile_terms(_starred_terms(dw, r), p))  # thm11i's right side
-    return name, _taylor_coefficient(dw, r, p.swapped()), rhs
+    names = [f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}" for r in rs]
+    rhs = [_series(compile_terms(_starred_terms(dw, r), p)) for r in rs]  # thm11i's right sides
+    return list(zip(names, _taylor_coefficients(dw, rs, p.swapped()), rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +565,10 @@ def _integral_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
 
 
 def _derivative_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
-    # the r >= 1 checks of a pair and word read the same circle points
-    return [_derivative_plan(w, r, Params(a, b))
-            for a, b in sc.params_grid for w in words for r in sc.r_values() if r >= 1]
+    # the r >= 1 checks of a pair and word read the same circle points, compiled once
+    rs = [r for r in sc.r_values() if r >= 1]
+    return [plan for a, b in sc.params_grid for w in words
+            for plan in _derivative_plans_at(w, rs, Params(a, b))]
 
 
 # duality and the sum formula are Theorem 1.1(i) instances, so their suites

@@ -15,18 +15,22 @@ parts of linear-combination arithmetic that only the tests need, and the
 kernel's running product, in long double, written as one cumprod over a
 whole range, the reference that its blockwise form must match byte for
 byte.  The ends of the blocks that evaluate streams are listed by a loop.
+Last, the tail expansions in dict algebra, level by level and point by
+point: the reference for the kernel's plans, built once per key set.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from mzdual.nested_sum import _BLOCK, NestedSumSpec, _Stream
+import mzdual.nested_sum as ns
+from mzdual.nested_sum import _BLOCK, Link, NestedSumSpec, _Stream
 from mzdual.verifier import _tanh_sinh_nodes
 from mzdual.words import Cut, LinComb, Word, parse_word
 
@@ -484,3 +488,138 @@ def holder_integral(w: Word, alpha: complex, beta: complex, family: str):
     lower = _holder_half(ctx, letters, t_first, t_last)
     upper = _holder_half(ctx, "".join(_COMPLEMENT[l] for l in reversed(letters)), u_first, u_last)
     return ctx.fsum(lower[j] * upper[n - j] for j in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# The tail expansions in dict algebra: {(n, k, t): c} stands for
+# sum c m^(n + k (alpha - 1)) log^t m, each level expanded per point and per
+# spec, with no plan and no memo, every sum added up key by key in order; the
+# reference for the kernel's compiled plans (nested_sum._plan and _expand)
+# ---------------------------------------------------------------------------
+
+
+def _lead(expansion: dict, d_re: float) -> float:
+    # the largest real part of the expansion's exponents
+    return max(n + k * d_re for n, k, _ in expansion)
+
+
+def summatory(terms: dict, d: complex, cut: float, log_n: float, g, outer: bool) -> dict:
+    """The Euler-Maclaurin summatory function of an expansion, without its
+    constant: sum_{j<=m} T(j) = C + F(m), each term of F whose exponent's
+    real part exceeds cut; g = 1 / Gamma(alpha), for resonant terms."""
+    d_re = d.real
+    out: dict = {}
+    for (n, k, t), c in terms.items():
+        e = n + k * d
+        re = n + k * d_re
+        delta = e + 1.0
+        if not outer and abs(delta) < ns._RESONANCE:
+            # m^e log^t m = m^-1 sum_j delta^j log^(t+j) m / j!, integrated term by term
+            j, coef, size = 0, c * g**k if k else c, 1.0
+            while size > 1e-20 or j == 0:
+                key = (0, 0, t + j + 1)
+                out[key] = out.get(key, 0.0) + coef / (t + j + 1)
+                j += 1
+                coef = coef * delta / j
+                size *= abs(delta) * (log_n + 1.0) / j
+        elif re + 1.0 > cut:
+            # int m^e log^t m = m^(e+1) sum_j (-1)^j t!/(t-j)! log^(t-j) m / (e+1)^(j+1)
+            coef = c / delta
+            for j in range(t + 1):
+                key = (n + 1, k, t - j)
+                out[key] = out.get(key, 0.0) + coef
+                coef = -coef * (t - j) / delta
+        if re <= cut:
+            continue
+        key = (n, k, t)
+        out[key] = out.get(key, 0.0) + 0.5 * c
+        # derivatives: m^e sum_s v[s] log^s m -> m^(e-1) sum_s (e v[s] + (s+1) v[s+1]) log^s m
+        v = [0.0] * t + [c]
+        r = 1
+        while re - r > cut:
+            v = [e * v[s] + (s + 1) * v[s + 1] for s in range(t)] + [e * v[t]]
+            e -= 1.0
+            if r in ns._EM:
+                for s, vs in enumerate(v):
+                    key = (n - r, k, s)
+                    out[key] = out.get(key, 0.0) + ns._EM[r] * vs
+            r += 1
+    out.pop((0, 0, 0), None)  # a constant is C's
+    return out
+
+
+def at(expansion: dict, m: float, scale) -> complex:
+    """The value of an expansion at m, its terms added in order; scale is
+    g m^(alpha - 1) in long double, None when no term has k != 0."""
+    log_m = math.log(m)
+    powers = {k: ns._python(scale**k) for k in {k for _, k, _ in expansion} if k}
+    total = 0.0
+    for (n, k, t), c in expansion.items():
+        total += c * m**n * log_m**t * powers.get(k, 1.0)
+    return total
+
+
+def level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
+          sums: tuple, ratio, outer: bool) -> tuple[dict, dict]:
+    """(P, T): the expansions of the last level's prefix, its constant C at
+    key (0, 0, 0) included but at the outermost level, and of its terms, for
+    the prefix ``indices`` at N = n, from the stream's prefix sums and ratio
+    at n; the levels below are expanded anew."""
+    d = alpha - 1.0
+    d_re = d.real
+    orders = ns._order(max(abs(alpha), abs(beta)), n)
+    terms = dict(zip(*ns._weight(indices[-1], alpha, beta, orders)))
+    if len(indices) > 1:
+        below, below_terms = level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio, False)
+        if links[-1] is Link.STRICT:
+            for key, c in below_terms.items():
+                below[key] = below.get(key, 0.0) - c
+        cut = _lead(terms, d_re) + _lead(below, d_re) - orders + 1e-9
+        product: dict = {}
+        for (wn, wk, _), wc in terms.items():
+            for (bn, bk, bt), bc in below.items():
+                if (wn + wk * d_re) + (bn + bk * d_re) > cut:
+                    key = (wn + bn, wk + bk, bt)
+                    product[key] = product.get(key, 0.0) + wc * bc
+        terms = product
+    scale = None if outer else ns._scale(alpha, orders, n, ratio)
+    g = None if scale is None else ns._python(scale * type(scale)(n) ** -d)
+    cut = max(0.0, _lead(terms, d_re) + 1.0) - orders + 1e-9
+    prefix = summatory(terms, d, cut, math.log(n), g, outer)
+    if not outer:
+        hi, lo = sums[-1]
+        prefix[(0, 0, 0)] = (hi - at(prefix, n, scale)) + lo
+    return prefix, terms
+
+
+def tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[complex, float]:
+    """nested_sum._tail_fit from the dict expansions of :func:`level`, the
+    expansion at n and n / 2 and the sizes of its terms added in its order."""
+    alpha, beta = spec.alpha, spec.beta
+    orders = ns._order(max(abs(alpha), abs(beta)), n)
+    (sums, ratio), (half_sums, half_ratio) = full, half
+    prefix, _ = level(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
+    d_re = complex(alpha).real - 1.0
+    half_n = n // 2
+    scale, half_scale = ns._scale(alpha, orders, n, ratio), ns._scale(alpha, orders, half_n, half_ratio)
+    ks = {k for _, k, _ in prefix if k}
+    scales = {k: ns._python(scale**k) for k in ks}
+    half_scales = {k: ns._python(half_scale**k) for k in ks}
+    log_n, log_half = math.log(n), math.log(half_n)
+    tail, size, tail_half, omitted = 0.0, 0.0, 0.0, 0.0
+    for (e, k, t), c in prefix.items():
+        v = c * n**e * log_n**t * scales.get(k, 1.0)
+        tail += v
+        size += abs(v)
+        tail_half += c * half_n**e * log_half**t * half_scales.get(k, 1.0)
+        if e + k * d_re <= 1.0 - orders + 1e-9:
+            omitted += abs(v)
+    (hi, lo), (half_hi, half_lo) = sums[-1], half_sums[-1]
+    value = (hi - tail) + lo
+    gap = abs(value - ((half_hi - tail_half) + half_lo))
+    drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
+    powers = sum(abs(iw.poch) for iw in spec.indices)
+    weights = sum(iw.a + iw.b for iw in spec.indices) + powers + spec.depth
+    rounding = (ns._EPS * (1 + weights) + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
+    err = gap + omitted + rounding
+    return value, (err if math.isfinite(err) else math.inf)

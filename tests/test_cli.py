@@ -325,22 +325,26 @@ class TestVerify:
 
     def test_level_cache_invisible(self, capsys, monkeypatch):
         # the suite's JSON is the same when every inner level builds its expansion
-        # anew and streams its first block anew (a memo that holds 0 bytes)
+        # anew, from a plan and a basis built anew, and streams its first block anew
+        # (memos that hold 0 bytes)
         args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
                 "--no-timestamp")
         mzdual.evaluators._evaluate_cached.cache_clear()
         _, warm, _ = run(capsys, *args)
-        level = mzdual.nested_sum._inner_level
 
-        def cold_level(*key):
-            level.cache_clear()
-            return level(*key)
+        def cold(memo):
+            def call(*key):
+                memo.cache_clear()
+                return memo(*key)
+            return call
 
-        monkeypatch.setattr(mzdual.nested_sum, "_inner_level", cold_level)
-        monkeypatch.setattr(mzdual.nested_sum, "_FIRST_BLOCKS", mzdual.nested_sum._FirstBlocks(0))
+        for name in ("_inner_level", "_basis"):
+            monkeypatch.setattr(mzdual.nested_sum, name, cold(getattr(mzdual.nested_sum, name)))
+        for name in ("_FIRST_BLOCKS", "_PLANS"):
+            monkeypatch.setattr(mzdual.nested_sum, name, mzdual.nested_sum._ArrayMemo(0))
         mzdual.evaluators._evaluate_cached.cache_clear()
-        _, cold, _ = run(capsys, *args)
-        assert json.loads(warm)["checks"] and cold == warm
+        _, cold_run, _ = run(capsys, *args)
+        assert json.loads(warm)["checks"] and cold_run == warm
 
     def test_csv_output(self, capsys):
         code, out, _ = run(

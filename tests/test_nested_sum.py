@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
+import oracles
 from oracles import (
     evaluate_block_ends,
     holder_integral,
@@ -32,26 +33,27 @@ from mzdual.nested_sum import (
     _FIRST_BLOCKS,
     _MAX_N,
     _N_START,
+    _PLANS,
     EvalConfig,
     IndexWeight,
     InvalidParamsError,
     Link,
     NestedSumSpec,
     NonConvergentError,
-    _at,
+    _basis,
+    _expand,
     _inner_level,
     _lead_decay,
-    _level,
-    _key,
+    _plan,
     _pochhammer_log,
     _product_block,
     _scale,
     _Stream,
-    _summatory,
     _tail_fit,
     _weight,
     evaluate,
 )
+from mzdual.cli import parse_grid
 from mzdual.verifier import DEFAULT_GRID, RELATIONS, SuiteConfig, run_suite
 from mzdual.words import compositions, parse_word, words_up_to_weight
 
@@ -604,17 +606,26 @@ class TestNoResonanceCliff:
 
     def test_off_axis_exponent_not_resonant(self):
         # sum_{k<=m} k^(-1+2i) ~ C + m^(2i) / (2i): no log, unlike k^-1
-        log_n = math.log(1024)
-        off_axis = _summatory({(-1, 1, 0): 1.0}, 2j, -6.0, log_n, 1.0, False)
+        off_axis = summatory({(-1, 1, 0): 1.0}, 2j, 6, 1024, 1.0, False)
         assert off_axis[(0, 1, 0)] == -0.5j and all(t == 0 for _, _, t in off_axis)
-        assert _summatory({(-1, 0, 0): 1.0}, 2j, -6.0, log_n, 1.0, False)[(0, 0, 1)] == 1.0
+        assert summatory({(-1, 0, 0): 1.0}, 2j, 6, 1024, 1.0, False)[(0, 0, 1)] == 1.0
+
+
+def summatory(terms: dict, d: complex, orders: int, n: int, g, outer: bool) -> dict:
+    """F of an expansion {(n, k, t): c} of a level's terms, from the plan of a
+    first index whose weight has their keys."""
+    plan = _plan((tuple(terms), None, False, d, orders, n, g, outer))
+    coeffs = np.array(list(terms.values()))
+    return dict(zip(plan.keys, np.add.reduceat(coeffs[plan.index] * plan.factor, plan.starts)))
 
 
 def outer_expansion(spec: NestedSumSpec, n: int = _N_START) -> tuple[dict, dict]:
-    """The expansions (prefix, terms) of a spec's outermost level at N = n,
-    from the stream's state there; the prefix leaves out the constant."""
+    """The expansions {(n, k, t): c} (prefix, terms) of a spec's outermost
+    level at N = n, from the stream's state there; the prefix leaves out the
+    constant."""
     (sums, ratio), = _Stream(spec).states(n)
-    return _level(spec.alpha, spec.beta, spec.indices, spec.links, n, sums, ratio, True)
+    plan, prefix, terms = _expand(spec.alpha, spec.beta, spec.indices, spec.links, n, sums, ratio, True)
+    return dict(zip(plan.keys, prefix)), dict(zip(plan.term_keys, terms))
 
 
 class TestLargeAlpha:
@@ -805,8 +816,8 @@ def pair_values(pairs: np.ndarray) -> np.ndarray:
 
 
 def clear_shared_work():
-    # every kernel memo: the first blocks, the expansions and their parts
-    for cache in (_FIRST_BLOCKS, _inner_level, _weight, _pochhammer_log, _scale, _key):
+    # every kernel memo: the first blocks, the plans, the expansions and their parts
+    for cache in (_FIRST_BLOCKS, _PLANS, _inner_level, _weight, _pochhammer_log, _scale, _basis):
         cache.cache_clear()
 
 
@@ -892,7 +903,7 @@ class TestSharedWork:
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
-        for memo in (_inner_level, _weight, _pochhammer_log):
+        for memo in (_inner_level, _weight, _pochhammer_log, _basis):
             info = memo.cache_info()
             assert info.misses == info.currsize > 0, (memo.__name__, info)
 
@@ -964,6 +975,51 @@ class TestSharedWork:
         assert held == _FIRST_BLOCKS.nbytes <= _FIRST_BLOCKS.bound
         assert [key[-2] for key in _FIRST_BLOCKS.entries][-3:] == [8192] * 3
         assert all(entry[0].shape[-1] == key[-2] for key, entry in _FIRST_BLOCKS.entries.items())
+
+
+    @pytest.mark.parametrize("grid", ["default", "0.6+0.3i,1,1.5-0.5i", "4:4;20:20;1:20"])
+    def test_compiled_levels_match_the_dict_algebra(self, monkeypatch, grid):
+        # every spec of the weight-4 relations, its levels from the shared plans and
+        # from oracles.level, the dict algebra expanded anew point by point: within
+        # 1e-15 of its value and within its estimate, at the same N; at (20, 20)
+        # the orders kept rise to 10
+        sc = SuiteConfig(weight_max=4, params_grid=parse_grid(grid))
+        plans = mzdual.verifier._SUITES["all"](sc, words_up_to_weight(4))
+        specs = dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks)
+        compiled = {spec: evaluate(spec, sc.eval_config()) for spec in specs}
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", oracles.tail_fit)
+        short = []
+        for spec, res in compiled.items():
+            ref = evaluate(spec, sc.eval_config())
+            dev = abs(res.value - ref.value)
+            if not (dev <= 1e-15 * abs(ref.value) and dev <= ref.err_estimate and res[2:] == ref[2:]):
+                short.append((spec, res, ref))
+        assert len(specs) > 500 and not short
+
+    def test_plans_shared_across_beta(self, monkeypatch):
+        # a plan's key holds alpha - 1 and the key sets, not beta or a stream sum:
+        # thm11i at weight 4 expands 1,584 levels from 222 plans
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        expand, calls = mzdual.nested_sum._expand, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return expand(*args)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_expand", counted)
+        assert run_suite("thm11i", SuiteConfig(weight_max=4)).passed
+        assert (calls[0], len(_PLANS.entries)) == (1584, 222)
+
+    def test_plans_stay_within_their_bound(self):
+        # the plan memo holds at most its bound of arrays; all at weight 5 keeps
+        # every one of its 1,284 plans, about 1.5 MB (all at weight 6: 2,841, 3.7 MB)
+        clear_shared_work()
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        assert run_suite("all", SuiteConfig(weight_max=5)).passed
+        held = sum(a.nbytes for plan in _PLANS.entries.values() for a in plan if isinstance(a, np.ndarray))
+        assert held == _PLANS.nbytes <= _PLANS.bound == 2**22
+        assert len(_PLANS.entries) == 1284 and held > 2**20
 
 
 FIRST = IndexWeight(poch=1)  # (alpha)_m / m!
@@ -1070,8 +1126,8 @@ class TestTailPowerLog:
     @staticmethod
     def tail(s: complex, t: int, m: int) -> complex:
         terms = {(0, 1, t): 1.0}  # m^(0 + 1 * d) log^t m with d = -s
-        prefix = _summatory(terms, -s, 1.0 - s.real - 10, math.log(m), None, True)
-        return -_at(prefix, m, m**-s)
+        prefix = summatory(terms, -s, 10, m, None, True)
+        return -(np.array(list(prefix.values())) @ _basis(tuple(prefix), m, m**-s))
 
     def test_plain_zeta_tail(self):
         assert math.isclose(self.tail(2.0, 0, 64), hurwitz_zeta(2, 65), rel_tol=1e-14)

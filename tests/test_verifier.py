@@ -25,7 +25,7 @@ from mzdual.verifier import (
     _multisets,
     _rule_tables,
     _simplex_integral,
-    _taylor_coefficient,
+    _taylor_coefficients,
     check_derivative_crosslink,
     check_identity,
     check_integral_repr,
@@ -478,8 +478,7 @@ class TestDerivativeCheck:
 
         with mpmath.workdps(30):
             coeffs = mpmath.taylor(closed, mpmath.mpmathify(x), 4)
-        for r in range(1, 5):
-            keys, coefficient = _taylor_coefficient(W("1:2"), r, Params(x, a))
+        for r, (keys, coefficient) in enumerate(_taylor_coefficients(W("1:2"), range(1, 5), Params(x, a)), 1):
             got = coefficient([mzdual.evaluators.eval_spec(k, CFG) for k in keys])
             actual = abs(complex(got.value) - (-1) ** r * complex(coeffs[r]))
             assert got.converged and actual <= got.err_estimate, (r, actual, got.err_estimate)
