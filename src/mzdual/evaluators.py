@@ -20,7 +20,8 @@ r-vector, so a spec at a new point is one validated spec of a structure
 already built.  ``FAMILIES`` has one row per family: its compiler,
 and whether it reads the r-vector and the second slot.  ``family_spec``
 is the one compile entry, that row's compile, and ``eval_family`` adds one
-cached kernel evaluation; the empty word compiles to the empty spec, which
+cached kernel evaluation of the spec alone (a suite streams its specs
+together instead); the empty word compiles to the empty spec, which
 the kernel evaluates to 1 after checking the parameters.  ``compile_terms``
 compiles a combination of them, and ``eval_terms`` adds up its values.
 """
@@ -149,14 +150,16 @@ def _hstar(w: Word, rv: tuple[int, ...]) -> tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 
 
+# the values of compute and eval_family, eval_terms: a suite streams its specs together
+# (nested_sum.first_states) and evaluates each once, through no memo
 @functools.lru_cache(maxsize=262144)
 def _evaluate_cached(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
     return evaluate(spec, cfg)
 
 
 def eval_spec(spec: NestedSumSpec, cfg: EvalConfig) -> EvalResult:
-    """Evaluate a kernel spec with memoization (specs and configs are
-    immutable, so repeated single checks and computes share work)."""
+    """Evaluate one kernel spec alone, memoized (specs and configs are
+    immutable, so repeated computes share work); suites do not call it."""
     return _evaluate_cached(spec, cfg)
 
 

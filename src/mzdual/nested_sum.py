@@ -8,15 +8,19 @@ strict/weak relation linking consecutive indices.
 Evaluation streams the first N terms, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
-one for a strict link, so no term at m = 0).  Work is O(N * depth),
-vectorized in blocks of at most _BLOCK = 8,192 indices that end where a
-state is read: one block [0, N] for the first N / 2 and N while it holds
-N + 1 <= _BLOCK indices, N / 2 read off its column, then one or more
-blocks to each later N.  Every running sum is a compensated (hi, lo) pair
-of float64 or complex128, the same on every platform.  The one Pochhammer
-ratio r(m) = (alpha)_m / m! = r(m-1) (1 + (alpha - 1) / m) is a running
-product in long double, built once per block; m! / (alpha)_{m+1} is
-(m + alpha)^-1 / r.
+one for a strict link, so no term at m = 0), in blocks of at most _BLOCK =
+8,192 indices that end where a state is read (one block [0, N] for the
+first N / 2 and N while it holds N + 1 <= _BLOCK).  Every running sum is a
+compensated (hi, lo) pair of float64 or complex128, the same on every
+platform.  The one Pochhammer ratio r(m) = (alpha)_m / m! is a running
+product in long double; m! / (alpha)_{m+1} is (m + alpha)^-1 / r.  A suite
+evaluates few structures at many points (its relations hold at every
+point), so :func:`first_states` streams its specs together as structures
+times points: the specs of one first N and dtype make a trie of prefixes,
+whose root builds the ratio once per distinct alpha and each of whose nodes
+streams its level once, depth first, as one (points x indices) block of at
+most _STACK elements.  A lone spec, or a point that doubles N from its
+state at N, is a chain of one-point nodes.
 
 The tail past N is exact, not fitted: each level's prefix is
 P_i(m) = C_i + F_i(m), where F_i is the asymptotic expansion
@@ -52,9 +56,8 @@ the key sets it reads, alpha - 1, K, N and g, not of beta or of any sum, so
 the points of a structure share it, kept in _PLANS (4 MiB of arrays, least
 recently used out).  A point's numbers are gathers, multiplies and adds
 (np.add.reduceat), an inner level's memoized on the parameters, its prefix
-and links, N and the prefix's stream values; first blocks (from index 0),
-on those and the block's end and read columns (_FIRST_BLOCKS, 1 MiB).
-Every output is byte-identical to one computed per spec, in any order.
+and links, N and the prefix's stream values.  Every output is byte-identical
+to one computed per spec, in any order and in any stack.
 """
 
 from __future__ import annotations
@@ -62,11 +65,12 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import itertools
 import math
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,6 +175,7 @@ class EvalResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 13  # the most indices of a block
+_STACK = 1 << 14  # the most points times indices of a stacked block
 
 
 def _int_power(base: np.ndarray, k: int) -> np.ndarray:
@@ -185,14 +190,12 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
 
 
 def _product_block(alpha: complex, lo: int, hi: int, carry):
-    """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128
-    (the last index divides (m + alpha)^-1 by it), and the same in long
-    double, whose last entry is the carry at hi - 1, given the carry at
-    lo - 1 (None at lo = 0): one cumprod over the block, at most _BLOCK
-    indices.  Each step 1 + (alpha - 1) / m is made
-    in long double from a float64 quotient: the product is within 9.9e-16
-    where float64's is 6.6e-15 off (m = 65,536), and a compensated float64
-    log sum is 2.7x slower."""
+    """(alpha)_m / m! at m = lo..hi-1, read-only, in float64 or complex128,
+    and the same in long double, whose last entry is the carry at hi - 1,
+    given the carry at lo - 1 (None at lo = 0): one cumprod over the block.
+    Each step 1 + (alpha - 1) / m is made in long double from a float64
+    quotient: the product is within 9.9e-16 where float64's is 6.6e-15 off
+    (m = 65,536), and a compensated float64 log sum is 2.7x slower."""
     d = alpha - 1.0
     is_complex = np.iscomplexobj(d)
     r = np.empty(hi - lo, dtype=np.clongdouble if is_complex else np.longdouble)
@@ -215,178 +218,204 @@ def _times(w: np.ndarray | None, f: np.ndarray, divide: bool = False) -> np.ndar
 
 
 def _running_sum(out: np.ndarray, carry: np.ndarray):
-    """Turn the terms x and t in the rows of out into running (hi, lo) sums in
-    place, from the pair carry before them: hi_k = fl(hi_{k-1} + x_k), and lo
-    sums t and each such add's TwoSum error, as if in twice the precision
-    (Ogita, Rump and Oishi, Accurate sum and dot product, 2005).  One pass
-    over the block, at most _BLOCK indices, so temporaries stay small."""
+    """Turn the terms x and t in out[0] and out[1], a row per point, into
+    running (hi, lo) sums in place, from each point's pair carry before them:
+    hi_k = fl(hi_{k-1} + x_k), and lo sums t and each such add's TwoSum error,
+    as if in twice the precision (Ogita, Rump and Oishi, Accurate sum and dot
+    product, 2005).  One pass over the block, so temporaries stay small."""
     x, t = out
-    s = np.concatenate([carry[:1], x])
-    np.cumsum(s, out=s)
-    a, h = s[:-1], s[1:]  # each hi, and the one before it
+    s = np.concatenate([carry[0][:, None], x], axis=1)
+    np.cumsum(s, axis=1, out=s)
+    a, h = s[:, :-1], s[:, 1:]  # each hi, and the one before it
     b = h - a
     x -= b
     b -= h
     b += a
     b += x  # (a - (h - b)) + (x - b), the rounding error of h = a + x
     t += b
-    t[0] += carry[1]
-    np.cumsum(t, out=t)
+    t[:, 0] += carry[1]
+    np.cumsum(t, axis=1, out=t)
     x[:] = h
 
 
-class _ArrayMemo:
-    """Tuples of arrays, each a pure function of its key, so a hit gives the
-    bytes a build would, least recently used out first, so that their arrays
-    (not their other fields) hold at most ``bound`` bytes."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.nbytes = 0
-        self.entries: OrderedDict = OrderedDict()
-
-    def get(self, key) -> tuple | None:
-        hit = self.entries.get(key)
-        if hit is not None:
-            self.entries.move_to_end(key)
-        return hit
-
-    def put(self, key, entry: tuple):
-        self.entries[key] = entry
-        self.nbytes += sum(a.nbytes for a in entry if isinstance(a, np.ndarray))
-        while self.nbytes > self.bound:
-            _, old = self.entries.popitem(last=False)
-            self.nbytes -= sum(a.nbytes for a in old if isinstance(a, np.ndarray))
-
-    def cache_clear(self):
-        self.entries.clear()
-        self.nbytes = 0
-
-
-# the first blocks (from index 0) of inner levels and of the ratio, each shared by every
-# stream whose spec starts with it.  1 MiB holds about 63 real inner levels' first blocks
-# of 1,025 indices, or 31 complex; thm11i at weight 4 has 504 inner prefixes, about 8 MB,
-# and streams 1,608 levels with this bound, where 1,584 are distinct and 3,186 per spec
-_FIRST_BLOCKS = _ArrayMemo(1 << 20)
-
-
 class _Stream:
-    """Carries per-level prefix state across blocks of the index range; its
-    numbers are real or complex (``scalar``) as the parameters are."""
+    """A trie node: the level of the last index of ``spec`` (a prefix, at
+    the first point) streamed at each (alpha, beta) of ``points``, of one
+    dtype, from ``below``, whose rows ``rows`` (None: all) are these points.
+    The root, the empty prefix, streams the ratio if ``poch``.  Alone,
+    ``_Stream(spec)`` is the last node of the chain of the spec's prefixes."""
 
-    def __init__(self, spec: NestedSumSpec):
-        self.spec = spec
-        self.scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
-        # each level's (hi, lo) prefix at next_m - 1
-        self.carries = np.zeros((spec.depth, 2), dtype=self.scalar)
-        self.ratio = None  # the ratio's carry at next_m - 1
-        self.next_m = 0
-        self.marked = {}  # the last block's marks and end: each level's prefix and the ratio there
+    def __init__(self, spec: NestedSumSpec, points=None, below=None, rows=None, poch=False):
+        if points is None:
+            points, poch = [(spec.alpha, spec.beta)], any(iw.poch for iw in spec.indices)
+            for j in range(spec.depth):
+                prefix = NestedSumSpec(spec.indices[:j], spec.links[:max(j - 1, 0)], spec.alpha, spec.beta)
+                below = _Stream(prefix, points, below, poch=poch)
+        self.spec, self.points, self.below, self.rows, self.poch = spec, points, below, rows, poch
+        if below is not None and rows is None:  # the points of the node below
+            self.alpha, self.beta, self.scalar = below.alpha, below.beta, below.scalar
+        else:
+            self.alpha, self.beta = (np.array(x)[:, None] for x in zip(*points))
+            self.scalar = complex if np.iscomplexobj(self.alpha) or np.iscomplexobj(self.beta) else float
+        # each point's (hi, lo) prefix at next_m - 1 and before the last block; the last
+        # block's pairs and ratio; each point's prefixes and the ratio at its marks and end
+        self.carries = self.before = np.zeros((2, len(points)), dtype=self.scalar)
+        self.next_m, self.out, self.r, self.marked, self.ratios = 0, None, None, None, None
+        self.alphas = list(dict.fromkeys(a for a, _ in points))  # the root's, each with its ratio carry
+        self.ratio, self.which = [None] * len(self.alphas), [self.alphas.index(a) for a, _ in points]
 
-    def _ratio_block(self, hi: int, cols: tuple) -> tuple:
-        # (alpha)_m / m! at m = next_m..hi-1, and in long double at the block's
-        # columns cols, the last the carry; (None, None) if no index carries it
-        if not any(iw.poch for iw in self.spec.indices):
-            return None, None
-        alpha = self.spec.alpha
-        key = (alpha, hi, cols)  # a first block; an inner level's key is longer
-        block = _FIRST_BLOCKS.get(key) if self.next_m == 0 else None
-        if block is None:
-            r, exact = _product_block(alpha, self.next_m, hi, self.ratio)
-            block = r, exact[list(cols)]
-            if self.next_m == 0:
-                _FIRST_BLOCKS.put(key, block)
-        self.ratio = block[1][-1]
-        return block
+    def resume(self, n: int, state: tuple) -> _Stream:
+        """This lone chain, set to go on from its state at index n."""
+        node, (sums, ratio) = self, state
+        while node.below:
+            node.carries = np.array(sums[node.spec.depth - 1], node.scalar)[:, None]
+            node.next_m, node = n + 1, node.below
+        node.ratio, node.next_m = [ratio], n + 1
+        return self
 
-    def _weights_block(self, i: int, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-        # the weights of index i at m = x, each factor multiplied in as it is
-        # made; r is the ratio at x, read-only, as every index shares it
-        spec = self.spec
-        iw = spec.indices[i]
-        w = _int_power(x + spec.alpha, iw.a) if iw.a else None
+    def _gather(self, a: np.ndarray | None, axis: int = 0) -> np.ndarray | None:
+        # the rows of a node below's array that are these points, read-only
+        if a is not None and self.rows is not None:
+            (a := a.take(self.rows, axis)).setflags(write=False)
+        return a
+
+    def _weights_block(self, m: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        # the weights of the last index at m, a row per point, each factor
+        # multiplied in as it is made; r is the ratio there, read-only
+        iw = self.spec.indices[-1]
+        w = _int_power(m + self.alpha, iw.a) if iw.a else None
         if iw.b:
-            w = _times(w, _int_power(x + spec.beta, iw.b))
+            w = _times(w, _int_power(m + self.beta, iw.b))
         for _ in range(abs(iw.poch)):
             w = _times(w, r, divide=iw.poch < 0)
-        return np.ones(len(x)) if w is None else w
+        return np.ones((len(self.points), len(m))) if w is None else w
 
     def run_block(self, hi: int, marks: tuple = ()) -> np.ndarray:
-        """Advance through indices [next_m, hi); returns the outer prefix at
-        each as a (hi, lo) pair, an (hi - next_m, 2) view, and keeps in
-        ``marked`` each level's prefix and the ratio at the marks (indices in
-        the block) and at hi - 1.  A level's terms after the first are its
-        weights times both parts of the prefix below.  A first block starts
-        above the deepest inner level of the spec in _FIRST_BLOCKS, and leaves
-        there each inner level it streams."""
-        lo = self.next_m
-        spec = self.spec
-        ends = (*marks, hi - 1)
-        cols = tuple(k - lo for k in ends)
-        r, ratios = self._ratio_block(hi, cols)
-        rows = np.empty((spec.depth, 2, len(cols)), dtype=self.scalar)  # each level's prefix at cols
-        keys = [(spec.alpha, spec.beta, spec.indices[:j], spec.links[:j - 1], hi, cols)
-                for j in range(1, spec.depth)] if lo == 0 else []
-        first, prev = 0, None
-        for j in range(len(keys), 0, -1):
-            hit = _FIRST_BLOCKS.get(keys[j - 1])
-            if hit is not None:
-                (prev, rows[:j]), first = hit, j
-                break
-        m = np.arange(lo, hi, dtype=np.float64)
-        for i in range(first, spec.depth):
-            w = self._weights_block(i, m, r)
-            out = np.empty((2, hi - lo), dtype=self.scalar)
-            if i == 0:
-                out[0] = w
-                out[1] = 0.0
-            elif spec.links[i - 1] is Link.STRICT:
-                # the prefix below, shifted by one: at lo - 1 first, and none below m = 0
-                # (so no term there, even where w(0) overflows)
-                np.multiply(w[1:], prev[:, :-1], out=out[:, 1:])
-                out[:, 0] = w[0] * self.carries[i - 1] if lo else 0.0
-            else:
-                np.multiply(w, prev, out=out)
-            _running_sum(out, self.carries[i])
-            rows[i] = out[:, cols]
-            if i < len(keys):
-                out.setflags(write=False)
-                _FIRST_BLOCKS.put(keys[i], (out, rows[:i + 1].copy()))
-            prev = out
-        self.marked = {k: (rows[:, :, c], None if ratios is None else ratios[c]) for c, k in enumerate(ends)}
-        self.carries = rows[:, :, -1]
+        """Advance through indices [next_m, hi), after the node below if it is
+        behind; returns this level's (hi, lo) prefix at each index and point,
+        an (hi - next_m, points, 2) view (the root: the ratio), and keeps each
+        point's prefixes of every level up to this one, and the ratio, at the
+        marks (indices in the block) and at hi - 1.  A level's terms after the
+        first are its weights times both parts of the prefix below."""
+        below, lo = self.below, self.next_m
+        if below is not None and below.next_m < hi:
+            below.run_block(hi, marks)
+        cols = [k - lo for k in (*marks, hi - 1)]
         self.next_m = hi
+        if below is None:
+            self.marked = np.empty((len(self.points), len(cols), 0, 2))
+            if not self.poch:
+                return np.empty((hi - lo, 0))
+            blocks = [_product_block(a, lo, hi, c) for a, c in zip(self.alphas, self.ratio)]
+            self.ratio = [exact[-1] for _, exact in blocks]
+            self.ratios = np.array([exact[cols] for _, exact in blocks])[self.which]
+            self.r = np.array([r for r, _ in blocks])[self.which]
+            self.r.setflags(write=False)
+            return self.r.T
+        self.r = self._gather(below.r)
+        w = self._weights_block(np.arange(lo, hi, dtype=np.float64), self.r)
+        out = np.empty((2, len(self.points), hi - lo), dtype=self.scalar)
+        if below.below is None:
+            out[0], out[1] = w, 0.0
+        elif self.spec.links[-1] is Link.STRICT:
+            # the prefix below, shifted by one: at lo - 1 first, and none below m = 0
+            # (so no term there, even where w(0) overflows)
+            np.multiply(w[:, 1:], self._gather(below.out, 1)[:, :, :-1], out=out[:, :, 1:])
+            out[:, :, 0] = w[:, 0] * self._gather(below.before, 1) if lo else 0.0
+        else:
+            np.multiply(w, self._gather(below.out, 1), out=out)
+        _running_sum(out, self.carries)
+        self.before, self.carries = self.carries, out[:, :, -1].copy()
+        mine = out[:, :, cols].transpose(1, 2, 0)[:, :, None]
+        self.marked = np.concatenate([self._gather(below.marked), mine], axis=2)
+        self.ratios, self.out = self._gather(below.ratios), out
         return out.T
 
+    def read(self) -> list:
+        """Each point's state at the last block's marks and end (see _states);
+        a spec with no ratio in its weights has none in its state."""
+        ratios = self.ratios if any(iw.poch for iw in self.spec.indices) else None
+        finite = np.isfinite(self.marked).all(axis=(2, 3))
+        if ratios is not None:
+            finite &= np.isfinite(ratios)
+            ratios = [list(r) for r in ratios]
+        return [[(tuple(map(tuple, sums)), ratios and ratios[p][c]) if ok else None
+                 for c, (sums, ok) in enumerate(zip(point, oks))]
+                for p, (point, oks) in enumerate(zip(self.marked.tolist(), finite.tolist()))]
+
     def states(self, *ns: int) -> list:
-        """The state at each index of ns (ascending, none behind the stream):
-        each level's prefix there as a (hi, lo) pair of Python numbers and the
-        ratio in long double (None without one), or None if a level sum or the
-        ratio there is not finite.  Streams to the last of ns, never back, in
-        blocks of at most _BLOCK indices, each ending after the furthest of ns
-        it reaches, whose columns give the others it passes; past a state that
-        is None it streams no further block, and gives None."""
-        if ns[0] < self.next_m:
-            raise ValueError(f"the stream is past index {ns[0]}: it is at {self.next_m - 1}")
-        got = {}
-        with np.errstate(all="ignore"):
-            while self.next_m <= ns[-1] and None not in got.values():
-                reach = [k for k in ns if self.next_m <= k < self.next_m + _BLOCK]
-                self.run_block(reach[-1] + 1 if reach else self.next_m + _BLOCK, tuple(reach[:-1]))
-                for k in reach:
-                    rows, ratio = self.marked[k]
-                    finite = np.isfinite(rows).all() and (ratio is None or np.isfinite(ratio))
-                    got[k] = (tuple(map(tuple, rows.tolist())), ratio) if finite else None
-        return [got.get(n) for n in ns]
+        """The state of this stream's first point at each index of ns: see _states."""
+        return _states([self], [(self, 0)], ns)[0]
+
+
+def _states(nodes: list, tops: list, ns: tuple) -> list:
+    """Each top's (node, row) state at each index of ns (ascending, none behind
+    the stream): each level's prefix there as a (hi, lo) pair of Python numbers
+    and the ratio in long double (None without one), or None if a level sum or
+    the ratio there is not finite, and after such a None.  Streams the nodes (a
+    trie, depth first, each block dropped once the nodes above have read it)
+    to the last of ns, never back, in blocks of at most _BLOCK indices, each
+    ending after the furthest of ns it reaches; once every top has a None, it
+    streams no further."""
+    at = tops[0][0].next_m
+    if ns[0] < at:
+        raise ValueError(f"the stream is past index {ns[0]}: it is at {at - 1}")
+    got = [[] for _ in tops]
+    with np.errstate(all="ignore"):
+        while at <= ns[-1] and any(None not in g for g in got):
+            reach = [k for k in ns if at <= k < at + _BLOCK]
+            at = reach[-1] + 1 if reach else at + _BLOCK
+            path = []
+            for node in nodes:
+                while path and path[-1] is not node.below:
+                    done = path.pop()
+                    done.out = done.r = None
+                node.run_block(at, tuple(reach[:-1]))
+                path.append(node)
+            read: dict = {}
+            for g, (node, p) in zip(got, tops if reach else ()):
+                states = read[node] if node in read else read.setdefault(node, node.read())
+                g += states[p] if None not in g else [None] * len(reach)
+    return [g + [None] * (len(ns) - len(g)) for g in got]
+
+
+def _trie(specs: list) -> tuple[list, list]:
+    """The nodes, depth first from the root, of the trie of the specs' prefixes,
+    each at every point of a spec that has it, and each spec's (node, row); for
+    one spec, the chain of its prefixes.  Prefixes sorted level by level come
+    depth first, each before the prefixes that extend it."""
+    if len(specs) == 1:
+        return [top := _Stream(specs[0])], [(top, 0)]
+    points = list(dict.fromkeys((s.alpha, s.beta) for s in specs))
+    row = {p: i for i, p in enumerate(points)}
+    ends: dict = {}  # each structure's specs
+    for i, s in enumerate(specs):
+        ends.setdefault((s.indices, s.links), []).append(i)
+    levels: dict = {((), ()): set(row.values())}  # each prefix's points, as rows of the root's
+    for (indices, links), ids in ends.items():
+        rows = {row[specs[i].alpha, specs[i].beta] for i in ids}
+        for j in range(1, len(indices) + 1):
+            levels.setdefault((indices[:j], links[:j - 1]), set()).update(rows)
+    poch, made = any(iw.poch for indices, _ in ends for iw in indices), {}
+    order = {k: [(w.a, w.b, w.poch, x.value) for w, x in zip(k[0], (Link.WEAK, *k[1]))] for k in levels}
+    for key in sorted(levels, key=order.get):
+        below, up = made.get((key[0][:-1], key[1][:-1]), (None, None))
+        rows = sorted(levels[key])
+        take = None if below is None or len(rows) == len(up) else np.searchsorted(up, rows)
+        spec = NestedSumSpec(*key, *points[rows[0]])
+        made[key] = _Stream(spec, [points[r] for r in rows], below, take, poch), rows
+    tops = [None] * len(specs)
+    for key, ids in ends.items():
+        for i in ids:
+            tops[i] = made[key][0], made[key][1].index(row[specs[i].alpha, specs[i].beta])
+    return [node for node, _ in made.values()], tops
 
 
 def _validate_params(alpha: complex, beta: complex):
     """The parameter domain of every series here: finite, with Re(alpha), Re(beta) > 0."""
     if not all(cmath.isfinite(x) and x.real > 0 for x in map(complex, (alpha, beta))):
-        raise InvalidParamsError(
-            f"need finite alpha, beta with Re(alpha) > 0 and Re(beta) > 0, "
-            f"got alpha={alpha}, beta={beta}"
-        )
+        raise InvalidParamsError(f"need finite alpha, beta with Re(alpha) > 0 and Re(beta) > 0, "
+                                 f"got alpha={alpha}, beta={beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +532,36 @@ class _Plan(NamedTuple):
 
 def _flat(groups: dict) -> tuple[list, np.ndarray]:
     # the groups' entries in key order, and where each group starts
-    starts = np.cumsum([0, *map(len, groups.values())], dtype=np.intp)[:-1]
-    return [x for entries in groups.values() for x in entries], starts
+    starts = np.fromiter(itertools.accumulate(map(len, groups.values()), initial=0), np.intp, len(groups))
+    return list(itertools.chain.from_iterable(groups.values())), starts
+
+
+class _ArrayMemo:
+    """Tuples of arrays, each a pure function of its key, so a hit gives the
+    bytes a build would, least recently used out first, so that their arrays
+    (not their other fields) hold at most ``bound`` bytes."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.nbytes = 0
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, key) -> tuple | None:
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+        return hit
+
+    def put(self, key, entry: tuple):
+        self.entries[key] = entry
+        self.nbytes += sum(a.nbytes for a in entry if isinstance(a, np.ndarray))
+        while self.nbytes > self.bound:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old if isinstance(a, np.ndarray))
+
+    def cache_clear(self):
+        self.entries.clear()
+        self.nbytes = 0
 
 
 # plans kept, least recently used out at 4 MiB of arrays.  thm11i at weight 4 builds
@@ -526,7 +583,7 @@ def _plan(key: tuple) -> _Plan:
             for k in below_terms:
                 position.setdefault(k, len(position))
             keys = tuple(position)
-            placed = np.array([position[k] for k in below_terms], dtype=np.intp)
+            placed = np.fromiter(map(position.get, below_terms), np.intp, len(below_terms))
         size = len(keys)
         w_re = [wn + wk * d_re for wn, wk, _ in w_keys]
         b_re = [bn + bk * d_re for bn, bk, _ in keys]
@@ -577,9 +634,10 @@ def _plan(key: tuple) -> _Plan:
             r += 1
     out.pop((0, 0, 0), None)  # a constant is C's
     flat, starts = _flat(out)
+    index, factor = zip(*flat) if flat else ((), ())
     omitted = np.array([e + k * d_re <= 1.0 - orders + 1e-9 for e, k, _ in out], dtype=bool) if outer else None
     plan = _Plan(tuple(out), terms, placed, size, pairs, pair_starts,
-                 np.array([i for i, _ in flat], dtype=np.intp), np.array([f for _, f in flat]), starts, omitted)
+                 np.array(index, dtype=np.intp), np.array(factor), starts, omitted)
     for a in plan:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -657,19 +715,49 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     return value, (err if math.isfinite(err) else math.inf)
 
 
-def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+def _first_n(spec: NestedSumSpec, cfg: EvalConfig) -> int:
+    # the first N of an evaluation, of a spec whose parameters are valid
+    x = max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
+    n = _N_START
+    while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
+        n *= 2
+    return n
+
+
+def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, list | None]]:
+    """Each spec's position and stream states at its first N / 2 and N, the
+    ones evaluate reads first (None for the empty spec), stack by stack, so
+    that only one stack's states are held: the specs of one first N and dtype,
+    at most _STACK // min(N + 1, _BLOCK) points a stack, make a trie of their
+    prefixes.  Parameters out of the domain raise InvalidParamsError."""
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        _validate_params(spec.alpha, spec.beta)
+        if not spec.indices:
+            yield i, None
+            continue
+        key = (_first_n(spec, cfg), isinstance(spec.alpha, complex), isinstance(spec.beta, complex))
+        groups.setdefault(key, {}).setdefault((spec.alpha, spec.beta), []).append(i)
+    for (n, *_), at in groups.items():
+        points, size = list(at), max(1, _STACK // min(n + 1, _BLOCK))
+        for lo in range(0, len(points), size):
+            ids = [i for p in points[lo:lo + size] for i in at[p]]
+            yield from zip(ids, _states(*_trie([specs[i] for i in ids]), (n // 2, n)))
+
+
+def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple | None = None) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
-    Streams the first N terms, N = 1,024 or more for large parameters, and
-    takes the value and its error from :func:`_tail_fit` at N and N / 2,
-    each state read once.  N doubles while the error exceeds rel_tol |value|
-    and 2N <= max_n, and the best value is flagged unconverged if it never
-    meets it.  A stream whose level sums (float64) or ratio (long double) at
-    N / 2 or N are not finite ends there, unconverged, with an infinite
-    error and the value at N / 2 if the stream is finite there and at N / 4
-    (a fresh stream), NaN otherwise.
-    A series whose outermost terms decay like m^-1 or slower raises
-    NonConvergentError.
+    Takes the value and its error from :func:`_tail_fit` at the first N, 1,024
+    or more for large parameters, and N / 2, from ``states``, the spec's
+    :func:`first_states`, or those of it alone.  N doubles, streamed on from
+    the state at the last, while the error exceeds rel_tol |value| and
+    2N <= max_n, and the best value is flagged unconverged if it never meets
+    it.  A stream whose level sums (float64) or ratio (long double) at N / 2
+    or N are not finite ends there, unconverged, with an infinite error and
+    the value at N / 2 if the stream is finite there and at N / 4 (a fresh
+    stream), NaN otherwise.  A series whose outermost terms decay like m^-1
+    or slower raises NonConvergentError.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
@@ -677,25 +765,22 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     decay = -_lead_decay(spec)
     if decay <= 1.0 + 1e-9:
         raise NonConvergentError(f"outermost decay exponent {decay:.6g} <= 1; series diverges")
-
-    x = max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
-    n = _N_START
-    while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
-        n *= 2
-    stream = _Stream(spec)
-    best = (math.inf, math.nan)  # (err, value)
-    half, full = stream.states(n // 2, n)
+    n = _first_n(spec, cfg)
+    scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
+    half, full = states or next(first_states([spec], cfg))[1]
+    stream, best = None, (math.inf, math.nan)  # best: (err, value)
     while half and full:
         value, err = _tail_fit(spec, n, half, full)
         if err <= best[0]:
             best = (err, value)
         if err <= cfg.rel_tol * abs(value):
-            return EvalResult(stream.scalar(value), err, n, True)
+            return EvalResult(scalar(value), err, n, True)
         if 2 * n > cfg.max_n:
-            return EvalResult(stream.scalar(best[1]), best[0], n, False)
+            return EvalResult(scalar(best[1]), best[0], n, False)
+        stream = stream or _Stream(spec).resume(n, full)
         n, half = 2 * n, full
         full, = stream.states(n)
     # overflow at n / 2 or n, no value yet: the one at n / 2, from a fresh stream to n / 4
     if math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and (quarter := _Stream(spec).states(n // 4)[0]):
         best = (math.inf, _tail_fit(spec, n // 2, quarter, half)[0])
-    return EvalResult(stream.scalar(best[1]), math.inf, n if half else n // 2, False)
+    return EvalResult(scalar(best[1]), math.inf, n if half else n // 2, False)

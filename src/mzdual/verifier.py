@@ -35,7 +35,7 @@ import numpy as np
 
 from . import evaluators
 from .evaluators import Params, compile_terms, family_spec, sum_results
-from .nested_sum import EvalConfig, EvalResult, NestedSumSpec, _validate_params
+from .nested_sum import EvalConfig, EvalResult, NestedSumSpec, _validate_params, first_states
 from .words import (
     Cut,
     LinComb,
@@ -94,9 +94,16 @@ def _make_check(name: str, lhs: EvalResult, rhs: EvalResult) -> IdentityCheck:
 
 
 def _values(keys: list, cfg: EvalConfig) -> list:
-    # both looked up when a value is made: (letters, alpha, beta, family, h, kmax) is a quadrature
-    return [evaluators.eval_spec(k, cfg) if isinstance(k, NestedSumSpec)
-            else _simplex_integral(*k[:4], h=k[4], kmax=k[5]) for k in keys]
+    # each spec's value from its first states, streamed with the others of its stack, then
+    # each quadrature's, (letters, alpha, beta, family, h, kmax); evaluate and
+    # _simplex_integral are looked up when a value is made
+    specs = [k for k in keys if isinstance(k, NestedSumSpec)]
+    series = [None] * len(specs)
+    for j, states in first_states(specs, cfg):
+        series[j] = evaluators.evaluate(specs[j], cfg, states)
+    series = iter(series)
+    return [next(series) if isinstance(k, NestedSumSpec) else _simplex_integral(*k[:4], h=k[4], kmax=k[5])
+            for k in keys]
 
 
 def _run(plans: list[tuple], cfg: EvalConfig, workers: int = 1) -> list[IdentityCheck]:
@@ -209,18 +216,19 @@ def check_identity(
 ) -> IdentityCheck:
     """The two sides of ``RELATIONS[identity](w, r)`` at p.  A one-parameter
     identity takes p = Params(a) alone: its check's name does not say b."""
-    return _run([_identity_plan(identity, w, r, p)], cfg)[0]
-
-
-def _identity_plan(identity: str, w: Word, r: int, p: Params) -> tuple:
     if identity not in RELATIONS:
         raise ValueError(f"unknown identity {identity!r}; choose from {tuple(RELATIONS)}")
+    return _run([_identity_plan(identity, w, r, p, RELATIONS[identity](w, r))], cfg)[0]
+
+
+def _identity_plan(identity: str, w: Word, r: int, p: Params, sides: tuple) -> tuple:
+    # the check of the relation's sides, derived once for (w, r), at p
     two = _TWO_PARAMETERS[identity]
     if not two and p.beta != p.alpha:
         raise ValueError(f"{identity} has one parameter, got a={p.alpha} and b={p.beta}")
     b = f"/b={_fmt_param(p.beta)}" if two else ""
     name = f"{identity}/w={w}/r={r}/a={_fmt_param(p.alpha)}{b}"
-    return name, *(_series(compile_terms(side, p)) for side in RELATIONS[identity](w, r))
+    return name, *(_series(compile_terms(side, p)) for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +434,18 @@ def check_derivative_crosslink(
 ) -> IdentityCheck:
     """(-1)^r times the r-th Taylor coefficient in x of Z(dual w; x, a) at
     x = b against the starred sum of dual w at (b, a)."""
-    return _run(_derivative_plans_at(w, [r], p), cfg)[0]
-
-
-def _derivative_plans_at(w: Word, rs: Sequence[int], p: Params) -> list[tuple]:
-    # the check of each r of rs at p; their left sides read one circle
-    if any(r < 1 for r in rs):
+    if r < 1:
         raise ValueError("derivative cross-link needs r >= 1")
     dw = dual(w)
-    names = [f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}" for r in rs]
-    rhs = [_series(compile_terms(_starred_terms(dw, r), p)) for r in rs]  # thm11i's right sides
-    return list(zip(names, _taylor_coefficients(dw, rs, p.swapped()), rhs))
+    return _run(_derivative_plans_at(w, dw, {r: _starred_terms(dw, r)}, p), cfg)[0]
+
+
+def _derivative_plans_at(w: Word, dw: Word, starred: dict, p: Params) -> list[tuple]:
+    # the check of each r of starred at p, from dw = dual(w) and the starred terms
+    # of dw at r, each derived once for every pair; their left sides read one circle
+    names = [f"derivative/w={w}/r={r}/a={_fmt_param(p.alpha)}/b={_fmt_param(p.beta)}" for r in starred]
+    rhs = [_series(compile_terms(terms, p)) for terms in starred.values()]  # thm11i's right sides
+    return list(zip(names, _taylor_coefficients(dw, list(starred), p.swapped()), rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +553,11 @@ class VerificationReport:
 
 
 def _identity_plans(name: str, sc: SuiteConfig, words: list[Word]) -> list[tuple]:
-    # a one-parameter identity runs on the distinct first slots
+    # each relation derived once and compiled at every pair; a one-parameter
+    # identity runs on the distinct first slots
     grid = sc.params_grid if _TWO_PARAMETERS[name] else [(a, a) for a in sc.alphas()]
-    return [_identity_plan(name, w, r, Params(a, b))
+    sides = {(w, r): RELATIONS[name](w, r) for w in words for r in sc.r_values()}
+    return [_identity_plan(name, w, r, Params(a, b), sides[w, r])
             for a, b in grid for w in words for r in sc.r_values()]
 
 
@@ -567,8 +578,10 @@ def _integral_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
 def _derivative_plans(sc: SuiteConfig, words: list[Word]) -> list[tuple]:
     # the r >= 1 checks of a pair and word read the same circle points, compiled once
     rs = [r for r in sc.r_values() if r >= 1]
+    duals = {w: dual(w) for w in words}
+    starred = {w: {r: _starred_terms(dw, r) for r in rs} for w, dw in duals.items()}
     return [plan for a, b in sc.params_grid for w in words
-            for plan in _derivative_plans_at(w, rs, Params(a, b))]
+            for plan in _derivative_plans_at(w, duals[w], starred[w], Params(a, b))]
 
 
 # duality and the sum formula are Theorem 1.1(i) instances, so their suites

@@ -328,7 +328,7 @@ def truncated_sum(spec: NestedSumSpec, n: int) -> complex:
     the blocks evaluate uses, its (hi, lo) pair rounded to one number."""
     stream = _Stream(spec)
     for hi in evaluate_block_ends(n):
-        last = stream.run_block(hi)[-1]
+        last = stream.run_block(hi)[-1, 0]  # the one point's pair
     total = last[0] + last[1]
     return complex(total) if np.iscomplexobj(total) else float(total)
 

@@ -325,11 +325,9 @@ class TestVerify:
 
     def test_level_cache_invisible(self, capsys, monkeypatch):
         # the suite's JSON is the same when every inner level builds its expansion
-        # anew, from a plan and a basis built anew, and streams its first block anew
-        # (memos that hold 0 bytes)
+        # anew, from a plan and a basis built anew (a plan memo that holds 0 bytes)
         args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
                 "--no-timestamp")
-        mzdual.evaluators._evaluate_cached.cache_clear()
         _, warm, _ = run(capsys, *args)
 
         def cold(memo):
@@ -340,9 +338,7 @@ class TestVerify:
 
         for name in ("_inner_level", "_basis"):
             monkeypatch.setattr(mzdual.nested_sum, name, cold(getattr(mzdual.nested_sum, name)))
-        for name in ("_FIRST_BLOCKS", "_PLANS"):
-            monkeypatch.setattr(mzdual.nested_sum, name, mzdual.nested_sum._ArrayMemo(0))
-        mzdual.evaluators._evaluate_cached.cache_clear()
+        monkeypatch.setattr(mzdual.nested_sum, "_PLANS", mzdual.nested_sum._ArrayMemo(0))
         _, cold_run, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold_run == warm
 

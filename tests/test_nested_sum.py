@@ -30,7 +30,6 @@ from mzdual.evaluators import (
 )
 from mzdual.nested_sum import (
     _EPS,
-    _FIRST_BLOCKS,
     _MAX_N,
     _N_START,
     _PLANS,
@@ -48,10 +47,13 @@ from mzdual.nested_sum import (
     _pochhammer_log,
     _product_block,
     _scale,
+    _STACK,
     _Stream,
+    _first_n,
     _tail_fit,
     _weight,
     evaluate,
+    first_states,
 )
 from mzdual.cli import parse_grid
 from mzdual.verifier import DEFAULT_GRID, RELATIONS, SuiteConfig, run_suite
@@ -192,6 +194,20 @@ class TestEvaluate:
             EvalConfig(rel_tol=2.0)
 
 
+def block_ends(monkeypatch, depth: int) -> list:
+    """The ends of the blocks streamed from now on at the level of the given
+    depth, one per block: a lone spec's chain streams each of its levels."""
+    run_block, his = _Stream.run_block, []
+
+    def recorded(stream, hi, *marks):
+        if stream.spec.depth == depth:
+            his.append(hi)
+        return run_block(stream, hi, *marks)
+
+    monkeypatch.setattr(_Stream, "run_block", recorded)
+    return his
+
+
 class TestSchedule:
     # N doubles from its first value while the error exceeds the tolerance and
     # 2N <= max_n, so an evaluation streams to the last N <= max_n at most, in
@@ -203,14 +219,7 @@ class TestSchedule:
          (16383, 8192), (16384, 16384), (300_000, 262_144)],
     )
     def test_stream_ends_at_last_checkpoint(self, monkeypatch, max_n, last):
-        run_block = _Stream.run_block
-        his = []
-
-        def recorded(stream, hi, *marks):
-            his.append(hi)
-            return run_block(stream, hi, *marks)
-
-        monkeypatch.setattr(_Stream, "run_block", recorded)
+        his = block_ends(monkeypatch, 1)
         res = evaluate(single(b=2, beta=0.7), EvalConfig(rel_tol=1e-16, max_n=max_n))
         assert not res.converged
         assert res.n_used == last and his == evaluate_block_ends(last)
@@ -239,17 +248,18 @@ class TestSchedule:
         assert stream.states(512, 1024) == _Stream(spec).states(512) + _Stream(spec).states(1024)
         assert stream.next_m == 1025
 
+    def test_block_before_both_states(self):
+        # at beta = 200 the first N is 16,384: the first block, [0, 8,192), ends
+        # before N / 2 and gives no state, so N / 2 and N give one state each
+        spec = z_spec(parse_word("1:1,1:2"), Params(0.6, 200.0))
+        half, full = _Stream(spec).states(8192, 16384)
+        assert [half, full] == _Stream(spec).states(8192) + _Stream(spec).states(16384) and full
+        assert evaluate(spec).n_used == 16384
+
     def test_overflow_at_n_half_stops_the_stream(self, monkeypatch):
         # a state that is None ends the stream: a first N of 16,384 reads
         # N / 2 = 8,192 in two blocks, and after its None nothing is streamed
-        run_block = _Stream.run_block
-        his = []
-
-        def recorded(stream, hi, *marks):
-            his.append(hi)
-            return run_block(stream, hi, *marks)
-
-        monkeypatch.setattr(_Stream, "run_block", recorded)
+        his = block_ends(monkeypatch, 2)
         stream = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
         assert stream.states(8192, 16384) == [None, None] and his == [8192, 8193]
         # one block reads both; the None at N / 2 is reported at N / 2
@@ -259,14 +269,7 @@ class TestSchedule:
     def test_first_n_of_8192_streams_two_blocks(self, monkeypatch):
         # at (100, 1) the first N is 8,192: one block to N / 2 and one to N,
         # where the value converges
-        run_block = _Stream.run_block
-        his = []
-
-        def recorded(stream, hi, *marks):
-            his.append(hi)
-            return run_block(stream, hi, *marks)
-
-        monkeypatch.setattr(_Stream, "run_block", recorded)
+        his = block_ends(monkeypatch, 2)
         res = evaluate(z_spec(parse_word("1:1,1:2"), Params(100.0, 1.0)))
         assert res.converged and res.n_used == 8192 and his == [4097, 8193]
 
@@ -699,13 +702,13 @@ class TestComplexCost:
     # a complex exponent is one key of the expansion, as a real one is, so
     # complex parameters stream no more than real ones
     def test_thm11i_complex_grid_streams_as_real(self, monkeypatch):
-        # level terms: the indices of each streamed block times the depth
+        # level terms: the indices of each level's streamed block times the points it stacks
         run_block = _Stream.run_block
         count = [0]
 
         def counted(stream, hi, *marks):
             prefix = run_block(stream, hi, *marks)
-            count[0] += len(prefix) * stream.spec.depth
+            count[0] += prefix.shape[0] * prefix.shape[1] if stream.spec.depth else 0
             return prefix
 
         monkeypatch.setattr(_Stream, "run_block", counted)
@@ -815,9 +818,15 @@ def pair_values(pairs: np.ndarray) -> np.ndarray:
     return hi.astype(np.clongdouble if np.iscomplexobj(hi) else np.longdouble) + lo
 
 
+def state_bytes(states: list) -> list:
+    """The bytes of each state's sums, and its ratio (long double, compared
+    by value: its padding bytes are not its own)."""
+    return [s if s is None else (np.array(s[0]).tobytes(), s[1]) for s in states]
+
+
 def clear_shared_work():
-    # every kernel memo: the first blocks, the plans, the expansions and their parts
-    for cache in (_FIRST_BLOCKS, _PLANS, _inner_level, _weight, _pochhammer_log, _scale, _basis):
+    # every kernel memo: the plans, the expansions and their parts
+    for cache in (_PLANS, _inner_level, _weight, _pochhammer_log, _scale, _basis):
         cache.cache_clear()
 
 
@@ -849,13 +858,12 @@ class TestSharedWork:
 
     def test_ratio_built_once_per_block(self, monkeypatch):
         # three indices carry the ratio, and one build serves them all, one
-        # build for each block; a second stream reads the first block's
-        clear_shared_work()
+        # build for each block; a stack of points builds one per distinct alpha
         builds = []
         product_block = _product_block
 
         def counted(alpha, lo, hi, carry):
-            builds.append((lo, hi))
+            builds.append((alpha, lo, hi))
             return product_block(alpha, lo, hi, carry)
 
         monkeypatch.setattr(mzdual.nested_sum, "_product_block", counted)
@@ -863,7 +871,12 @@ class TestSharedWork:
             stream = _Stream(NestedSumSpec(DEPTH3_EVERY_INDEX, links, 0.8, 1.3))
             for hi in SPLITS["first_block_edges"]:
                 stream.run_block(hi)
-        assert builds == [(0, 8193), (8193, 16385), (16385, 20000)] + [(8193, 16385), (16385, 20000)]
+        assert builds == [(0.8, 0, 8193), (0.8, 8193, 16385), (0.8, 16385, 20000)] * 2
+        builds.clear()
+        points = ((0.8, 1.3), (0.8, 0.6), (1.5, 1.3), (1.5, 0.8))
+        dict(first_states([NestedSumSpec(DEPTH3_EVERY_INDEX, links, *p) for p in points
+                           for links in itertools.product(Link, repeat=2)], EvalConfig()))
+        assert builds == [(0.8, 0, 1025), (1.5, 0, 1025)]
 
     SPECS = [
         z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)),
@@ -874,18 +887,17 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["real", "complex", "real-star", "complex-star"])
     def test_cold_and_warm_levels_identical(self, spec):
-        # the inner levels' first blocks and expansions, built or read from
-        # the memos, give one result
+        # the inner levels' expansions, built or read from the memos, give one result
         clear_shared_work()
         cold = evaluate(spec)
-        blocks = len(_FIRST_BLOCKS.entries)
         warm = evaluate(spec)
-        assert _inner_level.cache_info().hits >= 1 and blocks >= spec.depth - 1
+        assert _inner_level.cache_info().hits >= 1
         assert cold == warm
-        # and so does a spec that extends this one, from its prefix's first block
+        # and so does a spec that extends this one, streamed in one trie with it
         longer = NestedSumSpec(spec.indices + (IndexWeight(a=1, b=1),), spec.links + (Link.WEAK,),
                                spec.alpha, spec.beta)
-        warm = evaluate(longer)
+        cfg = EvalConfig()
+        warm = evaluate(longer, cfg, dict(first_states([spec, longer], cfg))[1])
         clear_shared_work()
         assert evaluate(longer) == warm
 
@@ -918,11 +930,11 @@ class TestSharedWork:
             p = Params(alpha, beta)
             for w in words:
                 specs += [z_spec(w, p), zstar_spec(w, (1,) * w.depth, p)]
-        runs = []
+        runs, cfg = [], EvalConfig()
         for order in (specs, specs[::-1]):
             clear_shared_work()
-            runs.append({spec: evaluate(spec) for spec in order})
-        assert _inner_level.cache_info().hits > 0 and _FIRST_BLOCKS.entries
+            runs.append({order[i]: evaluate(order[i], cfg, st) for i, st in first_states(order, cfg)})
+        assert _inner_level.cache_info().hits > 0
         assert runs[0] == runs[1]
         # and with no memo at all, each spec streamed and expanded alone
         alone = {}
@@ -932,12 +944,11 @@ class TestSharedWork:
         assert alone == runs[0]
 
     def test_each_distinct_level_streamed_once(self, monkeypatch):
-        # at one pair, every spec's first block starts above its deepest inner
-        # prefix that another spec streamed: each distinct level (an inner
-        # prefix or a spec) makes one running sum
-        clear_shared_work()
-        mzdual.evaluators._evaluate_cached.cache_clear()
-        sums, specs = [0], []
+        # at one pair, the specs' prefixes make one trie over two points, the
+        # swapped terms' (1.5, 0.6) and (0.6, 1.5): each distinct prefix makes
+        # one running sum, over a stack of the points that reach it, so each
+        # distinct level (a prefix at a point) is one row of one stack
+        sums, stacked = [0], []
         running_sum, run_block = mzdual.nested_sum._running_sum, _Stream.run_block
 
         def counted(out, carry):
@@ -945,37 +956,78 @@ class TestSharedWork:
             return running_sum(out, carry)
 
         def recorded(stream, hi, *marks):
-            specs.append(stream.spec)
+            if stream.spec.depth:
+                stacked.append((stream.spec.indices, stream.spec.links, tuple(stream.points)))
             return run_block(stream, hi, *marks)
 
         monkeypatch.setattr(mzdual.nested_sum, "_running_sum", counted)
         monkeypatch.setattr(_Stream, "run_block", recorded)
         assert run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=((0.6, 1.5),))).passed
-        # its swapped terms are read at (1.5, 0.6)
-        prefixes = {(s.alpha, s.beta, s.indices[:j], s.links[:j - 1]) for s in specs for j in range(1, s.depth)}
-        assert len(specs) == len(set(specs)) == 31  # one block each
-        # 59 levels in all, each spec streamed alone
-        assert sum(s.depth for s in specs) == 59 and sums[0] == len(prefixes) + len(specs) == 42
+        # 31 specs and 42 distinct levels, 37 distinct prefixes
+        assert sums[0] == len(stacked) == len({(i, l) for i, l, _ in stacked}) == 37
+        assert sum(len(points) for *_, points in stacked) == 42
 
-    def test_first_blocks_stay_within_their_bound(self):
-        # the memo holds at most its bound of arrays, however many specs
-        # stream, and long streams' blocks past index 0 are not kept
-        clear_shared_work()
-        mzdual.evaluators._evaluate_cached.cache_clear()
+    def test_each_level_stacked_once(self, monkeypatch):
+        # thm11i at weight 4: 1,080 specs of 120 structures at 9 points, whose
+        # 176 distinct prefixes each reach the 9, so one trie of 176 nodes,
+        # each one running sum over a stack of 9 points; every spec converges
+        # at its first N, so nothing is streamed past it
+        sums, stacked = [0], []
+        running_sum, run_block = mzdual.nested_sum._running_sum, _Stream.run_block
+
+        def counted(out, carry):
+            sums[0] += 1
+            return running_sum(out, carry)
+
+        def recorded(stream, hi, *marks):
+            prefix = run_block(stream, hi, *marks)
+            if stream.spec.depth:
+                stacked.append(prefix.shape[1])
+            return prefix
+
+        monkeypatch.setattr(mzdual.nested_sum, "_running_sum", counted)
+        monkeypatch.setattr(_Stream, "run_block", recorded)
         assert run_suite("thm11i", SuiteConfig(weight_max=4)).passed
-        held = sum(a.nbytes for entry in _FIRST_BLOCKS.entries.values() for a in entry)
-        assert held == _FIRST_BLOCKS.nbytes <= _FIRST_BLOCKS.bound == 2**20
-        assert _FIRST_BLOCKS.nbytes > 2**20 - 40_000  # full: thm11i streams more than it holds
-        # at beta = 200 the first N is 16,384, whose first blocks span 8,192
-        # complex indices, 256 KiB a level: the deepest are kept, and no block
-        # past index 0 of this stream to 2^16
-        spec = z_spec(parse_word("1:1,1:1,1:1,1:2"), Params(0.6 + 0.3j, 200.0))
-        assert evaluate(spec, EvalConfig(rel_tol=1e-16, max_n=2**16)).n_used == 2**16
-        held = sum(a.nbytes for entry in _FIRST_BLOCKS.entries.values() for a in entry)
-        assert held == _FIRST_BLOCKS.nbytes <= _FIRST_BLOCKS.bound
-        assert [key[-2] for key in _FIRST_BLOCKS.entries][-3:] == [8192] * 3
-        assert all(entry[0].shape[-1] == key[-2] for key, entry in _FIRST_BLOCKS.entries.items())
+        assert sums[0] == len(stacked) == 176 and set(stacked) == {9}
 
+    def test_stacks_stay_within_their_bound(self, monkeypatch):
+        # a stacked block holds at most _STACK points times indices: the derivative
+        # suite's prefixes reach up to 234 circle points, in stacks of at most 15
+        # over a first block of 1,025 indices; at beta = 200 the first N is 16,384,
+        # streamed in blocks of 8,192, 1 and 8,192 indices, and a stack holds 2 points
+        run_block, shapes = _Stream.run_block, []
+
+        def recorded(stream, hi, *marks):
+            prefix = run_block(stream, hi, *marks)
+            if stream.spec.depth:
+                shapes.append(prefix.shape[:2])
+            return prefix
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
+        assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
+        assert max(n * p for n, p in shapes) <= _STACK and max(p for _, p in shapes) == 15
+        shapes.clear()
+        w = parse_word("1:1,1:1,1:2")
+        dict(first_states([z_spec(w, Params(0.6 + k * 0.1j, 200.0)) for k in range(1, 21)], EvalConfig()))
+        assert max(n * p for n, p in shapes) <= _STACK and set(shapes) == {(8192, 2), (1, 2)}
+
+    @pytest.mark.parametrize("suite,grid,weight", [
+        ("all", "default", 4), ("all", "0.6+0.3i,1,1.5-0.5i", 4), ("all", "4:4;20:20;1:20", 4),
+        ("derivative", "default", 3)])
+    def test_stacked_states_match_lone_streams(self, suite, grid, weight):
+        # each spec's first states from its stack in the trie are those of its lone
+        # stream, byte for byte; real and complex points are stacked apart, and so
+        # are points whose alpha or beta alone is complex
+        sc = SuiteConfig(weight_max=weight, params_grid=parse_grid(grid))
+        plans = mzdual.verifier._SUITES[suite](sc, words_up_to_weight(weight))
+        specs = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
+        cfg = sc.eval_config()
+        differ = []
+        for i, got in first_states(specs, cfg):
+            n = _first_n(specs[i], cfg)
+            if state_bytes(got) != state_bytes(_Stream(specs[i]).states(n // 2, n)):
+                differ.append(specs[i])
+        assert len(specs) > 900 and not differ
 
     @pytest.mark.parametrize("grid", ["default", "0.6+0.3i,1,1.5-0.5i", "4:4;20:20;1:20"])
     def test_compiled_levels_match_the_dict_algebra(self, monkeypatch, grid):
@@ -1040,8 +1092,8 @@ def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
     w = []
     for hi in edges:
         x = np.arange(stream.next_m, hi, dtype=np.float64)
-        r, _ = stream._ratio_block(hi, (hi - 1 - stream.next_m,))
-        w.append(stream._weights_block(0, x, r))
+        stream.below.run_block(hi)  # the root streams the ratio
+        w.append(stream._weights_block(x, stream.below.r)[0])
         stream.next_m = hi
     return np.concatenate(w)[m]
 

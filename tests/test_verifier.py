@@ -583,7 +583,7 @@ class TestRunSuite:
             reports.append(json.dumps(rep.to_json(include_timestamp=False)["checks"]))
         assert reports[0] == reports[1]
 
-    def test_thm11i_r0_shares_specs(self):
+    def test_thm11i_r0_shares_specs(self, monkeypatch):
         # at r = 0 the right-hand side Z*(dual w; 0) at (b, a) compiles to
         # the left-hand side of the check of dual w at (b, a), a pair of the
         # symmetric grid, so the plan reads every spec twice, and the suite
@@ -592,10 +592,22 @@ class TestRunSuite:
         plans = mzdual.verifier._SUITES["thm11i"](sc, words_up_to_weight(4))
         reads = Counter(k for _, *sides in plans for keys, _ in sides for k in keys)
         assert len(reads) == 117 and set(reads.values()) == {2}
-        mzdual.evaluators._evaluate_cached.cache_clear()
+        evaluate, evaluated = mzdual.evaluators.evaluate, Counter()
+
+        def counted(spec, *args):
+            evaluated[spec] += 1
+            return evaluate(spec, *args)
+
+        monkeypatch.setattr(mzdual.evaluators, "evaluate", counted)
         run_suite("thm11i", sc)
-        info = mzdual.evaluators._evaluate_cached.cache_info()
-        assert (info.misses, info.hits) == (117, 0)
+        assert evaluated == Counter(dict.fromkeys(reads, 1))
+
+    def test_suite_leaves_compute_memo_empty(self):
+        # a suite evaluates each of its values once, through no memo: the one
+        # behind compute holds nothing after it
+        mzdual.evaluators._evaluate_cached.cache_clear()
+        assert run_suite("all", SuiteConfig(weight_max=3)).passed
+        assert mzdual.evaluators._evaluate_cached.cache_info().currsize == 0
 
     def test_all_runs_each_identity_once(self):
         names = [c.name for c in run_suite("all", SuiteConfig(weight_max=3)).checks]
