@@ -9,18 +9,14 @@ Evaluation streams the first N terms, innermost index first: level 1
 accumulates prefix sums of its weighted terms, and each subsequent level
 multiplies its own weight by the prefix of the previous level (shifted by
 one for a strict link, so no term at m = 0), in blocks of at most _BLOCK =
-8,192 indices that end where a state is read (one block [0, N] for the
-first N / 2 and N while it holds N + 1 <= _BLOCK).  Every running sum is a
-compensated (hi, lo) pair of float64 or complex128, the same on every
-platform.  The one Pochhammer ratio r(m) = (alpha)_m / m! is a running
-product in long double; m! / (alpha)_{m+1} is (m + alpha)^-1 / r.  A suite
-evaluates few structures at many points (its relations hold at every
-point), so :func:`first_states` streams its specs together as structures
-times points: the specs of one first N and dtype make a trie of prefixes,
-whose root builds the ratio once per distinct alpha and each of whose nodes
-streams its level once, depth first, as one (points x indices) block of at
-most _STACK elements.  A lone spec, or a point that doubles N from its
-state at N, is a chain of one-point nodes.
+8,192 indices that end where a state is read.  Every running sum is a
+compensated (hi, lo) pair of float64 or complex128 on every platform.  The
+Pochhammer ratio r(m) = (alpha)_m / m! is a running product in long double;
+m! / (alpha)_{m+1} is (m + alpha)^-1 / r.  A suite's relations hold at every
+point, so :func:`first_states` streams its specs as structures times points:
+a trie of prefixes, whose root builds the ratio once per distinct alpha and
+each of whose nodes streams its level once, as one (points x indices) block
+of at most _STACK elements.  A lone spec is a chain of one-point nodes.
 
 The tail past N is exact, not fitted: each level's prefix is
 P_i(m) = C_i + F_i(m), where F_i is the asymptotic expansion
@@ -332,16 +328,13 @@ class _Stream:
         return out.T
 
     def read(self) -> list:
-        """Each point's state at the last block's marks and end (see _states);
-        a spec with no ratio in its weights has none in its state."""
+        # each point's state at the last block's marks and end (see _states); a
+        # spec with no ratio in its weights has none in its state
         ratios = self.ratios if any(iw.poch for iw in self.spec.indices) else None
-        finite = np.isfinite(self.marked).all(axis=(2, 3))
-        if ratios is not None:
-            finite &= np.isfinite(ratios)
-            ratios = [list(r) for r in ratios]
-        return [[(tuple(map(tuple, sums)), ratios and ratios[p][c]) if ok else None
-                 for c, (sums, ok) in enumerate(zip(point, oks))]
-                for p, (point, oks) in enumerate(zip(self.marked.tolist(), finite.tolist()))]
+        finite = np.isfinite(self.marked).all(axis=(2, 3)) & np.isfinite(1.0 if ratios is None else ratios)
+        ratios = [[None] * finite.shape[1]] * len(finite) if ratios is None else [list(r) for r in ratios]
+        return [[(tuple(map(tuple, sums)), ratio) if ok else None for sums, ok, ratio in zip(*point)]
+                for point in zip(self.marked.tolist(), finite.tolist(), ratios)]
 
     def states(self, *ns: int) -> list:
         """The state of this stream's first point at each index of ns: see _states."""
@@ -372,18 +365,16 @@ def _states(nodes: list, tops: list, ns: tuple) -> list:
                     done.out = done.r = None
                 node.run_block(at, tuple(reach[:-1]))
                 path.append(node)
-            read: dict = {}
+            read = {node: node.read() for node in {node for node, _ in tops}} if reach else {}
             for g, (node, p) in zip(got, tops if reach else ()):
-                states = read[node] if node in read else read.setdefault(node, node.read())
-                g += states[p] if None not in g else [None] * len(reach)
+                g += read[node][p] if None not in g else [None] * len(reach)
     return [g + [None] * (len(ns) - len(g)) for g in got]
 
 
 def _trie(specs: list) -> tuple[list, list]:
-    """The nodes, depth first from the root, of the trie of the specs' prefixes,
-    each at every point of a spec that has it, and each spec's (node, row); for
-    one spec, the chain of its prefixes.  Prefixes sorted level by level come
-    depth first, each before the prefixes that extend it."""
+    """The nodes, depth first from the root (prefixes sorted level by level), of
+    the trie of the specs' prefixes, each at every point of a spec that has
+    it, and each spec's (node, row); for one spec, the chain of its prefixes."""
     if len(specs) == 1:
         return [top := _Stream(specs[0])], [(top, 0)]
     points = list(dict.fromkeys((s.alpha, s.beta) for s in specs))
@@ -715,41 +706,37 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
     return value, (err if math.isfinite(err) else math.inf)
 
 
-def _first_n(spec: NestedSumSpec, cfg: EvalConfig) -> int:
-    # the first N of an evaluation, of a spec whose parameters are valid
-    x = max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
-    n = _N_START
-    while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
-        n *= 2
-    return n
-
-
-def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, list | None]]:
-    """Each spec's position and stream states at its first N / 2 and N, the
-    ones evaluate reads first (None for the empty spec), stack by stack, so
-    that only one stack's states are held: the specs of one first N and dtype,
-    at most _STACK // min(N + 1, _BLOCK) points a stack, make a trie of their
-    prefixes.  Parameters out of the domain raise InvalidParamsError."""
+def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | None]]:
+    """Each spec's position, and its first N and stream states at N / 2 and N
+    (None for the empty spec), stack by stack: the specs of one first N and
+    dtype, at most _STACK // min(N + 1, _BLOCK) points a stack, make a trie.
+    N is the least power of two from 1,024 with (max(|alpha|, |beta|) / N)^K
+    <= 1e-17 at the most orders K, or the last one within max_n."""
     groups: dict = {}
     for i, spec in enumerate(specs):
         _validate_params(spec.alpha, spec.beta)
         if not spec.indices:
             yield i, None
             continue
-        key = (_first_n(spec, cfg), isinstance(spec.alpha, complex), isinstance(spec.beta, complex))
+        n, x = _N_START, max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
+        while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
+            n *= 2
+        key = (n, isinstance(spec.alpha, complex), isinstance(spec.beta, complex))
         groups.setdefault(key, {}).setdefault((spec.alpha, spec.beta), []).append(i)
-    for (n, *_), at in groups.items():
-        points, size = list(at), max(1, _STACK // min(n + 1, _BLOCK))
+    for (n, *_), at in groups.items():  # stacks of points in one order, however the specs come
+        points = sorted(at, key=lambda p: [(z.real, z.imag) for z in map(complex, p)])
+        size = max(1, _STACK // min(n + 1, _BLOCK))
         for lo in range(0, len(points), size):
             ids = [i for p in points[lo:lo + size] for i in at[p]]
-            yield from zip(ids, _states(*_trie([specs[i] for i in ids]), (n // 2, n)))
+            for i, got in zip(ids, _states(*_trie([specs[i] for i in ids]), (n // 2, n))):
+                yield i, (n, *got)
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple | None = None) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Takes the value and its error from :func:`_tail_fit` at the first N, 1,024
-    or more for large parameters, and N / 2, from ``states``, the spec's
+    or more for large parameters, and N / 2, from ``states``, the spec's of
     :func:`first_states`, or those of it alone.  N doubles, streamed on from
     the state at the last, while the error exceeds rel_tol |value| and
     2N <= max_n, and the best value is flagged unconverged if it never meets
@@ -765,9 +752,8 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple 
     decay = -_lead_decay(spec)
     if decay <= 1.0 + 1e-9:
         raise NonConvergentError(f"outermost decay exponent {decay:.6g} <= 1; series diverges")
-    n = _first_n(spec, cfg)
     scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
-    half, full = states or next(first_states([spec], cfg))[1]
+    n, half, full = states or next(first_states([spec], cfg))[1]
     stream, best = None, (math.inf, math.nan)  # best: (err, value)
     while half and full:
         value, err = _tail_fit(spec, n, half, full)

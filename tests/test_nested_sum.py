@@ -49,7 +49,6 @@ from mzdual.nested_sum import (
     _scale,
     _STACK,
     _Stream,
-    _first_n,
     _tail_fit,
     _weight,
     evaluate,
@@ -1023,8 +1022,7 @@ class TestSharedWork:
         specs = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
         cfg = sc.eval_config()
         differ = []
-        for i, got in first_states(specs, cfg):
-            n = _first_n(specs[i], cfg)
+        for i, (n, *got) in first_states(specs, cfg):
             if state_bytes(got) != state_bytes(_Stream(specs[i]).states(n // 2, n)):
                 differ.append(specs[i])
         assert len(specs) > 900 and not differ
