@@ -235,38 +235,36 @@ def _running_sum(out: np.ndarray, carry: np.ndarray):
 
 
 class _Stream:
-    """A trie node: the level of the last index of ``spec`` (a prefix, at
-    the first point) streamed at each (alpha, beta) of ``points``, of one
-    dtype, from ``below``, whose rows ``rows`` (None: all) are these points.
-    The root, the empty prefix, streams the ratio if ``poch``.  Alone,
-    ``_Stream(spec)`` is the last node of the chain of the spec's prefixes."""
+    """A trie node: the levels of the indices of ``spec`` (a prefix, at the
+    first point) past those of ``below``, streamed at each (alpha, beta) of
+    ``points``, of one dtype; ``below``'s rows ``rows`` (None: all) are these
+    points.  A node without one streams the ratio first, if ``poch``.  A run
+    of prefixes that no spec ends inside, at the same points, is one node:
+    ``_Stream(spec)`` streams one spec at its point."""
 
-    def __init__(self, spec: NestedSumSpec, points=None, below=None, rows=None, poch=False):
-        if points is None:
-            points, poch = [(spec.alpha, spec.beta)], any(iw.poch for iw in spec.indices)
-            for j in range(spec.depth):
-                prefix = NestedSumSpec(spec.indices[:j], spec.links[:max(j - 1, 0)], spec.alpha, spec.beta)
-                below = _Stream(prefix, points, below, poch=poch)
-        self.spec, self.points, self.below, self.rows, self.poch = spec, points, below, rows, poch
+    def __init__(self, spec: NestedSumSpec, points=None, below=None, rows=None, poch=None):
+        self.spec, self.points, self.below, self.rows = spec, points or [(spec.alpha, spec.beta)], below, rows
+        self.poch = any(iw.poch for iw in spec.indices) if poch is None else poch
+        self.first = below.spec.depth if below else 0  # the first level streamed here
         if below is not None and rows is None:  # the points of the node below
             self.alpha, self.beta, self.scalar = below.alpha, below.beta, below.scalar
         else:
-            self.alpha, self.beta = (np.array(x)[:, None] for x in zip(*points))
+            self.alpha, self.beta = (np.array(x)[:, None] for x in zip(*self.points))
             self.scalar = complex if np.iscomplexobj(self.alpha) or np.iscomplexobj(self.beta) else float
-        # each point's (hi, lo) prefix at next_m - 1 and before the last block; the last
-        # block's pairs and ratio; each point's prefixes and the ratio at its marks and end
-        self.carries = self.before = np.zeros((2, len(points)), dtype=self.scalar)
-        self.next_m, self.out, self.r, self.marked, self.ratios = 0, None, None, None, None
-        self.alphas = list(dict.fromkeys(a for a, _ in points))  # the root's, each with its ratio carry
-        self.ratio, self.which = [None] * len(self.alphas), [self.alphas.index(a) for a, _ in points]
+        # each level's (hi, lo) prefix at each point at next_m - 1; the last level's before the
+        # last block, and its pairs and the ratio there; each point's prefixes and the ratio at
+        # the last block's marks and end
+        self.carries = np.zeros((spec.depth - self.first, 2, len(self.points)), dtype=self.scalar)
+        self.next_m, self.before, self.out, self.r, self.marked, self.ratios = 0, None, None, None, None, None
+        if below is None:  # each distinct alpha with its ratio carry, and each point's (None: in order)
+            self.alphas = list(dict.fromkeys(a for a, _ in self.points))
+            self.ratio, self.which = [None] * len(self.alphas), [self.alphas.index(a) for a, _ in self.points]
+            self.which = None if len(self.alphas) == len(self.points) else self.which
 
     def resume(self, n: int, state: tuple) -> _Stream:
-        """This lone chain, set to go on from its state at index n."""
-        node, (sums, ratio) = self, state
-        while node.below:
-            node.carries = np.array(sums[node.spec.depth - 1], node.scalar)[:, None]
-            node.next_m, node = n + 1, node.below
-        node.ratio, node.next_m = [ratio], n + 1
+        """This lone spec's stream, set to go on from its state at index n."""
+        (sums, ratio), self.next_m = state, n + 1
+        self.carries, self.ratio = np.array(sums, self.scalar)[:, :, None], [ratio]
         return self
 
     def _gather(self, a: np.ndarray | None, axis: int = 0) -> np.ndarray | None:
@@ -275,10 +273,10 @@ class _Stream:
             (a := a.take(self.rows, axis)).setflags(write=False)
         return a
 
-    def _weights_block(self, m: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-        # the weights of the last index at m, a row per point, each factor
-        # multiplied in as it is made; r is the ratio there, read-only
-        iw = self.spec.indices[-1]
+    def _weights_block(self, i: int, m: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        # the weights of index i at m, a row per point, each factor multiplied
+        # in as it is made; r is the ratio there, read-only
+        iw = self.spec.indices[i]
         w = _int_power(m + self.alpha, iw.a) if iw.a else None
         if iw.b:
             w = _times(w, _int_power(m + self.beta, iw.b))
@@ -288,44 +286,47 @@ class _Stream:
 
     def run_block(self, hi: int, marks: tuple = ()) -> np.ndarray:
         """Advance through indices [next_m, hi), after the node below if it is
-        behind; returns this level's (hi, lo) prefix at each index and point,
-        an (hi - next_m, points, 2) view (the root: the ratio), and keeps each
-        point's prefixes of every level up to this one, and the ratio, at the
-        marks (indices in the block) and at hi - 1.  A level's terms after the
-        first are its weights times both parts of the prefix below."""
+        behind; returns the last level's (hi, lo) prefix at each index and
+        point, an (hi - next_m, points, 2) view (no level: the ratio), and keeps
+        each point's prefixes of every level up to the last, and the ratio, at
+        the marks (indices in the block) and at hi - 1.  A level's terms after
+        the first are its weights times both parts of the prefix below."""
         below, lo = self.below, self.next_m
         if below is not None and below.next_m < hi:
             below.run_block(hi, marks)
         cols = [k - lo for k in (*marks, hi - 1)]
-        self.next_m = hi
-        if below is None:
-            self.marked = np.empty((len(self.points), len(cols), 0, 2))
-            if not self.poch:
-                return np.empty((hi - lo, 0))
-            blocks = [_product_block(a, lo, hi, c) for a, c in zip(self.alphas, self.ratio)]
-            self.ratio = [exact[-1] for _, exact in blocks]
-            self.ratios = np.array([exact[cols] for _, exact in blocks])[self.which]
-            self.r = np.array([r for r, _ in blocks])[self.which]
+        self.next_m, marked = hi, [np.empty((len(self.points), len(cols), 0, 2))]
+        if below is not None:  # the ratio, the prefix below and the marks, at these points
+            self.r, self.ratios, marked[0] = (self._gather(a) for a in (below.r, below.ratios, below.marked))
+            self.out, self.before = self._gather(below.out, 1), self._gather(below.before, 1)
+        elif self.poch:  # the ratio, one product per distinct alpha
+            r, exact = zip(*(_product_block(a, lo, hi, c) for a, c in zip(self.alphas, self.ratio)))
+            self.ratio, self.r = [e[-1] for e in exact], np.array(r)
+            self.ratios = np.array([e.take(cols) for e in exact])
+            if self.which is not None:
+                self.r, self.ratios = self.r.take(self.which, 0), self.ratios.take(self.which, 0)
             self.r.setflags(write=False)
-            return self.r.T
-        self.r = self._gather(below.r)
-        w = self._weights_block(np.arange(lo, hi, dtype=np.float64), self.r)
-        out = np.empty((2, len(self.points), hi - lo), dtype=self.scalar)
-        if below.below is None:
-            out[0], out[1] = w, 0.0
-        elif self.spec.links[-1] is Link.STRICT:
-            # the prefix below, shifted by one: at lo - 1 first, and none below m = 0
-            # (so no term there, even where w(0) overflows)
-            np.multiply(w[:, 1:], self._gather(below.out, 1)[:, :, :-1], out=out[:, :, 1:])
-            out[:, :, 0] = w[:, 0] * self._gather(below.before, 1) if lo else 0.0
-        else:
-            np.multiply(w, self._gather(below.out, 1), out=out)
-        _running_sum(out, self.carries)
-        self.before, self.carries = self.carries, out[:, :, -1].copy()
-        mine = out[:, :, cols].transpose(1, 2, 0)[:, :, None]
-        self.marked = np.concatenate([self._gather(below.marked), mine], axis=2)
-        self.ratios, self.out = self._gather(below.ratios), out
-        return out.T
+        m = np.arange(lo, hi, dtype=np.float64)
+        for i in range(self.first, self.spec.depth):
+            w = self._weights_block(i, m, self.r)
+            out = np.empty((2, len(self.points), hi - lo), dtype=self.scalar)
+            if not i:
+                out[0], out[1] = w, 0.0
+            elif self.spec.links[i - 1] is Link.STRICT:
+                # the prefix below, shifted by one: at lo - 1 first, and none below m = 0
+                # (so no term there, even where w(0) overflows)
+                np.multiply(w[:, 1:], self.out[:, :, :-1], out=out[:, :, 1:])
+                out[:, :, 0] = w[:, 0] * self.before if lo else 0.0
+            else:
+                np.multiply(w, self.out, out=out)
+            carry = self.carries[i - self.first]
+            _running_sum(out, carry)
+            self.before, carry[...], self.out = carry.copy(), out[:, :, -1], out
+            marked.append(out.take(cols, 2).transpose(1, 2, 0)[:, :, None])
+        self.marked = np.concatenate(marked, axis=2)
+        if self.spec.depth:
+            return self.out.T
+        return np.empty((hi - lo, 0)) if self.r is None else self.r.T
 
     def read(self) -> list:
         # each point's state at the last block's marks and end (see _states); a
@@ -372,9 +373,11 @@ def _states(nodes: list, tops: list, ns: tuple) -> list:
 
 
 def _trie(specs: list) -> tuple[list, list]:
-    """The nodes, depth first from the root (prefixes sorted level by level), of
-    the trie of the specs' prefixes, each at every point of a spec that has
-    it, and each spec's (node, row); for one spec, the chain of its prefixes."""
+    """The nodes, depth first (prefixes sorted level by level), of the trie of
+    the specs' prefixes, each at every point of a spec that has it, and each
+    spec's (node, row).  A prefix is the last level of its node if a spec ends
+    there or it has other than one extension at the same points, so one spec
+    is one node."""
     if len(specs) == 1:
         return [top := _Stream(specs[0])], [(top, 0)]
     points = list(dict.fromkeys((s.alpha, s.beta) for s in specs))
@@ -387,14 +390,21 @@ def _trie(specs: list) -> tuple[list, list]:
         rows = {row[specs[i].alpha, specs[i].beta] for i in ids}
         for j in range(1, len(indices) + 1):
             levels.setdefault((indices[:j], links[:j - 1]), set()).update(rows)
-    poch, made = any(iw.poch for indices, _ in ends for iw in indices), {}
+    kids: dict = {}
+    for key in levels:
+        if key[0]:
+            kids.setdefault((key[0][:-1], key[1][:-1]), []).append(key)
+    poch, made, below = any(iw.poch for indices, _ in ends for iw in indices), {}, {((), ()): (None, None)}
     order = {k: [(w.a, w.b, w.poch, x.value) for w, x in zip(k[0], (Link.WEAK, *k[1]))] for k in levels}
     for key in sorted(levels, key=order.get):
-        below, up = made.get((key[0][:-1], key[1][:-1]), (None, None))
-        rows = sorted(levels[key])
-        take = None if below is None or len(rows) == len(up) else np.searchsorted(up, rows)
-        spec = NestedSumSpec(*key, *points[rows[0]])
-        made[key] = _Stream(spec, [points[r] for r in rows], below, take, poch), rows
+        kid = kids.get(key, [])
+        node, up = below[key]
+        if key in ends or len(kid) != 1 or levels[kid[0]] != levels[key]:
+            rows = sorted(levels[key])
+            take = None if node is None or len(rows) == len(up) else np.searchsorted(up, rows)
+            spec = NestedSumSpec(*key, *points[rows[0]])
+            node, up = made[key] = _Stream(spec, [points[r] for r in rows], node, take, poch), rows
+        below.update(dict.fromkeys(kid, (node, up)))
     tops = [None] * len(specs)
     for key, ids in ends.items():
         for i in ids:
@@ -711,25 +721,31 @@ def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | No
     (None for the empty spec), stack by stack: the specs of one first N and
     dtype, at most _STACK // min(N + 1, _BLOCK) points a stack, make a trie.
     N is the least power of two from 1,024 with (max(|alpha|, |beta|) / N)^K
-    <= 1e-17 at the most orders K, or the last one within max_n."""
-    groups: dict = {}
+    <= 1e-17 at the most orders K, or the last one within max_n.  Parameters
+    out of the domain raise InvalidParamsError."""
+    groups: dict = {}  # each point's specs, by first N and dtype
+    at_point: dict = {}
     for i, spec in enumerate(specs):
-        _validate_params(spec.alpha, spec.beta)
         if not spec.indices:
             yield i, None
             continue
-        n, x = _N_START, max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
-        while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
-            n *= 2
-        key = (n, isinstance(spec.alpha, complex), isinstance(spec.beta, complex))
-        groups.setdefault(key, {}).setdefault((spec.alpha, spec.beta), []).append(i)
+        if (point := (spec.alpha, spec.beta)) not in at_point:
+            _validate_params(*point)
+            n, x = _N_START, max(abs(complex(spec.alpha)), abs(complex(spec.beta)))
+            while (x / n) ** _ORDERS[-1] > _TRUNCATION and 2 * n <= cfg.max_n:
+                n *= 2
+            key = (n, isinstance(spec.alpha, complex), isinstance(spec.beta, complex))
+            at_point[point] = groups.setdefault(key, {}).setdefault(point, [])
+        at_point[point].append(i)
     for (n, *_), at in groups.items():  # stacks of points in one order, however the specs come
         points = sorted(at, key=lambda p: [(z.real, z.imag) for z in map(complex, p)])
         size = max(1, _STACK // min(n + 1, _BLOCK))
         for lo in range(0, len(points), size):
             ids = [i for p in points[lo:lo + size] for i in at[p]]
-            for i, got in zip(ids, _states(*_trie([specs[i] for i in ids]), (n // 2, n))):
-                yield i, (n, *got)
+            got = _states(*_trie([specs[i] for i in ids]), (n // 2, n))
+            for k, i in enumerate(ids):  # each spec's states held until it is read
+                yield i, (n, *got[k])
+                got[k] = None
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple | None = None) -> EvalResult:
@@ -753,7 +769,7 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple 
     if decay <= 1.0 + 1e-9:
         raise NonConvergentError(f"outermost decay exponent {decay:.6g} <= 1; series diverges")
     scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
-    n, half, full = states or next(first_states([spec], cfg))[1]
+    n, half, full = states or dict(first_states([spec], cfg))[0]
     stream, best = None, (math.inf, math.nan)  # best: (err, value)
     while half and full:
         value, err = _tail_fit(spec, n, half, full)

@@ -701,13 +701,13 @@ class TestComplexCost:
     # a complex exponent is one key of the expansion, as a real one is, so
     # complex parameters stream no more than real ones
     def test_thm11i_complex_grid_streams_as_real(self, monkeypatch):
-        # level terms: the indices of each level's streamed block times the points it stacks
+        # level terms: the indices of each streamed block times the points and the levels it stacks
         run_block = _Stream.run_block
         count = [0]
 
         def counted(stream, hi, *marks):
             prefix = run_block(stream, hi, *marks)
-            count[0] += prefix.shape[0] * prefix.shape[1] if stream.spec.depth else 0
+            count[0] += prefix.shape[0] * len(stream.points) * (stream.spec.depth - stream.first)
             return prefix
 
         monkeypatch.setattr(_Stream, "run_block", counted)
@@ -946,8 +946,9 @@ class TestSharedWork:
         # at one pair, the specs' prefixes make one trie over two points, the
         # swapped terms' (1.5, 0.6) and (0.6, 1.5): each distinct prefix makes
         # one running sum, over a stack of the points that reach it, so each
-        # distinct level (a prefix at a point) is one row of one stack
-        sums, stacked = [0], []
+        # distinct level (a prefix at a point) is one row of one stack; a run of
+        # prefixes that no spec ends inside, at the same points, is one node
+        sums, stacked, nodes = [0], [], [0]
         running_sum, run_block = mzdual.nested_sum._running_sum, _Stream.run_block
 
         def counted(out, carry):
@@ -955,16 +956,17 @@ class TestSharedWork:
             return running_sum(out, carry)
 
         def recorded(stream, hi, *marks):
-            if stream.spec.depth:
-                stacked.append((stream.spec.indices, stream.spec.links, tuple(stream.points)))
+            nodes[0] += 1
+            for j in range(stream.first + 1, stream.spec.depth + 1):  # the levels it streams
+                stacked.append((stream.spec.indices[:j], stream.spec.links[:j - 1], tuple(stream.points)))
             return run_block(stream, hi, *marks)
 
         monkeypatch.setattr(mzdual.nested_sum, "_running_sum", counted)
         monkeypatch.setattr(_Stream, "run_block", recorded)
         assert run_suite("thm11i", SuiteConfig(weight_max=3, params_grid=((0.6, 1.5),))).passed
-        # 31 specs and 42 distinct levels, 37 distinct prefixes
+        # 31 specs and 42 distinct levels, 37 distinct prefixes, 33 nodes and the root
         assert sums[0] == len(stacked) == len({(i, l) for i, l, _ in stacked}) == 37
-        assert sum(len(points) for *_, points in stacked) == 42
+        assert sum(len(points) for *_, points in stacked) == 42 and nodes[0] == 34
 
     def test_each_level_stacked_once(self, monkeypatch):
         # thm11i at weight 4: 1,080 specs of 120 structures at 9 points, whose
@@ -980,8 +982,7 @@ class TestSharedWork:
 
         def recorded(stream, hi, *marks):
             prefix = run_block(stream, hi, *marks)
-            if stream.spec.depth:
-                stacked.append(prefix.shape[1])
+            stacked.extend([len(stream.points)] * (stream.spec.depth - stream.first))
             return prefix
 
         monkeypatch.setattr(mzdual.nested_sum, "_running_sum", counted)
@@ -1090,9 +1091,8 @@ def poch(iw: IndexWeight, alpha: complex, m, edges=None) -> np.ndarray:
     w = []
     for hi in edges:
         x = np.arange(stream.next_m, hi, dtype=np.float64)
-        stream.below.run_block(hi)  # the root streams the ratio
-        w.append(stream._weights_block(x, stream.below.r)[0])
-        stream.next_m = hi
+        stream.run_block(hi)  # the ratio, then the level
+        w.append(stream._weights_block(0, x, stream.r)[0])
     return np.concatenate(w)[m]
 
 
