@@ -339,37 +339,45 @@ class _Stream:
 
     def states(self, *ns: int) -> list:
         """The state of this stream's first point at each index of ns: see _states."""
-        return _states([self], [(self, 0)], ns)[0]
+        (_, got), = _states([self], [(self, 0)], ns)
+        return got
 
 
-def _states(nodes: list, tops: list, ns: tuple) -> list:
-    """Each top's (node, row) state at each index of ns (ascending, none behind
-    the stream): each level's prefix there as a (hi, lo) pair of Python numbers
-    and the ratio in long double (None without one), or None if a level sum or
-    the ratio there is not finite, and after such a None.  Streams the nodes (a
-    trie, depth first, each block dropped once the nodes above have read it)
-    to the last of ns, never back, in blocks of at most _BLOCK indices, each
-    ending after the furthest of ns it reaches; once every top has a None, it
-    streams no further."""
+def _states(nodes: list, tops: list, ns: tuple) -> Iterator[tuple[int, list]]:
+    """Each top's (node, row) position in tops and its state at each index of
+    ns (ascending, none behind the stream): each level's prefix there as a
+    (hi, lo) pair of Python numbers and the ratio in long double (None without
+    one), or None if a level sum or the ratio there is not finite, and after
+    such a None.  Streams the nodes (a trie, depth first, each block dropped
+    once the nodes above have read it) to the last of ns, never back, in
+    blocks of at most _BLOCK indices, each ending after the furthest of ns it
+    reaches; a top's states come as soon as its node has read the last of
+    them, or a None, so that few are held at once, and once every top has a
+    None, no further block is streamed."""
     at = tops[0][0].next_m
     if ns[0] < at:
         raise ValueError(f"the stream is past index {ns[0]}: it is at {at - 1}")
-    got = [[] for _ in tops]
-    with np.errstate(all="ignore"):
-        while at <= ns[-1] and any(None not in g for g in got):
-            reach = [k for k in ns if at <= k < at + _BLOCK]
-            at = reach[-1] + 1 if reach else at + _BLOCK
-            path = []
-            for node in nodes:
-                while path and path[-1] is not node.below:
-                    done = path.pop()
-                    done.out = done.r = None
+    got, reads = [[] for _ in tops], {}  # got[k] is None once yielded
+    for k, (node, _) in enumerate(tops):
+        reads.setdefault(node, []).append(k)
+    while at <= ns[-1] and any(g is not None and None not in g for g in got):
+        reach = [k for k in ns if at <= k < at + _BLOCK]
+        at, path = reach[-1] + 1 if reach else at + _BLOCK, []
+        for node in nodes:
+            while path and path[-1] is not node.below:
+                done = path.pop()
+                done.out = done.r = done.marked = done.ratios = None
+            with np.errstate(all="ignore"):
                 node.run_block(at, tuple(reach[:-1]))
-                path.append(node)
-            read = {node: node.read() for node in {node for node, _ in tops}} if reach else {}
-            for g, (node, p) in zip(got, tops if reach else ()):
-                g += read[node][p] if None not in g else [None] * len(reach)
-    return [g + [None] * (len(ns) - len(g)) for g in got]
+                states = node.read() if reach and node in reads else None
+            path.append(node)
+            for k in reads[node] if states else ():
+                if (g := got[k]) is not None:
+                    g += states[tops[k][1]] if None not in g else [None] * len(reach)
+                if g is not None and (len(g) == len(ns) or None in g):
+                    got[k] = None
+                    yield k, g + [None] * (len(ns) - len(g))
+    yield from ((k, g + [None] * (len(ns) - len(g))) for k, g in enumerate(got) if g is not None)
 
 
 def _trie(specs: list) -> tuple[list, list]:
@@ -718,8 +726,9 @@ def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[co
 
 def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | None]]:
     """Each spec's position, and its first N and stream states at N / 2 and N
-    (None for the empty spec), stack by stack: the specs of one first N and
-    dtype, at most _STACK // min(N + 1, _BLOCK) points a stack, make a trie.
+    (None for the empty spec), as soon as its node has read them: the specs of
+    one first N and dtype, at most _STACK // min(N + 1, _BLOCK) points a stack,
+    make a trie.
     N is the least power of two from 1,024 with (max(|alpha|, |beta|) / N)^K
     <= 1e-17 at the most orders K, or the last one within max_n.  Parameters
     out of the domain raise InvalidParamsError."""
@@ -742,21 +751,19 @@ def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | No
         size = max(1, _STACK // min(n + 1, _BLOCK))
         for lo in range(0, len(points), size):
             ids = [i for p in points[lo:lo + size] for i in at[p]]
-            got = _states(*_trie([specs[i] for i in ids]), (n // 2, n))
-            for k, i in enumerate(ids):  # each spec's states held until it is read
-                yield i, (n, *got[k])
-                got[k] = None
+            for k, got in _states(*_trie([specs[i] for i in ids]), (n // 2, n)):
+                yield ids[k], (n, *got)
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple | None = None) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Takes the value and its error from :func:`_tail_fit` at the first N, 1,024
-    or more for large parameters, and N / 2, from ``states``, the spec's of
-    :func:`first_states`, or those of it alone.  N doubles, streamed on from
-    the state at the last, while the error exceeds rel_tol |value| and
-    2N <= max_n, and the best value is flagged unconverged if it never meets
-    it.  A stream whose level sums (float64) or ratio (long double) at N / 2
+    or more for large parameters, and N / 2: ``states`` is (N, the states
+    there) as :func:`first_states` yields it, which streams the spec alone
+    when it is None.  N doubles, streamed on from the state at the last, while
+    the error exceeds rel_tol |value| and 2N <= max_n, and the best value is
+    flagged unconverged if it never meets it.  A stream whose level sums (float64) or ratio (long double) at N / 2
     or N are not finite ends there, unconverged, with an infinite error and
     the value at N / 2 if the stream is finite there and at N / 4 (a fresh
     stream), NaN otherwise.  A series whose outermost terms decay like m^-1

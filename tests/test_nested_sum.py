@@ -1014,10 +1014,17 @@ class TestSharedWork:
     @pytest.mark.parametrize("suite,grid,weight", [
         ("all", "default", 4), ("all", "0.6+0.3i,1,1.5-0.5i", 4), ("all", "4:4;20:20;1:20", 4),
         ("derivative", "default", 3)])
-    def test_stacked_states_match_lone_streams(self, suite, grid, weight):
+    def test_stacked_states_match_lone_streams(self, monkeypatch, suite, grid, weight):
         # each spec's first states from its stack in the trie are those of its lone
         # stream, byte for byte; real and complex points are stacked apart, and so
         # are points whose alpha or beta alone is complex
+        trie, kinds = mzdual.nested_sum._trie, set()
+
+        def recorded(stack):
+            kinds.add(frozenset((isinstance(s.alpha, complex), isinstance(s.beta, complex)) for s in stack))
+            return trie(stack)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_trie", recorded)
         sc = SuiteConfig(weight_max=weight, params_grid=parse_grid(grid))
         plans = mzdual.verifier._SUITES[suite](sc, words_up_to_weight(weight))
         specs = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
@@ -1026,7 +1033,7 @@ class TestSharedWork:
         for i, (n, *got) in first_states(specs, cfg):
             if state_bytes(got) != state_bytes(_Stream(specs[i]).states(n // 2, n)):
                 differ.append(specs[i])
-        assert len(specs) > 900 and not differ
+        assert len(specs) > 900 and not differ and all(len(kind) == 1 for kind in kinds)
 
     @pytest.mark.parametrize("grid", ["default", "0.6+0.3i,1,1.5-0.5i", "4:4;20:20;1:20"])
     def test_compiled_levels_match_the_dict_algebra(self, monkeypatch, grid):
