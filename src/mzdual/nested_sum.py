@@ -285,15 +285,13 @@ class _Stream:
         return np.ones((len(self.points), len(m))) if w is None else w
 
     def run_block(self, hi: int, marks: tuple = ()) -> np.ndarray:
-        """Advance through indices [next_m, hi), after the node below if it is
-        behind; returns the last level's (hi, lo) prefix at each index and
-        point, an (hi - next_m, points, 2) view (no level: the ratio), and keeps
-        each point's prefixes of every level up to the last, and the ratio, at
-        the marks (indices in the block) and at hi - 1.  A level's terms after
-        the first are its weights times both parts of the prefix below."""
+        """Advance through indices [next_m, hi), the node below already there;
+        returns the last level's (hi, lo) prefix at each index and point, an
+        (hi - next_m, points, 2) view (no level: the ratio), and keeps each
+        point's prefixes of every level up to the last, and the ratio, at the
+        marks (indices in the block) and at hi - 1.  A level's terms after the
+        first are its weights times both parts of the prefix below."""
         below, lo = self.below, self.next_m
-        if below is not None and below.next_m < hi:
-            below.run_block(hi, marks)
         cols = [k - lo for k in (*marks, hi - 1)]
         self.next_m, marked = hi, [np.empty((len(self.points), len(cols), 0, 2))]
         if below is not None:  # the ratio, the prefix below and the marks, at these points
@@ -755,7 +753,8 @@ def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | No
                 yield ids[k], (n, *got)
 
 
-def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple | None = None) -> EvalResult:
+def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(),
+             states: tuple | None = None) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
     Takes the value and its error from :func:`_tail_fit` at the first N, 1,024
@@ -763,11 +762,11 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(), states: tuple 
     there) as :func:`first_states` yields it, which streams the spec alone
     when it is None.  N doubles, streamed on from the state at the last, while
     the error exceeds rel_tol |value| and 2N <= max_n, and the best value is
-    flagged unconverged if it never meets it.  A stream whose level sums (float64) or ratio (long double) at N / 2
-    or N are not finite ends there, unconverged, with an infinite error and
-    the value at N / 2 if the stream is finite there and at N / 4 (a fresh
-    stream), NaN otherwise.  A series whose outermost terms decay like m^-1
-    or slower raises NonConvergentError.
+    flagged unconverged if it never meets it.  A stream whose level sums
+    (float64) or ratio (long double) at N / 2 or N are not finite ends there,
+    unconverged, with an infinite error and the value at N / 2 if the stream
+    is finite there and at N / 4 (a fresh stream), NaN otherwise.  A series
+    whose outermost terms decay like m^-1 or slower raises NonConvergentError.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product

@@ -193,20 +193,6 @@ class TestEvaluate:
             EvalConfig(rel_tol=2.0)
 
 
-def block_ends(monkeypatch, depth: int) -> list:
-    """The ends of the blocks streamed from now on at the level of the given
-    depth, one per block: a lone spec's chain streams each of its levels."""
-    run_block, his = _Stream.run_block, []
-
-    def recorded(stream, hi, *marks):
-        if stream.spec.depth == depth:
-            his.append(hi)
-        return run_block(stream, hi, *marks)
-
-    monkeypatch.setattr(_Stream, "run_block", recorded)
-    return his
-
-
 class TestSchedule:
     # N doubles from its first value while the error exceeds the tolerance and
     # 2N <= max_n, so an evaluation streams to the last N <= max_n at most, in
@@ -218,7 +204,14 @@ class TestSchedule:
          (16383, 8192), (16384, 16384), (300_000, 262_144)],
     )
     def test_stream_ends_at_last_checkpoint(self, monkeypatch, max_n, last):
-        his = block_ends(monkeypatch, 1)
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi, *marks):
+            his.append(hi)
+            return run_block(stream, hi, *marks)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
         res = evaluate(single(b=2, beta=0.7), EvalConfig(rel_tol=1e-16, max_n=max_n))
         assert not res.converged
         assert res.n_used == last and his == evaluate_block_ends(last)
@@ -258,7 +251,14 @@ class TestSchedule:
     def test_overflow_at_n_half_stops_the_stream(self, monkeypatch):
         # a state that is None ends the stream: a first N of 16,384 reads
         # N / 2 = 8,192 in two blocks, and after its None nothing is streamed
-        his = block_ends(monkeypatch, 2)
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi, *marks):
+            his.append(hi)
+            return run_block(stream, hi, *marks)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
         stream = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
         assert stream.states(8192, 16384) == [None, None] and his == [8192, 8193]
         # one block reads both; the None at N / 2 is reported at N / 2
@@ -268,7 +268,14 @@ class TestSchedule:
     def test_first_n_of_8192_streams_two_blocks(self, monkeypatch):
         # at (100, 1) the first N is 8,192: one block to N / 2 and one to N,
         # where the value converges
-        his = block_ends(monkeypatch, 2)
+        run_block = _Stream.run_block
+        his = []
+
+        def recorded(stream, hi, *marks):
+            his.append(hi)
+            return run_block(stream, hi, *marks)
+
+        monkeypatch.setattr(_Stream, "run_block", recorded)
         res = evaluate(z_spec(parse_word("1:1,1:2"), Params(100.0, 1.0)))
         assert res.converged and res.n_used == 8192 and his == [4097, 8193]
 
