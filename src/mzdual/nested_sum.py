@@ -14,9 +14,9 @@ compensated (hi, lo) pair of float64 or complex128 on every platform.  The
 Pochhammer ratio r(m) = (alpha)_m / m! is a running product in long double;
 m! / (alpha)_{m+1} is (m + alpha)^-1 / r.  A suite's relations hold at every
 point, so :func:`first_states` streams its specs as structures times points:
-a trie of prefixes, whose root builds the ratio once per distinct alpha and
-each of whose nodes streams its level once, as one (points x indices) block
-of at most _STACK elements.  A lone spec is a chain of one-point nodes.
+a trie of prefixes, whose root builds the ratio once per point and each of
+whose nodes streams its level once, as one (points x indices) block of at
+most _STACK elements.  A lone spec is a chain of one-point nodes.
 
 The tail past N is exact, not fitted: each level's prefix is
 P_i(m) = C_i + F_i(m), where F_i is the asymptotic expansion
@@ -49,8 +49,8 @@ unconverged, with the value at N / 2.
 Plans per key set, numbers per point.  A level's plan (which coefficients,
 by what factors, make each key of its terms and of F) is a pure function of
 the key sets it reads, alpha - 1, K, N and g, not of beta or of any sum, so
-the points of a structure share it, kept in _PLANS (4 MiB of arrays, least
-recently used out).  A point's numbers are gathers, multiplies and adds
+the points of a structure share it, in an LRU memo of 4,096 plans like its
+neighbours'.  A point's numbers are gathers, multiplies and adds
 (np.add.reduceat), an inner level's memoized on the parameters, its prefix
 and links, N and the prefix's stream values.  Every output is byte-identical
 to one computed per spec, in any order and in any stack.
@@ -64,7 +64,6 @@ import functools
 import itertools
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -256,10 +255,7 @@ class _Stream:
         # the last block's marks and end
         self.carries = np.zeros((spec.depth - self.first, 2, len(self.points)), dtype=self.scalar)
         self.next_m, self.before, self.out, self.r, self.marked, self.ratios = 0, None, None, None, None, None
-        if below is None:  # each distinct alpha with its ratio carry, and each point's (None: in order)
-            self.alphas = list(dict.fromkeys(a for a, _ in self.points))
-            self.ratio, self.which = [None] * len(self.alphas), [self.alphas.index(a) for a, _ in self.points]
-            self.which = None if len(self.alphas) == len(self.points) else self.which
+        self.ratio = [None] * len(self.points)  # at the root, each point's ratio carry
 
     def resume(self, n: int, state: tuple) -> _Stream:
         """This lone spec's stream, set to go on from its state at index n."""
@@ -297,12 +293,10 @@ class _Stream:
         if below is not None:  # the ratio, the prefix below and the marks, at these points
             self.r, self.ratios, marked[0] = (self._gather(a) for a in (below.r, below.ratios, below.marked))
             self.out, self.before = self._gather(below.out, 1), self._gather(below.before, 1)
-        elif self.poch:  # the ratio, one product per distinct alpha
-            r, exact = zip(*(_product_block(a, lo, hi, c) for a, c in zip(self.alphas, self.ratio)))
+        elif self.poch:  # the ratio, one product per point
+            r, exact = zip(*(_product_block(a, lo, hi, c) for (a, _), c in zip(self.points, self.ratio)))
             self.ratio, self.r = [e[-1] for e in exact], np.array(r)
             self.ratios = np.array([e.take(cols) for e in exact])
-            if self.which is not None:
-                self.r, self.ratios = self.r.take(self.which, 0), self.ratios.take(self.which, 0)
             self.r.setflags(write=False)
         m = np.arange(lo, hi, dtype=np.float64)
         for i in range(self.first, self.spec.depth):
@@ -543,43 +537,13 @@ def _flat(groups: dict) -> tuple[list, np.ndarray]:
     return list(itertools.chain.from_iterable(groups.values())), starts
 
 
-class _ArrayMemo:
-    """Tuples of arrays, each a pure function of its key, so a hit gives the
-    bytes a build would, least recently used out first, so that their arrays
-    (not their other fields) hold at most ``bound`` bytes."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.nbytes = 0
-        self.entries: OrderedDict = OrderedDict()
-
-    def get(self, key) -> tuple | None:
-        hit = self.entries.get(key)
-        if hit is not None:
-            self.entries.move_to_end(key)
-        return hit
-
-    def put(self, key, entry: tuple):
-        self.entries[key] = entry
-        self.nbytes += sum(a.nbytes for a in entry if isinstance(a, np.ndarray))
-        while self.nbytes > self.bound:
-            _, old = self.entries.popitem(last=False)
-            self.nbytes -= sum(a.nbytes for a in old if isinstance(a, np.ndarray))
-
-    def cache_clear(self):
-        self.entries.clear()
-        self.nbytes = 0
-
-
-# plans kept, least recently used out at 4 MiB of arrays.  thm11i at weight 4 builds
-# 222 plans, 0.24 MB of arrays, for 1,584 level expansions, as beta is not in their keys
-_PLANS = _ArrayMemo(1 << 22)
-
-
+# plans kept, as beta is not in their keys: thm11i at weight 4 builds 222 for 1,584
+# level expansions, and all at weight 5 builds 1,284
+@functools.lru_cache(maxsize=4096)
 def _plan(key: tuple) -> _Plan:
-    """The plan of a level, from all that it reads, its key in _PLANS: its
-    weight's keys, the (keys, term keys) of the level below (None at the first
-    index), whether the link is strict, alpha - 1, K, N, g and outer."""
+    """The plan of a level, from all that it reads, its key: its weight's
+    keys, the (keys, term keys) of the level below (None at the first index),
+    whether the link is strict, alpha - 1, K, N, g and outer."""
     w_keys, below, strict, d, orders, n, g, outer = key
     d_re = d.real
     terms, placed, size, pairs, pair_starts = w_keys, None, 0, None, None
@@ -648,7 +612,6 @@ def _plan(key: tuple) -> _Plan:
     for a in plan:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
-    _PLANS.put(key, plan)
     return plan
 
 
@@ -668,7 +631,7 @@ def _expand(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
         below, p, t = _inner_level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio)
     strict = below is not None and links[-1] is Link.STRICT
     key = (w_keys, below and (below.keys, below.term_keys), strict, alpha - 1.0, orders, n, g, outer)
-    plan = _PLANS.get(key) or _plan(key)
+    plan = _plan(key)
     if below is not None:
         if plan.placed is not None:  # P has T's dtype or a wider one
             p = np.concatenate((p, np.zeros(plan.size - len(p), p.dtype)))

@@ -154,10 +154,10 @@ def starred_rvectors(dual_word: Word, r: int) -> list[tuple[int, ...]]:
     All compositions of r over the q slots, except that the first slot is
     pinned to 0 when the dual's first inner cut is 1/2 (its unit-or-zero
     binomial kills every other term); for q = 1 the closing cut is 1, so
-    the single slot is always live.
+    the single slot is always live, and for q = 0 there is no slot.
     """
     q = dual_word.depth
-    first_live = q == 1 or dual_word.inner_cut(1) is Cut.ONE
+    first_live = q <= 1 or dual_word.inner_cut(1) is Cut.ONE
     if first_live:
         return [tuple(c) for c in compositions(r, q)]
     return [(0,) + tuple(c) for c in compositions(r, q - 1)]
@@ -378,6 +378,8 @@ def check_integral_repr(w: Word, p: Params, family: Literal["Z", "zeta"] = "Z",
 def _integral_plan(w: Word, p: Params, family: str) -> tuple:
     if family not in ("Z", "zeta"):
         raise ValueError(f"integral check has no family {family!r}; choose from ('Z', 'zeta')")
+    if w.is_empty:  # no integral: the quadrature's dimension is the weight
+        raise ValueError("integral check needs a nonempty word")
     if w.weight > INTEGRAL_WEIGHT_MAX:
         raise ValueError(f"integral check limited to weight <= {INTEGRAL_WEIGHT_MAX}")
     if not _in_integral_box(p.alpha, p.beta):

@@ -32,7 +32,6 @@ from mzdual.nested_sum import (
     _EPS,
     _MAX_N,
     _N_START,
-    _PLANS,
     EvalConfig,
     IndexWeight,
     InvalidParamsError,
@@ -832,7 +831,7 @@ def state_bytes(states: list) -> list:
 
 def clear_shared_work():
     # every kernel memo: the plans, the expansions and their parts
-    for cache in (_PLANS, _inner_level, _weight, _pochhammer_log, _scale, _basis):
+    for cache in (_plan, _inner_level, _weight, _pochhammer_log, _scale, _basis):
         cache.cache_clear()
 
 
@@ -864,7 +863,8 @@ class TestSharedWork:
 
     def test_ratio_built_once_per_block(self, monkeypatch):
         # three indices carry the ratio, and one build serves them all, one
-        # build for each block; a stack of points builds one per distinct alpha
+        # build for each block; a stack of points builds one per point, in the
+        # stack's order, so two points of one alpha build the same product twice
         builds = []
         product_block = _product_block
 
@@ -882,7 +882,7 @@ class TestSharedWork:
         points = ((0.8, 1.3), (0.8, 0.6), (1.5, 1.3), (1.5, 0.8))
         dict(first_states([NestedSumSpec(DEPTH3_EVERY_INDEX, links, *p) for p in points
                            for links in itertools.product(Link, repeat=2)], EvalConfig()))
-        assert builds == [(0.8, 0, 1025), (1.5, 0, 1025)]
+        assert builds == [(0.8, 0, 1025)] * 2 + [(1.5, 0, 1025)] * 2
 
     SPECS = [
         z_spec(parse_word("1:1,1:2"), Params(1.001, 1.0)),
@@ -921,7 +921,7 @@ class TestSharedWork:
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
-        for memo in (_inner_level, _weight, _pochhammer_log, _basis):
+        for memo in (_plan, _inner_level, _weight, _pochhammer_log, _basis):
             info = memo.cache_info()
             assert info.misses == info.currsize > 0, (memo.__name__, info)
 
@@ -1074,17 +1074,16 @@ class TestSharedWork:
 
         monkeypatch.setattr(mzdual.nested_sum, "_expand", counted)
         assert run_suite("thm11i", SuiteConfig(weight_max=4)).passed
-        assert (calls[0], len(_PLANS.entries)) == (1584, 222)
+        assert (calls[0], _plan.cache_info().currsize) == (1584, 222)
 
     def test_plans_stay_within_their_bound(self):
-        # the plan memo holds at most its bound of arrays; all at weight 5 keeps
-        # every one of its 1,284 plans, about 1.5 MB (all at weight 6: 2,841, 3.7 MB)
+        # the plan memo holds at most its bound of plans; all at weight 5 keeps
+        # every one of its 1,284 plans, each built once (all at weight 6: 2,841)
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("all", SuiteConfig(weight_max=5)).passed
-        held = sum(a.nbytes for plan in _PLANS.entries.values() for a in plan if isinstance(a, np.ndarray))
-        assert held == _PLANS.nbytes <= _PLANS.bound == 2**22
-        assert len(_PLANS.entries) == 1284 and held > 2**20
+        info = _plan.cache_info()
+        assert info.currsize == info.misses == 1284 < info.maxsize == 4096
 
 
 FIRST = IndexWeight(poch=1)  # (alpha)_m / m!

@@ -34,6 +34,7 @@ from mzdual.verifier import (
 )
 from mzdual.words import (
     LinComb,
+    Word,
     dual,
     parse_word,
     sigma_b1,
@@ -206,6 +207,28 @@ class TestRelations:
         with pytest.raises(ValueError, match="one parameter"):
             check_identity(identity, W("1:2"), 0, Params(1.0, 1.5), CFG)
         assert check_identity(identity, W("1:2"), 0, Params(1.5, 1.5), CFG).name.endswith("/a=1.5")
+
+
+class TestEmptyWord:
+    """The empty word's series are the empty product 1, and its sigma images and
+    starred sums at r >= 1 are empty sums, 0; it has no iterated integral."""
+
+    @pytest.mark.parametrize("p", [Params(1.0, 1.0), Params(0.6 + 0.3j, 1.5)], ids=["real", "complex"])
+    @pytest.mark.parametrize("check, r", [(name, r) for name in RELATIONS for r in range(3)]
+                             + [("derivative", 1), ("derivative", 2), ("integral", None)])
+    def test_public_checks(self, check, r, p):
+        if check == "integral":
+            with pytest.raises(ValueError, match="nonempty word"):
+                check_integral_repr(Word(), p, "Z", CFG)
+            return
+        if check == "derivative":
+            # the circle rule's Taylor coefficient of the constant 1 is 0 up to rounding
+            c = check_derivative_crosslink(Word(), r, p, CFG)
+            assert c.passed and c.rhs == 0 and abs(c.lhs) < 1e-14
+            return
+        p = p if mzdual.verifier._TWO_PARAMETERS[check] else Params(p.alpha, p.alpha)
+        c = check_identity(check, Word(), r, p, CFG)
+        assert c.passed and c.lhs == c.rhs == (1 if r == 0 else 0)
 
 
 class TestIntegralCheck:
