@@ -46,14 +46,14 @@ past float64 (r(8192) from alpha ~ 145) are 0; a level sum past float64,
 or a ratio past long double, at N / 2 or N ends the evaluation,
 unconverged, with the value at N / 2.
 
-Plans per key set, numbers per point.  A level's plan (which coefficients,
+Plans per key set, numbers per group.  A level's plan (which coefficients,
 by what factors, make each key of its terms and of F) is a pure function of
 the key sets it reads, alpha - 1, K, N and g, not of beta or of any sum, so
 the points of a structure share it, in an LRU memo of 4,096 plans like its
-neighbours'.  A point's numbers are gathers, multiplies and adds
-(np.add.reduceat), an inner level's memoized on the parameters, its prefix
-and links, N and the prefix's stream values.  Every output is byte-identical
-to one computed per spec, in any order and in any stack.
+neighbours'.  A node's points fall into groups of one alpha, K and key set
+per level; a group's levels are (points x keys) arrays of gathers,
+multiplies and adds (np.add.reduceat), and one _tail_fit fits it.  Every
+output is byte-identical to one per spec, in any order and any stack.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class Link(enum.Enum):
     STRICT = "<"
     WEAK = "<="
 
+    __hash__ = object.__hash__  # a member's identity, not Enum.__hash__ of its name in Python
+
 
 @dataclass(frozen=True)
 class IndexWeight:
@@ -100,6 +102,13 @@ class IndexWeight:
         integral = all(isinstance(x, numbers.Integral) for x in (self.a, self.b, self.poch))
         if not integral or min(self.a, self.b) < 0:
             raise ValueError(f"need integers a, b >= 0 and poch, got {self}")
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.poch)))  # kept, not a field
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return IndexWeight, (self.a, self.b, self.poch)
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,14 @@ class NestedSumSpec:
             v = getattr(self, name)
             if isinstance(v, complex) and v.imag == 0:
                 object.__setattr__(self, name, v.real)
+        # kept, not a field, and rebuilt by a worker process, whose Link hashes (ids) differ
+        object.__setattr__(self, "_hash", hash((self.indices, self.links, self.alpha, self.beta)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return NestedSumSpec, (self.indices, self.links, self.alpha, self.beta)
 
     @property
     def depth(self) -> int:
@@ -256,11 +273,13 @@ class _Stream:
         self.carries = np.zeros((spec.depth - self.first, 2, len(self.points)), dtype=self.scalar)
         self.next_m, self.before, self.out, self.r, self.marked, self.ratios = 0, None, None, None, None, None
         self.ratio = [None] * len(self.points)  # at the root, each point's ratio carry
+        self.held, self.group = None, None  # the state at n / 2 and each point's group (see read)
 
     def resume(self, n: int, state: tuple) -> _Stream:
-        """This lone spec's stream, set to go on from its state at index n."""
+        """This lone spec's stream, set to go on from its state at index n and fit at 2n."""
         (sums, ratio), self.next_m = state, n + 1
         self.carries, self.ratio = np.array(sums, self.scalar)[:, :, None], [ratio]
+        self.held = np.array([sums], self.scalar), None if ratio is None else np.array([ratio]), np.array([True])
         return self
 
     def _gather(self, a: np.ndarray | None, axis: int = 0) -> np.ndarray | None:
@@ -320,36 +339,76 @@ class _Stream:
             return self.out.T
         return np.empty((hi - lo, 0)) if self.r is None else self.r.T
 
-    def read(self) -> list:
-        # each point's state at the last block's marks and end (see _states); a
-        # spec with no ratio in its weights has none in its state
+    def read(self, reach: list, n: int, kids: bool, tops: bool) -> tuple[list | None, dict | None]:
+        """If ``tops``, each point's state at the block's marks ``reach`` (see
+        _states) and, once reach holds n, each finite point's (value, err)
+        there, against its state at n / 2 (held until then).  The points fall
+        into groups of one alpha, K and key set per level; a group's levels are
+        expanded once, from its rows of a group below, its last one only if
+        ``kids`` read it (``group``: each point's K, level and row), and one
+        _tail_fit fits the group."""
+        # a spec with no ratio in its weights has none in its state
         ratios = self.ratios if any(iw.poch for iw in self.spec.indices) else None
         finite = np.isfinite(self.marked).all(axis=(2, 3)) & np.isfinite(1.0 if ratios is None else ratios)
-        ratios = [[None] * finite.shape[1]] * len(finite) if ratios is None else [list(r) for r in ratios]
-        return [[(tuple(map(tuple, sums)), ratio) if ok else None for sums, ok, ratio in zip(*point)]
-                for point in zip(self.marked.tolist(), finite.tolist(), ratios)]
+        listed = [[None] * len(reach)] * len(finite) if ratios is None else [list(r) for r in ratios]
+        states = [[(tuple(map(tuple, sums)), ratio) if ok else None for sums, ok, ratio in zip(*point)]
+                  for point in zip(self.marked.tolist(), finite.tolist(), listed)] if tops else None
+        at = {k: (self.marked[:, j], None if ratios is None else ratios[:, j], finite[:, j])
+              for j, k in enumerate(reach)}
+        half = self.held = at.get(n // 2, self.held)
+        if n not in at or half is None or not self.spec.depth:
+            return states, None
+        (sums, ratios, ok), (half_sums, half_ratios, half_ok) = at[n], half
+        below = self.below.group if self.below is not None and self.below.spec.depth else None
+        up = range(len(self.points)) if self.rows is None else self.rows.tolist()  # each point's row below
+        groups, fits, self.group = {}, {}, {}
+        # whether each level's weights or those below read the ratio
+        reads = [any(iw.poch for iw in self.spec.indices[:i + 1]) for i in range(self.spec.depth)]
+        for r in np.flatnonzero(ok & half_ok).tolist():
+            a, b = self.points[r]
+            k, level, j = below[up[r]] if below else (_order(max(abs(a), abs(b)), n), None, r)
+            weights = [_weight(iw, a, b, k) for iw in self.spec.indices[self.first:]]
+            key = (id(level), a, k, *[keys for keys, _ in weights])
+            groups.setdefault(key, (level, []))[1].append((r, j, weights))
+        for (_, a, k, *_), (level, got) in groups.items():
+            rows, take, weights = map(list, zip(*got))
+            at_n, at_half = sums.take(rows, 0), half_sums.take(rows, 0)
+            ratio, half_ratio = (None, None) if ratios is None else (ratios[rows[0]], half_ratios[rows[0]])
+            if level and len(level[1]) != len(rows):  # the group's rows of the group below, in order
+                level = level[0], level[1].take(take, 0), level[2].take(take, 0)
+            for i, w in enumerate(zip(*weights), self.first):
+                strict = i > 0 and self.spec.links[i - 1] is Link.STRICT
+                if tops and i == self.spec.depth - 1:
+                    fit = _tail_fit(self.spec, [self.points[r] for r in rows], n, w, level, (at_n, ratio),
+                                    (at_half, half_ratio))
+                    fits.update(zip(rows, zip(*fit)))
+                if kids or i < self.spec.depth - 1:
+                    level = _expand(a, k, n, w, level, strict, at_n[:, i], ratio if reads[i] else None, False)
+            self.group.update((r, (k, level, j)) for j, r in enumerate(rows))
+        return states, fits
 
-    def states(self, *ns: int) -> list:
-        """The state of this stream's first point at each index of ns: see _states."""
-        (_, got), = _states([self], [(self, 0)], ns)
-        return got
+    def states(self, *ns: int) -> tuple[list, tuple | None]:
+        """The first point's state at each index of ns and its fit at the last: see _states."""
+        (_, got, fit), = _states([self], [(self, 0)], ns)
+        return got, fit
 
 
-def _states(nodes: list, tops: list, ns: tuple) -> Iterator[tuple[int, list]]:
-    """Each top's (node, row) position in tops and its state at each index of
-    ns (ascending, none behind the stream): each level's prefix there as a
-    (hi, lo) pair of Python numbers and the ratio in long double (None without
-    one), or None if a level sum or the ratio there is not finite, and after
-    such a None.  Streams the nodes (a trie, depth first, each block dropped
-    once the nodes above have read it) to the last of ns, never back, in
-    blocks of at most _BLOCK indices, each ending after the furthest of ns it
-    reaches; a top's states come as soon as its node has read the last of
-    them, or a None, so that few are held at once, and once every top has a
-    None, no further block is streamed."""
+def _states(nodes: list, tops: list, ns: tuple) -> Iterator[tuple[int, list, tuple | None]]:
+    """Each top's (node, row) position in tops, its state at each index of ns
+    (ascending, none behind the stream) and its (value, err) at the last, or
+    None (see _Stream.read): each level's prefix there as a (hi, lo) pair of
+    Python numbers and the ratio in long double (None without one), or None if
+    a level sum or the ratio there is not finite, and after such a None.
+    Streams the nodes (a trie, depth first, each block dropped once the nodes
+    above have read it) to the last of ns, never back, in blocks of at most
+    _BLOCK indices, each ending after the furthest of ns it reaches; a top's
+    states come as soon as its node has read the last of them, or a None, so
+    that few are held at once, and once every top has a None, no further
+    block is streamed."""
     at = tops[0][0].next_m
     if ns[0] < at:
         raise ValueError(f"the stream is past index {ns[0]}: it is at {at - 1}")
-    got, reads = [[] for _ in tops], {}  # got[k] is None once yielded
+    got, reads, kids = [[] for _ in tops], {}, {node.below for node in nodes}  # got[k] is None once yielded
     for k, (node, _) in enumerate(tops):
         reads.setdefault(node, []).append(k)
     while at <= ns[-1] and any(g is not None and None not in g for g in got):
@@ -358,18 +417,18 @@ def _states(nodes: list, tops: list, ns: tuple) -> Iterator[tuple[int, list]]:
         for node in nodes:
             while path and path[-1] is not node.below:
                 done = path.pop()
-                done.out = done.r = done.marked = done.ratios = None
+                done.out = done.r = done.marked = done.ratios = done.group = None
             with np.errstate(all="ignore"):
                 node.run_block(at, tuple(reach[:-1]))
-                states = node.read() if reach and node in reads else None
+                states, fits = node.read(reach, ns[-1], node in kids, node in reads) if reach else (None, None)
             path.append(node)
             for k in reads[node] if states else ():
                 if (g := got[k]) is not None:
                     g += states[tops[k][1]] if None not in g else [None] * len(reach)
                 if g is not None and (len(g) == len(ns) or None in g):
                     got[k] = None
-                    yield k, g + [None] * (len(ns) - len(g))
-    yield from ((k, g + [None] * (len(ns) - len(g))) for k, g in enumerate(got) if g is not None)
+                    yield k, g + [None] * (len(ns) - len(g)), fits and fits.get(tops[k][1])
+    yield from ((k, g + [None] * (len(ns) - len(g)), None) for k, g in enumerate(got) if g is not None)
 
 
 def _trie(specs: list) -> tuple[list, list]:
@@ -523,7 +582,7 @@ class _Plan(NamedTuple):
     term_keys: tuple
     placed: np.ndarray | None  # for a strict link, where each term below joins the prefix below
     size: int  # the prefix below's size, with the keys of the terms below that it lacks
-    pairs: np.ndarray | None  # each term's flat indices of (weight, prefix below) pairs
+    pairs: np.ndarray | None  # each term's (weight, prefix below) pairs: a row of each's indices
     pair_starts: np.ndarray | None
     index: np.ndarray  # each key of F's term indices and factors
     factor: np.ndarray
@@ -537,8 +596,8 @@ def _flat(groups: dict) -> tuple[list, np.ndarray]:
     return list(itertools.chain.from_iterable(groups.values())), starts
 
 
-# plans kept, as beta is not in their keys: thm11i at weight 4 builds 222 for 1,584
-# level expansions, and all at weight 5 builds 1,284
+# plans kept, as beta is not in their keys: thm11i at weight 4 builds 222 for 528
+# level expansions, and all at weight 5 builds 1,206
 @functools.lru_cache(maxsize=4096)
 def _plan(key: tuple) -> _Plan:
     """The plan of a level, from all that it reads, its key: its weight's
@@ -565,7 +624,7 @@ def _plan(key: tuple) -> _Plan:
                 if wr + br > cut:
                     groups.setdefault((wn + bn, wk + bk, bt), []).append(wi * size + bi)
         flat, pair_starts = _flat(groups)
-        terms, pairs = tuple(groups), np.array(flat, dtype=np.intp)
+        terms, pairs = tuple(groups), np.array(np.divmod(flat, size), dtype=np.intp)
     # the Euler-Maclaurin summatory function of the terms, without its constant:
     # sum_{j<=m} T(j) = C + F(m), each term of F whose exponent's real part exceeds
     # cut; g = 1 / Gamma(alpha), for resonant terms
@@ -615,81 +674,74 @@ def _plan(key: tuple) -> _Plan:
     return plan
 
 
-def _expand(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
-            sums: tuple, ratio, outer: bool) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """(plan, P, T): the last level's plan and the coefficients of its prefix (C
-    last but at the outermost level) and of its terms, for the prefix ``indices``
-    at N = n, from the stream's prefix sums and ratio at n.  The outermost level
+def _expand(alpha: complex, orders: int, n: int, weights: list, below: tuple | None, strict: bool,
+            sums: np.ndarray | None, ratio, outer: bool) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """(plan, P, T): a level's plan and the coefficients of its prefix (C last
+    but at the outermost level) and of its terms, a row per point of a group
+    (see _Stream.read) at N = n, from each point's _weight, the level below's
+    (plan, P, T) (None at the first index), and the level's (hi, lo) sums and
+    the ratio (None if no weight up to here reads it) at n.  The outermost level
     integrates every term in closed form, so that F vanishes at infinity."""
-    orders = _order(max(abs(alpha), abs(beta)), n)
-    w_keys, terms = _weight(indices[-1], alpha, beta, orders)
+    w_keys, terms = weights[0][0], np.array([w for _, w in weights])
     # g is read by inner resonant terms alone
     scale = None if outer else _scale(alpha, orders, n, ratio)
     g = None if scale is None else _python(scale * type(scale)(n) ** -(alpha - 1.0))
-    below = None
-    if len(indices) > 1:
-        below, p, t = _inner_level(alpha, beta, indices[:-1], links[:-1], n, sums[:-1], ratio)
-    strict = below is not None and links[-1] is Link.STRICT
-    key = (w_keys, below and (below.keys, below.term_keys), strict, alpha - 1.0, orders, n, g, outer)
-    plan = _plan(key)
+    plan = _plan((w_keys, below and (below[0].keys, below[0].term_keys), strict, alpha - 1.0, orders, n, g, outer))
     if below is not None:
+        _, p, t = below
         if plan.placed is not None:  # P has T's dtype or a wider one
-            p = np.concatenate((p, np.zeros(plan.size - len(p), p.dtype)))
-            p[plan.placed] -= t
-        terms = np.add.reduceat(np.multiply.outer(terms, p).ravel()[plan.pairs], plan.pair_starts)
-    prefix = np.add.reduceat(terms[plan.index] * plan.factor, plan.starts)
+            p = np.concatenate((p, np.zeros((len(p), plan.size - p.shape[1]), p.dtype)), axis=1)
+            p[:, plan.placed] -= t
+        product = terms.take(plan.pairs[0], 1) * p.take(plan.pairs[1], 1)
+        terms = np.add.reduceat(product, plan.pair_starts, axis=1)
+    prefix = np.add.reduceat(terms.take(plan.index, 1) * plan.factor, plan.starts, axis=1)
     if not outer:
-        hi, lo = sums[-1]
-        prefix = np.append(prefix, (hi - (prefix * _basis(plan.keys, n, scale)).sum()) + lo)
+        hi, lo = sums.T
+        c = (hi - np.add.reduce(prefix * _basis(plan.keys, n, scale), 1)) + lo
+        prefix = np.concatenate((prefix, c[:, None]), 1)
     return plan, prefix, terms
 
 
-# inner levels' numbers kept, each shared by every spec that extends its prefix (not a
-# spec's outermost level, which no other spec reads).  thm11i at weight 4 uses 504 and
-# the weight-5 derivative suite 4,635 (9,558 hits), with no eviction of a level read again
-@functools.lru_cache(maxsize=4096)
-def _inner_level(alpha: complex, beta: complex, indices: tuple, links: tuple, n: int,
-                 sums: tuple, ratio) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    level = _expand(alpha, beta, indices, links, n, sums, ratio, False)
-    for a in level[1:]:
-        a.setflags(write=False)
-    return level
-
-
-def _tail_fit(spec: NestedSumSpec, n: int, half: tuple, full: tuple) -> tuple[complex, float]:
-    """The value and its error from the stream's state (level prefix sums,
-    ratio) at N = n and at n / 2: C_D from the expansions at n, and the error
-    |C_D(n) - C_D(n/2)| + the last order kept + eps times the terms' sizes for
-    each rounding in a streamed term + for each power of the ratio twice its
-    drift |R(n) / (2^(alpha-1) R(n/2)) - 1|, as R = g m^(alpha-1) is constant."""
-    alpha, beta = spec.alpha, spec.beta
-    orders = _order(max(abs(alpha), abs(beta)), n)
-    (sums, ratio), (half_sums, half_ratio) = full, half
-    plan, prefix, _ = _expand(alpha, beta, spec.indices, spec.links, n, sums, ratio, True)
+def _tail_fit(spec: NestedSumSpec, points: list, n: int, weights: list, below: tuple | None,
+              full: tuple, half: tuple) -> tuple[list, list]:
+    """The values and errors at a group of points (see _Stream.read) from the
+    _weight of their outermost index, the level below and their states at
+    N = n and n / 2 (each level's (hi, lo) sums, a row per point, and the
+    ratio): C_D from the expansions at n, and the error |C_D(n) - C_D(n/2)|
+    + the last order kept + eps times the terms' sizes for each rounding in a
+    streamed term + for each power of the ratio twice its drift
+    |R(n) / (2^(alpha-1) R(n/2)) - 1|, as R = g m^(alpha-1) is constant."""
+    (alpha, beta), (sums, ratio), (half_sums, half_ratio) = points[0], full, half
+    orders, strict = _order(max(abs(alpha), abs(beta)), n), below is not None and spec.links[-1] is Link.STRICT
+    plan, prefix, _ = _expand(alpha, orders, n, weights, below, strict, None, None, True)
     half_n = n // 2
     scale, half_scale = _scale(alpha, orders, n, ratio), _scale(alpha, orders, half_n, half_ratio)
-    # the expansion at n and at n / 2, and the sizes of its terms and of those of the last order kept at n
     terms = prefix * _basis(plan.keys, n, scale)
     sizes = np.abs(terms)
-    tail, size, omitted = terms.sum(), sizes.sum(), sizes[plan.omitted].sum()
-    tail_half = (prefix * _basis(plan.keys, half_n, half_scale)).sum()
-    (hi, lo), (half_hi, half_lo) = sums[-1], half_sums[-1]
-    value = _python((hi - tail) + lo)
-    gap = abs(value - ((half_hi - tail_half) + half_lo))
+    # each point's sums and the expansion at n and at n / 2, the sizes of its terms and of those of the
+    # last order kept at n, in Python numbers, as one spec's
+    rows = zip(sums[:, -1].tolist(), half_sums[:, -1].tolist(), np.add.reduce(terms, 1).tolist(),
+               np.add.reduce(prefix * _basis(plan.keys, half_n, half_scale), 1).tolist(),
+               np.add.reduce(sizes, 1).tolist(), np.add.reduce(sizes.compress(plan.omitted, 1), 1).tolist())
     drift = 0.0 if scale is None else float(abs(scale / half_scale / type(scale)(2.0) ** (alpha - 1.0) - 1.0))
     powers = sum(abs(iw.poch) for iw in spec.indices)
     # a streamed term's weights make at most 2 (a + b) + |poch| + 2 roundings of eps / 2 per level
-    weights = sum(iw.a + iw.b for iw in spec.indices) + powers + spec.depth
-    rounding = (_EPS * (1 + weights) + 2.0 * drift * powers) * (abs(sums[-1][0]) + size)
-    err = float(gap + omitted + rounding)
-    return value, (err if math.isfinite(err) else math.inf)
+    rounding = _EPS * (1 + sum(iw.a + iw.b for iw in spec.indices) + powers + spec.depth) + 2.0 * drift * powers
+    values, errs = [], []
+    for (hi, lo), (half_hi, half_lo), tail, tail_half, size, omitted in rows:
+        value = (hi - tail) + lo
+        err = abs(value - ((half_hi - tail_half) + half_lo)) + omitted + rounding * (abs(hi) + size)
+        values.append(value)
+        errs.append(err if math.isfinite(err) else math.inf)
+    return values, errs
 
 
 def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | None]]:
-    """Each spec's position, and its first N and stream states at N / 2 and N
-    (None for the empty spec), as soon as its node has read them: the specs of
-    one first N and dtype, at most _STACK // min(N + 1, _BLOCK) points a stack,
-    make a trie.
+    """Each spec's position, and its first N, stream states at N / 2 and N and
+    (value, err) at N, None if a state is (None for the empty spec), as soon as
+    its node has read and fitted them: the specs of one first N and dtype, at
+    most _STACK // min(N + 1, _BLOCK) points a stack, make a trie, each of whose
+    nodes fits its points by group (see _Stream.read).
     N is the least power of two from 1,024 with (max(|alpha|, |beta|) / N)^K
     <= 1e-17 at the most orders K, or the last one within max_n.  Parameters
     out of the domain raise InvalidParamsError."""
@@ -712,24 +764,25 @@ def first_states(specs: list, cfg: EvalConfig) -> Iterator[tuple[int, tuple | No
         size = max(1, _STACK // min(n + 1, _BLOCK))
         for lo in range(0, len(points), size):
             ids = [i for p in points[lo:lo + size] for i in at[p]]
-            for k, got in _states(*_trie([specs[i] for i in ids]), (n // 2, n)):
-                yield ids[k], (n, *got)
+            for k, got, fit in _states(*_trie([specs[i] for i in ids]), (n // 2, n)):
+                yield ids[k], (n, *got, fit)
 
 
 def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(),
              states: tuple | None = None) -> EvalResult:
     """Evaluate the nested series to the configured relative tolerance.
 
-    Takes the value and its error from :func:`_tail_fit` at the first N, 1,024
-    or more for large parameters, and N / 2: ``states`` is (N, the states
-    there) as :func:`first_states` yields it, which streams the spec alone
-    when it is None.  N doubles, streamed on from the state at the last, while
-    the error exceeds rel_tol |value| and 2N <= max_n, and the best value is
-    flagged unconverged if it never meets it.  A stream whose level sums
-    (float64) or ratio (long double) at N / 2 or N are not finite ends there,
-    unconverged, with an infinite error and the value at N / 2 if the stream
-    is finite there and at N / 4 (a fresh stream), NaN otherwise.  A series
-    whose outermost terms decay like m^-1 or slower raises NonConvergentError.
+    Takes the value and its error at the first N, 1,024 or more for large
+    parameters: ``states`` is (N, the states at N / 2 and N, the fit there) as
+    :func:`first_states` yields it, which streams the spec alone when it is
+    None.  N doubles, a stream of one point resumed from the state at the last
+    and fitted (:func:`_tail_fit`) against it, while the error exceeds rel_tol
+    |value| and 2N <= max_n, and the best value is flagged unconverged if it
+    never meets it.  A stream whose level sums (float64) or ratio (long double)
+    at N / 2 or N are not finite ends there, unconverged, with an infinite
+    error and the value at N / 2 if the stream is finite there and at N / 4 (a
+    fresh stream), NaN otherwise.  A series whose outermost terms decay like
+    m^-1 or slower raises NonConvergentError.
     """
     _validate_params(spec.alpha, spec.beta)
     if not spec.indices:  # the empty product
@@ -738,20 +791,20 @@ def evaluate(spec: NestedSumSpec, cfg: EvalConfig = EvalConfig(),
     if decay <= 1.0 + 1e-9:
         raise NonConvergentError(f"outermost decay exponent {decay:.6g} <= 1; series diverges")
     scalar = complex if complex(spec.alpha).imag or complex(spec.beta).imag else float
-    n, half, full = states or dict(first_states([spec], cfg))[0]
-    stream, best = None, (math.inf, math.nan)  # best: (err, value)
-    while half and full:
-        value, err = _tail_fit(spec, n, half, full)
+    n, half, full, fit = states or dict(first_states([spec], cfg))[0]
+    best = (math.inf, math.nan)  # best: (err, value)
+    while fit:
+        value, err = fit
         if err <= best[0]:
             best = (err, value)
         if err <= cfg.rel_tol * abs(value):
             return EvalResult(scalar(value), err, n, True)
         if 2 * n > cfg.max_n:
             return EvalResult(scalar(best[1]), best[0], n, False)
-        stream = stream or _Stream(spec).resume(n, full)
         n, half = 2 * n, full
-        full, = stream.states(n)
-    # overflow at n / 2 or n, no value yet: the one at n / 2, from a fresh stream to n / 4
-    if math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and (quarter := _Stream(spec).states(n // 4)[0]):
-        best = (math.inf, _tail_fit(spec, n // 2, quarter, half)[0])
+        (full,), fit = _Stream(spec).resume(n // 2, half).states(n)
+    # overflow at n / 2 or n, no value yet: the one at n / 2, from a fresh stream to n / 2
+    fit = math.isnan(best[1]) and half and n // 4 >= _N_START // 2 and _Stream(spec).states(n // 4, n // 2)[1]
+    if fit:
+        best = (math.inf, fit[0])
     return EvalResult(scalar(best[1]), math.inf, n if half else n // 2, False)

@@ -68,8 +68,11 @@ class IdentityCheck:
     note: str = ""
 
     def to_json(self) -> dict:
+        # field by field, in their order: asdict deep-copies every field
         lhs, rhs = complex(self.lhs), complex(self.rhs)
-        return {**asdict(self), "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag]}
+        return {"name": self.name, "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
+                "abs_dev": self.abs_dev, "rel_dev": self.rel_dev, "tol": self.tol, "n_used": self.n_used,
+                "passed": self.passed, "note": self.note}
 
 
 def _make_check(name: str, lhs: EvalResult, rhs: EvalResult) -> IdentityCheck:

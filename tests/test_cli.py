@@ -324,8 +324,8 @@ class TestVerify:
         assert payload["schema"] == 1 and "timestamp" not in payload
 
     def test_level_cache_invisible(self, capsys, monkeypatch):
-        # the suite's JSON is the same when every inner level builds its expansion
-        # anew, from a plan and a basis built anew
+        # the suite's JSON is the same when every level is expanded from a plan,
+        # weights and a basis built anew
         args = ("verify", "--suite", "thm11i", "--weight-max", "3", "--output", "json",
                 "--no-timestamp")
         _, warm, _ = run(capsys, *args)
@@ -336,7 +336,7 @@ class TestVerify:
                 return memo(*key)
             return call
 
-        for name in ("_inner_level", "_basis", "_plan"):
+        for name in ("_plan", "_weight", "_basis"):
             monkeypatch.setattr(mzdual.nested_sum, name, cold(getattr(mzdual.nested_sum, name)))
         _, cold_run, _ = run(capsys, *args)
         assert json.loads(warm)["checks"] and cold_run == warm

@@ -1,7 +1,9 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -40,8 +42,8 @@ from mzdual.nested_sum import (
     NonConvergentError,
     _basis,
     _expand,
-    _inner_level,
     _lead_decay,
+    _order,
     _plan,
     _pochhammer_log,
     _product_block,
@@ -181,6 +183,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             NestedSumSpec((), (Link.WEAK,), alpha=1.0)
 
+    def test_cached_hash_stays_out_of_pickle_and_fields(self):
+        # a worker rebuilds each hash from the fields, as its string hashes (and
+        # so Link's) differ; asdict, and so any JSON, sees the fields alone
+        spec = NestedSumSpec((IndexWeight(b=1, poch=1), IndexWeight(a=1, b=2, poch=-1)), (Link.WEAK,),
+                             0.6 + 0.3j, 1.5)
+        for x in (spec, spec.indices[1]):
+            assert b"_hash" not in pickle.dumps(x)
+            assert pickle.loads(pickle.dumps(x)) == x and hash(pickle.loads(pickle.dumps(x))) == hash(x)
+        assert hash(spec) == hash((spec.indices, spec.links, spec.alpha, spec.beta))
+        assert hash(spec.indices[1]) == hash((1, 2, -1)) and asdict(spec.indices[1]) == {"a": 1, "b": 2, "poch": -1}
+        assert [f.name for f in fields(spec)] == ["indices", "links", "alpha", "beta"]
+
     def test_config_validation(self):
         # max_n is at least the first N, and at most 2^62
         with pytest.raises(ValueError):
@@ -222,13 +236,13 @@ class TestSchedule:
         # level sums are not finite is None
         spec = single(b=2, beta=0.7)
         stream = _Stream(spec)
-        (_, ratio), = stream.states(4096)
+        ((_, ratio),), _ = stream.states(4096)
         assert stream.next_m == 4097 and ratio is None
-        assert stream.states(8192) == _Stream(spec).states(8192) and stream.next_m == 8193
+        assert stream.states(8192)[0] == _Stream(spec).states(8192)[0] and stream.next_m == 8193
         with pytest.raises(ValueError):
             stream.states(2048)
         overflow = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
-        assert overflow.states(512)[0] is not None and overflow.states(8192) == [None]
+        assert overflow.states(512)[0] != [None] and overflow.states(8192) == ([None], None)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.6 + 0.3j], ids=["real", "complex"])
     def test_one_block_reads_both_states(self, alpha):
@@ -236,16 +250,26 @@ class TestSchedule:
         # one a block ending there gives, and so is the state at N
         spec = z_spec(parse_word("1:1,1/2:1,1:2"), Params(alpha, 1.5))
         stream = _Stream(spec)
-        assert stream.states(512, 1024) == _Stream(spec).states(512) + _Stream(spec).states(1024)
+        assert stream.states(512, 1024)[0] == _Stream(spec).states(512)[0] + _Stream(spec).states(1024)[0]
         assert stream.next_m == 1025
 
     def test_block_before_both_states(self):
         # at beta = 200 the first N is 16,384: the first block, [0, 8,192), ends
         # before N / 2 and gives no state, so N / 2 and N give one state each
         spec = z_spec(parse_word("1:1,1:2"), Params(0.6, 200.0))
-        half, full = _Stream(spec).states(8192, 16384)
-        assert [half, full] == _Stream(spec).states(8192) + _Stream(spec).states(16384) and full
+        (half, full), _ = _Stream(spec).states(8192, 16384)
+        assert [half, full] == _Stream(spec).states(8192)[0] + _Stream(spec).states(16384)[0] and full
         assert evaluate(spec).n_used == 16384
+
+    @pytest.mark.parametrize("params", [(0.7, 1.3), (0.6 + 0.3j, 1.5)], ids=["real", "complex"])
+    def test_doubled_n_fits_as_a_fresh_stream(self, params):
+        # a stream resumed from its state at N fits at 2N against that state,
+        # byte for byte as a fresh stream reading both
+        spec = z_spec(parse_word("1:1,1:2,1:2"), Params(*params))
+        (_, full), _ = _Stream(spec).states(512, 1024)
+        (resumed,), fit = _Stream(spec).resume(1024, full).states(2048)
+        (_, fresh), want = _Stream(spec).states(1024, 2048)
+        assert state_bytes([resumed]) == state_bytes([fresh]) and repr(fit) == repr(want) and want[1] < 1e-13
 
     def test_overflow_at_n_half_stops_the_stream(self, monkeypatch):
         # a state that is None ends the stream: a first N of 16,384 reads
@@ -259,7 +283,7 @@ class TestSchedule:
 
         monkeypatch.setattr(_Stream, "run_block", recorded)
         stream = _Stream(z_spec(parse_word("1:1,1:2"), Params(300.0, 1.0)))
-        assert stream.states(8192, 16384) == [None, None] and his == [8192, 8193]
+        assert stream.states(8192, 16384) == ([None, None], None) and his == [8192, 8193]
         # one block reads both; the None at N / 2 is reported at N / 2
         res = evaluate(hurwitz_spec(parse_word("1:3"), 1e-110))
         assert res.n_used == 512 and math.isnan(res.value) and res.err_estimate == math.inf
@@ -287,7 +311,8 @@ class TestSchedule:
     def test_no_fit_gives_unbounded_error(self, monkeypatch):
         # no fit has a finite value: the result is NaN with nothing known of
         # its error, at the last N
-        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", lambda *args: (math.nan, math.inf))
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit",
+                            lambda spec, points, *args: ([math.nan] * len(points), [math.inf] * len(points)))
         res = evaluate(single(b=2, beta=0.7), EvalConfig(max_n=20000))
         assert math.isnan(res.value) and res.err_estimate == math.inf
         assert res.n_used == 16384 and not res.converged
@@ -298,9 +323,9 @@ class TestSchedule:
         # (x = max(|alpha|, |beta|)), and the fit runs there first
         ns = []
 
-        def recorded(spec, n, half, full):
+        def recorded(spec, points, n, *states):
             ns.append(n)
-            return 1.0, 0.0
+            return [1.0] * len(points), [0.0] * len(points)
 
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
         assert evaluate(single(b=2, beta=x)).n_used == first
@@ -310,9 +335,9 @@ class TestSchedule:
         # the error halves with each doubling; the first that meets rel_tol stops
         ns = []
 
-        def recorded(spec, n, half, full):
+        def recorded(spec, points, n, *states):
             ns.append(n)
-            return 1.0, 1e-6 * 1024 / n
+            return [1.0] * len(points), [1e-6 * 1024 / n] * len(points)
 
         monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
         res = evaluate(single(b=2), EvalConfig(rel_tol=1e-7))
@@ -629,11 +654,18 @@ def summatory(terms: dict, d: complex, orders: int, n: int, g, outer: bool) -> d
 
 def outer_expansion(spec: NestedSumSpec, n: int = _N_START) -> tuple[dict, dict]:
     """The expansions {(n, k, t): c} (prefix, terms) of a spec's outermost
-    level at N = n, from the stream's state there; the prefix leaves out the
+    level at N = n, from the stream's state there, each level expanded from
+    the one below as a group of one point; the prefix leaves out the
     constant."""
-    (sums, ratio), = _Stream(spec).states(n)
-    plan, prefix, terms = _expand(spec.alpha, spec.beta, spec.indices, spec.links, n, sums, ratio, True)
-    return dict(zip(plan.keys, prefix)), dict(zip(plan.term_keys, terms))
+    ((sums, ratio),), _ = _Stream(spec).states(n)
+    point, orders, level = (spec.alpha, spec.beta), _order(max(abs(spec.alpha), abs(spec.beta)), n), None
+    for i, iw in enumerate(spec.indices):
+        outer, strict = i == spec.depth - 1, i > 0 and spec.links[i - 1] is Link.STRICT
+        reads = not outer and any(w.poch for w in spec.indices[:i + 1])
+        level = _expand(spec.alpha, orders, n, [_weight(iw, *point, orders)], level, strict,
+                        np.array([sums[i]]), ratio if reads else None, outer)
+    plan, prefix, terms = level
+    return dict(zip(plan.keys, prefix[0])), dict(zip(plan.term_keys, terms[0]))
 
 
 class TestLargeAlpha:
@@ -749,9 +781,11 @@ class TestFitGuards:
     def test_nan_sum_gives_no_value(self):
         # a level sum that is NaN leaves the value NaN and its error unbounded
         spec = NestedSumSpec((IndexWeight(a=2),), (), 0.7, 1.0)
-        half, full = _Stream(spec).states(512, 1024)
+        (half, full), _ = _Stream(spec).states(512, 1024)
         (hi, lo), = full[0]
-        value, err = _tail_fit(spec, 1024, half, (((math.nan, lo),), None))
+        weights = [_weight(spec.indices[0], spec.alpha, spec.beta, _order(1.0, 1024))]
+        (value,), (err,) = _tail_fit(spec, [(spec.alpha, spec.beta)], 1024, weights, None,
+                                     (np.array([[[math.nan, lo]]]), None), (np.array([half[0]]), None))
         assert math.isnan(value) and err == math.inf
 
 
@@ -830,8 +864,8 @@ def state_bytes(states: list) -> list:
 
 
 def clear_shared_work():
-    # every kernel memo: the plans, the expansions and their parts
-    for cache in (_plan, _inner_level, _weight, _pochhammer_log, _scale, _basis):
+    # every kernel memo: the plans and the parts of the expansions
+    for cache in (_plan, _weight, _pochhammer_log, _scale, _basis):
         cache.cache_clear()
 
 
@@ -893,11 +927,11 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["real", "complex", "real-star", "complex-star"])
     def test_cold_and_warm_levels_identical(self, spec):
-        # the inner levels' expansions, built or read from the memos, give one result
+        # the levels' plans and weights, built or read from the memos, give one result
         clear_shared_work()
         cold = evaluate(spec)
         warm = evaluate(spec)
-        assert _inner_level.cache_info().hits >= 1
+        assert min(_plan.cache_info().hits, _weight.cache_info().hits) >= 1
         assert cold == warm
         # and so does a spec that extends this one, streamed in one trie with it
         longer = NestedSumSpec(spec.indices + (IndexWeight(a=1, b=1),), spec.links + (Link.WEAK,),
@@ -907,13 +941,21 @@ class TestSharedWork:
         clear_shared_work()
         assert evaluate(longer) == warm
 
-    def test_level_shared_by_specs_with_one_prefix(self):
+    def test_level_shared_by_specs_with_one_prefix(self, monkeypatch):
         # an inner level depends on its prefix alone: two specs that differ
-        # only in their outer index share its expansion
-        clear_shared_work()
-        for last in (IndexWeight(a=2), IndexWeight(a=1, b=2)):
-            assert evaluate(NestedSumSpec((IndexWeight(a=1, b=1), last), (Link.STRICT,), 0.7, 1.3)).converged
-        assert _inner_level.cache_info()[:2] == (1, 1)  # hits, misses
+        # only in their outer index, streamed together, share its expansion
+        expand, outer = mzdual.nested_sum._expand, []
+
+        def counted(*args):
+            outer.append(args[-1])
+            return expand(*args)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_expand", counted)
+        specs = [NestedSumSpec((IndexWeight(a=1, b=1), last), (Link.STRICT,), 0.7, 1.3)
+                 for last in (IndexWeight(a=2), IndexWeight(a=1, b=2))]
+        cfg = EvalConfig()
+        assert all(evaluate(specs[i], cfg, states).converged for i, states in first_states(specs, cfg))
+        assert sorted(outer) == [False, True, True]  # one inner expansion, one outer per spec
 
     def test_memos_hold_a_suite_without_evicting(self):
         # the derivative suite's circle points make the largest working set at
@@ -921,7 +963,7 @@ class TestSharedWork:
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("derivative", SuiteConfig(weight_max=3)).passed
-        for memo in (_plan, _inner_level, _weight, _pochhammer_log, _basis):
+        for memo in (_plan, _weight, _pochhammer_log, _basis):
             info = memo.cache_info()
             assert info.misses == info.currsize > 0, (memo.__name__, info)
 
@@ -940,7 +982,7 @@ class TestSharedWork:
         for order in (specs, specs[::-1]):
             clear_shared_work()
             runs.append({order[i]: evaluate(order[i], cfg, st) for i, st in first_states(order, cfg)})
-        assert _inner_level.cache_info().hits > 0
+        assert _plan.cache_info().hits > 0
         assert runs[0] == runs[1]
         # and with no memo at all, each spec streamed and expanded alone
         alone = {}
@@ -1037,10 +1079,45 @@ class TestSharedWork:
         specs = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
         cfg = sc.eval_config()
         differ = []
-        for i, (n, *got) in first_states(specs, cfg):
-            if state_bytes(got) != state_bytes(_Stream(specs[i]).states(n // 2, n)):
+        for i, (n, *got, _) in first_states(specs, cfg):
+            if state_bytes(got) != state_bytes(_Stream(specs[i]).states(n // 2, n)[0]):
                 differ.append(specs[i])
         assert len(specs) > 900 and not differ and all(len(kind) == 1 for kind in kinds)
+
+    @pytest.mark.parametrize("suite,grid,weight", [
+        ("all", "default", 4), ("all", "0.6+0.3i,1,1.5-0.5i", 4), ("all", "4:4;20:20;1:20", 4),
+        ("thm11i", "1:0.6;1:0.6+0.3i;1:1.5;4:4;4:20", 4), ("derivative", "default", 3)])
+    def test_batched_fits_match_lone_fits(self, monkeypatch, suite, grid, weight):
+        # each spec's first (value, err), fitted with the points of its group, is
+        # _tail_fit's on the spec's lone stream, byte for byte (repr tells every
+        # float apart, -0.0 and NaN too).  A group is one alpha and K: at alpha = 4,
+        # beta = 4 keeps K = 8 and beta = 20 K = 10, and alpha = 1 with a real and
+        # a complex beta streams in two stacks of two dtypes
+        fit, sizes = mzdual.nested_sum._tail_fit, []
+
+        def recorded(spec, points, n, *args):
+            sizes.append(len(points))
+            assert len({a for a, _ in points}) == len({_order(max(abs(a), abs(b)), n) for a, b in points}) == 1
+            return fit(spec, points, n, *args)
+
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", recorded)
+        sc = SuiteConfig(weight_max=weight, params_grid=parse_grid(grid))
+        plans = mzdual.verifier._SUITES[suite](sc, words_up_to_weight(weight))
+        specs = list(dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks))
+        cfg = sc.eval_config()
+        batched = {i: (n, fit) for i, (n, *_, fit) in first_states(specs, cfg)}
+        groups, sizes[:] = len(sizes), []
+        differ = [spec for i, spec in enumerate(specs)
+                  if repr(batched[i][1]) != repr(_Stream(spec).states(batched[i][0] // 2, batched[i][0])[1])]
+        assert len(specs) > 500 and not differ and groups < len(specs) and set(sizes) == {1}
+
+    def test_overflowed_points_stay_out_of_groups(self):
+        # at alpha = 150 the level sums of Z(1:1,1:2) overflow by N = 8,192, at 140
+        # they do not: in one stack the one has no fit and the other its lone one
+        specs = [z_spec(parse_word("1:1,1:2"), Params(alpha, 1.0)) for alpha in (140.0, 150.0)]
+        got = dict(first_states(specs, EvalConfig()))
+        assert [n for n, *_ in got.values()] == [8192, 8192] and got[1][3] is None and got[1][1]
+        assert repr(got[0][3]) == repr(_Stream(specs[0]).states(4096, 8192)[1]) and got[0][3][1] < 1e-10
 
     @pytest.mark.parametrize("grid", ["default", "0.6+0.3i,1,1.5-0.5i", "4:4;20:20;1:20"])
     def test_compiled_levels_match_the_dict_algebra(self, monkeypatch, grid):
@@ -1052,7 +1129,16 @@ class TestSharedWork:
         plans = mzdual.verifier._SUITES["all"](sc, words_up_to_weight(4))
         specs = dict.fromkeys(k for _, *sides in plans for ks, _ in sides for k in ks)
         compiled = {spec: evaluate(spec, sc.eval_config()) for spec in specs}
-        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", oracles.tail_fit)
+
+        def per_point(spec, points, n, weights, below, full, half):
+            # oracles.tail_fit on each point's state, as a tuple of (hi, lo) pairs and the ratio
+            (sums, ratio), (half_sums, half_ratio) = full, half
+            fits = [oracles.tail_fit(NestedSumSpec(spec.indices, spec.links, *point), n,
+                                     (tuple(map(tuple, h)), half_ratio), (tuple(map(tuple, s)), ratio))
+                    for point, s, h in zip(points, sums.tolist(), half_sums.tolist())]
+            return [v for v, _ in fits], [e for _, e in fits]
+
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", per_point)
         short = []
         for spec, res in compiled.items():
             ref = evaluate(spec, sc.eval_config())
@@ -1063,27 +1149,37 @@ class TestSharedWork:
 
     def test_plans_shared_across_beta(self, monkeypatch):
         # a plan's key holds alpha - 1 and the key sets, not beta or a stream sum:
-        # thm11i at weight 4 expands 1,584 levels from 222 plans
+        # thm11i at weight 4 (120 structures at 9 points, 3 alphas) fits 360 groups
+        # of 3 points, one per structure and alpha, from 360 outer and 168 inner
+        # level expansions, one per level and group, and 222 plans (per spec: 1,080
+        # fits and 1,584 expansions)
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
-        expand, calls = mzdual.nested_sum._expand, [0]
+        expand, fit, calls = mzdual.nested_sum._expand, mzdual.nested_sum._tail_fit, []
 
         def counted(*args):
-            calls[0] += 1
+            calls.append(args[-1])
             return expand(*args)
 
+        def fitted(spec, points, *args):
+            calls.append(len(points))
+            return fit(spec, points, *args)
+
         monkeypatch.setattr(mzdual.nested_sum, "_expand", counted)
+        monkeypatch.setattr(mzdual.nested_sum, "_tail_fit", fitted)
         assert run_suite("thm11i", SuiteConfig(weight_max=4)).passed
-        assert (calls[0], _plan.cache_info().currsize) == (1584, 222)
+        assert [calls.count(x) for x in (True, False, 3)] == [360, 168, 360] and len(calls) == 888
+        assert _plan.cache_info().currsize == 222
 
     def test_plans_stay_within_their_bound(self):
         # the plan memo holds at most its bound of plans; all at weight 5 keeps
-        # every one of its 1,284 plans, each built once (all at weight 6: 2,841)
+        # every one of its 1,206 plans, each built once (all at weight 6: 2,619).
+        # An inner level that reads no ratio keys its plan on no g
         clear_shared_work()
         mzdual.evaluators._evaluate_cached.cache_clear()
         assert run_suite("all", SuiteConfig(weight_max=5)).passed
         info = _plan.cache_info()
-        assert info.currsize == info.misses == 1284 < info.maxsize == 4096
+        assert info.currsize == info.misses == 1206 < info.maxsize == 4096
 
 
 FIRST = IndexWeight(poch=1)  # (alpha)_m / m!
