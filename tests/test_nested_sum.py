@@ -184,8 +184,8 @@ class TestEvaluate:
             NestedSumSpec((), (Link.WEAK,), alpha=1.0)
 
     def test_cached_hash_stays_out_of_pickle_and_fields(self):
-        # a worker rebuilds each hash from the fields, as its string hashes (and
-        # so Link's) differ; asdict, and so any JSON, sees the fields alone
+        # a worker rebuilds each hash from the fields, as its Link hashes (ids)
+        # differ; asdict, and so any JSON, sees the fields alone
         spec = NestedSumSpec((IndexWeight(b=1, poch=1), IndexWeight(a=1, b=2, poch=-1)), (Link.WEAK,),
                              0.6 + 0.3j, 1.5)
         for x in (spec, spec.indices[1]):
