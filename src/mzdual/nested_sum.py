@@ -582,7 +582,7 @@ class _Plan(NamedTuple):
     term_keys: tuple
     placed: np.ndarray | None  # for a strict link, where each term below joins the prefix below
     size: int  # the prefix below's size, with the keys of the terms below that it lacks
-    pairs: np.ndarray | None  # each term's (weight, prefix below) pairs: a row of each's indices
+    pairs: np.ndarray | None  # each term's (weight, prefix below) pairs: weight indices, then prefix's
     pair_starts: np.ndarray | None
     index: np.ndarray  # each key of F's term indices and factors
     factor: np.ndarray
