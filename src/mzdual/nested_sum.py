@@ -355,7 +355,8 @@ class _Stream:
                   for point in zip(self.marked.tolist(), finite.tolist(), listed)] if tops else None
         at = {k: (self.marked[:, j], None if ratios is None else ratios[:, j], finite[:, j])
               for j, k in enumerate(reach)}
-        half = self.held = at.get(n // 2, self.held)
+        half = at.get(n // 2, self.held)
+        self.held = None if n in at else half  # so a node's block goes once it is read
         if n not in at or half is None or not self.spec.depth:
             return states, None
         (sums, ratios, ok), (half_sums, half_ratios, half_ok) = at[n], half
